@@ -41,7 +41,7 @@ for m, alphas in ((5, (1, 1, 1)), (4, (2, 1, 1)), (5, (2, 1, 1)), (7, (2, 2, 3))
 print()
 
 # The four-point search: lines through the triple point.
-print("sweeping integer directions with entries in [-2, 2] ...")
+print("sweeping the lines through the triple point with directions in [-2, 2]^5 ...")
 candidates = search_unstable(grid_bound=2, scale_bound=3)
 for c in candidates:
     print(f"  m={c.m}, alphas={c.alphas}: psi1={c.psi1_value}, "

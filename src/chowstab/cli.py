@@ -11,16 +11,14 @@ is byte-stable across runs (sorted keys, no floats).  Decimal
 approximations exist only behind --approx and only in the human-readable
 table output.  Exit status: 0 on success, 1 on parse or precondition
 errors, 2 when an internal cross-check between two computation paths
-fails.
-
-The environment variable CHOWSTAB_THREADS caps the worker processes used
-by the direction sweep of ``search-unstable``; the default is serial.
+fails.  A ``search-unstable`` grid bound above
+p2lab.SEARCH_MAX_GRID_BOUND is refused with status 1.  The search runs
+serially in the calling process.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -31,15 +29,6 @@ from .exactalg import Poly, RatFn, format_rational, parse_rational
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CROSSCHECK = 2
-
-
-def _threads() -> int:
-    raw = os.environ.get("CHOWSTAB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CHOWSTAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
 
 
 def _poly_strings(p: Poly) -> list[str]:
@@ -275,7 +264,7 @@ def _cmd_loci(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    candidates = p2lab.search_unstable(args.grid, args.scale, workers=_threads())
+    candidates = p2lab.search_unstable(args.grid, args.scale)
     rows = [{
         "m": c.m,
         "alphas": list(c.alphas),

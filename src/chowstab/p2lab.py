@@ -28,14 +28,13 @@ here and covered by a calibration test.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import gcd
 
 from . import blowup
-from .errors import CrossCheckError
+from .errors import CrossCheckError, ResourceLimitError
 from .exactalg import MPoly
 from .blowup import BlownPoint, BlowupSpec, projective_space_base
 
@@ -62,6 +61,10 @@ PSI_VARIABLES = ("m", "a1", "a2", "a3", "a4")
 # Vanishing-locus polynomials live in P^4 with homogeneous point (m, a1..a4);
 # the triple point of the quartic sits at m = a1 = 1, a2 = a3 = a4 = 0.
 _BASE_POINT = (1, 1, 0, 0, 0)
+
+# Largest accepted grid_bound.  The sweep visits 678 721 lines at b = 8, and
+# search_unstable(8, 1) takes about 6 s on one core of a 2-vCPU x86-64 host.
+SEARCH_MAX_GRID_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -259,112 +262,45 @@ def three_point_loci(m: int, alphas) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 
 
+def _compile_int_poly(poly: MPoly):
+    """Straight-line integer evaluator f(m, a1, a2, a3, a4) of an integral
+    polynomial in PSI_VARIABLES, generated from its term list."""
+    products = []
+    for exps, coeff in poly.terms():
+        if coeff.denominator != 1:
+            raise CrossCheckError("vanishing-locus polynomial is not integral")
+        factors = [f"({coeff.numerator})"]
+        for name, e in zip(PSI_VARIABLES, exps):
+            factors.extend((name,) * e)
+        products.append("*".join(factors))
+    source = f"lambda {', '.join(PSI_VARIABLES)}: {' + '.join(products)}"
+    return eval(compile(source, "<psi>", "eval"), {})
+
+
 @lru_cache(maxsize=None)
-def _psi_int_terms() -> tuple[tuple, tuple]:
-    """psi_1/psi_2 as integer term lists, plus the cubic jet of psi_1 at the
-    triple point, packaged for fast integer evaluation along lines."""
-    psi1, psi2 = _psi_pair()
-
-    def as_int_terms(p: MPoly):
-        out = []
-        for exps, coeff in p.terms():
-            if coeff.denominator != 1:
-                raise CrossCheckError("vanishing-locus polynomial is not integral")
-            out.append((exps, coeff.numerator))
-        return tuple(out)
-
-    point = dict(zip(PSI_VARIABLES, _BASE_POINT))
-    jet = []
-    for combo in itertools.combinations_with_replacement(range(5), 3):
-        p = psi1
-        for i in combo:
-            p = p.partial(PSI_VARIABLES[i])
-        value = p.evaluate(point)
-        mult = 1
-        for _, group in itertools.groupby(combo):
-            mult *= factorial(len(tuple(group)))
-        value /= mult
-        if value:
-            if value.denominator != 1:
-                raise CrossCheckError("cubic jet coefficient is not integral")
-            jet.append((combo, value.numerator))
-    return (as_int_terms(psi1), as_int_terms(psi2)), tuple(jet)
+def _psi_evaluators():
+    """Integer evaluators of the reconstructed psi_1 and psi_2."""
+    return tuple(_compile_int_poly(p) for p in _psi_pair())
 
 
-def _eval_int_terms(terms, v) -> int:
-    total = 0
-    for exps, coeff in terms:
-        term = coeff
-        for x, e in zip(v, exps):
-            if e:
-                if x == 0:
-                    term = 0
-                    break
-                term *= x**e
-        total += term
-    return total
+def _line_directions(bound: int):
+    """One direction per line through the origin of the box [-bound, bound]^5.
 
-
-def _primitive_ray(point: tuple[Fraction, ...]) -> tuple[int, ...] | None:
-    """Primitive integer representative of a projective point, signed so the
-    first nonzero entry is positive; None for the zero vector."""
-    denominators = lcm(*(c.denominator for c in point))
-    ints = [int(c * denominators) for c in point]
-    g = gcd(*ints)
-    if g == 0:
-        return None
-    ints = [c // g for c in ints]
-    for c in ints:
-        if c:
-            if c < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(ints)
-
-
-def _residual_point(v: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Fourth intersection of the quartic with the line through the triple
-    point in direction v, as a primitive integer vector; None when the line
-    is skipped (direction on the quartic, or degenerate)."""
-    (psi1_terms, _), jet = _psi_int_terms()
-    c4 = _eval_int_terms(psi1_terms, v)
-    if c4 == 0:
-        return None
-    c3 = 0
-    for combo, coeff in jet:
-        term = coeff
-        for i in combo:
-            term *= v[i]
-        c3 += term
-    t_star = Fraction(-c3, c4)
-    point = tuple(Fraction(b) + t_star * d for b, d in zip(_BASE_POINT, v))
-    return _primitive_ray(point)
-
-
-def _directions(bound: int, start: int, stop: int):
-    """Decode direction indices [start, stop) into vectors of the box
-    [-bound, bound]^5, ordered lexicographically."""
-    side = 2 * bound + 1
-    for index in range(start, stop):
-        v = []
-        rem = index
-        for power in range(4, -1, -1):
-            digit = rem // side**power
-            rem -= digit * side**power
-            v.append(digit - bound)
-        yield tuple(v)
-
-
-def _scan_chunk(args) -> list[tuple[int, ...]]:
-    bound, start, stop = args
-    hits = []
-    for v in _directions(bound, start, stop):
-        if not any(v):
-            continue
-        point = _residual_point(v)
-        if point is not None:
-            hits.append(point)
-    return hits
+    Each line yields its first member in the box's lexicographic order,
+    -T*p with p primitive, first nonzero entry positive, and
+    T = bound // max|p|; lines come in the order of those members.  A
+    vector v = -g*p (g = gcd(v)) is that member iff (g + 1) * max|p| > bound.
+    """
+    box = range(-bound, bound + 1)
+    for lead in range(5):
+        zeros = (0,) * lead
+        for a in range(-bound, 0):
+            for rest in itertools.product(box, repeat=4 - lead):
+                v = zeros + (a,) + rest
+                g = gcd(*v)
+                top = max(map(abs, v))
+                if top + top // g > bound:
+                    yield v
 
 
 def _verify_candidate(m: int, alphas: tuple[int, ...]) -> Fraction:
@@ -388,49 +324,64 @@ def _verify_candidate(m: int, alphas: tuple[int, ...]) -> Fraction:
     return f2 * deg_sq
 
 
-def search_unstable(grid_bound: int, scale_bound: int, workers: int = 1) -> list[Candidate]:
+def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     """Hunt integer polarizations of the aligned four-point blowup that are
     cscK-compatible yet asymptotically Chow unstable (F_1 = 0, F_2 != 0).
 
-    Every line through the triple point of the quartic meets it in one
-    residual point with rational coordinates; sweeping integer directions
-    with entries in [-grid_bound, grid_bound] (one representative per line)
-    and scaling the resulting primitive points by 1..scale_bound yields
-    candidates, kept when all five entries are positive, the polarization
-    is ample and psi_2 does not vanish.  Each returned candidate is
-    re-verified through the full invariant pipeline.  Output order is
-    deterministic: directions lexicographically, scales increasing.
+    psi_1 has a triple point at B = (1,1,0,0,0), so along the line B + t*v
+    it restricts to c3 t^3 + c4 t^4 with c4 = psi_1(v) and
+    c3 = psi_1(B + v) - c4.  When c4 != 0 the line meets the quartic once
+    more, at the integer point c4*B - c3*v, taken primitive with its first
+    nonzero entry positive.  The sweep visits each line through B with a
+    direction in [-grid_bound, grid_bound]^5 once, represented by its first
+    member in the box's lexicographic order (-T*p for the primitive,
+    positively signed p and T = grid_bound // max|p|); the other box
+    members of a line come later and give the same point.  Directions v
+    and v + c*B span the same projective line, so a point can recur; it is
+    kept at its first occurrence.  Points with all five entries positive
+    are scaled by 1..scale_bound and kept when the polarization is ample
+    and psi_2 does not vanish.  Each returned candidate is re-verified
+    through the full invariant pipeline.  Output order is deterministic:
+    lines in the order of their representatives, scales increasing, the
+    same as a scan of every direction of the box in lexicographic order.
+
+    Bounds must be ints >= 1 (TypeError, ValueError otherwise), and
+    grid_bound at most SEARCH_MAX_GRID_BOUND (ResourceLimitError).
     """
+    for name, value in (("grid_bound", grid_bound), ("scale_bound", scale_bound)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if grid_bound < 1 or scale_bound < 1:
         raise ValueError("bounds must be >= 1")
-    (_, psi2_terms), _ = _psi_int_terms()
-    side = 2 * grid_bound + 1
-    total = side**5
-    if workers > 1:
-        chunk = max(1, total // (workers * 8))
-        jobs = [(grid_bound, start, min(start + chunk, total))
-                for start in range(0, total, chunk)]
-        hits: list[tuple[int, ...]] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_scan_chunk, jobs):
-                hits.extend(part)
-    else:
-        hits = _scan_chunk((grid_bound, 0, total))
-
+    if grid_bound > SEARCH_MAX_GRID_BOUND:
+        raise ResourceLimitError(
+            f"search guard exceeded: grid_bound = {grid_bound} > {SEARCH_MAX_GRID_BOUND}")
+    psi1, psi2 = _psi_evaluators()
+    config = PointConfig.four_points_three_aligned()
     candidates: list[Candidate] = []
     seen: set[tuple[int, ...]] = set()
-    for point in hits:
+    for v0, v1, v2, v3, v4 in _line_directions(grid_bound):
+        c4 = psi1(v0, v1, v2, v3, v4)
+        if c4 == 0:
+            continue
+        c3 = psi1(1 + v0, 1 + v1, v2, v3, v4) - c4
+        point = (c4 - c3 * v0, c4 - c3 * v1, -c3 * v2, -c3 * v3, -c3 * v4)
+        # Keep only points whose entries share one strict sign.
+        if min(point) < 1 and max(point) > -1:
+            continue
+        g = gcd(*point)
+        if point[0] < 0:
+            g = -g
+        point = tuple(c // g for c in point)
         if point in seen:
             continue
         seen.add(point)
-        if any(c < 1 for c in point):
-            continue
         for scale in range(1, scale_bound + 1):
             m = scale * point[0]
             alphas = tuple(scale * c for c in point[1:])
-            if not ample_check(PointConfig.four_points_three_aligned(), m, alphas):
+            if not ample_check(config, m, alphas):
                 continue
-            psi2_value = Fraction(_eval_int_terms(psi2_terms, (m,) + alphas))
+            psi2_value = Fraction(psi2(m, *alphas))
             if psi2_value == 0:
                 continue
             f2_scaled = _verify_candidate(m, alphas)

@@ -8,6 +8,7 @@ import pytest
 
 from chowstab.cli import main
 from chowstab.exactalg import parse_rational
+from chowstab.p2lab import SEARCH_MAX_GRID_BOUND
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -139,6 +140,11 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["count"] == 0
 
+    def test_grid_guard_is_input_error(self, capsys):
+        code, _, err = run_cli(capsys, "search-unstable", "--grid",
+                               str(SEARCH_MAX_GRID_BOUND + 1), "--scale", "1")
+        assert code == 1 and "search guard" in err
+
 
 class TestOracleCheck:
     def test_blowup_suite_quick(self, capsys, monkeypatch):
@@ -169,8 +175,3 @@ class TestProcessEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["F1_zero"] is True
-
-    def test_threads_env_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHOWSTAB_THREADS", "not-a-number")
-        code, _, err = run_cli(capsys, "search-unstable", "--grid", "1", "--scale", "1")
-        assert code == 1 and "CHOWSTAB_THREADS" in err

@@ -1,12 +1,21 @@
 """Plane blowups: fixed-point data, vanishing loci, ampleness, search."""
+import functools
+import itertools
+from fractions import Fraction
+from math import factorial, gcd, lcm, prod
+
 import pytest
 
 from chowstab import blowup
+from chowstab.errors import ResourceLimitError
 from chowstab.exactalg import MPoly, Poly
 from chowstab.p2lab import (
     PSI_VARIABLES,
+    SEARCH_MAX_GRID_BOUND,
+    Candidate,
     DiagAction,
     PointConfig,
+    _line_directions,
     ample_check,
     fixed_point_data,
     psi_reconstruct,
@@ -184,11 +193,123 @@ class TestSearch:
         scaled = {(2 * c.m, tuple(2 * a for a in c.alphas)) for c in ones}
         assert scaled <= {(c.m, c.alphas) for c in doubled}
 
-    def test_worker_determinism(self):
-        assert search_unstable(2, 1, workers=2) == search_unstable(2, 1)
-
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             search_unstable(0, 1)
         with pytest.raises(ValueError):
             search_unstable(1, 0)
+
+    @pytest.mark.parametrize("bounds", [(2.0, 1), (True, 1), ("2", 1), (2, 1.0), (2, True)])
+    def test_bounds_must_be_int(self, bounds):
+        with pytest.raises(TypeError):
+            search_unstable(*bounds)
+
+    def test_grid_guard(self):
+        with pytest.raises(ResourceLimitError):
+            search_unstable(SEARCH_MAX_GRID_BOUND + 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Reference sweep: every direction of the box, residual point from the cubic
+# jet of psi_1 at the triple point in Fraction arithmetic, first occurrence
+# kept.  The library sweep must reproduce its candidates, order included.
+# ---------------------------------------------------------------------------
+
+_TRIPLE_POINT = (1, 1, 0, 0, 0)
+
+
+def _int_terms(poly):
+    return tuple((exps, int(coeff)) for exps, coeff in poly.terms())
+
+
+def _eval_terms(terms, v):
+    return sum(coeff * prod(x**e for x, e in zip(v, exps)) for exps, coeff in terms)
+
+
+def _ray(v):
+    """Primitive integer vector on the ray of a nonzero integer vector,
+    first nonzero entry positive."""
+    g = gcd(*v)
+    sign = next(1 if c > 0 else -1 for c in v if c)
+    return tuple(sign * c // g for c in v)
+
+
+def _primitive_ray(point):
+    den = lcm(*(c.denominator for c in point))
+    return _ray([int(c * den) for c in point])
+
+
+@functools.lru_cache(maxsize=None)
+def reference_hits(bound):
+    psi1, _ = psi_reconstruct(PointConfig.four_points_three_aligned())
+    terms = _int_terms(psi1)
+    base = dict(zip(PSI_VARIABLES, _TRIPLE_POINT))
+    jet = []
+    for combo in itertools.combinations_with_replacement(range(5), 3):
+        p = psi1
+        for i in combo:
+            p = p.partial(PSI_VARIABLES[i])
+        mult = prod(factorial(len(tuple(g))) for _, g in itertools.groupby(combo))
+        value = p.evaluate(base) / mult
+        if value:
+            jet.append((combo, value))
+    hits, seen = [], set()
+    for v in itertools.product(range(-bound, bound + 1), repeat=5):
+        if not any(v):
+            continue
+        c4 = _eval_terms(terms, v)
+        if c4 == 0:
+            continue
+        c3 = sum(coeff * prod(v[i] for i in combo) for combo, coeff in jet)
+        t = Fraction(-c3, c4)
+        point = _primitive_ray([b + t * d for b, d in zip(_TRIPLE_POINT, v)])
+        if point not in seen:
+            seen.add(point)
+            hits.append(point)
+    return tuple(hits)
+
+
+def reference_search(bound, scale):
+    _, ref2 = reference_psis()
+    psi2_terms = _int_terms(ref2)
+    config = PointConfig.four_points_three_aligned()
+    out = []
+    for point in reference_hits(bound):
+        if any(c < 1 for c in point):
+            continue
+        for k in range(1, scale + 1):
+            m, alphas = k * point[0], tuple(k * c for c in point[1:])
+            if not ample_check(config, m, alphas):
+                continue
+            psi2_value = Fraction(_eval_terms(psi2_terms, (m,) + alphas))
+            if psi2_value:
+                out.append(Candidate(m=m, alphas=alphas, psi1_value=Fraction(0),
+                                     psi2_value=psi2_value, ample=True, verified=True))
+    return out
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1, 2, 3])
+def test_search_matches_full_box_reference(bound, scale):
+    assert search_unstable(bound, scale) == reference_search(bound, scale)
+
+
+@pytest.mark.parametrize("bound, lines", [(1, 121), (2, 1441), (3, 8161), (4, 27841)])
+def test_line_directions_first_box_member(bound, lines):
+    directions = list(_line_directions(bound))
+    assert len(directions) == lines
+    rays = [_ray(v) for v in directions]
+    assert len(set(rays)) == lines
+    for v, p in zip(directions, rays):
+        assert v == tuple(-(bound // max(map(abs, p))) * c for c in p)
+    assert directions == sorted(directions)
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_line_directions_brute_force(bound):
+    first, seen = [], set()
+    for v in itertools.product(range(-bound, bound + 1), repeat=5):
+        if any(v) and _ray(v) not in seen:
+            seen.add(_ray(v))
+            first.append(v)
+    assert list(_line_directions(bound)) == first
