@@ -25,9 +25,12 @@ fully explicit form
                                       - g_l(alpha_j/m) lambda(p_j) ],
 
 with D = deg - sum_j (alpha_j/m)^n > 0 and one-variable polynomials f_l,
-g_l built from D, the base coefficients and the s_h.  Every call of
+g_l built from D, the base coefficients and the s_h (one transcription,
+shared by the numeric, symbolic and polynomial paths).  Every call of
 futaki_blowup re-derives the invariants through the generic chi/w pipeline
-and insists on exact agreement.
+and insists on exact agreement.  chow_blowup goes through chowcore.report
+on (chi~, w~), which asserts the Chow function's expansion in the F_l, and
+checks those F_l against the point sums the same way.
 
 For blowups of the projective plane at coordinate points the space of
 sections is a span of monomials, and oracle_p2 checks both polynomials by
@@ -42,7 +45,7 @@ from functools import lru_cache
 
 from . import chowcore
 from .errors import CrossCheckError, DegenerateInputError, ResourceLimitError
-from .exactalg import Poly, RatFn, choose, stirling_coeffs
+from .exactalg import Poly, RatFn, _as_rat, choose, stirling_coeffs
 
 __all__ = [
     "BaseSummary",
@@ -64,6 +67,9 @@ __all__ = [
 
 ORACLE_MAX_MK = 10_000
 
+# Above the 840 distinct (points, m, k) keys of verification.run_blowup_suite.
+ORACLE_CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class BaseSummary:
@@ -78,7 +84,7 @@ class BaseSummary:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("base dimension must be >= 2")
-        object.__setattr__(self, "a", tuple(Fraction(c) for c in self.a))
+        object.__setattr__(self, "a", tuple(_as_rat(c) for c in self.a))
         if len(self.a) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} Hilbert coefficients")
         if self.a[0] <= 0:
@@ -116,7 +122,7 @@ class BlownPoint:
     def __post_init__(self):
         if self.alpha < 1:
             raise ValueError("multiplicity alpha must be >= 1")
-        object.__setattr__(self, "phi", Fraction(self.phi))
+        object.__setattr__(self, "phi", _as_rat(self.phi))
 
 
 @dataclass(frozen=True)
@@ -219,35 +225,48 @@ def w_tilde(spec: BlowupSpec) -> Poly:
                        [p.lam for p in spec.points]))
 
 
+def _f_g_levels(n: int, a, ratios):
+    """D = n! a_0 - sum_i x_i^n and, for l = 1..n, the per-level terms
+    (l, D s_{n-l}, D s_{n+1-l}, n! a_l - s_{n-l} sum_i x_i^{n-l}) of f_l and g_l."""
+    s = stirling_coeffs(n) + [0]       # s_{n+1} = 0
+    fact = math.factorial(n)
+
+    def power_sum(p):
+        return sum((x**p for x in ratios[1:]), ratios[0] ** p)
+
+    d_val = fact * Fraction(a[0]) - power_sum(n)
+    levels = [(ell, d_val * s[n - ell], d_val * s[n + 1 - ell],
+               fact * Fraction(a[ell]) - s[n - ell] * power_sum(n - ell))
+              for ell in range(1, n + 1)]
+    return d_val, levels
+
+
+def _f_g(n: int, level, x):
+    """f_l(x) and g_l(x) at an exact ring element x, from one entry of _f_g_levels."""
+    ell, d_lo, d_hi, second = level
+    f_val = d_lo * x ** (n - ell) - second * x**n
+    g_val = (d_hi * x ** (n + 1 - ell) - x * f_val) * Fraction(1, n + 1)
+    return f_val, g_val
+
+
 def futaki_point_sums(n: int, a, ratios, phis, lams) -> list:
     """The per-level weighted sums sum_j [f_l(x_j) phi_j - g_l(x_j) lam_j].
 
     x_j = ratios[j] stands for alpha_j/m.  The arithmetic is generic: the
     ratios may be Fractions (numeric invariants) or multivariate
-    polynomial generators (symbolic reconstruction of vanishing loci), so
-    both paths share one transcription of the formulas
+    polynomial generators (symbolic reconstruction of vanishing loci), and
+    d_f_g evaluates the same transcription at the polynomial variable:
 
         f_l(x) = D s_{n-l} x^{n-l} - (n! a_l - s_{n-l} sum_i x_i^{n-l}) x^n,
         g_l(x) = (D s_{n+1-l} x^{n+1-l} - x f_l(x)) / (n+1),
         D      = n! a_0 - sum_i x_i^n.
     """
-    s = stirling_coeffs(n) + [0]
-    fact = math.factorial(n)
-    deg = fact * Fraction(a[0])
-    pow_sums = {}
-    for p in {n} | {n - ell for ell in range(1, n + 1)}:
-        acc = ratios[0] ** p
-        for x in ratios[1:]:
-            acc = acc + x**p
-        pow_sums[p] = acc
-    d_val = deg - pow_sums[n]
+    d_val, levels = _f_g_levels(n, a, ratios)
     out = []
-    for ell in range(1, n + 1):
-        second = fact * Fraction(a[ell]) - s[n - ell] * pow_sums[n - ell]
+    for level in levels:
         acc = d_val * 0
         for x, phi, lam in zip(ratios, phis, lams):
-            f_val = d_val * s[n - ell] * x ** (n - ell) - second * x**n
-            g_val = (d_val * s[n + 1 - ell] * x ** (n + 1 - ell) - x * f_val) * Fraction(1, n + 1)
+            f_val, g_val = _f_g(n, level, x)
             acc = acc + f_val * Fraction(phi) - g_val * lam
         out.append(acc)
     return out
@@ -258,32 +277,33 @@ def d_f_g(spec: BlowupSpec, ell: int) -> tuple[Fraction, Poly, Poly]:
     n = spec.base.n
     if not 1 <= ell <= n:
         raise ValueError(f"l must be in 1..{n}")
-    s = stirling_coeffs(n) + [0]
-    fact = math.factorial(n)
-    d_val = spec.volume_gap
-    ratio_sum = sum(
-        (Fraction(p.alpha, spec.m) ** (n - ell) for p in spec.points), Fraction(0))
-    f = Poly.monomial(n - ell, d_val * s[n - ell]) \
-        - Poly.monomial(n, fact * spec.base.a[ell] - s[n - ell] * ratio_sum)
-    g = (Poly.monomial(n + 1 - ell, d_val * s[n + 1 - ell]) - Poly((0, 1)) * f) / (n + 1)
+    ratios = [Fraction(p.alpha, spec.m) for p in spec.points]
+    d_val, levels = _f_g_levels(n, spec.base.a, ratios)
+    f, g = _f_g(n, levels[ell - 1], Poly((0, 1)))
     return d_val, f, g
 
 
-def _futaki_direct(spec: BlowupSpec) -> list[Fraction]:
+def _checked_point_sums(spec: BlowupSpec, pipeline) -> list[Fraction]:
+    """The point-sum invariants F_l, which must equal the pipeline's values."""
     n = spec.base.n
     ratios = [Fraction(p.alpha, spec.m) for p in spec.points]
     sums = futaki_point_sums(n, spec.base.a, ratios,
                              [p.phi for p in spec.points],
                              [p.lam for p in spec.points])
-    d_val = spec.volume_gap
-    return [sums[ell - 1] / (d_val**2 * spec.m ** (ell - 1)) for ell in range(1, n + 1)]
+    d_sq = spec.volume_gap**2
+    direct = [sums[ell - 1] / (d_sq * spec.m ** (ell - 1)) for ell in range(1, n + 1)]
+    if direct != list(pipeline):
+        raise CrossCheckError(
+            f"point-sum invariants disagree with the chi/w pipeline at "
+            f"a = {[str(c) for c in spec.base.a]}, m = {spec.m}, (alpha, phi, lambda) = "
+            f"{[(p.alpha, str(p.phi), p.lam) for p in spec.points]}: point sums "
+            f"{[str(f) for f in direct]}, pipeline {[str(f) for f in pipeline]}")
+    return direct
 
 
 def _hilbert_weight_data(spec: BlowupSpec) -> tuple[chowcore.HilbertData, chowcore.WeightData]:
-    n = spec.base.n
-    h = chowcore.HilbertData.from_poly(chi_tilde(spec), n)
-    w = chowcore.WeightData.from_poly(w_tilde(spec), n)
-    return h, w
+    return (chowcore.HilbertData.from_poly(chi_tilde(spec), spec.base.n),
+            chowcore.WeightData.from_poly(w_tilde(spec), spec.base.n))
 
 
 def futaki_blowup(spec: BlowupSpec) -> list[Fraction]:
@@ -293,32 +313,20 @@ def futaki_blowup(spec: BlowupSpec) -> list[Fraction]:
     generic pipeline on (chi~, w~) on every call; disagreement raises a
     cross-check error.
     """
-    direct = _futaki_direct(spec)
-    generic = chowcore.futaki_invariants(*_hilbert_weight_data(spec))
-    if direct != generic:
-        raise CrossCheckError(
-            "point-sum invariants disagree with the chi/w pipeline")
-    return direct
+    return _checked_point_sums(
+        spec, chowcore.futaki_invariants(*_hilbert_weight_data(spec)))
 
 
 def chow_blowup(spec: BlowupSpec) -> RatFn:
     """Chow weight of the blown-up polarization as a rational function of k.
 
-    Equals (leading chi~ coefficient / chi~(k)) * sum_l F_l k^{n+1-l}; also
-    re-derived from (chi~, w~) directly, with exact agreement enforced.
+    Taken from chowcore.report on (chi~, w~), which asserts that it equals
+    (leading chi~ coefficient / chi~(k)) * sum_l F_l k^{n+1-l} (b_{n+1} = 0
+    here); the F_l of that report must equal the point-sum formula.
     """
-    n = spec.base.n
-    chi = chi_tilde(spec)
-    futaki = futaki_blowup(spec)
-    num = Poly()
-    a0 = chi.coefficient(n)
-    for ell, f in enumerate(futaki, start=1):
-        num = num + Poly.monomial(n + 1 - ell, a0 * f)
-    closed = RatFn(num, chi)
-    generic = chowcore.chow_weight_fn(*_hilbert_weight_data(spec))
-    if closed != generic:
-        raise CrossCheckError("Chow closed form disagrees with the chi/w pipeline")
-    return closed
+    rep = chowcore.report(*_hilbert_weight_data(spec))
+    _checked_point_sums(spec, rep.futaki)
+    return rep.chow
 
 
 def adiabatic(spec: BlowupSpec) -> tuple[Fraction, Fraction]:
@@ -339,7 +347,7 @@ def adiabatic(spec: BlowupSpec) -> tuple[Fraction, Fraction]:
     return leading, w_cw
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ORACLE_CACHE_SIZE)
 def _admissible_monomial_stats(points: tuple[tuple[int, int], ...], m: int, k: int):
     """Count and exponent sums of degree-mk monomials in three variables
     vanishing to order alpha_j*k at each chosen coordinate point.

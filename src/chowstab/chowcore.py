@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CrossCheckError
-from .exactalg import Poly, RatFn
+from .exactalg import Poly, RatFn, _as_rat
 
 __all__ = [
     "HilbertData",
@@ -50,7 +50,7 @@ class HilbertData:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("dimension must be non-negative")
-        object.__setattr__(self, "a", tuple(Fraction(c) for c in self.a))
+        object.__setattr__(self, "a", tuple(_as_rat(c) for c in self.a))
         if len(self.a) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} coefficients, got {len(self.a)}")
         if self.a[0] == 0:
@@ -81,7 +81,7 @@ class WeightData:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("dimension must be non-negative")
-        object.__setattr__(self, "b", tuple(Fraction(c) for c in self.b))
+        object.__setattr__(self, "b", tuple(_as_rat(c) for c in self.b))
         if len(self.b) != self.n + 2:
             raise ValueError(f"expected {self.n + 2} coefficients, got {len(self.b)}")
 
@@ -141,7 +141,7 @@ def shift_linearization(w: WeightData, h: HilbertData, c: Fraction | int) -> Wei
     Chow weight function and every F_l are unchanged.
     """
     _check_dims(h, w)
-    c = Fraction(c)
+    c = _as_rat(c)
     shifted = [w.b[ell] + c * h.a[ell] for ell in range(h.n + 1)]
     shifted.append(w.b_top)
     return WeightData(w.n, tuple(shifted))

@@ -223,9 +223,6 @@ class Poly:
             acc = acc * inner + c
         return acc
 
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self._coeffs) if i))
-
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -325,14 +322,6 @@ class RatFn:
             num, den = num / scale, den / scale
         self._num = num
         self._den = den
-
-    @classmethod
-    def zero(cls) -> "RatFn":
-        return cls(Poly())
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFn":
-        return cls(p)
 
     @property
     def num(self) -> Poly:

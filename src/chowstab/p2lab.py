@@ -137,6 +137,14 @@ def fixed_point_data(action: DiagAction, block) -> tuple[Fraction, int]:
     return Fraction(w_block), lam
 
 
+def _plane_blowup(config: PointConfig, action: DiagAction, m: int, alphas) -> BlowupSpec:
+    """The plane blown up at the points of ``config`` with multiplicities
+    ``alphas``, twisted by m, with the fixed-point data of ``action``."""
+    points = tuple(BlownPoint(alpha, *fixed_point_data(action, block))
+                   for block, alpha in zip(config.blocks, alphas))
+    return BlowupSpec(base=projective_space_base(2), points=points, m=m)
+
+
 @lru_cache(maxsize=None)
 def _psi_pair() -> tuple[MPoly, MPoly]:
     config = PointConfig.four_points_three_aligned()
@@ -243,15 +251,10 @@ def three_point_loci(m: int, alphas) -> tuple[bool, bool]:
     config = PointConfig.three_general()
     if not ample_check(config, m, alphas):
         raise ValueError(f"(m, alphas) = ({m}, {alphas}) is not ample")
-    base = projective_space_base(2)
     f1_zero = True
     f2_zero = True
     for action in _THREE_POINT_ACTIONS:
-        points = []
-        for block, alpha in zip(config.blocks, alphas):
-            phi, lam = fixed_point_data(action, block)
-            points.append(BlownPoint(alpha=alpha, phi=phi, lam=lam))
-        f1, f2 = blowup.futaki_blowup(BlowupSpec(base=base, points=tuple(points), m=m))
+        f1, f2 = blowup.futaki_blowup(_plane_blowup(config, action, m, alphas))
         f1_zero = f1_zero and f1 == 0
         f2_zero = f2_zero and f2 == 0
     return f1_zero, f2_zero
@@ -309,13 +312,8 @@ def _verify_candidate(m: int, alphas: tuple[int, ...]) -> Fraction:
     Raises if the candidate fails recomputation, which by construction
     should never happen.
     """
-    config = PointConfig.four_points_three_aligned()
-    action = DiagAction((2, -1, -1))
-    points = []
-    for block, alpha in zip(config.blocks, alphas):
-        phi, lam = fixed_point_data(action, block)
-        points.append(BlownPoint(alpha=alpha, phi=phi, lam=lam))
-    spec = BlowupSpec(base=projective_space_base(2), points=tuple(points), m=m)
+    spec = _plane_blowup(PointConfig.four_points_three_aligned(), DiagAction((2, -1, -1)),
+                         m, alphas)
     f1, f2 = blowup.futaki_blowup(spec)
     if f1 != 0 or f2 == 0:
         raise CrossCheckError(

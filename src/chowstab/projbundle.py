@@ -235,7 +235,9 @@ def higher_futaki(spec: CurveBundleSpec) -> list[Fraction]:
         closed = [c * factor for c in cm_constants(spec.n)]
         if closed != generic:
             raise CrossCheckError(
-                "closed-form invariants disagree with the chi/w pipeline")
+                f"closed-form invariants disagree with the chi/w pipeline at {spec}: "
+                f"closed form {[str(f) for f in closed]}, "
+                f"pipeline {[str(f) for f in generic]}")
         return closed
     return generic
 

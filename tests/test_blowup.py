@@ -1,11 +1,13 @@
 """Blowup invariants: closed forms, skyscraper weights, oracle, adiabatic limit."""
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from chowstab import chowcore
+from chowstab import blowup, chowcore, p2lab, verification
 from chowstab.blowup import (
+    ORACLE_CACHE_SIZE,
     BaseSummary,
     BlownPoint,
     BlowupSpec,
@@ -21,8 +23,8 @@ from chowstab.blowup import (
     w_tilde,
     w_tilde_coeffs,
 )
-from chowstab.errors import DegenerateInputError, ResourceLimitError
-from chowstab.exactalg import Poly, binom_poly_in_k
+from chowstab.errors import CrossCheckError, DegenerateInputError, ResourceLimitError
+from chowstab.exactalg import Poly, RatFn, binom_poly_in_k, stirling_coeffs
 
 
 P2 = projective_space_base(2)
@@ -34,6 +36,134 @@ def aligned_four_point_spec(m, alphas=(1, 1, 1, 1)):
     points = tuple(BlownPoint(alpha=a, phi=phi, lam=lam)
                    for a, (phi, lam) in zip(alphas, data))
     return BlowupSpec(base=P2, points=points, m=m)
+
+
+def criterion5_specs():
+    """A BlowupSpec for every case of the oracle blowup universe with D > 0."""
+    for weights, points, m in verification.blowup_cases():
+        if P2.degree - sum(Fraction(a, m) ** 2 for _, a in points) <= 0:
+            continue
+        action = p2lab.DiagAction(weights)
+        yield BlowupSpec(base=P2, m=m, points=tuple(
+            BlownPoint(alpha, *p2lab.fixed_point_data(action, {axis}))
+            for axis, alpha in points))
+
+
+def random_specs(n, count, seed):
+    """Seeded blowups of projective n-space with small rational phi."""
+    rng = random.Random(seed)
+    base = projective_space_base(n)
+    specs = []
+    while len(specs) < count:
+        points = tuple(
+            BlownPoint(alpha=rng.randint(1, 3),
+                       phi=Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                       lam=rng.randint(-6, 6))
+            for _ in range(rng.randint(1, 4)))
+        m = sum(p.alpha for p in points) + rng.randint(0, 3)
+        try:
+            specs.append(BlowupSpec(base=base, points=points, m=m))
+        except DegenerateInputError:
+            continue
+    return specs
+
+
+REFERENCE_SPECS = list(criterion5_specs()) + random_specs(3, 60, seed=7)
+
+
+def reference_chow(spec):
+    """The Chow expansion (a_0/chi~(k)) sum_l F_l k^{n+1-l}, built monomial by monomial."""
+    n = spec.base.n
+    chi = chi_tilde(spec)
+    a0 = chi.coefficient(n)
+    num = Poly()
+    for ell, f in enumerate(futaki_blowup(spec), start=1):
+        num = num + Poly.monomial(n + 1 - ell, a0 * f)
+    return RatFn(num, chi)
+
+
+def reference_d_f_g(spec, ell):
+    """D, f_l and g_l transcribed coefficient by coefficient with Poly.monomial."""
+    n = spec.base.n
+    s = stirling_coeffs(n) + [0]
+    fact = math.factorial(n)
+    d_val = spec.volume_gap
+    ratio_sum = sum(
+        (Fraction(p.alpha, spec.m) ** (n - ell) for p in spec.points), Fraction(0))
+    f = Poly.monomial(n - ell, d_val * s[n - ell]) \
+        - Poly.monomial(n, fact * spec.base.a[ell] - s[n - ell] * ratio_sum)
+    g = (Poly.monomial(n + 1 - ell, d_val * s[n + 1 - ell]) - Poly((0, 1)) * f) / (n + 1)
+    return d_val, f, g
+
+
+class TestReferences:
+    def test_universe_sizes(self):
+        assert len(REFERENCE_SPECS) == 3552 + 60
+        assert sum(spec.base.n == 3 for spec in REFERENCE_SPECS) == 60
+
+    def test_chow_matches_monomial_expansion(self):
+        for spec in REFERENCE_SPECS:
+            got, want = chow_blowup(spec), reference_chow(spec)
+            assert (got.num, got.den) == (want.num, want.den), spec
+
+    def test_d_f_g_matches_monomial_transcription(self):
+        for spec in REFERENCE_SPECS:
+            for ell in range(1, spec.base.n + 1):
+                assert d_f_g(spec, ell) == reference_d_f_g(spec, ell), (spec, ell)
+
+    def test_chow_builds_chi_and_w_once(self, monkeypatch):
+        calls = {"chi_tilde": 0, "w_tilde": 0}
+
+        def counted(name):
+            original = getattr(blowup, name)
+
+            def wrapper(spec):
+                calls[name] += 1
+                return original(spec)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(blowup, name, counted(name))
+        for spec in (aligned_four_point_spec(3), random_specs(3, 1, seed=2)[0]):
+            calls.update(chi_tilde=0, w_tilde=0)
+            chow_blowup(spec)
+            assert calls == {"chi_tilde": 1, "w_tilde": 1}
+
+
+class TestForcedCrossCheckFailures:
+    def test_point_sums_disagree(self, monkeypatch):
+        original = blowup.futaki_point_sums
+
+        def skewed(*args):
+            sums = original(*args)
+            return [sums[0] + 1] + sums[1:]
+
+        monkeypatch.setattr(blowup, "futaki_point_sums", skewed)
+        spec = aligned_four_point_spec(3)
+        for fn in (futaki_blowup, chow_blowup):
+            with pytest.raises(CrossCheckError) as info:
+                fn(spec)
+            message = str(info.value)
+            assert "point-sum" in message and "m = 3" in message
+            # point-sum F_1 = -1/5 + 1/D^2 with D = 5/9; pipeline F_1 = -1/5
+            assert "point sums ['76/25', '-1/25'], pipeline ['-1/5', '-1/25']" in message
+
+    def test_chow_identity_enforced_through_report(self, monkeypatch):
+        original = chowcore.chow_weight_fn
+        monkeypatch.setattr(chowcore, "chow_weight_fn",
+                            lambda h, w: original(h, w) + RatFn(Poly((1,))))
+        with pytest.raises(CrossCheckError, match="Chow expansion"):
+            chow_blowup(aligned_four_point_spec(3))
+
+
+class TestInexactInputRefused:
+    def test_blown_point_float_phi(self):
+        with pytest.raises(TypeError):
+            BlownPoint(1, 0.1, 0)
+
+    def test_base_summary_float_coefficient(self):
+        with pytest.raises(TypeError):
+            BaseSummary(n=2, a=(0.5, Fraction(3, 2), 1))
 
 
 class TestBase:
@@ -278,3 +408,29 @@ class TestOracleP2:
             oracle_p2((1, -1, 0), [(0, 2)], 1, 1)          # outside exactness regime
         with pytest.raises(ResourceLimitError):
             oracle_p2((1, -1, 0), [(0, 1)], 101, 100)      # guard
+
+
+class TestOracleCache:
+    def test_bound_keeps_the_suite_keys(self):
+        stats = blowup._admissible_monomial_stats
+        assert stats.cache_info().maxsize == ORACLE_CACHE_SIZE >= 840
+        stats.cache_clear()
+        weight_vectors = []
+        for weights, points, m in verification.blowup_cases():
+            if weights not in weight_vectors:
+                if len(weight_vectors) == 2:
+                    break
+                weight_vectors.append(weights)
+            for k in range(1, verification.BLOWUP_KMAX + 1):
+                oracle_p2(weights, points, m, k)
+        info = stats.cache_info()
+        assert (info.misses, info.hits) == (840, 840)
+
+    def test_cache_stays_bounded(self):
+        stats = blowup._admissible_monomial_stats
+        stats.cache_clear()
+        for m in range(1, 41):
+            for k in range(1, 41):
+                oracle_p2((1, -1, 0), [], m, k)
+        info = stats.cache_info()
+        assert info.misses == 1600 and info.currsize == ORACLE_CACHE_SIZE

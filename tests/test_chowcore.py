@@ -126,3 +126,18 @@ class TestReport:
             for ell, f in enumerate(rep.futaki, start=1):
                 expansion = expansion + Poly.monomial(n + 1 - ell, h.a[0] * f)
             assert rep.chow == RatFn(expansion, h.poly())
+
+
+class TestInexactInputRefused:
+    def test_hilbert_data_float(self):
+        with pytest.raises(TypeError):
+            HilbertData(1, (0.5, 1))
+
+    def test_weight_data_float(self):
+        with pytest.raises(TypeError):
+            WeightData(1, (1, 0.5, 0))
+
+    def test_shift_by_float(self):
+        h, w = hyperplane_curve()
+        with pytest.raises(TypeError):
+            shift_linearization(w, h, 0.5)

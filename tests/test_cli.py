@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from chowstab import blowup
 from chowstab.cli import main
 from chowstab.exactalg import parse_rational
 from chowstab.p2lab import SEARCH_MAX_GRID_BOUND
@@ -103,6 +104,15 @@ class TestBlowup:
         }))
         code, _, err = run_cli(capsys, "blowup", "--config", str(bad))
         assert code == 1 and "exceptional volume" in err
+
+    def test_forced_cross_check_failure_exits_2(self, monkeypatch, capsys):
+        original = blowup.futaki_point_sums
+        monkeypatch.setattr(blowup, "futaki_point_sums",
+                            lambda *args: [f + 1 for f in original(*args)])
+        code, out, err = run_cli(capsys, "blowup",
+                                 "--config", str(CONFIGS / "blowup_p2_four_aligned.json"))
+        assert code == 2 and out == ""
+        assert "cross-check failure" in err and "point-sum" in err
 
 
 class TestLoci:

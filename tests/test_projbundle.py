@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from chowstab import chowcore
-from chowstab.errors import AmplenessWarning, DegenerateInputError, ResourceLimitError
+from chowstab.errors import (
+    AmplenessWarning,
+    CrossCheckError,
+    DegenerateInputError,
+    ResourceLimitError,
+)
 from chowstab.exactalg import Poly, RatFn, choose, cm_constants
 from chowstab.projbundle import (
     POLYSTABLE,
@@ -147,6 +152,17 @@ class TestChowWeight:
 
 
 class TestHigherFutaki:
+    def test_forced_pipeline_disagreement(self, monkeypatch):
+        original = chowcore.futaki_invariants
+        monkeypatch.setattr(chowcore, "futaki_invariants",
+                            lambda h, w: [f + 1 for f in original(h, w)])
+        with pytest.raises(CrossCheckError) as info:
+            higher_futaki(unstable_pair())
+        message = str(info.value)
+        assert "closed-form invariants disagree" in message
+        assert "genus=2" in message and "b_deg=2" in message
+        assert "closed form ['4/27', '4/27'], pipeline ['31/27', '31/27']" in message
+
     def test_worked_value_both_paths(self):
         spec = unstable_pair()
         got = higher_futaki(spec)
