@@ -156,9 +156,7 @@ def report(h: HilbertData, w: WeightData) -> InvariantReport:
     """
     chow = chow_weight_fn(h, w)
     futaki = futaki_invariants(h, w)
-    expansion = Poly((w.b_top,))
-    for ell, f in enumerate(futaki, start=1):
-        expansion = expansion + Poly.monomial(h.n + 1 - ell, h.a[0] * f)
-    if chow != RatFn(expansion, h.poly()):
+    expansion = Poly.from_descending((0, *(h.a[0] * f for f in futaki), w.b_top))
+    if chow.num * h.poly() != expansion * chow.den:
         raise CrossCheckError("Chow expansion does not match the invariants F_l")
     return InvariantReport(chow=chow, futaki=tuple(futaki), b_top=w.b_top)

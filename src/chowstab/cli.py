@@ -62,6 +62,12 @@ def _as_int(value, context: str) -> int:
     return value
 
 
+def _as_bool(value, context: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{context}: expected true or false, got {value!r}")
+    return value
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -111,7 +117,7 @@ def _curve_bundle_from_config(config: dict) -> projbundle.CurveBundleSpec:
             rank=_as_int(_require(entry, "rank", ctx), f"{ctx}.rank"),
             degree=_as_int(_require(entry, "degree", ctx), f"{ctx}.degree"),
             weight=_as_int(_require(entry, "weight", ctx), f"{ctx}.weight"),
-            stable=bool(entry.get("stable", True))))
+            stable=_as_bool(entry.get("stable", True), f"{ctx}.stable")))
     b = config.get("B", {})
     return projbundle.CurveBundleSpec(
         genus=_as_int(_require(config, "genus", "projbundle config"), "genus"),
@@ -157,14 +163,14 @@ def _cmd_projbundle(args) -> int:
         lo, hi = _parse_k_range(args.k_range)
         table = []
         for k in range(lo, hi + 1):
-            row = {"k": k, "chi": format_rational(chi.evaluate(k)),
-                   "w": format_rational(w.evaluate(k))}
             chi_k = chi.evaluate(k)
-            row["chow"] = format_rational(chow.evaluate(k)) if chi_k else "undefined"
+            chow_k = chow.evaluate(k) if chi_k else None
+            row = {"k": k, "chi": format_rational(chi_k), "w": format_rational(w.evaluate(k)),
+                   "chow": "undefined" if chow_k is None else format_rational(chow_k)}
             table.append(row)
             text = f"k={k}: chi={row['chi']} w={row['w']} chow={row['chow']}"
-            if args.approx and chi_k:
-                text += f"   (chow approx {_approx(chow.evaluate(k))})"
+            if args.approx and chow_k is not None:
+                text += f"   (chow approx {_approx(chow_k)})"
             lines.append(text)
         payload["table"] = table
     _emit(payload, args.json, lines)
@@ -185,7 +191,8 @@ def _blowup_from_config(config: dict) -> blowup.BlowupSpec:
     base = blowup.BaseSummary(
         n=n,
         a=tuple(_as_rational(c, f"base.a[{i}]") for i, c in enumerate(coeffs)),
-        polystable_certified=bool(_require(raw_base, "polystable", "base")))
+        polystable_certified=_as_bool(_require(raw_base, "polystable", "base"),
+                                      "base.polystable"))
     raw_points = _require(config, "points", "blowup config")
     if not isinstance(raw_points, list) or not raw_points:
         raise ValueError("'points' must be a non-empty list")

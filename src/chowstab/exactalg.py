@@ -62,6 +62,13 @@ def _as_rat(value) -> Fraction:
     return Fraction(value)
 
 
+def _require_ints(**values) -> None:
+    """Raise TypeError unless every value is an int; bools are refused."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def choose(n: int, k: int) -> int:
     """Binomial coefficient with the usual convention C(n, k) = 0 for k < 0 or k > n."""
     if k < 0 or k > n:

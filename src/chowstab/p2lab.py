@@ -35,7 +35,7 @@ from math import gcd
 
 from . import blowup
 from .errors import CrossCheckError, ResourceLimitError
-from .exactalg import MPoly
+from .exactalg import MPoly, _require_ints
 from .blowup import BlownPoint, BlowupSpec, projective_space_base
 
 __all__ = [
@@ -346,9 +346,7 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     Bounds must be ints >= 1 (TypeError, ValueError otherwise), and
     grid_bound at most SEARCH_MAX_GRID_BOUND (ResourceLimitError).
     """
-    for name, value in (("grid_bound", grid_bound), ("scale_bound", scale_bound)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {value!r}")
+    _require_ints(grid_bound=grid_bound, scale_bound=scale_bound)
     if grid_bound < 1 or scale_bound < 1:
         raise ValueError("bounds must be >= 1")
     if grid_bound > SEARCH_MAX_GRID_BOUND:

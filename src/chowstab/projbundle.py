@@ -8,17 +8,24 @@ weight lambda_0), pushing forward along the fibration identifies sections
 of L^k with sections of S^{kr}E* tensored by B^k, and Riemann-Roch on the
 curve gives closed forms for the Hilbert and weight polynomials:
 
-    chi(k) = binom(n-1+kr, kr) * (1 - g - kr*mu(E) + k*deg B),
+    chi(k) = binom(n-1+kr, kr) * (1 - g + c*k),
 
     w(k)   = binom(n-1+kr, kr) * [ kr(n+kr)/(n(n+1)) * S
-             + k*(lambda_0 - (r/n) tr) * (1 - g - kr*mu(E) + k*deg B) ],
+             + k*(lambda_0 - (r/n) tr) * (1 - g + c*k) ],
 
-where n = rank E, mu is degree/rank, tr = sum lambda_j rank(E_j) and
-S = sum lambda_j rank(E_j) (mu(E_j) - mu(E)).  The resulting invariants
-F_l are all proportional to S, so they vanish simultaneously: exactly when
-every summand has the slope of E.  Everything here is exact, and a brute
-force enumeration over the decomposition of the symmetric power into
-compositions provides an independent oracle for both polynomials.
+where n = rank E, mu is degree/rank, c = deg B - r*mu(E), tr = sum lambda_j
+rank(E_j) and S = sum lambda_j rank(E_j) (mu(E_j) - mu(E)).  For every r,
+with the twisted slope mu~ = -c/r, chi_det = deg E - n deg B / r + 1 - g and
+prod_{i<n} (k + i/r) = sum_h s_h r^{h-n} k^h (so that C_l = s_{n+1-l}/(n(n+1))),
+
+    sum_l F_l k^{n+1-l} = -chi_det S / mu~^2 * prod_{i<n} (k + i/r) / (n(n+1)),
+    F_l = -C_l r^{1-l} chi_det S / mu~^2,      Chow(k) = c F_1 k / (1 - g + c*k).
+
+The F_l are all proportional to S, so they vanish simultaneously: exactly
+when every summand has the slope of E.  The generic chi/w pipeline checks
+the closed form on every higher_futaki call, and a brute force enumeration
+over the compositions of the symmetric power is an independent oracle for
+both polynomials.
 """
 from __future__ import annotations
 
@@ -26,11 +33,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import chowcore
 from .errors import AmplenessWarning, CrossCheckError, DegenerateInputError, ResourceLimitError
-from .exactalg import Poly, RatFn, choose, cm_constants
+from .exactalg import Poly, RatFn, _require_ints, choose, cm_constants
 
 __all__ = [
     "Summand",
@@ -55,6 +62,8 @@ UNSTABLE = "unstable_relative"
 ORACLE_MAX_KR = 60
 ORACLE_MAX_SUMMANDS = 4
 
+FIBER_POLY_CACHE_SIZE = 64   # bound on the cache keyed by the caller's (n, r)
+
 
 @dataclass(frozen=True)
 class Summand:
@@ -68,10 +77,13 @@ class Summand:
     stable: bool = True
 
     def __post_init__(self):
+        _require_ints(rank=self.rank, degree=self.degree, weight=self.weight)
+        if not isinstance(self.stable, bool):
+            raise TypeError(f"summand stable must be a bool, got {self.stable!r}")
         if self.rank < 1:
             raise ValueError("summand rank must be >= 1")
 
-    @property
+    @cached_property
     def slope(self) -> Fraction:
         return Fraction(self.degree, self.rank)
 
@@ -92,6 +104,7 @@ class CurveBundleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "summands", tuple(self.summands))
+        _require_ints(genus=self.genus, b_deg=self.b_deg, b_weight=self.b_weight, r=self.r)
         if self.genus < 2:
             raise ValueError("genus must be >= 2")
         if not self.summands:
@@ -101,36 +114,42 @@ class CurveBundleSpec:
         if self.n < 2:
             raise ValueError("total rank must be >= 2")
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Dimension of P(E) = rank of E."""
         return sum(s.rank for s in self.summands)
 
-    @property
+    @cached_property
     def deg_e(self) -> int:
         return sum(s.degree for s in self.summands)
 
-    @property
+    @cached_property
     def slope(self) -> Fraction:
         return Fraction(self.deg_e, self.n)
 
-    @property
+    @cached_property
     def trace_weight(self) -> int:
         """Trace of the action on E: sum lambda_j rank(E_j)."""
         return sum(s.weight * s.rank for s in self.summands)
 
-    @property
+    @cached_property
+    def slope_gaps(self) -> tuple[Fraction, ...]:
+        """mu(E_j) - mu(E) for each summand, in order."""
+        mu = self.slope
+        return tuple(s.slope - mu for s in self.summands)
+
+    @cached_property
     def weighted_slope_sum(self) -> Fraction:
         """S = sum lambda_j rank(E_j) (mu(E_j) - mu(E)); the common factor of all F_l."""
-        mu = self.slope
-        return sum((s.weight * s.rank * (s.slope - mu) for s in self.summands), Fraction(0))
+        return sum((s.weight * s.rank * gap for s, gap in zip(self.summands, self.slope_gaps)),
+                   Fraction(0))
 
-    @property
+    @cached_property
     def twisted_slope(self) -> Fraction:
         """Slope of the formal twist of E by the inverse r-th root of B."""
         return self.slope - Fraction(self.b_deg, self.r)
 
-    @property
+    @cached_property
     def twisted_det_chi(self) -> Fraction:
         """Euler characteristic of the determinant of the formal twist."""
         return self.deg_e - Fraction(self.n * self.b_deg, self.r) + 1 - self.genus
@@ -149,7 +168,7 @@ class SlopeVerdict:
     per_summand: tuple[Fraction, ...] = field(default_factory=tuple)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIBER_POLY_CACHE_SIZE)
 def _fiber_rank_poly(n: int, r: int) -> Poly:
     """binom(n-1+kr, kr) = prod_{i=1}^{n-1} (rk+i) / (n-1)! as a polynomial in k."""
     p = Poly.one()
@@ -159,7 +178,7 @@ def _fiber_rank_poly(n: int, r: int) -> Poly:
 
 
 def _fiber_degree_poly(spec: CurveBundleSpec) -> Poly:
-    """1 - g - kr*mu(E) + k*deg(B), the curve factor of chi(k)."""
+    """1 - g + c*k with c = deg(B) - r*mu(E), the curve factor of chi(k)."""
     return Poly((1 - spec.genus, spec.b_deg - spec.r * spec.slope))
 
 
@@ -183,63 +202,48 @@ def weight_poly(spec: CurveBundleSpec) -> Poly:
     return _fiber_rank_poly(n, r) * bracket
 
 
-def _hilbert_weight_data(spec: CurveBundleSpec) -> tuple[chowcore.HilbertData, chowcore.WeightData]:
-    n = spec.n
-    chi = euler_char_poly(spec)
-    if chi.degree != n:
-        raise DegenerateInputError(
-            "chi(k) drops degree (twisted slope is zero); not a polarization")
-    h = chowcore.HilbertData.from_poly(chi, n)
-    w = chowcore.WeightData.from_poly(weight_poly(spec), n)
-    return h, w
-
-
-def _warn_if_not_ample(spec: CurveBundleSpec) -> None:
+def _closed_futaki(spec: CurveBundleSpec) -> list[Fraction]:
+    """F_l = -C_l r^{1-l} chi(det twist) S / (twisted slope)^2 for l = 1..n."""
+    if spec.twisted_slope == 0:
+        raise DegenerateInputError("twisted slope is zero; invariants and Chow weight undefined")
     if not spec.satisfies_ampleness_necessary:
         warnings.warn(
             "twisted slope is not negative: L cannot be ample, the computed "
             "values are polynomial identities only",
-            AmplenessWarning, stacklevel=3)
+            AmplenessWarning, stacklevel=3)   # the public function's caller
+    factor = -spec.twisted_det_chi * spec.weighted_slope_sum / spec.twisted_slope**2
+    return [c * factor / spec.r**i for i, c in enumerate(cm_constants(spec.n))]
 
 
 def chow_weight(spec: CurveBundleSpec) -> RatFn:
     """Chow weight of (P(E), L^k) as a rational function of k.
 
     Closed form: [kr/(n(n+1))] * chi(det twist) * S divided by
-    (twisted slope) * (1 - g - kr mu(E) + k deg B).
+    (twisted slope) * (1 - g - kr mu(E) + k deg B), which is
+    c F_1 k / (1 - g + c k) with c = deg B - r mu(E): built from the F_1
+    that higher_futaki checks against the generic pipeline.
     """
-    if spec.twisted_slope == 0:
-        raise DegenerateInputError("twisted slope is zero; Chow weight undefined")
-    _warn_if_not_ample(spec)
-    n, r = spec.n, spec.r
-    num = Poly((0, Fraction(r, n * (n + 1)))) * (spec.twisted_det_chi * spec.weighted_slope_sum)
-    den = _fiber_degree_poly(spec) * spec.twisted_slope
-    return RatFn(num, den)
+    f1 = _closed_futaki(spec)[0]
+    curve = _fiber_degree_poly(spec)
+    return RatFn(Poly((0, curve.coefficient(1) * f1)), curve)
 
 
 def higher_futaki(spec: CurveBundleSpec) -> list[Fraction]:
     """The invariants [F_1..F_n] of (P(E), L).
 
-    For r = 1 these come from the closed form
-    F_l = -C_l * chi(det twist) / (twisted slope)^2 * S with the positive
-    constants C_l depending only on n, and the generic pipeline on
-    (chi, w) is cross-checked against it on every call.  For r > 1 only
-    the generic pipeline is used.
+    The closed form of the module docstring, checked on every call against
+    the generic pipeline on (chi, w).
     """
-    if spec.twisted_slope == 0:
-        raise DegenerateInputError("twisted slope is zero; invariants undefined")
-    _warn_if_not_ample(spec)
-    generic = chowcore.futaki_invariants(*_hilbert_weight_data(spec))
-    if spec.r == 1:
-        factor = -spec.twisted_det_chi / spec.twisted_slope**2 * spec.weighted_slope_sum
-        closed = [c * factor for c in cm_constants(spec.n)]
-        if closed != generic:
-            raise CrossCheckError(
-                f"closed-form invariants disagree with the chi/w pipeline at {spec}: "
-                f"closed form {[str(f) for f in closed]}, "
-                f"pipeline {[str(f) for f in generic]}")
-        return closed
-    return generic
+    closed = _closed_futaki(spec)
+    h = chowcore.HilbertData.from_poly(euler_char_poly(spec), spec.n)
+    w = chowcore.WeightData.from_poly(weight_poly(spec), spec.n)
+    generic = chowcore.futaki_invariants(h, w)
+    if closed != generic:
+        raise CrossCheckError(
+            f"closed-form invariants disagree with the chi/w pipeline at {spec}: "
+            f"closed form {[str(f) for f in closed]}, "
+            f"pipeline {[str(f) for f in generic]}")
+    return closed
 
 
 def slope_classify(spec: CurveBundleSpec) -> SlopeVerdict:
@@ -249,8 +253,7 @@ def slope_classify(spec: CurveBundleSpec) -> SlopeVerdict:
     certified stable; a summand of different slope destabilizes relative to
     this decomposition.
     """
-    mu = spec.slope
-    gaps = tuple(s.slope - mu for s in spec.summands)
+    gaps = spec.slope_gaps
     if any(gaps):
         cls = UNSTABLE
     elif all(s.stable for s in spec.summands):

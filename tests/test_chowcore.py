@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from chowstab import chowcore
 from chowstab.chowcore import (
     HilbertData,
     WeightData,
@@ -12,6 +13,7 @@ from chowstab.chowcore import (
     report,
     shift_linearization,
 )
+from chowstab.errors import CrossCheckError
 from chowstab.exactalg import Poly, RatFn
 
 
@@ -126,6 +128,15 @@ class TestReport:
             for ell, f in enumerate(rep.futaki, start=1):
                 expansion = expansion + Poly.monomial(n + 1 - ell, h.a[0] * f)
             assert rep.chow == RatFn(expansion, h.poly())
+
+
+    def test_forced_expansion_mismatch(self, monkeypatch):
+        original = chowcore.chow_weight_fn
+        monkeypatch.setattr(chowcore, "chow_weight_fn",
+                            lambda h, w: original(h, w) + RatFn(Poly((1,)), h.poly()))
+        h, w = hyperplane_curve()
+        with pytest.raises(CrossCheckError, match="Chow expansion"):
+            report(h, w)
 
 
 class TestInexactInputRefused:

@@ -77,6 +77,25 @@ class TestProjbundle:
         code, _, err = run_cli(capsys, "blowup", "--config", str(bad))
         assert code == 1 and "p/q" in err
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_stable_flag_must_be_json_bool(self, tmp_path, capsys, value):
+        config = json.loads((CONFIGS / "projbundle_split_degree_one.json").read_text())
+        config["summands"][1]["stable"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "projbundle", "--config", str(bad))
+        assert code == 1 and out == ""
+        assert "summands[1].stable" in err
+
+    def test_stable_flag_false_accepted(self, tmp_path, capsys):
+        config = json.loads((CONFIGS / "projbundle_split_degree_one.json").read_text())
+        for entry in config["summands"]:
+            entry["stable"] = False
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, "projbundle", "--config", str(good), "--json")
+        assert code == 0 and json.loads(out)["classification"] == "unstable_relative"
+
     def test_approx_refused_in_json_mode(self, capsys):
         code, _, err = run_cli(capsys, "projbundle",
                                "--config", str(CONFIGS / "projbundle_split_degree_one.json"),
@@ -104,6 +123,16 @@ class TestBlowup:
         }))
         code, _, err = run_cli(capsys, "blowup", "--config", str(bad))
         assert code == 1 and "exceptional volume" in err
+
+    @pytest.mark.parametrize("value", ["no", "true", 0, 1, None])
+    def test_polystable_flag_must_be_json_bool(self, tmp_path, capsys, value):
+        config = json.loads((CONFIGS / "blowup_p2_four_aligned.json").read_text())
+        config["base"]["polystable"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "blowup", "--config", str(bad))
+        assert code == 1 and out == ""
+        assert "base.polystable" in err
 
     def test_forced_cross_check_failure_exits_2(self, monkeypatch, capsys):
         original = blowup.futaki_point_sums

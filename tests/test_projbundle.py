@@ -1,9 +1,10 @@
 """Projectivized bundles over curves: closed forms, oracle, classification."""
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from chowstab import chowcore
+from chowstab import chowcore, projbundle, verification
 from chowstab.errors import (
     AmplenessWarning,
     CrossCheckError,
@@ -24,6 +25,33 @@ from chowstab.projbundle import (
     slope_classify,
     weight_poly,
 )
+
+
+def reference_chow_weight(spec):
+    """The separate Chow transcription chow_weight used before it was built
+    from F_1: [kr/(n(n+1))] chi(det twist) S / (mu~ (1 - g - kr mu + k deg B))."""
+    n, r = spec.n, spec.r
+    num = Poly((0, Fraction(r, n * (n + 1)))) * (spec.twisted_det_chi * spec.weighted_slope_sum)
+    den = Poly((1 - spec.genus, spec.b_deg - r * spec.slope)) * spec.twisted_slope
+    return RatFn(num, den)
+
+
+def reference_r1_futaki(spec):
+    """The r = 1 closed form higher_futaki used before it covered every r."""
+    factor = -spec.twisted_det_chi / spec.twisted_slope**2 * spec.weighted_slope_sum
+    return [c * factor for c in cm_constants(spec.n)]
+
+
+def generator_futaki(spec, generators):
+    """F_l from the k^{n+1-l} coefficients of prod_{i<n}(k + i/r)/(n(n+1)), any r."""
+    n, r = spec.n, spec.r
+    if (n, r) not in generators:
+        gen = Poly.one()
+        for i in range(n):
+            gen = gen * Poly((Fraction(i, r), 1))
+        generators[n, r] = gen / (n * (n + 1))
+    factor = -spec.twisted_det_chi / spec.twisted_slope**2 * spec.weighted_slope_sum
+    return [generators[n, r].coefficient(n + 1 - ell) * factor for ell in range(1, n + 1)]
 
 
 def trivial_rank2(genus=2, b_deg=1):
@@ -217,16 +245,55 @@ class TestHigherFutaki:
                                summands=(Summand(1, 1, 1), Summand(1, 0, 0)),
                                b_deg=2, b_weight=0, r=2)
         got = higher_futaki(spec)
-        factor = -spec.twisted_det_chi / spec.twisted_slope**2 * spec.weighted_slope_sum
-        gen = Poly.one()
-        for i in range(spec.n):
-            gen = gen * Poly((Fraction(i, spec.r), 1))
-        gen = gen / (spec.n * (spec.n + 1))
-        adjusted = [gen.coefficient(spec.n + 1 - ell) * factor
-                    for ell in range(1, spec.n + 1)]
-        n_only = [c * factor for c in cm_constants(spec.n)]
-        assert got == adjusted
-        assert got != n_only
+        assert got == generator_futaki(spec, {})
+        assert got != reference_r1_futaki(spec)
+
+    def test_forced_pipeline_disagreement_r2(self, monkeypatch):
+        original = chowcore.futaki_invariants
+        monkeypatch.setattr(chowcore, "futaki_invariants",
+                            lambda h, w: [f + 1 for f in original(h, w)])
+        spec = CurveBundleSpec(genus=2,
+                               summands=(Summand(1, 1, 1), Summand(1, 0, 0)),
+                               b_deg=2, b_weight=0, r=2)
+        with pytest.raises(CrossCheckError) as info:
+            higher_futaki(spec)
+        assert "closed-form invariants disagree" in str(info.value)
+        assert "r=2" in str(info.value)
+
+    def test_non_ample_warning_names_caller(self):
+        spec = CurveBundleSpec(genus=2,
+                               summands=(Summand(1, 2, 1), Summand(1, 0, 0)),
+                               b_deg=0, b_weight=0, r=1)
+        for fn in (higher_futaki, chow_weight):
+            with pytest.warns(AmplenessWarning) as record:
+                fn(spec)
+            assert [w.filename for w in record] == [__file__]
+
+
+class TestOneClosedForm:
+    def test_references_over_covering_design(self):
+        """Over the criterion-4 covering design (twists r = 1, 2), chow_weight
+        equals its former transcription, and the closed F_l equal the former
+        r = 1 closed form (r = 1) or the prod_{i<n}(k + i/r) generator (r = 2)."""
+        generators = {}
+        checked = {1: 0, 2: 0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AmplenessWarning)
+            for spec in verification.projbundle_specs(seed=0, sample_size=2000):
+                if spec.twisted_slope == 0:
+                    continue
+                got, want = chow_weight(spec), reference_chow_weight(spec)
+                assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+                closed = projbundle._closed_futaki(spec)
+                if spec.r == 1:
+                    assert closed == reference_r1_futaki(spec)
+                else:
+                    assert closed == generator_futaki(spec, generators)
+                checked[spec.r] += 1
+                if checked[spec.r] % 32 == 0:
+                    # the public path, which also runs the generic pipeline
+                    assert higher_futaki(spec) == closed
+        assert checked[1] > 15000 and checked[2] > 15000
 
 
 class TestSlopeClassify:
@@ -274,6 +341,49 @@ class TestStatementPackaging:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("rank", 1.5), ("rank", True), ("degree", 0.0), ("degree", False),
+        ("weight", "1"), ("weight", True),
+    ])
+    def test_summand_int_fields_typed(self, field, value):
+        kwargs = {"rank": 1, "degree": 1, "weight": 0, field: value}
+        with pytest.raises(TypeError, match=field):
+            Summand(**kwargs)
+
+    @pytest.mark.parametrize("value", [1, 0, "true", None])
+    def test_summand_stable_must_be_bool(self, value):
+        with pytest.raises(TypeError, match="stable"):
+            Summand(1, 1, 0, value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("genus", 2.5), ("genus", True), ("b_deg", 1.0), ("b_deg", True),
+        ("b_weight", "0"), ("b_weight", False), ("r", 1.0), ("r", True),
+    ])
+    def test_spec_int_fields_typed(self, field, value):
+        kwargs = {"genus": 2, "summands": (Summand(2, 0, 0),), "b_deg": 1,
+                  "b_weight": 0, "r": 1, field: value}
+        with pytest.raises(TypeError, match=field):
+            CurveBundleSpec(**kwargs)
+
+    def test_fiber_rank_cache_bounded(self):
+        cache = projbundle._fiber_rank_poly
+        bound = projbundle.FIBER_POLY_CACHE_SIZE
+        cache.cache_clear()
+        keys = [(n, r) for n in range(2, 12) for r in range(1, 9)]
+        assert len(keys) > bound
+        for n, r in keys:
+            cache(n, r)
+        info = cache.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
+        assert info.misses == len(keys)
+        cache.cache_clear()
+
+    def test_derived_numbers_cached(self):
+        spec = unstable_pair()
+        assert spec.weighted_slope_sum is spec.weighted_slope_sum
+        assert spec.slope_gaps is slope_classify(spec).per_summand
+        assert spec == unstable_pair() and hash(spec) == hash(unstable_pair())
+
     def test_genus_bound(self):
         with pytest.raises(ValueError):
             CurveBundleSpec(genus=1, summands=(Summand(2, 0, 0),), b_deg=1)
