@@ -41,11 +41,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import chowcore
 from .errors import CrossCheckError, DegenerateInputError, ResourceLimitError
-from .exactalg import Poly, RatFn, _as_rat, choose, stirling_coeffs
+from .exactalg import Poly, RatFn, _as_rat, _require_int_seq, _require_ints, choose, stirling_coeffs
 
 __all__ = [
     "BaseSummary",
@@ -82,6 +82,10 @@ class BaseSummary:
     polystable_certified: bool = True
 
     def __post_init__(self):
+        _require_ints(n=self.n)
+        if not isinstance(self.polystable_certified, bool):
+            raise TypeError(
+                f"polystable_certified must be a bool, got {self.polystable_certified!r}")
         if self.n < 2:
             raise ValueError("base dimension must be >= 2")
         object.__setattr__(self, "a", tuple(_as_rat(c) for c in self.a))
@@ -101,12 +105,14 @@ class BaseSummary:
 
 @lru_cache(maxsize=None)
 def projective_space_base(n: int) -> BaseSummary:
-    """Projective n-space with the hyperplane polarization: chi(k) = binom(k+n, n)."""
-    p = Poly.one()
-    for i in range(1, n + 1):
-        p = p * Poly((i, 1))
-    p = p / math.factorial(n)
-    return BaseSummary(n=n, a=p.descending(n + 1), polystable_certified=True)
+    """Projective n-space with the hyperplane polarization: chi(k) = binom(k+n, n).
+
+    prod_{i=1}^{n} (k+i) = sum_{h>=1} s_h(n+1) k^{h-1}, so a_l = s_{n+1-l}(n+1) / n!.
+    """
+    s = stirling_coeffs(n + 1)
+    fact = math.factorial(n)
+    return BaseSummary(n=n, a=tuple(Fraction(s[n + 1 - ell], fact) for ell in range(n + 1)),
+                       polystable_certified=True)
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,7 @@ class BlownPoint:
     lam: int
 
     def __post_init__(self):
+        _require_ints(alpha=self.alpha, lam=self.lam)
         if self.alpha < 1:
             raise ValueError("multiplicity alpha must be >= 1")
         object.__setattr__(self, "phi", _as_rat(self.phi))
@@ -139,6 +146,7 @@ class BlowupSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
+        _require_ints(m=self.m)
         if not self.points:
             raise ValueError("at least one blown point is required")
         if self.m < 1:
@@ -149,15 +157,28 @@ class BlowupSpec:
             raise DegenerateInputError(
                 f"exceptional volume exhausts the base: D = {self.volume_gap}")
 
-    @property
+    @cached_property
     def volume_gap(self) -> Fraction:
         """D = deg(M, L) - sum_j (alpha_j/m)^n."""
         return self.base.degree - sum(
             (Fraction(p.alpha, self.m) ** self.base.n for p in self.points), Fraction(0))
 
-    @property
+    @cached_property
     def alphas(self) -> tuple[int, ...]:
         return tuple(p.alpha for p in self.points)
+
+    @cached_property
+    def chi(self) -> Poly:
+        """chi~(k), built once per spec from chi_tilde_coeffs."""
+        return Poly.from_descending(
+            chi_tilde_coeffs(self.base.n, self.base.a, self.m, self.alphas))
+
+    @cached_property
+    def w(self) -> Poly:
+        """w~(k), built once per spec from w_tilde_coeffs."""
+        return Poly.from_descending(
+            w_tilde_coeffs(self.base.n, self.m, self.alphas,
+                           [p.phi for p in self.points], [p.lam for p in self.points]))
 
 
 def _alpha_power_sum(alphas, power: int) -> int:
@@ -177,8 +198,7 @@ def chi_tilde_coeffs(n: int, a, m: int, alphas) -> list[Fraction]:
 
 def chi_tilde(spec: BlowupSpec) -> Poly:
     """Hilbert polynomial of the blown-up polarization; degree n in k."""
-    return Poly.from_descending(
-        chi_tilde_coeffs(spec.base.n, spec.base.a, spec.m, spec.alphas))
+    return spec.chi
 
 
 def quotient_weight(spec: BlowupSpec, k: int) -> Fraction:
@@ -218,11 +238,7 @@ def w_tilde_coeffs(n: int, m: int, alphas, phis, lams) -> list[Fraction]:
 
 def w_tilde(spec: BlowupSpec) -> Poly:
     """Weight polynomial of the blown-up action; zero constant term."""
-    return Poly.from_descending(
-        w_tilde_coeffs(spec.base.n, spec.m,
-                       spec.alphas,
-                       [p.phi for p in spec.points],
-                       [p.lam for p in spec.points]))
+    return spec.w
 
 
 def _f_g_levels(n: int, a, ratios):
@@ -391,6 +407,10 @@ def oracle_p2(weights: tuple[int, int, int],
     monomial x^e contributes weight -<e, weights>.  Requires m >= sum alpha_j,
     which makes the counting exact at every k >= 1.
     """
+    _require_ints(m=m, k=k)
+    _require_int_seq("weights", weights)
+    for i, point in enumerate(points):
+        _require_int_seq(f"points[{i}]", point)
     if sum(weights) != 0:
         raise ValueError("weight vector must have trace zero")
     pts = tuple(sorted(tuple(p) for p in points))

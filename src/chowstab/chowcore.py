@@ -67,9 +67,6 @@ class HilbertData:
     def poly(self) -> Poly:
         return Poly.from_descending(self.a)
 
-    def evaluate(self, k) -> Fraction:
-        return self.poly().evaluate(k)
-
 
 @dataclass(frozen=True)
 class WeightData:

@@ -69,6 +69,13 @@ def _require_ints(**values) -> None:
             raise TypeError(f"{name} must be an int, got {value!r}")
 
 
+def _require_int_seq(name: str, values) -> None:
+    """Raise TypeError unless every entry is an int; bools are refused."""
+    for i, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name}[{i}] must be an int, got {value!r}")
+
+
 def choose(n: int, k: int) -> int:
     """Binomial coefficient with the usual convention C(n, k) = 0 for k < 0 or k > n."""
     if k < 0 or k > n:
@@ -353,51 +360,6 @@ class RatFn:
 
     def __hash__(self) -> int:
         return hash((self._num, self._den))
-
-    def __neg__(self) -> "RatFn":
-        return RatFn(-self._num, self._den)
-
-    def _coerce(self, other) -> "RatFn | None":
-        if isinstance(other, RatFn):
-            return other
-        if isinstance(other, Poly):
-            return RatFn(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFn(Poly((other,)))
-        return None
-
-    def __add__(self, other) -> "RatFn":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFn(self._num * o._den + o._num * self._den, self._den * o._den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RatFn":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFn(self._num * o._den - o._num * self._den, self._den * o._den)
-
-    def __rsub__(self, other) -> "RatFn":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RatFn":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFn(self._num * o._num, self._den * o._den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFn":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFn(self._num * o._den, self._den * o._num)
 
     def evaluate(self, point) -> Fraction:
         d = self._den.evaluate(point)

@@ -35,7 +35,7 @@ from math import gcd
 
 from . import blowup
 from .errors import CrossCheckError, ResourceLimitError
-from .exactalg import MPoly, _require_ints
+from .exactalg import MPoly, _require_int_seq, _require_ints
 from .blowup import BlownPoint, BlowupSpec, projective_space_base
 
 __all__ = [
@@ -82,6 +82,7 @@ class DiagAction:
         object.__setattr__(self, "w", tuple(self.w))
         if len(self.w) != 3:
             raise ValueError("expected three weights")
+        _require_int_seq("w", self.w)
         if sum(self.w) != 0:
             raise ValueError("weights must sum to zero")
 
@@ -248,6 +249,8 @@ def three_point_loci(m: int, alphas) -> tuple[bool, bool]:
     ample cone are rejected.
     """
     alphas = tuple(alphas)
+    _require_ints(m=m)
+    _require_int_seq("alphas", alphas)
     config = PointConfig.three_general()
     if not ample_check(config, m, alphas):
         raise ValueError(f"(m, alphas) = ({m}, {alphas}) is not ample")
@@ -318,7 +321,7 @@ def _verify_candidate(m: int, alphas: tuple[int, ...]) -> Fraction:
     if f1 != 0 or f2 == 0:
         raise CrossCheckError(
             f"candidate (m={m}, alphas={alphas}) failed recomputation: F1={f1}, F2={f2}")
-    deg_sq = Fraction(m * m - sum(a * a for a in alphas)) ** 2
+    deg_sq = (spec.volume_gap * m**2) ** 2      # deg = m^2 D on the plane
     return f2 * deg_sq
 
 

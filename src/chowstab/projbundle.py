@@ -33,11 +33,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import chowcore
 from .errors import AmplenessWarning, CrossCheckError, DegenerateInputError, ResourceLimitError
-from .exactalg import Poly, RatFn, _require_ints, choose, cm_constants
+from .exactalg import Poly, RatFn, _require_ints, choose, cm_constants, stirling_coeffs
 
 __all__ = [
     "Summand",
@@ -61,8 +61,6 @@ UNSTABLE = "unstable_relative"
 # Feasibility guard for the composition enumeration.
 ORACLE_MAX_KR = 60
 ORACLE_MAX_SUMMANDS = 4
-
-FIBER_POLY_CACHE_SIZE = 64   # bound on the cache keyed by the caller's (n, r)
 
 
 @dataclass(frozen=True)
@@ -154,6 +152,20 @@ class CurveBundleSpec:
         """Euler characteristic of the determinant of the formal twist."""
         return self.deg_e - Fraction(self.n * self.b_deg, self.r) + 1 - self.genus
 
+    @cached_property
+    def chi(self) -> Poly:
+        """chi(k) of the module docstring, built once per spec."""
+        return _fiber_rank_poly(self.n, self.r) * _fiber_degree_poly(self)
+
+    @cached_property
+    def w(self) -> Poly:
+        """w(k) of the module docstring, built once per spec."""
+        n, r = self.n, self.r
+        quad = Poly((0, r * n, r * r)) / (n * (n + 1))   # kr(n+kr)/(n(n+1))
+        shift = Poly((0, self.b_weight - Fraction(r, n) * self.trace_weight))
+        bracket = quad * self.weighted_slope_sum + shift * _fiber_degree_poly(self)
+        return _fiber_rank_poly(n, r) * bracket
+
     @property
     def satisfies_ampleness_necessary(self) -> bool:
         """Necessary inequality for L to be ample: the twisted slope is negative."""
@@ -168,13 +180,11 @@ class SlopeVerdict:
     per_summand: tuple[Fraction, ...] = field(default_factory=tuple)
 
 
-@lru_cache(maxsize=FIBER_POLY_CACHE_SIZE)
 def _fiber_rank_poly(n: int, r: int) -> Poly:
-    """binom(n-1+kr, kr) = prod_{i=1}^{n-1} (rk+i) / (n-1)! as a polynomial in k."""
-    p = Poly.one()
-    for i in range(1, n):
-        p = p * Poly((i, r))
-    return p / math.factorial(n - 1)
+    """binom(n-1+kr, kr) = sum_{h>=1} s_h(n) (rk)^{h-1} / (n-1)! as a polynomial in k."""
+    fact = math.factorial(n - 1)
+    return Poly(tuple(Fraction(s * r ** (h - 1), fact)
+                      for h, s in enumerate(stirling_coeffs(n)) if h))
 
 
 def _fiber_degree_poly(spec: CurveBundleSpec) -> Poly:
@@ -184,7 +194,7 @@ def _fiber_degree_poly(spec: CurveBundleSpec) -> Poly:
 
 def euler_char_poly(spec: CurveBundleSpec) -> Poly:
     """Hilbert polynomial chi(k) of (P(E), L); degree n in k."""
-    return _fiber_rank_poly(spec.n, spec.r) * _fiber_degree_poly(spec)
+    return spec.chi
 
 
 def weight_poly(spec: CurveBundleSpec) -> Poly:
@@ -195,11 +205,7 @@ def weight_poly(spec: CurveBundleSpec) -> Poly:
     +k*lambda_0.  The convention is calibrated once against the
     composition oracle and frozen.
     """
-    n, r = spec.n, spec.r
-    quad = Poly((0, r * n, r * r)) / (n * (n + 1))   # kr(n+kr)/(n(n+1))
-    shift = Poly((0, spec.b_weight - Fraction(r, n) * spec.trace_weight))
-    bracket = quad * spec.weighted_slope_sum + shift * _fiber_degree_poly(spec)
-    return _fiber_rank_poly(n, r) * bracket
+    return spec.w
 
 
 def _closed_futaki(spec: CurveBundleSpec) -> list[Fraction]:

@@ -129,6 +129,12 @@ class TestReferences:
             chow_blowup(spec)
             assert calls == {"chi_tilde": 1, "w_tilde": 1}
 
+    def test_polynomials_and_volume_gap_built_once_per_spec(self):
+        spec = aligned_four_point_spec(3)
+        assert chi_tilde(spec) is chi_tilde(spec)
+        assert w_tilde(spec) is w_tilde(spec)
+        assert spec.volume_gap is spec.volume_gap
+
 
 class TestForcedCrossCheckFailures:
     def test_point_sums_disagree(self, monkeypatch):
@@ -150,8 +156,12 @@ class TestForcedCrossCheckFailures:
 
     def test_chow_identity_enforced_through_report(self, monkeypatch):
         original = chowcore.chow_weight_fn
-        monkeypatch.setattr(chowcore, "chow_weight_fn",
-                            lambda h, w: original(h, w) + RatFn(Poly((1,))))
+
+        def skewed(h, w):            # chow + 1
+            chow = original(h, w)
+            return RatFn(chow.num + chow.den, chow.den)
+
+        monkeypatch.setattr(chowcore, "chow_weight_fn", skewed)
         with pytest.raises(CrossCheckError, match="Chow expansion"):
             chow_blowup(aligned_four_point_spec(3))
 
@@ -165,8 +175,49 @@ class TestInexactInputRefused:
         with pytest.raises(TypeError):
             BaseSummary(n=2, a=(0.5, Fraction(3, 2), 1))
 
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", 1.0), ("alpha", True), ("lam", 0.0), ("lam", True)])
+    def test_blown_point_int_fields(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field}"):
+            BlownPoint(**{"alpha": 1, "phi": 0, "lam": 0, field: value})
+
+    @pytest.mark.parametrize("m", [2.0, True])
+    def test_spec_twist_must_be_int(self, m):
+        degree_two = BaseSummary(n=2, a=(1, 1, 1))      # D = 2 - 1 > 0 even at m = 1
+        with pytest.raises(TypeError, match="^m must"):
+            BlowupSpec(base=degree_two, points=(BlownPoint(1, 0, 0),), m=m)
+
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_base_dimension_must_be_int(self, n):
+        with pytest.raises(TypeError, match="^n must"):
+            BaseSummary(n=n, a=P2.a)
+
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_base_certification_must_be_bool(self, flag):
+        with pytest.raises(TypeError, match="^polystable_certified"):
+            BaseSummary(n=2, a=P2.a, polystable_certified=flag)
+
+    @pytest.mark.parametrize("args,field", [
+        (((1.5, -1.5, 0), ((0, 1),), 3, 2), "weights"),
+        (((True, -1, 0), ((0, 1),), 3, 2), "weights"),
+        (((1, -1, 0), ((0, 1.0),), 3, 2), "points"),
+        (((1, -1, 0), ((True, 1),), 3, 2), "points"),
+        (((1, -1, 0), ((0, 1),), 3.0, 2), "m"),
+        (((1, -1, 0), ((0, 1),), 3, True), "k"),
+    ])
+    def test_oracle_p2_int_arguments(self, args, field):
+        with pytest.raises(TypeError, match=f"^{field}"):
+            oracle_p2(*args)
+
 
 class TestBase:
+    def test_projective_space_is_the_linear_product(self):
+        for n in range(2, 9):
+            product = Poly.one()
+            for i in range(1, n + 1):
+                product = product * Poly((i, 1))
+            assert projective_space_base(n).hilbert_poly() == product / math.factorial(n)
+
     def test_projective_space_coefficients(self):
         assert P2.a == (Fraction(1, 2), Fraction(3, 2), 1)
         assert P2.degree == 1

@@ -132,8 +132,12 @@ class TestReport:
 
     def test_forced_expansion_mismatch(self, monkeypatch):
         original = chowcore.chow_weight_fn
-        monkeypatch.setattr(chowcore, "chow_weight_fn",
-                            lambda h, w: original(h, w) + RatFn(Poly((1,)), h.poly()))
+
+        def skewed(h, w):            # chow + 1/chi
+            chow, chi = original(h, w), h.poly()
+            return RatFn(chow.num * chi + chow.den, chow.den * chi)
+
+        monkeypatch.setattr(chowcore, "chow_weight_fn", skewed)
         h, w = hyperplane_curve()
         with pytest.raises(CrossCheckError, match="Chow expansion"):
             report(h, w)

@@ -6,18 +6,64 @@ from pathlib import Path
 
 import pytest
 
-from chowstab import blowup
+from chowstab import blowup, projbundle
 from chowstab.cli import main
 from chowstab.exactalg import parse_rational
 from chowstab.p2lab import SEARCH_MAX_GRID_BOUND
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, module, names):
+    """Replace module.<name> by a counting wrapper; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestGoldenOutput:
+    """JSON output of the shipped configs, byte for byte as recorded in tests/golden."""
+
+    @pytest.mark.parametrize("golden,command,config,extra", [
+        ("projbundle_split_degree_one", "projbundle", "projbundle_split_degree_one", ()),
+        ("projbundle_split_degree_one_k1-6", "projbundle", "projbundle_split_degree_one",
+         ("--k-range", "1:6")),
+        ("blowup_p2_four_aligned", "blowup", "blowup_p2_four_aligned", ()),
+        ("blowup_p2_three_points", "blowup", "blowup_p2_three_points", ()),
+    ])
+    def test_matches_golden(self, capsys, golden, command, config, extra):
+        code, out, err = run_cli(capsys, command, "--config", str(CONFIGS / f"{config}.json"),
+                                 *extra, "--json")
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (GOLDEN / f"{golden}.json").read_bytes()
+
+
+class TestDerivedOncePerSpec:
+    def test_blowup_builds_chi_and_w_once(self, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, blowup, ("chi_tilde_coeffs", "w_tilde_coeffs"))
+        code, _, _ = run_cli(capsys, "blowup",
+                             "--config", str(CONFIGS / "blowup_p2_four_aligned.json"), "--json")
+        assert code == 0
+        assert calls == {"chi_tilde_coeffs": 1, "w_tilde_coeffs": 1}
+
+    def test_projbundle_builds_fiber_rank_at_most_twice(self, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, projbundle, ("_fiber_rank_poly",))
+        code, _, _ = run_cli(capsys, "projbundle",
+                             "--config", str(CONFIGS / "projbundle_split_degree_one.json"),
+                             "--k-range", "1:6", "--json")
+        assert code == 0
+        assert 1 <= calls["_fiber_rank_poly"] <= 2
 
 
 class TestProjbundle:

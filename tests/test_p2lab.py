@@ -59,6 +59,11 @@ class TestFixedPointData:
         with pytest.raises(ValueError):
             DiagAction((1, 1, 1))
 
+    @pytest.mark.parametrize("weights", [(1.0, -1, 0), (True, -1, 0), (1, -1, Fraction(0))])
+    def test_weights_must_be_int(self, weights):
+        with pytest.raises(TypeError, match=r"^w\[\d\] must"):
+            DiagAction(weights)
+
 
 class TestPsiReconstruct:
     def test_matches_reference_exactly(self):
@@ -158,6 +163,13 @@ class TestThreePointLoci:
     def test_non_ample_rejected(self):
         with pytest.raises(ValueError):
             three_point_loci(2, (1, 1, 1))
+
+    @pytest.mark.parametrize("m,alphas,field", [
+        (5.0, (1, 1, 1), "m"), (True, (1, 1, 1), "m"),
+        (5, (1.0, 1, 1), "alphas"), (5, (1, True, 1), "alphas")])
+    def test_int_arguments(self, m, alphas, field):
+        with pytest.raises(TypeError, match=f"^{field}"):
+            three_point_loci(m, alphas)
 
 
 class TestSearch:

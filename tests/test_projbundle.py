@@ -1,4 +1,5 @@
 """Projectivized bundles over curves: closed forms, oracle, classification."""
+import math
 import warnings
 from fractions import Fraction
 
@@ -365,24 +366,21 @@ class TestValidation:
         with pytest.raises(TypeError, match=field):
             CurveBundleSpec(**kwargs)
 
-    def test_fiber_rank_cache_bounded(self):
-        cache = projbundle._fiber_rank_poly
-        bound = projbundle.FIBER_POLY_CACHE_SIZE
-        cache.cache_clear()
-        keys = [(n, r) for n in range(2, 12) for r in range(1, 9)]
-        assert len(keys) > bound
-        for n, r in keys:
-            cache(n, r)
-        info = cache.cache_info()
-        assert info.maxsize == bound and info.currsize == bound
-        assert info.misses == len(keys)
-        cache.cache_clear()
-
     def test_derived_numbers_cached(self):
         spec = unstable_pair()
         assert spec.weighted_slope_sum is spec.weighted_slope_sum
         assert spec.slope_gaps is slope_classify(spec).per_summand
         assert spec == unstable_pair() and hash(spec) == hash(unstable_pair())
+        assert euler_char_poly(spec) is euler_char_poly(spec)
+        assert weight_poly(spec) is weight_poly(spec)
+
+    def test_fiber_rank_poly_is_the_linear_product(self):
+        for n in range(1, 9):
+            for r in range(1, 4):
+                product = Poly.one()
+                for i in range(1, n):
+                    product = product * Poly((i, r))
+                assert projbundle._fiber_rank_poly(n, r) == product / math.factorial(n - 1)
 
     def test_genus_bound(self):
         with pytest.raises(ValueError):
