@@ -158,10 +158,14 @@ class BlowupSpec:
                 f"exceptional volume exhausts the base: D = {self.volume_gap}")
 
     @cached_property
+    def ratios(self) -> tuple[Fraction, ...]:
+        """The ratios alpha_j / m."""
+        return tuple(Fraction(p.alpha, self.m) for p in self.points)
+
+    @cached_property
     def volume_gap(self) -> Fraction:
         """D = deg(M, L) - sum_j (alpha_j/m)^n."""
-        return self.base.degree - sum(
-            (Fraction(p.alpha, self.m) ** self.base.n for p in self.points), Fraction(0))
+        return self.base.degree - sum((x**self.base.n for x in self.ratios), Fraction(0))
 
     @cached_property
     def alphas(self) -> tuple[int, ...]:
@@ -179,6 +183,22 @@ class BlowupSpec:
         return Poly.from_descending(
             w_tilde_coeffs(self.base.n, self.m, self.alphas,
                            [p.phi for p in self.points], [p.lam for p in self.points]))
+
+    @cached_property
+    def hilbert_weight_data(self) -> tuple[chowcore.HilbertData, chowcore.WeightData]:
+        """chi~ and w~ as the generic pipeline's input, built once per spec."""
+        return (chowcore.HilbertData.from_poly(chi_tilde(self), self.base.n),
+                chowcore.WeightData.from_poly(w_tilde(self), self.base.n))
+
+    @cached_property
+    def _point_sum_futaki(self) -> tuple[Fraction, ...]:
+        """[F_1..F_n] from the point-sum formula, unchecked; futaki_blowup and
+        chow_blowup check them against the pipeline on every call."""
+        n = self.base.n
+        sums = futaki_point_sums(n, self.base.a, self.ratios,
+                                 [p.phi for p in self.points], [p.lam for p in self.points])
+        d_sq = self.volume_gap**2
+        return tuple(sums[ell - 1] / (d_sq * self.m ** (ell - 1)) for ell in range(1, n + 1))
 
 
 def _alpha_power_sum(alphas, power: int) -> int:
@@ -293,21 +313,14 @@ def d_f_g(spec: BlowupSpec, ell: int) -> tuple[Fraction, Poly, Poly]:
     n = spec.base.n
     if not 1 <= ell <= n:
         raise ValueError(f"l must be in 1..{n}")
-    ratios = [Fraction(p.alpha, spec.m) for p in spec.points]
-    d_val, levels = _f_g_levels(n, spec.base.a, ratios)
+    d_val, levels = _f_g_levels(n, spec.base.a, spec.ratios)
     f, g = _f_g(n, levels[ell - 1], Poly((0, 1)))
     return d_val, f, g
 
 
 def _checked_point_sums(spec: BlowupSpec, pipeline) -> list[Fraction]:
     """The point-sum invariants F_l, which must equal the pipeline's values."""
-    n = spec.base.n
-    ratios = [Fraction(p.alpha, spec.m) for p in spec.points]
-    sums = futaki_point_sums(n, spec.base.a, ratios,
-                             [p.phi for p in spec.points],
-                             [p.lam for p in spec.points])
-    d_sq = spec.volume_gap**2
-    direct = [sums[ell - 1] / (d_sq * spec.m ** (ell - 1)) for ell in range(1, n + 1)]
+    direct = list(spec._point_sum_futaki)
     if direct != list(pipeline):
         raise CrossCheckError(
             f"point-sum invariants disagree with the chi/w pipeline at "
@@ -317,11 +330,6 @@ def _checked_point_sums(spec: BlowupSpec, pipeline) -> list[Fraction]:
     return direct
 
 
-def _hilbert_weight_data(spec: BlowupSpec) -> tuple[chowcore.HilbertData, chowcore.WeightData]:
-    return (chowcore.HilbertData.from_poly(chi_tilde(spec), spec.base.n),
-            chowcore.WeightData.from_poly(w_tilde(spec), spec.base.n))
-
-
 def futaki_blowup(spec: BlowupSpec) -> list[Fraction]:
     """The invariants [F_1..F_n] of the blown-up polarization.
 
@@ -329,8 +337,7 @@ def futaki_blowup(spec: BlowupSpec) -> list[Fraction]:
     generic pipeline on (chi~, w~) on every call; disagreement raises a
     cross-check error.
     """
-    return _checked_point_sums(
-        spec, chowcore.futaki_invariants(*_hilbert_weight_data(spec)))
+    return _checked_point_sums(spec, chowcore.futaki_invariants(*spec.hilbert_weight_data))
 
 
 def chow_blowup(spec: BlowupSpec) -> RatFn:
@@ -340,7 +347,7 @@ def chow_blowup(spec: BlowupSpec) -> RatFn:
     (leading chi~ coefficient / chi~(k)) * sum_l F_l k^{n+1-l} (b_{n+1} = 0
     here); the F_l of that report must equal the point-sum formula.
     """
-    rep = chowcore.report(*_hilbert_weight_data(spec))
+    rep = chowcore.report(*spec.hilbert_weight_data)
     _checked_point_sums(spec, rep.futaki)
     return rep.chow
 

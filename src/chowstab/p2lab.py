@@ -17,6 +17,16 @@ plane blown up at points carries residual torus actions worth studying:
   together, exactly on {alpha_1 = alpha_2 = alpha_3} union
   {alpha_1 + alpha_2 + alpha_3 = m} inside the ample cone.
 
+psi_reconstruct(config, action) runs the blowup point-sum formula on
+polynomial generators for any configuration and any diagonal action fixing
+its points, giving psi_l in (m, a1, ..., a<number of points>) with
+F_l = psi_l / deg^2.  One bounded cache holds each (config, action)'s
+polynomials with their compiled integer evaluators.  The search evaluates
+those of the four-point family and re-verifies every candidate through
+the full pipeline; three_point_loci evaluates those of the two three-point
+generators, which are proved equal to the pipeline once per action, on
+first use, over a grid that determines a polynomial of their degree.
+
 At a fixed point whose nonzero coordinates form a block on which the
 diagonal action has a single weight, the normalized moment-map value is
 that block weight and the isotropy weight is the sum of the outside
@@ -31,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from . import blowup
 from .errors import CrossCheckError, ResourceLimitError
@@ -56,6 +66,7 @@ __all__ = [
 FOUR_POINTS_THREE_ALIGNED = "four_points_three_aligned"
 THREE_GENERAL = "three_general"
 
+# Variables of the aligned four-point family's psi.
 PSI_VARIABLES = ("m", "a1", "a2", "a3", "a4")
 
 # Vanishing-locus polynomials live in P^4 with homogeneous point (m, a1..a4);
@@ -146,19 +157,29 @@ def _plane_blowup(config: PointConfig, action: DiagAction, m: int, alphas) -> Bl
     return BlowupSpec(base=projective_space_base(2), points=points, m=m)
 
 
-@lru_cache(maxsize=None)
-def _psi_pair() -> tuple[MPoly, MPoly]:
-    config = PointConfig.four_points_three_aligned()
-    action = DiagAction((2, -1, -1))
+# Entries are a few small polynomials and two compiled functions; the
+# library itself reconstructs three (config, action) pairs.
+_PSI_CACHE_SIZE = 16
+
+
+def _default_action(config: PointConfig) -> DiagAction:
+    if config.kind != FOUR_POINTS_THREE_ALIGNED:
+        raise ValueError(f"an action is required for the {config.kind} configuration")
+    return DiagAction((2, -1, -1))
+
+
+@lru_cache(maxsize=_PSI_CACHE_SIZE)
+def _psi(config: PointConfig, action: DiagAction):
+    """(psi_1, psi_2) of (config, action) and their compiled integer evaluators."""
     data = [fixed_point_data(action, b) for b in config.blocks]
-    phis = [phi for phi, _ in data]
-    lams = [lam for _, lam in data]
     base = projective_space_base(2)
     n = base.n
-    ratio_vars = tuple(f"x{j}" for j in range(1, 5))
-    ratios = MPoly.generators(ratio_vars)
-    sums = blowup.futaki_point_sums(n, base.a, ratios, phis, lams)
-    out = []
+    indices = range(1, len(config.blocks) + 1)
+    ratios = MPoly.generators(tuple(f"x{j}" for j in indices))
+    sums = blowup.futaki_point_sums(n, base.a, ratios,
+                                    [phi for phi, _ in data], [lam for _, lam in data])
+    variables = ("m",) + tuple(f"a{j}" for j in indices)
+    polys = []
     for ell, total in enumerate(sums, start=1):
         # F_l = total / (D^2 m^{l-1}) and deg^2 = m^{2n} D^2, so clearing the
         # prefactors amounts to substituting x_j = alpha_j/m into total and
@@ -171,20 +192,29 @@ def _psi_pair() -> tuple[MPoly, MPoly]:
             if spare < 0:
                 raise CrossCheckError("weighted sum exceeds the clearing degree")
             terms[(spare,) + exps] = coeff
-        out.append(MPoly(PSI_VARIABLES, terms))
-    return out[0], out[1]
+        polys.append(MPoly(variables, terms))
+    return tuple(polys), tuple(_compile_int_poly(p) for p in polys)
 
 
-def psi_reconstruct(config: PointConfig) -> tuple[MPoly, MPoly]:
-    """Vanishing-locus polynomials (psi_1, psi_2) of the aligned four-point family.
+def psi_reconstruct(config: PointConfig, action: DiagAction | None = None) -> tuple[MPoly, MPoly]:
+    """Vanishing-locus polynomials (psi_1, psi_2) of a plane configuration
+    under a diagonal action fixing its points.
 
-    Runs the blowup invariant pipeline symbolically in (m, alpha_1..alpha_4)
-    and clears the deg^{-2} and power-of-m prefactors, so F_l = psi_l / deg^2
-    with deg = m^2 - sum alpha_j^2.  Homogeneous of degrees 4 and 3.
+    Runs the blowup invariant pipeline symbolically in
+    (m, a1, ..., a<number of points>) and clears the deg^{-2} and
+    power-of-m prefactors, so F_l = psi_l / deg^2 with
+    deg = m^2 - sum alpha_j^2.  Homogeneous of degrees 4 and 3.  The action
+    defaults to diag(2, -1, -1) for the aligned four-point family and is
+    required for three general points (ValueError); an action that moves a
+    point of the configuration is refused with ValueError.
     """
-    if config.kind != FOUR_POINTS_THREE_ALIGNED:
-        raise ValueError("symbolic reconstruction covers the aligned four-point family only")
-    return _psi_pair()
+    if not isinstance(config, PointConfig):
+        raise TypeError(f"config must be a PointConfig, got {config!r}")
+    if action is None:
+        action = _default_action(config)
+    elif not isinstance(action, DiagAction):
+        raise TypeError(f"action must be a DiagAction, got {action!r}")
+    return _psi(config, action)[0]
 
 
 def _partials_at(poly: MPoly, order: int, point: dict) -> list[Fraction]:
@@ -241,26 +271,61 @@ def ample_check(config: PointConfig, m: int, alphas) -> bool:
 _THREE_POINT_ACTIONS = (DiagAction((1, -1, 0)), DiagAction((0, 1, -1)))
 
 
+def _proved_evaluators(config: PointConfig, action: DiagAction):
+    """The compiled psi_l of (config, action), proved equal to F_l * deg^2
+    from futaki_blowup.
+
+    Both sides are homogeneous of degree 5 - l <= 4 in (m, alphas): psi_l by
+    construction, F_l * deg^2 = 4 (a_0 b_l - b_0 a_l) by the degrees of the
+    chi~/w~ coefficients.  Agreement at one m on a product grid of five
+    values per alpha therefore proves the identity; m is the least integer
+    with m^2 > sum alpha^2 on the whole grid, so D > 0 at every grid point.
+    """
+    _, evaluators = _psi(config, action)
+    values = range(1, 6)
+    m = isqrt(len(config.blocks) * values[-1] ** 2) + 1
+    for alphas in itertools.product(values, repeat=len(config.blocks)):
+        spec = _plane_blowup(config, action, m, alphas)
+        deg_sq = (spec.volume_gap * m**2) ** 2      # deg = m^2 D on the plane
+        for ell, (psi, f) in enumerate(zip(evaluators, blowup.futaki_blowup(spec)), start=1):
+            value, expected = psi(m, *alphas), f * deg_sq
+            if value != expected:
+                raise CrossCheckError(
+                    f"psi_{ell} of {config.kind} under diag{action.w} disagrees with "
+                    f"F_{ell} * deg^2 from futaki_blowup at (m, alphas) = ({m}, {alphas}): "
+                    f"psi_{ell} = {value}, pipeline {expected}")
+    return evaluators
+
+
+@lru_cache(maxsize=1)
+def _three_point_evaluators():
+    """(psi_1, psi_2) evaluators of both torus generators, proved on first use.
+
+    A failed proof raises and leaves nothing cached, so the next call proves again.
+    """
+    config = PointConfig.three_general()
+    return tuple(_proved_evaluators(config, action) for action in _THREE_POINT_ACTIONS)
+
+
 def three_point_loci(m: int, alphas) -> tuple[bool, bool]:
     """Vanishing of (F_1, F_2) for the three-coordinate-point blowup.
 
     Both generators of the torus are tested; a flag is True only when the
     corresponding invariant vanishes for every action.  Inputs outside the
-    ample cone are rejected.
+    ample cone are rejected.  Ampleness gives m^2 > sum alpha^2, so
+    deg^2 > 0 and F_l vanishes exactly when psi_l does: the flags come from
+    the compiled integer psi_l of the two actions.  Those are proved equal
+    to F_l * deg^2 from futaki_blowup once per action, on the first call
+    in a process (CrossCheckError on a disagreement).
     """
     alphas = tuple(alphas)
     _require_ints(m=m)
     _require_int_seq("alphas", alphas)
-    config = PointConfig.three_general()
-    if not ample_check(config, m, alphas):
+    if not ample_check(PointConfig.three_general(), m, alphas):
         raise ValueError(f"(m, alphas) = ({m}, {alphas}) is not ample")
-    f1_zero = True
-    f2_zero = True
-    for action in _THREE_POINT_ACTIONS:
-        f1, f2 = blowup.futaki_blowup(_plane_blowup(config, action, m, alphas))
-        f1_zero = f1_zero and f1 == 0
-        f2_zero = f2_zero and f2 == 0
-    return f1_zero, f2_zero
+    (psi1_a, psi2_a), (psi1_b, psi2_b) = _three_point_evaluators()
+    return (psi1_a(m, *alphas) == 0 and psi1_b(m, *alphas) == 0,
+            psi2_a(m, *alphas) == 0 and psi2_b(m, *alphas) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +334,18 @@ def three_point_loci(m: int, alphas) -> tuple[bool, bool]:
 
 
 def _compile_int_poly(poly: MPoly):
-    """Straight-line integer evaluator f(m, a1, a2, a3, a4) of an integral
-    polynomial in PSI_VARIABLES, generated from its term list."""
+    """Straight-line integer evaluator of an integral polynomial, taking its
+    variables in order, generated from its term list."""
     products = []
     for exps, coeff in poly.terms():
         if coeff.denominator != 1:
             raise CrossCheckError("vanishing-locus polynomial is not integral")
         factors = [f"({coeff.numerator})"]
-        for name, e in zip(PSI_VARIABLES, exps):
+        for name, e in zip(poly.variables, exps):
             factors.extend((name,) * e)
         products.append("*".join(factors))
-    source = f"lambda {', '.join(PSI_VARIABLES)}: {' + '.join(products)}"
+    source = f"lambda {', '.join(poly.variables)}: {' + '.join(products) or '0'}"
     return eval(compile(source, "<psi>", "eval"), {})
-
-
-@lru_cache(maxsize=None)
-def _psi_evaluators():
-    """Integer evaluators of the reconstructed psi_1 and psi_2."""
-    return tuple(_compile_int_poly(p) for p in _psi_pair())
 
 
 def _line_directions(bound: int):
@@ -315,8 +374,8 @@ def _verify_candidate(m: int, alphas: tuple[int, ...]) -> Fraction:
     Raises if the candidate fails recomputation, which by construction
     should never happen.
     """
-    spec = _plane_blowup(PointConfig.four_points_three_aligned(), DiagAction((2, -1, -1)),
-                         m, alphas)
+    config = PointConfig.four_points_three_aligned()
+    spec = _plane_blowup(config, _default_action(config), m, alphas)
     f1, f2 = blowup.futaki_blowup(spec)
     if f1 != 0 or f2 == 0:
         raise CrossCheckError(
@@ -355,8 +414,8 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     if grid_bound > SEARCH_MAX_GRID_BOUND:
         raise ResourceLimitError(
             f"search guard exceeded: grid_bound = {grid_bound} > {SEARCH_MAX_GRID_BOUND}")
-    psi1, psi2 = _psi_evaluators()
     config = PointConfig.four_points_three_aligned()
+    psi1, psi2 = _psi(config, _default_action(config))[1]
     candidates: list[Candidate] = []
     seen: set[tuple[int, ...]] = set()
     for v0, v1, v2, v3, v4 in _line_directions(grid_bound):

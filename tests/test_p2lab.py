@@ -1,13 +1,15 @@
 """Plane blowups: fixed-point data, vanishing loci, ampleness, search."""
 import functools
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
 import pytest
 
-from chowstab import blowup
-from chowstab.errors import ResourceLimitError
+from chowstab import blowup, p2lab
+from chowstab.errors import CrossCheckError, ResourceLimitError
 from chowstab.exactalg import MPoly, Poly
 from chowstab.p2lab import (
     PSI_VARIABLES,
@@ -88,9 +90,42 @@ class TestPsiReconstruct:
         psi1, _ = psi_reconstruct(PointConfig.four_points_three_aligned())
         assert psi1.evaluate(dict(zip(PSI_VARIABLES, (1, 1, 0, 0, 0)))) == 0
 
-    def test_wrong_config_rejected(self):
-        with pytest.raises(ValueError):
+    def test_three_general_requires_an_action(self):
+        with pytest.raises(ValueError, match="action is required"):
             psi_reconstruct(PointConfig.three_general())
+
+    def test_action_must_fix_the_points(self):
+        with pytest.raises(ValueError, match="not fixed"):
+            psi_reconstruct(PointConfig.four_points_three_aligned(), DiagAction((1, -1, 0)))
+        with pytest.raises(TypeError):
+            psi_reconstruct(PointConfig.four_points_three_aligned(), (2, -1, -1))
+
+    def test_default_action_of_the_four_point_family(self):
+        config = PointConfig.four_points_three_aligned()
+        assert psi_reconstruct(config, DiagAction((2, -1, -1))) == psi_reconstruct(config)
+
+    @pytest.mark.parametrize("weights, loci, off_locus", [
+        ((1, -1, 0), ({"a2": "a1"}, {"m": "a1+a2+a3"}), {"a3": "a2"}),
+        ((0, 1, -1), ({"a3": "a2"}, {"m": "a1+a2+a3"}), {"a2": "a1"}),
+    ])
+    def test_three_point_locus_is_symbolic(self, weights, loci, off_locus):
+        """psi_1 and psi_2 of each torus generator vanish identically on the
+        paper's locus, not only on a grid, and not on an unrelated hyperplane."""
+        psis = psi_reconstruct(PointConfig.three_general(), DiagAction(weights))
+        names = ("m", "a1", "a2", "a3")
+        gens = dict(zip(names, MPoly.generators(names)))
+
+        def restrict(psi, substitution):
+            values = dict(gens)
+            for name, expr in substitution.items():
+                values[name] = sum((gens[v] for v in expr.split("+")), MPoly.zeros(names))
+            return psi.evaluate(values)
+
+        for psi in psis:
+            assert psi.variables == names and not psi.is_zero
+            for substitution in loci:
+                assert restrict(psi, substitution).is_zero, (weights, substitution)
+            assert not restrict(psi, off_locus).is_zero
 
     def test_sign_convention_is_the_unique_calibration(self):
         """Of the four (phi, lambda) sign choices, only the implemented one
@@ -170,6 +205,80 @@ class TestThreePointLoci:
     def test_int_arguments(self, m, alphas, field):
         with pytest.raises(TypeError, match=f"^{field}"):
             three_point_loci(m, alphas)
+
+
+def reference_psi_values(m, alphas):
+    """F_l * deg^2 of both torus generators through futaki_blowup, one
+    BlowupSpec per action, as three_point_loci derived its flags before it
+    evaluated compiled polynomials."""
+    out = []
+    for weights in ((1, -1, 0), (0, 1, -1)):
+        action = DiagAction(weights)
+        points = tuple(blowup.BlownPoint(alpha, *fixed_point_data(action, {axis}))
+                       for axis, alpha in enumerate(alphas))
+        spec = blowup.BlowupSpec(base=blowup.projective_space_base(2), points=points, m=m)
+        deg_sq = (m * m - sum(a * a for a in alphas)) ** 2
+        out.append(tuple(f * deg_sq for f in blowup.futaki_blowup(spec)))
+    return out
+
+
+class TestThreePointProof:
+    def test_compiled_psi_match_the_pipeline_on_a_stride(self):
+        config = PointConfig.three_general()
+        universe = [(m, alphas) for m in range(1, 21)
+                    for alphas in itertools.product(range(1, 11), repeat=3)
+                    if ample_check(config, m, alphas)][::5]
+        assert len(universe) >= 900
+        evaluators = p2lab._three_point_evaluators()
+        for m, alphas in universe:
+            reference = reference_psi_values(m, alphas)
+            compiled = [tuple(psi(m, *alphas) for psi in pair) for pair in evaluators]
+            assert compiled == reference, (m, alphas)
+            assert three_point_loci(m, alphas) == (
+                all(f1 == 0 for f1, _ in reference), all(f2 == 0 for _, f2 in reference))
+
+    def test_corrupted_reconstruction_raises_every_call(self, monkeypatch):
+        real = p2lab._psi
+
+        def corrupted(config, action):
+            polys, _ = real(config, action)
+            if action == DiagAction((0, 1, -1)):
+                m = MPoly.variable(polys[1].variables, "m")
+                polys = (polys[0], polys[1] + m**3)      # m^3 coefficient off by one
+            return polys, tuple(p2lab._compile_int_poly(p) for p in polys)
+
+        pipeline_calls = []
+        futaki_blowup = blowup.futaki_blowup
+
+        def counted(spec):
+            pipeline_calls.append(spec)
+            return futaki_blowup(spec)
+
+        monkeypatch.setattr(p2lab, "_psi", corrupted)
+        monkeypatch.setattr(blowup, "futaki_blowup", counted)
+        p2lab._three_point_evaluators.cache_clear()
+        for _ in range(2):
+            pipeline_calls.clear()
+            with pytest.raises(CrossCheckError) as info:
+                three_point_loci(5, (2, 1, 1))
+            message = str(info.value)
+            # psi_2 vanishes at alpha_1 = alpha_2 = alpha_3; the corruption adds 9^3
+            assert "psi_2" in message and "diag(0, 1, -1)" in message
+            assert "(m, alphas) = (9, (1, 1, 1))" in message
+            assert "psi_2 = 729, pipeline 0" in message
+            assert len(pipeline_calls) == 126       # all of the first action, one of the second
+        assert p2lab._three_point_evaluators.cache_info().currsize == 0
+
+    def test_proof_is_lazy_and_off_the_search_path(self):
+        code = ("import chowstab\n"
+                "from chowstab import p2lab\n"
+                "p2lab.psi_reconstruct(p2lab.PointConfig.four_points_three_aligned())\n"
+                "p2lab.search_unstable(1, 1)\n"
+                "assert p2lab._three_point_evaluators.cache_info().misses == 0\n"
+                "p2lab.three_point_loci(5, (1, 1, 1))\n"
+                "assert p2lab._three_point_evaluators.cache_info().misses == 1\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSearch:
