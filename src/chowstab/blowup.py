@@ -45,7 +45,16 @@ from functools import cached_property, lru_cache
 
 from . import chowcore
 from .errors import CrossCheckError, DegenerateInputError, ResourceLimitError
-from .exactalg import Poly, RatFn, _as_rat, _require_int_seq, _require_ints, choose, stirling_coeffs
+from .exactalg import (
+    GENERATOR_CACHE_SIZE,
+    Poly,
+    RatFn,
+    _as_rat,
+    _require_int_seq,
+    _require_ints,
+    choose,
+    stirling_coeffs,
+)
 
 __all__ = [
     "BaseSummary",
@@ -99,11 +108,8 @@ class BaseSummary:
         """deg(M, L) = n! * a_0."""
         return math.factorial(self.n) * self.a[0]
 
-    def hilbert_poly(self) -> Poly:
-        return Poly.from_descending(self.a)
 
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def projective_space_base(n: int) -> BaseSummary:
     """Projective n-space with the hyperplane polarization: chi(k) = binom(k+n, n).
 

@@ -12,10 +12,15 @@ Three polynomial flavours cover all the formulas that appear:
 * ``Poly`` -- dense univariate polynomials (degrees stay below ~12 here),
   used for Hilbert polynomials chi(k) and equivariant weight polynomials
   w(k) in the tensor power k, and for the one-variable auxiliary
-  polynomials of the blowup formulas.
+  polynomials of the blowup formulas.  Stored as integer numerators over
+  one positive common denominator (the representation of FLINT's
+  fmpq_poly), so arithmetic and evaluation at an integer run on Python
+  ints with one normalising gcd per result.
 * ``RatFn`` -- a quotient of two ``Poly``, used for the Chow weight as a
   function of k.  Kept in a canonical reduced form so that equality of
-  invariants is decidable structurally.
+  invariants is decidable structurally; reduced by the gcd of the
+  primitive integer parts (primitive polynomial remainder sequence, Knuth,
+  TAOCP Vol. 2, 4.6.1).
 * ``MPoly`` -- sparse multivariate polynomials, used for the symbolic
   reconstruction of vanishing loci in the twist and blowup multiplicities.
 
@@ -55,11 +60,16 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def _as_rat(value) -> Fraction:
-    if type(value) is Fraction:
+    """The value of an int or a Fraction; anything else raises TypeError.
+
+    Floats, bools, strings and other numeric types are refused rather than
+    coerced: text goes through parse_rational.
+    """
+    if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise TypeError("floats are not allowed in exact arithmetic")
-    return Fraction(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(f"expected an int or a Fraction, got {value!r}")
 
 
 def _require_ints(**values) -> None:
@@ -83,22 +93,65 @@ def choose(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _horner(num, point: int) -> int:
+    """sum_i num[i] point^i for integer numerators and an integer point."""
+    acc = 0
+    for c in reversed(num):
+        acc = acc * point + c
+    return acc
+
+
+def _canonical(num: list[int], den: int) -> "Poly":
+    """The Poly sum_i num[i] x^i / den (den != 0), brought to canonical form."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    else:
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    p = object.__new__(Poly)
+    p._num = tuple(num)
+    p._den = den
+    return p
+
+
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
-    Coefficients are stored by ascending power with trailing zeros trimmed;
-    the zero polynomial is the empty tuple and its degree is ``None`` (an
-    explicit "no degree" marker rather than a sentinel integer).
+    Stored as integer numerators ``_num`` by ascending power over one
+    common denominator ``_den``, in canonical form: trailing zeros trimmed,
+    ``_den > 0`` and gcd(_den, every numerator) = 1.  The zero polynomial
+    is ((), 1) and its degree is ``None`` (an explicit "no degree" marker
+    rather than a sentinel integer).  Equal polynomials therefore have
+    equal representations.  Coefficients are read back as Fractions.
     Instances are immutable.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [_as_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        nums, dens = [], []
+        for c in coeffs:
+            if type(c) is int:
+                nums.append(c)
+                dens.append(1)
+            else:
+                c = _as_rat(c)
+                nums.append(c.numerator)
+                dens.append(c.denominator)
+        # With den the lcm of lowest-terms denominators, gcd(den, nums) = 1.
+        den = math.lcm(*dens) if dens else 1
+        if den != 1:
+            nums = [c * (den // d) for c, d in zip(nums, dens)]
+        while nums and not nums[-1]:
+            nums.pop()
+        self._num = tuple(nums)
+        self._den = den if nums else 1
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -121,67 +174,84 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     @property
     def degree(self) -> int | None:
         """Degree, or ``None`` for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else None
+        return len(self._num) - 1 if self._num else None
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
+        if 0 <= power < len(self._num):
+            return Fraction(self._num[power], self._den)
         return Fraction(0)
 
     def descending(self, length: int | None = None) -> tuple[Fraction, ...]:
         """Coefficients by descending power, zero-padded to ``length`` if given."""
-        n = len(self._coeffs)
+        n = len(self._num)
         if length is None:
             length = n
         if length < n:
             raise ValueError("requested length shorter than the polynomial")
-        return tuple(self.coefficient(length - 1 - i) for i in range(length))
+        return (Fraction(0),) * (length - n) + self.coeffs[::-1]
 
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
+        if not self._num:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self._coeffs))
+        return _canonical([-c for c in self._num], self._den)
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the least common denominator."""
+        a, da, b, db = self._num, self._den, other._num, other._den
+        if da != db:
+            g = math.gcd(da, db)
+            sa, sb = db // g, da // g
+            a = [c * sa for c in a]
+            b = [c * sb for c in b]
+            da *= sa
+        if sign < 0:
+            b = [-c for c in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _canonical(out, da)
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
-        return self + (-other if isinstance(other, Poly) else Poly((-_as_rat(other),)))
+        if isinstance(other, (int, Fraction)):
+            other = Poly((other,))
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
@@ -189,18 +259,18 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             c = _as_rat(other)
-            return Poly(tuple(c * a for a in self._coeffs))
+            return _canonical([c.numerator * a for a in self._num], c.denominator * self._den)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self._num, other._num
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return Poly(out)
+        return _canonical(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -208,7 +278,7 @@ class Poly:
         c = _as_rat(scalar)
         if c == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return self * (1 / c)
+        return _canonical([c.denominator * a for a in self._num], c.numerator * self._den)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -223,65 +293,26 @@ class Poly:
         return result
 
     def evaluate(self, point):
-        """Horner evaluation; exact for int/Fraction points."""
+        """Horner evaluation; exact for int/Fraction points.
+
+        At an int the Horner runs on the integer numerators and one
+        Fraction is built at the end; any other ring element (Fraction,
+        Poly, MPoly) goes through the coefficients.
+        """
+        if type(point) is int:
+            return Fraction(_horner(self._num, point), self._den)
         acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
-
-    def compose_linear(self, a: Fraction | int, b: Fraction | int = 0) -> "Poly":
-        """Substitute a*x + b for the variable."""
-        inner = Poly((_as_rat(b), _as_rat(a)))
-        acc = Poly()
-        for c in reversed(self._coeffs):
-            acc = acc * inner + c
-        return acc
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        lead = other.leading_coefficient()
-        quot = [Fraction(0)] * max(dd - dv + 1, 0)
-        for i in range(dd - dv, -1, -1):
-            c = rem[i + dv] / lead
-            if c:
-                quot[i] = c
-                for j, oc in enumerate(other._coeffs):
-                    rem[i + j] -= c * oc
-        return Poly(quot), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self / self.leading_coefficient()
-
-    def content(self) -> Fraction:
-        """Positive rational c such that self/c has coprime integer coefficients."""
-        if self.is_zero:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self._coeffs:
-            num = math.gcd(num, c.numerator)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
 
     def pretty(self, var: str = "k") -> str:
         if self.is_zero:
             return "0"
+        coeffs = self.coeffs
         parts = []
-        for power in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[power]
+        for power in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[power]
             if not c:
                 continue
             if power == 0:
@@ -301,20 +332,70 @@ class Poly:
         return f"Poly({self.pretty()})"
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+# Integer polynomials below are ascending coefficient lists with a nonzero
+# last entry: the numerators of Poly, used by the RatFn reduction.
+
+
+def _primitive_part(a: list[int]) -> list[int]:
+    """a divided by its content, signed so that the leading coefficient is positive."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """r with lc(b)^e a = q b + r and deg r < deg b, for some e >= 0, over Z."""
+    lead, top = b[-1], len(b) - 1
+    r = list(a)
+    while len(r) > top:
+        c = r[-1]
+        shift = len(r) - 1 - top
+        r = [lead * x for x in r]
+        for j, bj in enumerate(b):
+            r[shift + j] -= c * bj
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, positive leading coefficient, of two nonzero integer
+    polynomials, by the primitive polynomial remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive_part(a), _primitive_part(b)
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive_part(r)
+    return [1]
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b dividing a in Z[x] (Gauss's lemma makes the
+    quotient integral whenever b divides a over the rationals)."""
+    lead, top = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * (len(a) - top)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + top] // lead
+        if c:
+            q[i] = c
+            for j, bj in enumerate(b):
+                r[i + j] -= c * bj
+    return q
 
 
 class RatFn:
     """Quotient of two univariate polynomials in canonical reduced form.
 
-    The fraction is reduced by the polynomial gcd, then rescaled so the
-    denominator has coprime integer coefficients with a positive leading
-    one.  Equality is decided by cross-multiplication of the reduced forms
-    (never by sampling evaluation points).
+    The fraction is reduced by the gcd of the primitive integer parts of
+    numerator and denominator, and the denominator is the primitive
+    integer polynomial with a positive leading coefficient.  Equality is
+    decided by cross-multiplication of the reduced forms (never by
+    sampling evaluation points).
     """
 
     __slots__ = ("_num", "_den")
@@ -325,17 +406,19 @@ class RatFn:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in rational function")
         if num.is_zero:
-            num, den = Poly(), Poly.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree:
-                num, den = num // g, den // g
-            scale = den.content()
-            if den.leading_coefficient() < 0:
-                scale = -scale
-            num, den = num / scale, den / scale
-        self._num = num
-        self._den = den
+            self._num, self._den = Poly(), Poly.one()
+            return
+        # num/den = (cn/num._den) pn / ((cd/den._den) pd), pn and pd primitive.
+        a, b = num._num, den._num
+        cn = math.gcd(*a)
+        cd = math.gcd(*b) if b[-1] > 0 else -math.gcd(*b)
+        pn = [c // cn for c in a]
+        pd = [c // cd for c in b]
+        g = _int_gcd(pn, pd)
+        if len(g) > 1:
+            pn, pd = _exact_quotient(pn, g), _exact_quotient(pd, g)
+        self._num = _canonical([c * cn * den._den for c in pn], cd * num._den)
+        self._den = _canonical(pd, 1)
 
     @property
     def num(self) -> Poly:
@@ -362,6 +445,13 @@ class RatFn:
         return hash((self._num, self._den))
 
     def evaluate(self, point) -> Fraction:
+        """Value at a point; at an int, two integer Horner runs and one Fraction."""
+        if type(point) is int:
+            den = _horner(self._den._num, point)
+            if den == 0:
+                raise ZeroDivisionError(f"denominator vanishes at {point}")
+            # The canonical denominator polynomial is integral (_den._den == 1).
+            return Fraction(_horner(self._num._num, point), den * self._num._den)
         d = self._den.evaluate(point)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at {point}")
@@ -439,15 +529,6 @@ class MPoly:
 
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
         return self._terms.get(tuple(exps), Fraction(0))
-
-    def total_degree(self) -> int | None:
-        if not self._terms:
-            return None
-        return max(sum(e) for e in self._terms)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self._terms}
-        return len(degrees) <= 1
 
     def _check_same_ring(self, other: "MPoly") -> None:
         if self._vars != other._vars:
@@ -587,7 +668,13 @@ class MPoly:
         return f"MPoly({self.pretty()})"
 
 
-@lru_cache(maxsize=None)
+# Distinct n kept by each generator cache (and by blowup.projective_space_base).
+# The verified universes use n <= 6; larger n stay correct, and a caller
+# cycling through more distinct n than this recomputes O(n^2) small tables.
+GENERATOR_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _stirling_tuple(n: int) -> tuple[int, ...]:
     coeffs = [1]
     for i in range(n):
@@ -615,12 +702,11 @@ def binom_poly_in_k(a: int, n: int) -> Poly:
     """
     if a < 1 or n < 1:
         raise ValueError("a and n must be positive integers")
-    s = stirling_coeffs(n)
-    fact = math.factorial(n)
-    return Poly(tuple(Fraction(s[h] * a**h, fact) for h in range(n + 1)))
+    s = _stirling_tuple(n)
+    return _canonical([s[h] * a**h for h in range(n + 1)], math.factorial(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _cm_tuple(n: int) -> tuple[Fraction, ...]:
     s = _stirling_tuple(n)
     scale = Fraction(1, n * (n + 1))

@@ -24,7 +24,8 @@ from chowstab.blowup import (
     w_tilde_coeffs,
 )
 from chowstab.errors import CrossCheckError, DegenerateInputError, ResourceLimitError
-from chowstab.exactalg import Poly, RatFn, binom_poly_in_k, stirling_coeffs
+from chowstab.exactalg import GENERATOR_CACHE_SIZE, Poly, RatFn, binom_poly_in_k, stirling_coeffs
+from exact_reference import compose_linear, hilbert_poly
 
 
 P2 = projective_space_base(2)
@@ -175,6 +176,17 @@ class TestInexactInputRefused:
         with pytest.raises(TypeError):
             BaseSummary(n=2, a=(0.5, Fraction(3, 2), 1))
 
+    # Decimal strings and bools were once coerced by Fraction().
+    @pytest.mark.parametrize("bad", ["1e-1", "1", True])
+    def test_blown_point_phi_strings_and_bools(self, bad):
+        with pytest.raises(TypeError):
+            BlownPoint(1, bad, 0)
+
+    @pytest.mark.parametrize("bad", ["0.5", "1", True])
+    def test_base_summary_strings_and_bools(self, bad):
+        with pytest.raises(TypeError):
+            BaseSummary(2, (Fraction(1, 2), Fraction(3, 2), bad))
+
     @pytest.mark.parametrize("field,value", [
         ("alpha", 1.0), ("alpha", True), ("lam", 0.0), ("lam", True)])
     def test_blown_point_int_fields(self, field, value):
@@ -216,14 +228,22 @@ class TestBase:
             product = Poly.one()
             for i in range(1, n + 1):
                 product = product * Poly((i, 1))
-            assert projective_space_base(n).hilbert_poly() == product / math.factorial(n)
+            assert hilbert_poly(projective_space_base(n)) == product / math.factorial(n)
 
     def test_projective_space_coefficients(self):
         assert P2.a == (Fraction(1, 2), Fraction(3, 2), 1)
         assert P2.degree == 1
         p3 = projective_space_base(3)
         for k in range(1, 6):
-            assert p3.hilbert_poly().evaluate(k) == (k + 1) * (k + 2) * (k + 3) // 6
+            assert hilbert_poly(p3).evaluate(k) == (k + 1) * (k + 2) * (k + 3) // 6
+
+    def test_base_cache_is_bounded(self):
+        for n in range(2, GENERATOR_CACHE_SIZE + 10):
+            projective_space_base(n)
+        info = projective_space_base.cache_info()
+        assert info.maxsize == GENERATOR_CACHE_SIZE
+        assert info.currsize <= GENERATOR_CACHE_SIZE
+        assert projective_space_base(2) == P2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -268,7 +288,7 @@ class TestChiTilde:
             alphas = [rng.randint(1, 3) for _ in range(count)]
             m = rng.randint(sum(alphas), sum(alphas) + 4)
             got = Poly.from_descending(chi_tilde_coeffs(n, base.a, m, alphas))
-            want = base.hilbert_poly().compose_linear(m)
+            want = compose_linear(hilbert_poly(base), m)
             for a in alphas:
                 want = want - binom_poly_in_k(a, n)
             assert got == want

@@ -156,3 +156,20 @@ class TestInexactInputRefused:
         h, w = hyperplane_curve()
         with pytest.raises(TypeError):
             shift_linearization(w, h, 0.5)
+
+    # Decimal strings and bools were once coerced by Fraction().
+    @pytest.mark.parametrize("bad", ["1.5", "1", True])
+    def test_hilbert_data_strings_and_bools(self, bad):
+        with pytest.raises(TypeError):
+            HilbertData(1, (1, bad))
+
+    @pytest.mark.parametrize("bad", ["1.5", "1", True])
+    def test_weight_data_strings_and_bools(self, bad):
+        with pytest.raises(TypeError):
+            WeightData(1, (1, bad, 0))
+
+    @pytest.mark.parametrize("bad", ["1/2", True])
+    def test_shift_by_string_or_bool(self, bad):
+        h, w = hyperplane_curve()
+        with pytest.raises(TypeError):
+            shift_linearization(w, h, bad)

@@ -5,21 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chowstab import exactalg
 from chowstab.exactalg import (
+    GENERATOR_CACHE_SIZE,
     MPoly,
     Poly,
     RatFn,
+    _exact_quotient,
+    _int_gcd,
+    _pseudo_remainder,
     binom_poly_in_k,
     choose,
     cm_constants,
     format_rational,
     parse_rational,
-    poly_gcd,
     stirling_coeffs,
 )
+from exact_reference import compose_linear, is_homogeneous, total_degree
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 poly_lists = st.lists(rationals, max_size=6)
+
+# Decimal strings and bools were once coerced by Fraction(); both are refused.
+INEXACT = ("0.5", "1", True, 0.5)
 
 
 def expand_product(factors):
@@ -56,19 +64,45 @@ class TestPoly:
         with pytest.raises(TypeError):
             Poly((0.5, 1))
 
+    @pytest.mark.parametrize("bad", INEXACT)
+    def test_inexact_coefficients_rejected(self, bad):
+        with pytest.raises(TypeError):
+            Poly((1, bad))
+
     def test_compose_linear(self):
         p = Poly((0, 0, 1))            # k^2
-        assert p.compose_linear(2, 1) == Poly((1, 4, 4))
+        assert compose_linear(p, 2, 1) == Poly((1, 4, 4))
         q = Poly((1, 2, 3))
         for k in range(-3, 4):
-            assert q.compose_linear(5, -2).evaluate(k) == q.evaluate(5 * k - 2)
+            assert compose_linear(q, 5, -2).evaluate(k) == q.evaluate(5 * k - 2)
 
     def test_divmod_roundtrip(self):
-        a = Poly((1, 2, 0, 1))
-        b = Poly((1, 1))
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.degree is None or r.degree < b.degree
+        # Integer division as the RatFn reduction runs it: the pseudo-remainder
+        # r satisfies lc(b)^e a = q b + r with deg r < deg b, and an exact
+        # quotient by a primitive divisor undoes a product.
+        a, b = [1, 2, 0, 1], [1, 2]
+        r = _pseudo_remainder(a, b)
+        assert len(r) < len(b)
+        pa, pb = Poly(a), Poly(b)
+        q_times_b = Poly((2**3,)) * pa - Poly(r)
+        assert RatFn(q_times_b, pb).den == Poly.one()
+        assert _exact_quotient(list((pa * pb)._num), b) == a
+
+    def test_canonical_form(self):
+        half = Poly((Fraction(1, 2), Fraction(3, 2)))
+        assert (half._num, half._den) == ((1, 3), 2)
+        assert (half * 2)._den == 1 and (half * 2).coeffs == (1, 3)
+        assert (half - half)._num == () and (half - half)._den == 1
+        assert Poly((Fraction(1, 2),)) + Poly((Fraction(1, 2),)) == Poly.one()
+        # equal values are equal representations, so they hash equal
+        assert hash(Poly((Fraction(2, 4), 1))) == hash(Poly((1, 2)) / 2)
+        assert all(type(c) is Fraction for c in half.coeffs)
+
+    def test_evaluation_at_non_integer_points(self):
+        p = Poly((Fraction(1, 3), 0, 2))
+        assert p.evaluate(Fraction(1, 2)) == Fraction(1, 3) + Fraction(1, 2)
+        t = Poly((0, 1))
+        assert p.evaluate(t + 1) == Poly((Fraction(7, 3), 4, 2))
 
     def test_descending_padding(self):
         assert Poly((1, 2)).descending(4) == (0, 0, 2, 1)
@@ -110,8 +144,22 @@ class TestRatFn:
             RatFn(Poly((1,)), Poly())
 
     def test_gcd_monic(self):
-        g = poly_gcd(Poly((-1, 0, 1)), Poly((1, 1)))
-        assert g == Poly((1, 1))
+        # The reduction's gcd is primitive over Z with a positive leading
+        # coefficient: monic here, since x + 1 divides x^2 - 1.
+        assert _int_gcd([-1, 0, 1], [1, 1]) == [1, 1]
+        assert _int_gcd([-2, 0, 2], [-3, -3]) == [1, 1]
+        assert _int_gcd([1, 0, 1], [1, 1]) == [1]
+        # (2x + 1)(x - 3) and (2x + 1)(x + 5)
+        assert _int_gcd([-3, -5, 2], [5, 11, 2]) == [1, 2]
+
+    def test_reduction_scales_like_the_rational_form(self):
+        # ((1 + 2x)/3 (x - 1)) / ((3/4)(x - 1)(-2x - 6)) = -(2/9)(1 + 2x) / (x + 3)
+        f = RatFn(Poly((Fraction(1, 3), Fraction(2, 3))) * Poly((-1, 1)),
+                  Poly((Fraction(-3, 4), Fraction(3, 4))) * Poly((-6, -2)))
+        assert f.den == Poly((3, 1))
+        assert f.num == Poly((Fraction(-2, 9), Fraction(-4, 9)))
+        assert f.evaluate(3) == Fraction(-7, 27)
+        assert f.evaluate(Fraction(3)) == Fraction(-7, 27)
 
 
 class TestMPoly:
@@ -143,8 +191,14 @@ class TestMPoly:
 
     def test_homogeneity_detection(self):
         x, y = MPoly.generators(("x", "y"))
-        assert (x**2 + x * y).is_homogeneous()
-        assert not (x**2 + y).is_homogeneous()
+        assert is_homogeneous(x**2 + x * y) and total_degree(x**2 + x * y) == 2
+        assert not is_homogeneous(x**2 + y)
+        assert total_degree(MPoly.zeros(("x", "y"))) is None
+
+    @pytest.mark.parametrize("bad", INEXACT)
+    def test_inexact_coefficients_rejected(self, bad):
+        with pytest.raises(TypeError):
+            MPoly(("x",), {(1,): bad})
 
 
 class TestGenerators:
@@ -164,6 +218,16 @@ class TestGenerators:
             s = stirling_coeffs(n)
             assert s[0] == 0 and s[n] == 1
             assert all(v >= 0 for v in s)
+
+    def test_generator_caches_are_bounded(self):
+        for n in range(1, 2 * GENERATOR_CACHE_SIZE):
+            stirling_coeffs(n)
+            cm_constants(n)
+        for cached in (exactalg._stirling_tuple, exactalg._cm_tuple):
+            info = cached.cache_info()
+            assert info.maxsize == GENERATOR_CACHE_SIZE
+            assert info.currsize <= GENERATOR_CACHE_SIZE
+        assert cm_constants(3) == [Fraction(1, 12), Fraction(1, 4), Fraction(1, 6)]
 
     def test_stirling_rejects_zero(self):
         with pytest.raises(ValueError):
