@@ -26,11 +26,19 @@ fully explicit form
 
 with D = deg - sum_j (alpha_j/m)^n > 0 and one-variable polynomials f_l,
 g_l built from D, the base coefficients and the s_h (one transcription,
-shared by the numeric, symbolic and polynomial paths).  Every call of
-futaki_blowup re-derives the invariants through the generic chi/w pipeline
-and insists on exact agreement.  chow_blowup goes through chowcore.report
-on (chi~, w~), which asserts the Chow function's expansion in the F_l, and
-checks those F_l against the point sums the same way.
+shared by the numeric, symbolic and polynomial paths).
+
+Everything but the action data (phi, lambda) is fixed by the geometry
+(base, m, alphas): chi~ and its HilbertData, the ratios, D, and, since w~
+and the point sums are linear in (phi, lambda), the coefficient of every
+phi_j and lambda_j in each coefficient of w~ and in each F_l.  These are
+derived once per geometry and held in a bounded cache
+(GEOMETRY_CACHE_SIZE entries); an action then costs dot products.  Every
+call of futaki_blowup still re-derives the invariants through the generic
+chi/w pipeline and insists on exact agreement with the point sums.
+chow_blowup goes through chowcore.report on (chi~, w~), which asserts the
+Chow function's expansion in the F_l, and checks those F_l against the
+point sums the same way.
 
 For blowups of the projective plane at coordinate points the space of
 sections is a span of monomials, and oracle_p2 checks both polynomials by
@@ -39,6 +47,7 @@ direct enumeration.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -78,6 +87,11 @@ ORACLE_MAX_MK = 10_000
 
 # Above the 840 distinct (points, m, k) keys of verification.run_blowup_suite.
 ORACLE_CACHE_SIZE = 1024
+
+# Above the 105 (points, m) configurations, 45 geometries, of
+# verification.run_blowup_suite, and the 125 geometries of the grid on which
+# p2lab.three_point_loci proves its evaluators once per process.
+GEOMETRY_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -164,47 +178,106 @@ class BlowupSpec:
                 f"exceptional volume exhausts the base: D = {self.volume_gap}")
 
     @cached_property
+    def _geometry(self) -> _Geometry:
+        return _geometry_for(self.base, self.m, self.alphas)
+
+    @property
     def ratios(self) -> tuple[Fraction, ...]:
         """The ratios alpha_j / m."""
-        return tuple(Fraction(p.alpha, self.m) for p in self.points)
+        return self._geometry.ratios
 
-    @cached_property
+    @property
     def volume_gap(self) -> Fraction:
         """D = deg(M, L) - sum_j (alpha_j/m)^n."""
-        return self.base.degree - sum((x**self.base.n for x in self.ratios), Fraction(0))
+        return self._geometry.volume_gap
 
     @cached_property
     def alphas(self) -> tuple[int, ...]:
         return tuple(p.alpha for p in self.points)
 
-    @cached_property
+    @property
     def chi(self) -> Poly:
-        """chi~(k), built once per spec from chi_tilde_coeffs."""
-        return Poly.from_descending(
-            chi_tilde_coeffs(self.base.n, self.base.a, self.m, self.alphas))
+        """chi~(k), built once per geometry."""
+        return self._geometry.chi
 
     @cached_property
     def w(self) -> Poly:
-        """w~(k), built once per spec from w_tilde_coeffs."""
-        return Poly.from_descending(
-            w_tilde_coeffs(self.base.n, self.m, self.alphas,
-                           [p.phi for p in self.points], [p.lam for p in self.points]))
+        """w~(k), built once per spec; the same Poly as the WeightData's."""
+        return self.hilbert_weight_data[1].poly()
 
     @cached_property
     def hilbert_weight_data(self) -> tuple[chowcore.HilbertData, chowcore.WeightData]:
-        """chi~ and w~ as the generic pipeline's input, built once per spec."""
-        return (chowcore.HilbertData.from_poly(chi_tilde(self), self.base.n),
-                chowcore.WeightData.from_poly(w_tilde(self), self.base.n))
+        """chi~ and w~ as the generic pipeline's input: the geometry's
+        HilbertData, and w~ from the geometry's columns, once per spec."""
+        geometry = self._geometry
+        return geometry.hilbert, chowcore.WeightData(
+            self.base.n, geometry.w_coeffs([p.phi for p in self.points],
+                                           [p.lam for p in self.points]))
 
     @cached_property
     def _point_sum_futaki(self) -> tuple[Fraction, ...]:
         """[F_1..F_n] from the point-sum formula, unchecked; futaki_blowup and
         chow_blowup check them against the pipeline on every call."""
-        n = self.base.n
-        sums = futaki_point_sums(n, self.base.a, self.ratios,
-                                 [p.phi for p in self.points], [p.lam for p in self.points])
-        d_sq = self.volume_gap**2
-        return tuple(sums[ell - 1] / (d_sq * self.m ** (ell - 1)) for ell in range(1, n + 1))
+        return self._geometry.point_sum_futaki([p.phi for p in self.points],
+                                               [p.lam for p in self.points])
+
+
+def _apply_columns(columns, phis, lams) -> list[Fraction]:
+    """sum_j (c_j phi_j + d_j lam_j) for each column pair (c, d) of a linear map."""
+    return [sum(map(operator.mul, phi_col, phis), Fraction(0))
+            + sum(map(operator.mul, lam_col, lams), Fraction(0))
+            for phi_col, lam_col in columns]
+
+
+class _Geometry:
+    """What a blowup's action does not change, derived once per (base, m, alphas).
+
+    Holds the ratios x_j = alpha_j/m, D (from _f_g_levels), chi~ and, for
+    a polarization (D > 0), its HilbertData, whose Poly is chi~.  w~ and
+    the point sums F_l are linear in the action data (phi, lambda); their
+    coefficient columns are kept, one pair per coefficient of w~ and one
+    per F_l, the latter f_l(x_j)/(D^2 m^{l-1}) against phi_j and
+    -g_l(x_j)/(D^2 m^{l-1}) against lambda_j, so an action costs dot
+    products.
+    """
+
+    __slots__ = ("ratios", "volume_gap", "chi", "hilbert", "_w_columns", "_futaki_columns")
+
+    def __init__(self, base: BaseSummary, m: int, alphas: tuple[int, ...]):
+        n = base.n
+        self.ratios = tuple(Fraction(alpha, m) for alpha in alphas)
+        self.volume_gap, levels = _f_g_levels(n, base.a, self.ratios)
+        chi = chi_tilde_coeffs(n, base.a, m, alphas)
+        self._w_columns = _w_tilde_columns(n, m, alphas)
+        # D <= 0 is no polarization (BlowupSpec refuses it); only the
+        # counting identity, chi~ and w~, is defined there.
+        if self.volume_gap <= 0:
+            self.chi = Poly.from_descending(chi)
+            self.hilbert = self._futaki_columns = None
+        else:
+            self.hilbert = chowcore.HilbertData(n, chi)
+            self.chi = self.hilbert.poly()
+            d_sq = self.volume_gap**2
+            columns = []
+            for level in levels:
+                scale = 1 / (d_sq * m ** (level[0] - 1))
+                f_g = [_f_g(n, level, x) for x in self.ratios]
+                columns.append((tuple(f_val * scale for f_val, _ in f_g),
+                                tuple(-g_val * scale for _, g_val in f_g)))
+            self._futaki_columns = tuple(columns)
+
+    def w_coeffs(self, phis, lams) -> list[Fraction]:
+        """Descending coefficients [b_0..b_{n+1}] of w~ under the action (phis, lams)."""
+        return _apply_columns(self._w_columns, phis, lams) + [Fraction(0)]   # b_{n+1} = 0
+
+    def point_sum_futaki(self, phis, lams) -> tuple[Fraction, ...]:
+        """[F_1..F_n] from the point-sum formula under the action (phis, lams)."""
+        return tuple(_apply_columns(self._futaki_columns, phis, lams))
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _geometry_for(base: BaseSummary, m: int, alphas: tuple[int, ...]) -> _Geometry:
+    return _Geometry(base, m, alphas)
 
 
 def _alpha_power_sum(alphas, power: int) -> int:
@@ -245,19 +318,21 @@ def quotient_weight(spec: BlowupSpec, k: int) -> Fraction:
     return -total
 
 
-def w_tilde_coeffs(n: int, m: int, alphas, phis, lams) -> list[Fraction]:
-    """Descending coefficients [b_0..b_{n+1}] of the blowup weight polynomial."""
+def _w_tilde_columns(n: int, m: int, alphas) -> tuple[tuple[tuple, tuple], ...]:
+    """For each coefficient b_l of w~, l = 0..n, the coefficients of phi_j and of
+    lambda_j: (s_{n-l} m / n!) alpha_j^{n-l} and
+    ((s_{n-l} - s_{n+1-l}) / (n+1)!) alpha_j^{n+1-l}."""
     s = stirling_coeffs(n) + [0]       # s_{n+1} = 0
     fact = math.factorial(n)
-    out = []
-    for ell in range(n + 1):
-        phi_part = Fraction(s[n - ell] * m, fact) * sum(
-            (Fraction(a) ** (n - ell) * Fraction(phi) for a, phi in zip(alphas, phis)),
-            Fraction(0))
-        lam_part = Fraction(s[n - ell] - s[n + 1 - ell], fact * (n + 1)) * sum(
-            (Fraction(a) ** (n + 1 - ell) * lam for a, lam in zip(alphas, lams)),
-            Fraction(0))
-        out.append(phi_part + lam_part)
+    return tuple((tuple(Fraction(s[n - ell] * m, fact) * a ** (n - ell) for a in alphas),
+                  tuple(Fraction(s[n - ell] - s[n + 1 - ell], fact * (n + 1)) * a ** (n + 1 - ell)
+                        for a in alphas))
+                 for ell in range(n + 1))
+
+
+def w_tilde_coeffs(n: int, m: int, alphas, phis, lams) -> list[Fraction]:
+    """Descending coefficients [b_0..b_{n+1}] of the blowup weight polynomial."""
+    out = _apply_columns(_w_tilde_columns(n, m, alphas), [Fraction(phi) for phi in phis], lams)
     out.append(Fraction(0))            # b_{n+1} = 0: the blowup is smooth
     return out
 

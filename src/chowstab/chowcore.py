@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CrossCheckError
-from .exactalg import Poly, RatFn, _as_rat
+from .exactalg import Poly, RatFn, _as_rat, _require_ints
 
 __all__ = [
     "HilbertData",
@@ -48,6 +48,7 @@ class HilbertData:
     a: tuple[Fraction, ...]
 
     def __post_init__(self):
+        _require_ints(n=self.n)
         if self.n < 0:
             raise ValueError("dimension must be non-negative")
         object.__setattr__(self, "a", tuple(_as_rat(c) for c in self.a))
@@ -65,7 +66,13 @@ class HilbertData:
         return cls(n, chi.descending(n + 1))
 
     def poly(self) -> Poly:
-        return Poly.from_descending(self.a)
+        """chi as a Poly, built on first use and kept; it is no field, so
+        equality, hash and repr ignore it."""
+        try:
+            return self._poly
+        except AttributeError:
+            object.__setattr__(self, "_poly", Poly.from_descending(self.a))
+            return self._poly
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,7 @@ class WeightData:
     b: tuple[Fraction, ...]
 
     def __post_init__(self):
+        _require_ints(n=self.n)
         if self.n < 0:
             raise ValueError("dimension must be non-negative")
         object.__setattr__(self, "b", tuple(_as_rat(c) for c in self.b))
@@ -93,7 +101,13 @@ class WeightData:
         return cls(n, (Fraction(0),) * (n + 2))
 
     def poly(self) -> Poly:
-        return Poly.from_descending(self.b)
+        """w as a Poly, built on first use and kept; it is no field, so
+        equality, hash and repr ignore it."""
+        try:
+            return self._poly
+        except AttributeError:
+            object.__setattr__(self, "_poly", Poly.from_descending(self.b))
+            return self._poly
 
     @property
     def b_top(self) -> Fraction:

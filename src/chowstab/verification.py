@@ -145,18 +145,18 @@ def blowup_cases():
 def check_blowup_case(weights, points, m, kmax: int = BLOWUP_KMAX) -> Mismatch | None:
     """Compare (chi~(k), w~(k)) against the monomial oracle for k = 1..kmax.
 
-    Uses the raw coefficient helpers so that boundary inputs with
-    D = deg - sum(alpha/m)^n <= 0 (legal for the counting identity, not for
-    the invariants) are covered as well.
+    Reads chi~ and the w~ columns from the blowup geometry rather than a
+    BlowupSpec, so that boundary inputs with D = deg - sum(alpha/m)^n <= 0
+    (legal for the counting identity, not for the invariants) are covered
+    as well; each geometry is derived once for all its weight vectors.
     """
-    base = blowup.projective_space_base(2)
-    alphas = [alpha for _, alpha in points]
+    geometry = blowup._geometry_for(blowup.projective_space_base(2), m,
+                                    tuple(alpha for _, alpha in points))
     data = [p2lab.fixed_point_data(p2lab.DiagAction(weights), {axis})
             for axis, _ in points]
-    phis = [phi for phi, _ in data]
-    lams = [lam for _, lam in data]
-    chi = Poly.from_descending(blowup.chi_tilde_coeffs(base.n, base.a, m, alphas))
-    w = Poly.from_descending(blowup.w_tilde_coeffs(base.n, m, alphas, phis, lams))
+    chi = geometry.chi
+    w = Poly.from_descending(geometry.w_coeffs([phi for phi, _ in data],
+                                               [lam for _, lam in data]))
     if w.coefficient(0) != 0:
         return Mismatch((weights, points, m), 0,
                         ("constant-term", w.coefficient(0)), ("expected", 0))

@@ -1,5 +1,6 @@
 """Blowup invariants: closed forms, skyscraper weights, oracle, adiabatic limit."""
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from chowstab import blowup, chowcore, p2lab, verification
 from chowstab.blowup import (
+    GEOMETRY_CACHE_SIZE,
     ORACLE_CACHE_SIZE,
     BaseSummary,
     BlownPoint,
@@ -25,10 +27,19 @@ from chowstab.blowup import (
 )
 from chowstab.errors import CrossCheckError, DegenerateInputError, ResourceLimitError
 from chowstab.exactalg import GENERATOR_CACHE_SIZE, Poly, RatFn, binom_poly_in_k, stirling_coeffs
+import blowup_reference
 from exact_reference import compose_linear, hilbert_poly
 
 
 P2 = projective_space_base(2)
+
+
+@pytest.fixture
+def cold_geometry_cache():
+    """An empty geometry cache on entry, and none of the test's entries left on exit."""
+    blowup._geometry_for.cache_clear()
+    yield blowup._geometry_for
+    blowup._geometry_for.cache_clear()
 
 
 def aligned_four_point_spec(m, alphas=(1, 1, 1, 1)):
@@ -112,23 +123,27 @@ class TestReferences:
             for ell in range(1, spec.base.n + 1):
                 assert d_f_g(spec, ell) == reference_d_f_g(spec, ell), (spec, ell)
 
-    def test_chow_builds_chi_and_w_once(self, monkeypatch):
-        calls = {"chi_tilde": 0, "w_tilde": 0}
+    def test_chow_builds_chi_and_w_once(self, monkeypatch, cold_geometry_cache):
+        # chi~ and the w~ columns belong to the geometry: with a cold cache,
+        # a spec and its chow_blowup derive each exactly once.
+        calls = {"chi_tilde_coeffs": 0, "_w_tilde_columns": 0}
 
         def counted(name):
             original = getattr(blowup, name)
 
-            def wrapper(spec):
+            def wrapper(*args):
                 calls[name] += 1
-                return original(spec)
+                return original(*args)
             return wrapper
 
         for name in calls:
             monkeypatch.setattr(blowup, name, counted(name))
-        for spec in (aligned_four_point_spec(3), random_specs(3, 1, seed=2)[0]):
-            calls.update(chi_tilde=0, w_tilde=0)
-            chow_blowup(spec)
-            assert calls == {"chi_tilde": 1, "w_tilde": 1}
+        for make_spec in (lambda: aligned_four_point_spec(3),
+                          lambda: random_specs(3, 1, seed=2)[0]):
+            blowup._geometry_for.cache_clear()
+            calls.update(chi_tilde_coeffs=0, _w_tilde_columns=0)
+            chow_blowup(make_spec())
+            assert calls == {"chi_tilde_coeffs": 1, "_w_tilde_columns": 1}
 
     def test_polynomials_and_volume_gap_built_once_per_spec(self):
         spec = aligned_four_point_spec(3)
@@ -137,16 +152,82 @@ class TestReferences:
         assert spec.volume_gap is spec.volume_gap
 
 
+def exact_bytes(values: dict) -> dict:
+    """Each value pickled, list entries one by one."""
+    return {key: tuple(map(pickle.dumps, value)) if isinstance(value, (list, tuple))
+            else pickle.dumps(value)
+            for key, value in values.items()}
+
+
+def library_derivation(spec) -> dict:
+    chow = chow_blowup(spec)
+    return {"chi": chi_tilde(spec), "w": w_tilde(spec), "D": spec.volume_gap,
+            "futaki": futaki_blowup(spec), "chow": (chow.num, chow.den)}
+
+
+def two_bases_one_geometry():
+    """One geometry and action over P^2 and over a degree-2 base."""
+    points = (BlownPoint(1, Fraction(2), -6), BlownPoint(2, Fraction(-1, 3), 3))
+    degree_two = BaseSummary(n=2, a=(1, Fraction(1, 2), 3))
+    return [BlowupSpec(base=base, points=points, m=3) for base in (P2, degree_two)]
+
+
+class TestGeometryCache:
+    def test_values_match_per_spec_derivation(self, cold_geometry_cache):
+        # Fresh specs: those of REFERENCE_SPECS already hold their geometry.
+        specs = [BlowupSpec(base=spec.base, points=spec.points, m=spec.m)
+                 for spec in REFERENCE_SPECS] + two_bases_one_geometry()
+        for spec in specs:
+            want = exact_bytes(blowup_reference.derive(spec))
+            assert exact_bytes(library_derivation(spec)) == want, spec
+        geometries = {(spec.base, spec.m, spec.alphas) for spec in specs}
+        assert cold_geometry_cache.cache_info().misses == len(geometries)
+
+    def test_key_includes_the_base(self, cold_geometry_cache):
+        on_p2, on_degree_two = two_bases_one_geometry()
+        assert (on_p2.m, on_p2.alphas) == (on_degree_two.m, on_degree_two.alphas)
+        assert chi_tilde(on_p2) != chi_tilde(on_degree_two)
+        assert on_p2.volume_gap != on_degree_two.volume_gap
+        assert cold_geometry_cache.cache_info().misses == 2
+
+    def test_actions_share_the_geometry(self, cold_geometry_cache):
+        one, other = aligned_four_point_spec(3), aligned_four_point_spec(3)
+        assert chi_tilde(one) is chi_tilde(other)
+        assert one.hilbert_weight_data[0] is other.hilbert_weight_data[0]
+        info = cold_geometry_cache.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_bound(self, cold_geometry_cache):
+        assert cold_geometry_cache.cache_info().maxsize == GEOMETRY_CACHE_SIZE == 128
+        for m in range(2, GEOMETRY_CACHE_SIZE + 12):
+            BlowupSpec(base=P2, points=(BlownPoint(1, Fraction(0), 0),), m=m)
+        info = cold_geometry_cache.cache_info()
+        assert info.misses == GEOMETRY_CACHE_SIZE + 10
+        assert info.currsize == GEOMETRY_CACHE_SIZE
+
+    def test_suite_derives_each_geometry_once(self, cold_geometry_cache):
+        # The 105 (points, m) configurations of the suite hold 45 geometries
+        # (m, alphas): the axes enter only through each action's phi and lambda.
+        cases = list(verification.blowup_cases())
+        geometries = {(m, tuple(alpha for _, alpha in points)) for _, points, m in cases}
+        assert (len({(points, m) for _, points, m in cases}), len(geometries)) == (105, 45)
+        assert GEOMETRY_CACHE_SIZE >= 105
+        count, mismatches = verification.run_blowup_suite(kmax=1)
+        assert (count, mismatches) == (3885, [])
+        info = cold_geometry_cache.cache_info()
+        assert (info.misses, info.hits) == (45, 3885 - 45)
+
+
 class TestForcedCrossCheckFailures:
     def test_point_sums_disagree(self, monkeypatch):
-        original = blowup.futaki_point_sums
-
-        def skewed(*args):
-            sums = original(*args)
-            return [sums[0] + 1] + sums[1:]
-
-        monkeypatch.setattr(blowup, "futaki_point_sums", skewed)
+        original = blowup._Geometry.point_sum_futaki
         spec = aligned_four_point_spec(3)
+
+        def skewed(self, phis, lams):      # the level-1 point sum + 1
+            futaki = original(self, phis, lams)
+            return (futaki[0] + 1 / spec.volume_gap**2,) + futaki[1:]
+
+        monkeypatch.setattr(blowup._Geometry, "point_sum_futaki", skewed)
         for fn in (futaki_blowup, chow_blowup):
             with pytest.raises(CrossCheckError) as info:
                 fn(spec)

@@ -173,3 +173,27 @@ class TestInexactInputRefused:
         h, w = hyperplane_curve()
         with pytest.raises(TypeError):
             shift_linearization(w, h, bad)
+
+    def test_hilbert_data_dimension_must_be_int(self):
+        # once accepted, failing later inside futaki_invariants
+        with pytest.raises(TypeError, match="^n must"):
+            HilbertData(2.0, (1, 2, 3))
+
+    def test_weight_data_dimension_must_be_int(self):
+        # once accepted as n = 1
+        with pytest.raises(TypeError, match="^n must"):
+            WeightData(True, (1, 2, 0))
+
+
+class TestPolyBuiltOnce:
+    @pytest.mark.parametrize("make", [
+        lambda: HilbertData(2, (Fraction(1, 2), Fraction(3, 2), 1)),
+        lambda: WeightData(2, (1, Fraction(-1, 3), 2, 0)),
+    ], ids=["hilbert", "weight"])
+    def test_one_poly_per_instance(self, make):
+        data, untouched = make(), make()
+        assert data.poly() is data.poly()
+        # the cached Poly is no field: equality, hash and repr ignore it
+        assert data == untouched and hash(data) == hash(untouched)
+        assert repr(data) == repr(untouched)
+        assert data.poly() == untouched.poly()

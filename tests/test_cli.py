@@ -51,11 +51,16 @@ class TestGoldenOutput:
 
 class TestDerivedOncePerSpec:
     def test_blowup_builds_chi_and_w_once(self, monkeypatch, capsys):
-        calls = count_calls(monkeypatch, blowup, ("chi_tilde_coeffs", "w_tilde_coeffs"))
-        code, _, _ = run_cli(capsys, "blowup",
-                             "--config", str(CONFIGS / "blowup_p2_four_aligned.json"), "--json")
+        # chi~ and the w~ columns are derived per geometry: start from a cold cache.
+        calls = count_calls(monkeypatch, blowup, ("chi_tilde_coeffs", "_w_tilde_columns"))
+        blowup._geometry_for.cache_clear()
+        try:
+            code, _, _ = run_cli(capsys, "blowup", "--config",
+                                 str(CONFIGS / "blowup_p2_four_aligned.json"), "--json")
+        finally:
+            blowup._geometry_for.cache_clear()
         assert code == 0
-        assert calls == {"chi_tilde_coeffs": 1, "w_tilde_coeffs": 1}
+        assert calls == {"chi_tilde_coeffs": 1, "_w_tilde_columns": 1}
 
     def test_projbundle_builds_fiber_rank_at_most_twice(self, monkeypatch, capsys):
         calls = count_calls(monkeypatch, projbundle, ("_fiber_rank_poly",))
@@ -181,9 +186,9 @@ class TestBlowup:
         assert "base.polystable" in err
 
     def test_forced_cross_check_failure_exits_2(self, monkeypatch, capsys):
-        original = blowup.futaki_point_sums
-        monkeypatch.setattr(blowup, "futaki_point_sums",
-                            lambda *args: [f + 1 for f in original(*args)])
+        original = blowup._Geometry.point_sum_futaki
+        monkeypatch.setattr(blowup._Geometry, "point_sum_futaki",
+                            lambda *args: tuple(f + 1 for f in original(*args)))
         code, out, err = run_cli(capsys, "blowup",
                                  "--config", str(CONFIGS / "blowup_p2_four_aligned.json"))
         assert code == 2 and out == ""

@@ -34,13 +34,23 @@ def ratfn_coeffs(f) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
 
 
 def on_both_kernels(monkeypatch, derive, make_inputs):
-    """derive() over fresh inputs on the library kernel, then on the reference."""
+    """derive() over fresh inputs on the library kernel, then on the reference.
+
+    The blowup geometry cache holds polynomials of the kernel that built
+    them, so each kernel starts from an empty cache, and the reference
+    kernel's entries are dropped when it is unbound.
+    """
+    blowup._geometry_for.cache_clear()
     library = [derive(x) for x in make_inputs()]
     with monkeypatch.context() as patch:
         for module in KERNEL_USERS:
             patch.setattr(module, "Poly", ref.Poly)
             patch.setattr(module, "RatFn", ref.RatFn)
-        reference = [derive(x) for x in make_inputs()]
+        blowup._geometry_for.cache_clear()
+        try:
+            reference = [derive(x) for x in make_inputs()]
+        finally:
+            blowup._geometry_for.cache_clear()
     return library, reference
 
 
