@@ -89,8 +89,7 @@ ORACLE_MAX_MK = 10_000
 ORACLE_CACHE_SIZE = 1024
 
 # Above the 105 (points, m) configurations, 45 geometries, of
-# verification.run_blowup_suite, and the 125 geometries of the grid on which
-# p2lab.three_point_loci proves its evaluators once per process.
+# verification.run_blowup_suite.
 GEOMETRY_CACHE_SIZE = 128
 
 
@@ -284,7 +283,7 @@ def _alpha_power_sum(alphas, power: int) -> int:
     return sum(a**power for a in alphas)
 
 
-def chi_tilde_coeffs(n: int, a, m: int, alphas) -> list[Fraction]:
+def chi_tilde_coeffs(n: int, a, m, alphas) -> list[Fraction]:
     """Descending coefficients of chi~(k): a_l m^{n-l} - (s_{n-l}/n!) sum alpha_j^{n-l}."""
     s = stirling_coeffs(n)
     fact = math.factorial(n)
@@ -318,13 +317,14 @@ def quotient_weight(spec: BlowupSpec, k: int) -> Fraction:
     return -total
 
 
-def _w_tilde_columns(n: int, m: int, alphas) -> tuple[tuple[tuple, tuple], ...]:
+def _w_tilde_columns(n: int, m, alphas) -> tuple[tuple[tuple, tuple], ...]:
     """For each coefficient b_l of w~, l = 0..n, the coefficients of phi_j and of
-    lambda_j: (s_{n-l} m / n!) alpha_j^{n-l} and
-    ((s_{n-l} - s_{n+1-l}) / (n+1)!) alpha_j^{n+1-l}."""
+    lambda_j: (s_{n-l} / n!) m alpha_j^{n-l} and
+    ((s_{n-l} - s_{n+1-l}) / (n+1)!) alpha_j^{n+1-l}.  Like chi_tilde_coeffs,
+    m and the alpha_j may be ints or polynomial generators."""
     s = stirling_coeffs(n) + [0]       # s_{n+1} = 0
     fact = math.factorial(n)
-    return tuple((tuple(Fraction(s[n - ell] * m, fact) * a ** (n - ell) for a in alphas),
+    return tuple((tuple(Fraction(s[n - ell], fact) * (m * a ** (n - ell)) for a in alphas),
                   tuple(Fraction(s[n - ell] - s[n + 1 - ell], fact * (n + 1)) * a ** (n + 1 - ell)
                         for a in alphas))
                  for ell in range(n + 1))

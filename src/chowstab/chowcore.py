@@ -63,11 +63,13 @@ class HilbertData:
             raise ValueError("the Hilbert polynomial cannot be zero")
         if n is None:
             n = chi.degree
-        return cls(n, chi.descending(n + 1))
+        h = cls(n, chi.descending(n + 1))
+        object.__setattr__(h, "_poly", chi)     # the memo poly() returns
+        return h
 
     def poly(self) -> Poly:
-        """chi as a Poly, built on first use and kept; it is no field, so
-        equality, hash and repr ignore it."""
+        """chi as a Poly: the one from_poly was given, or built on first use
+        and kept; it is no field, so equality, hash and repr ignore it."""
         try:
             return self._poly
         except AttributeError:
@@ -94,15 +96,17 @@ class WeightData:
     def from_poly(cls, w: Poly, n: int) -> "WeightData":
         if not w.is_zero and w.degree > n + 1:
             raise ValueError("weight polynomial degree exceeds n + 1")
-        return cls(n, w.descending(n + 2))
+        data = cls(n, w.descending(n + 2))
+        object.__setattr__(data, "_poly", w)    # the memo poly() returns
+        return data
 
     @classmethod
     def zero(cls, n: int) -> "WeightData":
         return cls(n, (Fraction(0),) * (n + 2))
 
     def poly(self) -> Poly:
-        """w as a Poly, built on first use and kept; it is no field, so
-        equality, hash and repr ignore it."""
+        """w as a Poly: the one from_poly was given, or built on first use
+        and kept; it is no field, so equality, hash and repr ignore it."""
         try:
             return self._poly
         except AttributeError:
@@ -138,11 +142,17 @@ def chow_weight_fn(h: HilbertData, w: WeightData) -> RatFn:
     return RatFn(num, chi)
 
 
+def _futaki_numerators(a, b) -> list:
+    """a_0^2 F_l = a_0 b_l - b_0 a_l, l = 1..n, over any ring (Fractions, MPoly)."""
+    a0, b0 = a[0], b[0]
+    return [a0 * b[ell] - b0 * a[ell] for ell in range(1, len(a))]
+
+
 def futaki_invariants(h: HilbertData, w: WeightData) -> list[Fraction]:
     """The invariants F_l = (a_0 b_l - b_0 a_l)/a_0^2 for l = 1..n."""
     _check_dims(h, w)
-    a0, b0 = h.a[0], w.b[0]
-    return [(a0 * w.b[ell] - b0 * h.a[ell]) / a0**2 for ell in range(1, h.n + 1)]
+    a0_sq = h.a[0] ** 2
+    return [num / a0_sq for num in _futaki_numerators(h.a, w.b)]
 
 
 def shift_linearization(w: WeightData, h: HilbertData, c: Fraction | int) -> WeightData:

@@ -12,7 +12,8 @@ approximations exist only behind --approx and only in the human-readable
 table output.  Exit status: 0 on success, 1 on parse or precondition
 errors, 2 when an internal cross-check between two computation paths
 fails.  A ``search-unstable`` grid bound above
-p2lab.SEARCH_MAX_GRID_BOUND is refused with status 1.  The search runs
+p2lab.SEARCH_MAX_GRID_BOUND, or scale bound above
+p2lab.SEARCH_MAX_SCALE_BOUND, is refused with status 1.  The search runs
 serially in the calling process.
 """
 from __future__ import annotations

@@ -589,12 +589,6 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar) -> "MPoly":
-        c = _as_rat(scalar)
-        if c == 0:
-            raise ZeroDivisionError("division of a polynomial by zero")
-        return self * (1 / c)
-
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")

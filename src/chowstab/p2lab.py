@@ -20,12 +20,12 @@ plane blown up at points carries residual torus actions worth studying:
 psi_reconstruct(config, action) runs the blowup point-sum formula on
 polynomial generators for any configuration and any diagonal action fixing
 its points, giving psi_l in (m, a1, ..., a<number of points>) with
-F_l = psi_l / deg^2.  One bounded cache holds each (config, action)'s
-polynomials with their compiled integer evaluators.  The search evaluates
-those of the four-point family and re-verifies every candidate through
-the full pipeline; three_point_loci evaluates those of the two three-point
-generators, which are proved equal to the pipeline once per action, on
-first use, over a grid that determines a polynomial of their degree.
+F_l = psi_l / deg^2, each proved where it is built to equal F_l * deg^2
+from chi~ and w~ on the same generators, as polynomials.  One bounded
+cache holds each (config, action)'s polynomials with their compiled
+integer evaluators.  The search evaluates those of the four-point family
+and re-verifies every candidate through the full pipeline;
+three_point_loci evaluates those of the two three-point generators.
 
 At a fixed point whose nonzero coordinates form a block on which the
 diagonal action has a single weight, the normalized moment-map value is
@@ -41,9 +41,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import factorial, gcd
 
-from . import blowup
+from . import blowup, chowcore
 from .errors import CrossCheckError, ResourceLimitError
 from .exactalg import MPoly, _require_int_seq, _require_ints
 from .blowup import BlownPoint, BlowupSpec, projective_space_base
@@ -76,6 +76,12 @@ _BASE_POINT = (1, 1, 0, 0, 0)
 # Largest accepted grid_bound.  The sweep visits 678 721 lines at b = 8, and
 # search_unstable(8, 1) takes about 6 s on one core of a 2-vCPU x86-64 host.
 SEARCH_MAX_GRID_BOUND = 8
+
+# Largest accepted scale_bound.  Ampleness is invariant under scaling, so
+# each scale re-verifies every ample point, about 1 ms a candidate:
+# search_unstable(8, 8) gives 11 080 candidates in about 17 s on the same
+# host, against 1 385 in about 8 s at (8, 1).
+SEARCH_MAX_SCALE_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -170,17 +176,23 @@ def _default_action(config: PointConfig) -> DiagAction:
 
 @lru_cache(maxsize=_PSI_CACHE_SIZE)
 def _psi(config: PointConfig, action: DiagAction):
-    """(psi_1, psi_2) of (config, action) and their compiled integer evaluators."""
+    """(psi_1, psi_2) of (config, action), each proved equal to F_l * deg^2
+    as a polynomial, and their compiled integer evaluators."""
     data = [fixed_point_data(action, b) for b in config.blocks]
+    phis, lams = zip(*data)
     base = projective_space_base(2)
     n = base.n
     indices = range(1, len(config.blocks) + 1)
     ratios = MPoly.generators(tuple(f"x{j}" for j in indices))
-    sums = blowup.futaki_point_sums(n, base.a, ratios,
-                                    [phi for phi, _ in data], [lam for _, lam in data])
+    sums = blowup.futaki_point_sums(n, base.a, ratios, phis, lams)
     variables = ("m",) + tuple(f"a{j}" for j in indices)
+    m, *alphas = MPoly.generators(variables)
+    # deg = n! a_0 for the leading coefficient a_0 of chi~, so
+    # F_l * deg^2 = (n!)^2 (a_0 b_l - b_0 a_l).
+    pipeline = chowcore._futaki_numerators(blowup.chi_tilde_coeffs(n, base.a, m, alphas),
+                                           blowup.w_tilde_coeffs(n, m, alphas, phis, lams))
     polys = []
-    for ell, total in enumerate(sums, start=1):
+    for ell, (total, numerator) in enumerate(zip(sums, pipeline), start=1):
         # F_l = total / (D^2 m^{l-1}) and deg^2 = m^{2n} D^2, so clearing the
         # prefactors amounts to substituting x_j = alpha_j/m into total and
         # multiplying by m^{2n+1-l}: each monomial x^e becomes
@@ -192,7 +204,13 @@ def _psi(config: PointConfig, action: DiagAction):
             if spare < 0:
                 raise CrossCheckError("weighted sum exceeds the clearing degree")
             terms[(spare,) + exps] = coeff
-        polys.append(MPoly(variables, terms))
+        psi, expected = MPoly(variables, terms), factorial(n) ** 2 * numerator
+        if psi != expected:
+            raise CrossCheckError(
+                f"psi_{ell} of {config.kind} under diag{action.w} disagrees with "
+                f"F_{ell} * deg^2 from chi~ and w~: psi_{ell} = {psi.pretty()}, "
+                f"pipeline {expected.pretty()}")
+        polys.append(psi)
     return tuple(polys), tuple(_compile_int_poly(p) for p in polys)
 
 
@@ -200,11 +218,13 @@ def psi_reconstruct(config: PointConfig, action: DiagAction | None = None) -> tu
     """Vanishing-locus polynomials (psi_1, psi_2) of a plane configuration
     under a diagonal action fixing its points.
 
-    Runs the blowup invariant pipeline symbolically in
+    Runs the blowup point-sum formula symbolically in
     (m, a1, ..., a<number of points>) and clears the deg^{-2} and
     power-of-m prefactors, so F_l = psi_l / deg^2 with
-    deg = m^2 - sum alpha_j^2.  Homogeneous of degrees 4 and 3.  The action
-    defaults to diag(2, -1, -1) for the aligned four-point family and is
+    deg = m^2 - sum alpha_j^2, proved against chi~ and w~ before it is
+    cached (CrossCheckError, on every call, on a disagreement).
+    Homogeneous of degrees 4 and 3.  The action defaults to
+    diag(2, -1, -1) for the aligned four-point family and is
     required for three general points (ValueError); an action that moves a
     point of the configuration is refused with ValueError.
     """
@@ -271,42 +291,6 @@ def ample_check(config: PointConfig, m: int, alphas) -> bool:
 _THREE_POINT_ACTIONS = (DiagAction((1, -1, 0)), DiagAction((0, 1, -1)))
 
 
-def _proved_evaluators(config: PointConfig, action: DiagAction):
-    """The compiled psi_l of (config, action), proved equal to F_l * deg^2
-    from futaki_blowup.
-
-    Both sides are homogeneous of degree 5 - l <= 4 in (m, alphas): psi_l by
-    construction, F_l * deg^2 = 4 (a_0 b_l - b_0 a_l) by the degrees of the
-    chi~/w~ coefficients.  Agreement at one m on a product grid of five
-    values per alpha therefore proves the identity; m is the least integer
-    with m^2 > sum alpha^2 on the whole grid, so D > 0 at every grid point.
-    """
-    _, evaluators = _psi(config, action)
-    values = range(1, 6)
-    m = isqrt(len(config.blocks) * values[-1] ** 2) + 1
-    for alphas in itertools.product(values, repeat=len(config.blocks)):
-        spec = _plane_blowup(config, action, m, alphas)
-        deg_sq = (spec.volume_gap * m**2) ** 2      # deg = m^2 D on the plane
-        for ell, (psi, f) in enumerate(zip(evaluators, blowup.futaki_blowup(spec)), start=1):
-            value, expected = psi(m, *alphas), f * deg_sq
-            if value != expected:
-                raise CrossCheckError(
-                    f"psi_{ell} of {config.kind} under diag{action.w} disagrees with "
-                    f"F_{ell} * deg^2 from futaki_blowup at (m, alphas) = ({m}, {alphas}): "
-                    f"psi_{ell} = {value}, pipeline {expected}")
-    return evaluators
-
-
-@lru_cache(maxsize=1)
-def _three_point_evaluators():
-    """(psi_1, psi_2) evaluators of both torus generators, proved on first use.
-
-    A failed proof raises and leaves nothing cached, so the next call proves again.
-    """
-    config = PointConfig.three_general()
-    return tuple(_proved_evaluators(config, action) for action in _THREE_POINT_ACTIONS)
-
-
 def three_point_loci(m: int, alphas) -> tuple[bool, bool]:
     """Vanishing of (F_1, F_2) for the three-coordinate-point blowup.
 
@@ -314,16 +298,17 @@ def three_point_loci(m: int, alphas) -> tuple[bool, bool]:
     corresponding invariant vanishes for every action.  Inputs outside the
     ample cone are rejected.  Ampleness gives m^2 > sum alpha^2, so
     deg^2 > 0 and F_l vanishes exactly when psi_l does: the flags come from
-    the compiled integer psi_l of the two actions.  Those are proved equal
-    to F_l * deg^2 from futaki_blowup once per action, on the first call
-    in a process (CrossCheckError on a disagreement).
+    the compiled integer psi_l of the two actions, proved equal to
+    F_l * deg^2 as polynomials when they are built (see psi_reconstruct).
     """
     alphas = tuple(alphas)
     _require_ints(m=m)
     _require_int_seq("alphas", alphas)
-    if not ample_check(PointConfig.three_general(), m, alphas):
+    config = PointConfig.three_general()
+    if not ample_check(config, m, alphas):
         raise ValueError(f"(m, alphas) = ({m}, {alphas}) is not ample")
-    (psi1_a, psi2_a), (psi1_b, psi2_b) = _three_point_evaluators()
+    (psi1_a, psi2_a), (psi1_b, psi2_b) = (_psi(config, action)[1]
+                                          for action in _THREE_POINT_ACTIONS)
     return (psi1_a(m, *alphas) == 0 and psi1_b(m, *alphas) == 0,
             psi2_a(m, *alphas) == 0 and psi2_b(m, *alphas) == 0)
 
@@ -405,8 +390,9 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     lines in the order of their representatives, scales increasing, the
     same as a scan of every direction of the box in lexicographic order.
 
-    Bounds must be ints >= 1 (TypeError, ValueError otherwise), and
-    grid_bound at most SEARCH_MAX_GRID_BOUND (ResourceLimitError).
+    Bounds must be ints >= 1 (TypeError, ValueError otherwise), grid_bound
+    at most SEARCH_MAX_GRID_BOUND and scale_bound at most
+    SEARCH_MAX_SCALE_BOUND (ResourceLimitError).
     """
     _require_ints(grid_bound=grid_bound, scale_bound=scale_bound)
     if grid_bound < 1 or scale_bound < 1:
@@ -414,6 +400,9 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     if grid_bound > SEARCH_MAX_GRID_BOUND:
         raise ResourceLimitError(
             f"search guard exceeded: grid_bound = {grid_bound} > {SEARCH_MAX_GRID_BOUND}")
+    if scale_bound > SEARCH_MAX_SCALE_BOUND:
+        raise ResourceLimitError(
+            f"search guard exceeded: scale_bound = {scale_bound} > {SEARCH_MAX_SCALE_BOUND}")
     config = PointConfig.four_points_three_aligned()
     psi1, psi2 = _psi(config, _default_action(config))[1]
     candidates: list[Candidate] = []

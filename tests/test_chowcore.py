@@ -197,3 +197,13 @@ class TestPolyBuiltOnce:
         assert data == untouched and hash(data) == hash(untouched)
         assert repr(data) == repr(untouched)
         assert data.poly() == untouched.poly()
+
+    def test_from_poly_keeps_the_given_poly(self):
+        chi = Poly((1, Fraction(3, 2), Fraction(1, 2)))
+        h = HilbertData.from_poly(chi, 2)
+        assert h.poly() is chi and chi == Poly.from_descending(h.a)
+        assert h == HilbertData(2, chi.descending())
+        w = Poly((0, 2, Fraction(-1, 3)))
+        data = WeightData.from_poly(w, 2)
+        assert data.poly() is w and w == Poly.from_descending(data.b)
+        assert data == WeightData(2, w.descending(4))

@@ -9,7 +9,7 @@ import pytest
 from chowstab import blowup, projbundle
 from chowstab.cli import main
 from chowstab.exactalg import parse_rational
-from chowstab.p2lab import SEARCH_MAX_GRID_BOUND
+from chowstab.p2lab import SEARCH_MAX_GRID_BOUND, SEARCH_MAX_SCALE_BOUND
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -41,10 +41,12 @@ class TestGoldenOutput:
          ("--k-range", "1:6")),
         ("blowup_p2_four_aligned", "blowup", "blowup_p2_four_aligned", ()),
         ("blowup_p2_three_points", "blowup", "blowup_p2_three_points", ()),
+        ("loci_3pt_m5_alphas_2-1-1", "loci-3pt", None, ("--m", "5", "--alphas", "2,1,1")),
+        ("search_unstable_grid2_scale3", "search-unstable", None, ("--grid", "2", "--scale", "3")),
     ])
     def test_matches_golden(self, capsys, golden, command, config, extra):
-        code, out, err = run_cli(capsys, command, "--config", str(CONFIGS / f"{config}.json"),
-                                 *extra, "--json")
+        config_args = ("--config", str(CONFIGS / f"{config}.json")) if config else ()
+        code, out, err = run_cli(capsys, command, *config_args, *extra, "--json")
         assert (code, err) == (0, "")
         assert out.encode("utf-8") == (GOLDEN / f"{golden}.json").read_bytes()
 
@@ -234,6 +236,11 @@ class TestSearch:
         code, _, err = run_cli(capsys, "search-unstable", "--grid",
                                str(SEARCH_MAX_GRID_BOUND + 1), "--scale", "1")
         assert code == 1 and "search guard" in err
+
+    def test_scale_guard_is_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "search-unstable", "--grid", "2",
+                                 "--scale", str(SEARCH_MAX_SCALE_BOUND + 1))
+        assert (code, out) == (1, "") and "scale_bound" in err
 
 
 class TestOracleCheck:

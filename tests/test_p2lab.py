@@ -1,8 +1,6 @@
 """Plane blowups: fixed-point data, vanishing loci, ampleness, search."""
 import functools
 import itertools
-import subprocess
-import sys
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
@@ -15,6 +13,7 @@ from exact_reference import is_homogeneous, total_degree
 from chowstab.p2lab import (
     PSI_VARIABLES,
     SEARCH_MAX_GRID_BOUND,
+    SEARCH_MAX_SCALE_BOUND,
     Candidate,
     DiagAction,
     PointConfig,
@@ -230,7 +229,7 @@ class TestThreePointProof:
                     for alphas in itertools.product(range(1, 11), repeat=3)
                     if ample_check(config, m, alphas)][::5]
         assert len(universe) >= 900
-        evaluators = p2lab._three_point_evaluators()
+        evaluators = [p2lab._psi(config, action)[1] for action in p2lab._THREE_POINT_ACTIONS]
         for m, alphas in universe:
             reference = reference_psi_values(m, alphas)
             compiled = [tuple(psi(m, *alphas) for psi in pair) for pair in evaluators]
@@ -238,48 +237,40 @@ class TestThreePointProof:
             assert three_point_loci(m, alphas) == (
                 all(f1 == 0 for f1, _ in reference), all(f2 == 0 for _, f2 in reference))
 
-    def test_corrupted_reconstruction_raises_every_call(self, monkeypatch):
-        real = p2lab._psi
+    def test_corrupted_point_sums_raise_every_call(self, monkeypatch):
+        four_points, three_points = PointConfig.four_points_three_aligned(), PointConfig.three_general()
+        first_action = p2lab._THREE_POINT_ACTIONS[0]
+        true_psi2 = {config.kind: psi_reconstruct(config, action)[1] for config, action in (
+            (four_points, DiagAction((2, -1, -1))), (three_points, first_action))}
+        real = blowup.futaki_point_sums
 
-        def corrupted(config, action):
-            polys, _ = real(config, action)
-            if action == DiagAction((0, 1, -1)):
-                m = MPoly.variable(polys[1].variables, "m")
-                polys = (polys[0], polys[1] + m**3)      # m^3 coefficient off by one
-            return polys, tuple(p2lab._compile_int_poly(p) for p in polys)
+        def corrupted(*args):
+            sums = real(*args)
+            return [sums[0], sums[1] + 1]       # psi_2's m^3 coefficient off by one
 
-        pipeline_calls = []
-        futaki_blowup = blowup.futaki_blowup
+        monkeypatch.setattr(blowup, "futaki_point_sums", corrupted)
+        p2lab._psi.cache_clear()
+        calls = ((four_points, "diag(2, -1, -1)",
+                  lambda: psi_reconstruct(four_points)),
+                 (three_points, f"diag{first_action.w}",
+                  lambda: three_point_loci(5, (2, 1, 1))))
+        for config, action, call in calls:
+            psi2 = true_psi2[config.kind]
+            wrong = psi2 + MPoly.variable(psi2.variables, "m") ** 3
+            for _ in range(2):
+                with pytest.raises(CrossCheckError) as info:
+                    call()
+                message = str(info.value)
+                assert message.startswith(f"psi_2 of {config.kind} under {action} disagrees")
+                assert f"psi_2 = {wrong.pretty()}, pipeline {psi2.pretty()}" in message
+                assert p2lab._psi.cache_info().currsize == 0
 
-        def counted(spec):
-            pipeline_calls.append(spec)
-            return futaki_blowup(spec)
-
-        monkeypatch.setattr(p2lab, "_psi", corrupted)
-        monkeypatch.setattr(blowup, "futaki_blowup", counted)
-        p2lab._three_point_evaluators.cache_clear()
-        for _ in range(2):
-            pipeline_calls.clear()
-            with pytest.raises(CrossCheckError) as info:
-                three_point_loci(5, (2, 1, 1))
-            message = str(info.value)
-            # psi_2 vanishes at alpha_1 = alpha_2 = alpha_3; the corruption adds 9^3
-            assert "psi_2" in message and "diag(0, 1, -1)" in message
-            assert "(m, alphas) = (9, (1, 1, 1))" in message
-            assert "psi_2 = 729, pipeline 0" in message
-            assert len(pipeline_calls) == 126       # all of the first action, one of the second
-        assert p2lab._three_point_evaluators.cache_info().currsize == 0
-
-    def test_proof_is_lazy_and_off_the_search_path(self):
-        code = ("import chowstab\n"
-                "from chowstab import p2lab\n"
-                "p2lab.psi_reconstruct(p2lab.PointConfig.four_points_three_aligned())\n"
-                "p2lab.search_unstable(1, 1)\n"
-                "assert p2lab._three_point_evaluators.cache_info().misses == 0\n"
-                "p2lab.three_point_loci(5, (1, 1, 1))\n"
-                "assert p2lab._three_point_evaluators.cache_info().misses == 1\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+    def test_proof_builds_no_geometry(self):
+        p2lab._psi.cache_clear()
+        blowup._geometry_for.cache_clear()
+        assert three_point_loci(5, (1, 1, 1)) == (True, True)
+        assert p2lab._psi.cache_info().misses == 2
+        assert blowup._geometry_for.cache_info().currsize == 0
 
 
 class TestSearch:
@@ -329,6 +320,13 @@ class TestSearch:
     def test_grid_guard(self):
         with pytest.raises(ResourceLimitError):
             search_unstable(SEARCH_MAX_GRID_BOUND + 1, 1)
+
+    def test_scale_guard(self):
+        assert SEARCH_MAX_SCALE_BOUND >= 3
+        with pytest.raises(ResourceLimitError, match="scale_bound"):
+            search_unstable(1, SEARCH_MAX_SCALE_BOUND + 1)
+        with pytest.raises(ResourceLimitError, match="scale_bound"):
+            search_unstable(2, 10**9)
 
 
 # ---------------------------------------------------------------------------
