@@ -166,6 +166,11 @@ class BlowupSpec:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         _require_ints(m=self.m)
+        if not isinstance(self.base, BaseSummary):
+            raise TypeError(f"base must be a BaseSummary, got {self.base!r}")
+        for i, point in enumerate(self.points):
+            if not isinstance(point, BlownPoint):
+                raise TypeError(f"points[{i}] must be a BlownPoint, got {point!r}")
         if not self.points:
             raise ValueError("at least one blown point is required")
         if self.m < 1:
@@ -221,8 +226,8 @@ class BlowupSpec:
                                                [p.lam for p in self.points])
 
 
-def _apply_columns(columns, phis, lams) -> list[Fraction]:
-    """sum_j (c_j phi_j + d_j lam_j) for each column pair (c, d) of a linear map."""
+def _apply_columns(columns, phis, lams) -> list:
+    """sum_j (c_j phi_j + d_j lam_j) for each column pair (c, d) of a linear map, over any ring."""
     return [sum(map(operator.mul, phi_col, phis), Fraction(0))
             + sum(map(operator.mul, lam_col, lams), Fraction(0))
             for phi_col, lam_col in columns]
@@ -231,21 +236,22 @@ def _apply_columns(columns, phis, lams) -> list[Fraction]:
 class _Geometry:
     """What a blowup's action does not change, derived once per (base, m, alphas).
 
-    Holds the ratios x_j = alpha_j/m, D (from _f_g_levels), chi~ and, for
-    a polarization (D > 0), its HilbertData, whose Poly is chi~.  w~ and
-    the point sums F_l are linear in the action data (phi, lambda); their
-    coefficient columns are kept, one pair per coefficient of w~ and one
-    per F_l, the latter f_l(x_j)/(D^2 m^{l-1}) against phi_j and
-    -g_l(x_j)/(D^2 m^{l-1}) against lambda_j, so an action costs dot
-    products.
+    Holds the ratios x_j = alpha_j/m, D and the per-level terms of f_l,
+    g_l (from _f_g_levels), chi~ and, for a polarization (D > 0), its
+    HilbertData, whose Poly is chi~.  w~ and the point sums F_l are linear
+    in the action data (phi, lambda); their coefficient columns are kept,
+    one pair per coefficient of w~ and one per F_l, the latter the
+    point-sum columns of _f_g_levels scaled by 1/(D^2 m^{l-1}), so an
+    action costs dot products.
     """
 
-    __slots__ = ("ratios", "volume_gap", "chi", "hilbert", "_w_columns", "_futaki_columns")
+    __slots__ = ("ratios", "volume_gap", "levels", "chi", "hilbert", "_w_columns",
+                 "_futaki_columns")
 
     def __init__(self, base: BaseSummary, m: int, alphas: tuple[int, ...]):
         n = base.n
         self.ratios = tuple(Fraction(alpha, m) for alpha in alphas)
-        self.volume_gap, levels = _f_g_levels(n, base.a, self.ratios)
+        self.volume_gap, self.levels, columns = _f_g_levels(n, base.a, self.ratios)
         chi = chi_tilde_coeffs(n, base.a, m, alphas)
         self._w_columns = _w_tilde_columns(n, m, alphas)
         # D <= 0 is no polarization (BlowupSpec refuses it); only the
@@ -257,17 +263,15 @@ class _Geometry:
             self.hilbert = chowcore.HilbertData(n, chi)
             self.chi = self.hilbert.poly()
             d_sq = self.volume_gap**2
-            columns = []
-            for level in levels:
-                scale = 1 / (d_sq * m ** (level[0] - 1))
-                f_g = [_f_g(n, level, x) for x in self.ratios]
-                columns.append((tuple(f_val * scale for f_val, _ in f_g),
-                                tuple(-g_val * scale for _, g_val in f_g)))
-            self._futaki_columns = tuple(columns)
+            scaled = []
+            for ell, (f_col, g_col) in enumerate(columns, start=1):
+                scale = 1 / (d_sq * m ** (ell - 1))
+                scaled.append((tuple(v * scale for v in f_col), tuple(v * scale for v in g_col)))
+            self._futaki_columns = tuple(scaled)
 
     def w_coeffs(self, phis, lams) -> list[Fraction]:
         """Descending coefficients [b_0..b_{n+1}] of w~ under the action (phis, lams)."""
-        return _apply_columns(self._w_columns, phis, lams) + [Fraction(0)]   # b_{n+1} = 0
+        return _w_coeffs(self._w_columns, phis, lams)
 
     def point_sum_futaki(self, phis, lams) -> tuple[Fraction, ...]:
         """[F_1..F_n] from the point-sum formula under the action (phis, lams)."""
@@ -306,6 +310,7 @@ def quotient_weight(spec: BlowupSpec, k: int) -> Fraction:
     with a = alpha_j; the blowup weight polynomial satisfies
     w~(k) == -quotient_weight(k) for every k >= 1.
     """
+    _require_ints(k=k)
     if k < 1:
         raise ValueError("k must be >= 1")
     n, m = spec.base.n, spec.m
@@ -330,11 +335,14 @@ def _w_tilde_columns(n: int, m, alphas) -> tuple[tuple[tuple, tuple], ...]:
                  for ell in range(n + 1))
 
 
+def _w_coeffs(columns, phis, lams) -> list:
+    """[b_0..b_{n+1}] of w~ from its _w_tilde_columns and the action (phis, lams)."""
+    return _apply_columns(columns, phis, lams) + [Fraction(0)]   # b_{n+1} = 0: smooth
+
+
 def w_tilde_coeffs(n: int, m: int, alphas, phis, lams) -> list[Fraction]:
     """Descending coefficients [b_0..b_{n+1}] of the blowup weight polynomial."""
-    out = _apply_columns(_w_tilde_columns(n, m, alphas), [Fraction(phi) for phi in phis], lams)
-    out.append(Fraction(0))            # b_{n+1} = 0: the blowup is smooth
-    return out
+    return _w_coeffs(_w_tilde_columns(n, m, alphas), [Fraction(phi) for phi in phis], lams)
 
 
 def w_tilde(spec: BlowupSpec) -> Poly:
@@ -344,7 +352,8 @@ def w_tilde(spec: BlowupSpec) -> Poly:
 
 def _f_g_levels(n: int, a, ratios):
     """D = n! a_0 - sum_i x_i^n and, for l = 1..n, the per-level terms
-    (l, D s_{n-l}, D s_{n+1-l}, n! a_l - s_{n-l} sum_i x_i^{n-l}) of f_l and g_l."""
+    (l, D s_{n-l}, D s_{n+1-l}, n! a_l - s_{n-l} sum_i x_i^{n-l}) of f_l and g_l
+    and the point-sum columns (f_l(x_j))_j and (-g_l(x_j))_j, over any ring."""
     s = stirling_coeffs(n) + [0]       # s_{n+1} = 0
     fact = math.factorial(n)
 
@@ -355,7 +364,11 @@ def _f_g_levels(n: int, a, ratios):
     levels = [(ell, d_val * s[n - ell], d_val * s[n + 1 - ell],
                fact * Fraction(a[ell]) - s[n - ell] * power_sum(n - ell))
               for ell in range(1, n + 1)]
-    return d_val, levels
+    columns = []
+    for level in levels:
+        f_g = [_f_g(n, level, x) for x in ratios]
+        columns.append((tuple(f_val for f_val, _ in f_g), tuple(-g_val for _, g_val in f_g)))
+    return d_val, levels, columns
 
 
 def _f_g(n: int, level, x):
@@ -369,34 +382,27 @@ def _f_g(n: int, level, x):
 def futaki_point_sums(n: int, a, ratios, phis, lams) -> list:
     """The per-level weighted sums sum_j [f_l(x_j) phi_j - g_l(x_j) lam_j].
 
-    x_j = ratios[j] stands for alpha_j/m.  The arithmetic is generic: the
-    ratios may be Fractions (numeric invariants) or multivariate
-    polynomial generators (symbolic reconstruction of vanishing loci), and
-    d_f_g evaluates the same transcription at the polynomial variable:
+    x_j = ratios[j] stands for alpha_j/m: the unscaled point-sum columns of
+    _f_g_levels, over Fractions (numeric invariants) or multivariate
+    polynomial generators (symbolic vanishing loci), applied to (phi, lam);
+    d_f_g evaluates the same per-level terms at the polynomial variable:
 
         f_l(x) = D s_{n-l} x^{n-l} - (n! a_l - s_{n-l} sum_i x_i^{n-l}) x^n,
         g_l(x) = (D s_{n+1-l} x^{n+1-l} - x f_l(x)) / (n+1),
         D      = n! a_0 - sum_i x_i^n.
     """
-    d_val, levels = _f_g_levels(n, a, ratios)
-    out = []
-    for level in levels:
-        acc = d_val * 0
-        for x, phi, lam in zip(ratios, phis, lams):
-            f_val, g_val = _f_g(n, level, x)
-            acc = acc + f_val * Fraction(phi) - g_val * lam
-        out.append(acc)
-    return out
+    return _apply_columns(_f_g_levels(n, a, ratios)[2], [Fraction(phi) for phi in phis], lams)
 
 
 def d_f_g(spec: BlowupSpec, ell: int) -> tuple[Fraction, Poly, Poly]:
-    """The volume gap D and the one-variable polynomials f_l, g_l."""
+    """The volume gap D (spec.volume_gap) and the one-variable polynomials
+    f_l, g_l from the per-level terms that the spec's geometry holds."""
+    _require_ints(ell=ell)
     n = spec.base.n
     if not 1 <= ell <= n:
         raise ValueError(f"l must be in 1..{n}")
-    d_val, levels = _f_g_levels(n, spec.base.a, spec.ratios)
-    f, g = _f_g(n, levels[ell - 1], Poly((0, 1)))
-    return d_val, f, g
+    f, g = _f_g(n, spec._geometry.levels[ell - 1], Poly((0, 1)))
+    return spec.volume_gap, f, g
 
 
 def _checked_point_sums(spec: BlowupSpec, pipeline) -> list[Fraction]:

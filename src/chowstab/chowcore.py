@@ -58,11 +58,9 @@ class HilbertData:
             raise ValueError("leading Hilbert coefficient a_0 must be nonzero")
 
     @classmethod
-    def from_poly(cls, chi: Poly, n: int | None = None) -> "HilbertData":
+    def from_poly(cls, chi: Poly, n: int) -> "HilbertData":
         if chi.is_zero:
             raise ValueError("the Hilbert polynomial cannot be zero")
-        if n is None:
-            n = chi.degree
         h = cls(n, chi.descending(n + 1))
         object.__setattr__(h, "_poly", chi)     # the memo poly() returns
         return h
@@ -177,7 +175,12 @@ def report(h: HilbertData, w: WeightData) -> InvariantReport:
     """
     chow = chow_weight_fn(h, w)
     futaki = futaki_invariants(h, w)
+    chi = h.poly()
     expansion = Poly.from_descending((0, *(h.a[0] * f for f in futaki), w.b_top))
-    if chow.num * h.poly() != expansion * chow.den:
-        raise CrossCheckError("Chow expansion does not match the invariants F_l")
+    lhs, rhs = chow.num * chi, expansion * chow.den
+    if lhs != rhs:
+        raise CrossCheckError(
+            f"Chow expansion does not match the invariants F_l at chi = {chi.pretty()}, "
+            f"w = {w.poly().pretty()}: chow.num * chi = {lhs.pretty()}, "
+            f"expansion * chow.den = {rhs.pretty()}")
     return InvariantReport(chow=chow, futaki=tuple(futaki), b_top=w.b_top)

@@ -306,7 +306,7 @@ class Poly:
             acc = acc * point + c
         return acc
 
-    def pretty(self, var: str = "k") -> str:
+    def pretty(self) -> str:
         if self.is_zero:
             return "0"
         coeffs = self.coeffs
@@ -318,7 +318,7 @@ class Poly:
             if power == 0:
                 body = format_rational(abs(c))
             else:
-                xs = var if power == 1 else f"{var}^{power}"
+                xs = "k" if power == 1 else f"k^{power}"
                 body = xs if abs(c) == 1 else f"{format_rational(abs(c))}*{xs}"
             sign = "-" if c < 0 else "+"
             parts.append((sign, body))
@@ -457,10 +457,10 @@ class RatFn:
             raise ZeroDivisionError(f"denominator vanishes at {point}")
         return self._num.evaluate(point) / d
 
-    def pretty(self, var: str = "k") -> str:
+    def pretty(self) -> str:
         if self._den == Poly.one():
-            return self._num.pretty(var)
-        return f"({self._num.pretty(var)}) / ({self._den.pretty(var)})"
+            return self._num.pretty()
+        return f"({self._num.pretty()}) / ({self._den.pretty()})"
 
     def __repr__(self) -> str:
         return f"RatFn({self.pretty()})"

@@ -144,6 +144,8 @@ def fixed_point_data(action: DiagAction, block) -> tuple[Fraction, int]:
     then phi is that common weight and lambda sums w_i - w_block over the
     directions outside the block.
     """
+    if not isinstance(action, DiagAction):
+        raise TypeError(f"action must be a DiagAction, got {action!r}")
     idx = frozenset(block)
     if not idx or not idx <= {0, 1, 2}:
         raise ValueError(f"coordinate block must be a nonempty subset of {{0,1,2}}: {set(block)}")
@@ -202,7 +204,9 @@ def _psi(config: PointConfig, action: DiagAction):
         for exps, coeff in total.terms():
             spare = target - sum(exps)
             if spare < 0:
-                raise CrossCheckError("weighted sum exceeds the clearing degree")
+                raise CrossCheckError(
+                    f"point sum for F_{ell} of {config.kind} under diag{action.w} exceeds "
+                    f"the clearing degree {target}: term {exps} with coefficient {coeff}")
             terms[(spare,) + exps] = coeff
         psi, expected = MPoly(variables, terms), factorial(n) ** 2 * numerator
         if psi != expected:
@@ -237,25 +241,16 @@ def psi_reconstruct(config: PointConfig, action: DiagAction | None = None) -> tu
     return _psi(config, action)[0]
 
 
-def _partials_at(poly: MPoly, order: int, point: dict) -> list[Fraction]:
-    values = []
-    for combo in itertools.combinations_with_replacement(poly.variables, order):
-        p = poly
-        for name in combo:
-            p = p.partial(name)
-        values.append(p.evaluate(point))
-    return values
-
-
 def triple_point_check(psi1: MPoly) -> bool:
-    """True iff the quartic has a point of multiplicity exactly three at (1,1,0,0,0)."""
-    point = dict(zip(psi1.variables, _BASE_POINT))
-    if psi1.evaluate(point) != 0:
-        return False
-    for order in (1, 2):
-        if any(v != 0 for v in _partials_at(psi1, order, point)):
-            return False
-    return any(v != 0 for v in _partials_at(psi1, 3, point))
+    """True iff the quartic has a point of multiplicity exactly three at (1,1,0,0,0).
+
+    The multiplicity is the lowest total degree of psi1(B + y), expanded
+    once on generators shifted by B; the zero polynomial has no triple point.
+    """
+    generators = MPoly.generators(psi1.variables)
+    shifted = psi1.evaluate({name: y + b for name, y, b in
+                             zip(psi1.variables, generators, _BASE_POINT)})
+    return shifted != 0 and min(sum(exps) for exps, _ in shifted.terms()) == 3
 
 
 def ample_check(config: PointConfig, m: int, alphas) -> bool:
@@ -268,7 +263,11 @@ def ample_check(config: PointConfig, m: int, alphas) -> bool:
     points, the lines joining p1 to each aligned point, and the check of
     positive self-intersection.
     """
+    if not isinstance(config, PointConfig):
+        raise TypeError(f"config must be a PointConfig, got {config!r}")
     alphas = tuple(alphas)
+    _require_ints(m=m)
+    _require_int_seq("alphas", alphas)
     if m <= 0 or any(a <= 0 for a in alphas):
         return False
     if config.kind == THREE_GENERAL:
@@ -302,8 +301,6 @@ def three_point_loci(m: int, alphas) -> tuple[bool, bool]:
     F_l * deg^2 as polynomials when they are built (see psi_reconstruct).
     """
     alphas = tuple(alphas)
-    _require_ints(m=m)
-    _require_int_seq("alphas", alphas)
     config = PointConfig.three_general()
     if not ample_check(config, m, alphas):
         raise ValueError(f"(m, alphas) = ({m}, {alphas}) is not ample")
@@ -324,7 +321,9 @@ def _compile_int_poly(poly: MPoly):
     products = []
     for exps, coeff in poly.terms():
         if coeff.denominator != 1:
-            raise CrossCheckError("vanishing-locus polynomial is not integral")
+            raise CrossCheckError(
+                f"vanishing-locus polynomial is not integral: term {exps} in "
+                f"{poly.variables} has coefficient {coeff}")
         factors = [f"({coeff.numerator})"]
         for name, e in zip(poly.variables, exps):
             factors.extend((name,) * e)
@@ -433,7 +432,10 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
                 continue
             f2_scaled = _verify_candidate(m, alphas)
             if f2_scaled != psi2_value:
-                raise CrossCheckError("psi_2 disagrees with the recomputed F_2")
+                raise CrossCheckError(
+                    f"psi_2 disagrees with F_2 * deg^2 recomputed through the blowup "
+                    f"pipeline at m = {m}, alphas = {alphas}: psi_2 = {psi2_value}, "
+                    f"F_2 * deg^2 = {f2_scaled}")
             candidates.append(Candidate(
                 m=m, alphas=alphas, psi1_value=Fraction(0),
                 psi2_value=psi2_value, ample=True, verified=True))

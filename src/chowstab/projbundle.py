@@ -103,6 +103,9 @@ class CurveBundleSpec:
     def __post_init__(self):
         object.__setattr__(self, "summands", tuple(self.summands))
         _require_ints(genus=self.genus, b_deg=self.b_deg, b_weight=self.b_weight, r=self.r)
+        for i, summand in enumerate(self.summands):
+            if not isinstance(summand, Summand):
+                raise TypeError(f"summands[{i}] must be a Summand, got {summand!r}")
         if self.genus < 2:
             raise ValueError("genus must be >= 2")
         if not self.summands:
@@ -289,6 +292,7 @@ def oracle(spec: CurveBundleSpec, k: int) -> tuple[int, int]:
     k*lambda_0 - sum mu_j lambda_j.  Exact integer arithmetic throughout;
     the results must match euler_char_poly and weight_poly at k.
     """
+    _require_ints(k=k)
     if k < 1:
         raise ValueError("k must be >= 1")
     kr = k * spec.r

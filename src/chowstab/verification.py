@@ -98,31 +98,39 @@ def projbundle_specs(seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE):
         emitted += 1
 
 
-def check_projbundle_spec(spec, kmax: int = PROJBUNDLE_KMAX) -> Mismatch | None:
-    """Compare (chi(k), w(k)) against the composition oracle for k = 1..kmax."""
-    chi = projbundle.euler_char_poly(spec)
-    w = projbundle.weight_poly(spec)
+def _compare(case, chi: Poly, w: Poly, brute, kmax: int) -> Mismatch | None:
+    """The first disagreement of a closed form with its oracle, or None: w(0)
+    must vanish, then (chi(k), w(k)) must equal brute(k) for k = 1..kmax."""
     if w.coefficient(0) != 0:
-        return Mismatch(spec, 0, ("constant-term", w.coefficient(0)), ("expected", 0))
+        return Mismatch(case, 0, ("constant-term", w.coefficient(0)), ("expected", 0))
     for k in range(1, kmax + 1):
         closed = (chi.evaluate(k), w.evaluate(k))
-        brute = projbundle.oracle(spec, k)
-        if closed[0] != brute[0] or closed[1] != brute[1]:
-            return Mismatch(spec, k, closed, brute)
+        counted = brute(k)
+        if closed[0] != counted[0] or closed[1] != counted[1]:
+            return Mismatch(case, k, closed, counted)
     return None
+
+
+def _run_suite(cases, check):
+    """(case count, mismatches) of check over a stream of cases."""
+    count, mismatches = 0, []
+    for count, case in enumerate(cases, start=1):
+        if (bad := check(case)) is not None:
+            mismatches.append(bad)
+    return count, mismatches
+
+
+def check_projbundle_spec(spec, kmax: int = PROJBUNDLE_KMAX) -> Mismatch | None:
+    """Compare (chi(k), w(k)) against the composition oracle for k = 1..kmax."""
+    return _compare(spec, projbundle.euler_char_poly(spec), projbundle.weight_poly(spec),
+                    lambda k: projbundle.oracle(spec, k), kmax)
 
 
 def run_projbundle_suite(seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE,
                          kmax: int = PROJBUNDLE_KMAX):
     """Run the bundle sweep; returns (spec count, mismatches)."""
-    count = 0
-    mismatches = []
-    for spec in projbundle_specs(seed=seed, sample_size=sample_size):
-        count += 1
-        bad = check_projbundle_spec(spec, kmax=kmax)
-        if bad is not None:
-            mismatches.append(bad)
-    return count, mismatches
+    return _run_suite(projbundle_specs(seed=seed, sample_size=sample_size),
+                      lambda spec: check_projbundle_spec(spec, kmax=kmax))
 
 
 def blowup_cases():
@@ -154,27 +162,12 @@ def check_blowup_case(weights, points, m, kmax: int = BLOWUP_KMAX) -> Mismatch |
                                     tuple(alpha for _, alpha in points))
     data = [p2lab.fixed_point_data(p2lab.DiagAction(weights), {axis})
             for axis, _ in points]
-    chi = geometry.chi
     w = Poly.from_descending(geometry.w_coeffs([phi for phi, _ in data],
                                                [lam for _, lam in data]))
-    if w.coefficient(0) != 0:
-        return Mismatch((weights, points, m), 0,
-                        ("constant-term", w.coefficient(0)), ("expected", 0))
-    for k in range(1, kmax + 1):
-        closed = (chi.evaluate(k), w.evaluate(k))
-        brute = blowup.oracle_p2(weights, points, m, k)
-        if closed[0] != brute[0] or closed[1] != brute[1]:
-            return Mismatch((weights, points, m), k, closed, brute)
-    return None
+    return _compare((weights, points, m), geometry.chi, w,
+                    lambda k: blowup.oracle_p2(weights, points, m, k), kmax)
 
 
 def run_blowup_suite(kmax: int = BLOWUP_KMAX):
     """Run the full blowup sweep; returns (case count, mismatches)."""
-    count = 0
-    mismatches = []
-    for weights, points, m in blowup_cases():
-        count += 1
-        bad = check_blowup_case(weights, points, m, kmax=kmax)
-        if bad is not None:
-            mismatches.append(bad)
-    return count, mismatches
+    return _run_suite(blowup_cases(), lambda case: check_blowup_case(*case, kmax=kmax))

@@ -290,6 +290,24 @@ class TestInexactInputRefused:
         with pytest.raises(TypeError, match="^polystable_certified"):
             BaseSummary(n=2, a=P2.a, polystable_certified=flag)
 
+    @pytest.mark.parametrize("base,points,field", [
+        ("P2", (BlownPoint(1, 0, 0),), "^base must be a BaseSummary"),
+        (P2, ((1, Fraction(1), 0),), r"^points\[0\] must be a BlownPoint"),
+        (P2, (BlownPoint(1, 0, 0), (1, 0, 0)), r"^points\[1\] must be a BlownPoint")])
+    def test_spec_base_and_points_typed(self, base, points, field):
+        with pytest.raises(TypeError, match=field):
+            BlowupSpec(base=base, points=points, m=3)
+
+    @pytest.mark.parametrize("k", [True, 1.0, Fraction(1)])
+    def test_quotient_weight_k_typed(self, k):
+        with pytest.raises(TypeError, match="^k must"):
+            quotient_weight(aligned_four_point_spec(3), k)
+
+    @pytest.mark.parametrize("ell", [True, 1.0, Fraction(1)])
+    def test_d_f_g_level_typed(self, ell):
+        with pytest.raises(TypeError, match="^ell must"):
+            d_f_g(aligned_four_point_spec(3), ell)
+
     @pytest.mark.parametrize("args,field", [
         (((1.5, -1.5, 0), ((0, 1),), 3, 2), "weights"),
         (((True, -1, 0), ((0, 1),), 3, 2), "weights"),

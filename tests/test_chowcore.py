@@ -139,8 +139,12 @@ class TestReport:
 
         monkeypatch.setattr(chowcore, "chow_weight_fn", skewed)
         h, w = hyperplane_curve()
-        with pytest.raises(CrossCheckError, match="Chow expansion"):
+        with pytest.raises(CrossCheckError, match="Chow expansion") as info:
             report(h, w)
+        # skewed chow = (1 - k)/(k + 1); a_0 F_1 k = -k over the same denominator.
+        assert str(info.value).endswith(
+            "at chi = k + 1, w = k^2: chow.num * chi = -k^2 + 1, "
+            "expansion * chow.den = -k^2 - k")
 
 
 class TestInexactInputRefused:

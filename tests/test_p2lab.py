@@ -66,6 +66,11 @@ class TestFixedPointData:
         with pytest.raises(TypeError, match=r"^w\[\d\] must"):
             DiagAction(weights)
 
+    @pytest.mark.parametrize("action", [(1, -1, 0), None, "diag(1, -1, 0)"])
+    def test_action_must_be_a_diag_action(self, action):
+        with pytest.raises(TypeError, match="^action must be a DiagAction"):
+            fixed_point_data(action, {0})
+
 
 class TestPsiReconstruct:
     def test_matches_reference_exactly(self):
@@ -166,6 +171,13 @@ class TestTriplePoint:
         m, a1, *_ = MPoly.generators(PSI_VARIABLES)
         assert not triple_point_check((m - a1) ** 4)
 
+    def test_multiplicity_is_the_lowest_degree_at_the_base_point(self):
+        m, a1, a2, *_ = MPoly.generators(PSI_VARIABLES)
+        assert triple_point_check((m - a1) ** 3 * m)
+        assert triple_point_check(a2 ** 3 + (m - a1) ** 4)
+        assert not triple_point_check((m - a1) ** 2 * m ** 2)
+        assert not triple_point_check(MPoly.zeros(PSI_VARIABLES))
+
 
 class TestAmpleCheck:
     def test_three_general_examples(self):
@@ -183,6 +195,16 @@ class TestAmpleCheck:
         # lines through p1 and an aligned point
         assert not ample_check(config, 5, (3, 2, 1, 1))
         assert not ample_check(config, 7, (4, 3, 3, 2))
+
+    @pytest.mark.parametrize("config,m,alphas,field", [
+        (PointConfig.three_general(), 5.0, (1, 1, 1), "^m must"),
+        (PointConfig.three_general(), True, (1, 1, 1), "^m must"),
+        (PointConfig.three_general(), 5, (1, 1.0, 1), r"^alphas\[1\] must"),
+        (PointConfig.four_points_three_aligned(), 9, (1, 1, 1, False), r"^alphas\[3\] must"),
+        ("three_general", 5, (1, 1, 1), "^config must be a PointConfig")])
+    def test_ample_check_arguments_typed(self, config, m, alphas, field):
+        with pytest.raises(TypeError, match=field):
+            ample_check(config, m, alphas)
 
 
 class TestThreePointLoci:
@@ -265,6 +287,31 @@ class TestThreePointProof:
                 assert f"psi_2 = {wrong.pretty()}, pipeline {psi2.pretty()}" in message
                 assert p2lab._psi.cache_info().currsize == 0
 
+    def test_point_sum_above_the_clearing_degree_is_named(self, monkeypatch):
+        real = blowup.futaki_point_sums
+
+        def raised(n, a, ratios, phis, lams):
+            sums = real(n, a, ratios, phis, lams)
+            return [sums[0] + 7 * ratios[0] ** 5, sums[1]]
+
+        monkeypatch.setattr(blowup, "futaki_point_sums", raised)
+        p2lab._psi.cache_clear()
+        action = p2lab._THREE_POINT_ACTIONS[0]
+        with pytest.raises(CrossCheckError) as info:
+            psi_reconstruct(PointConfig.three_general(), action)
+        assert str(info.value) == (
+            f"point sum for F_1 of three_general under diag{action.w} exceeds the "
+            "clearing degree 4: term (5, 0, 0) with coefficient 7")
+        assert p2lab._psi.cache_info().currsize == 0
+
+    def test_non_integral_polynomial_is_named(self):
+        m, a1 = MPoly.generators(("m", "a1"))
+        with pytest.raises(CrossCheckError) as info:
+            p2lab._compile_int_poly(m * m + Fraction(1, 2) * a1)
+        assert str(info.value) == (
+            "vanishing-locus polynomial is not integral: term (0, 1) in ('m', 'a1') "
+            "has coefficient 1/2")
+
     def test_proof_builds_no_geometry(self):
         p2lab._psi.cache_clear()
         blowup._geometry_for.cache_clear()
@@ -305,6 +352,20 @@ class TestSearch:
         assert len(doubled) == 2 * len(ones)
         scaled = {(2 * c.m, tuple(2 * a for a in c.alphas)) for c in ones}
         assert scaled <= {(c.m, c.alphas) for c in doubled}
+
+    def test_recomputed_f2_disagreement_is_named(self, monkeypatch):
+        real = p2lab._verify_candidate
+        monkeypatch.setattr(p2lab, "_verify_candidate",
+                            lambda m, alphas: real(m, alphas) + 1)
+        with pytest.raises(CrossCheckError) as info:
+            search_unstable(2, 1)
+        # The first candidate of search_unstable(2, 1).
+        psi2 = psi_reconstruct(PointConfig.four_points_three_aligned())[1]
+        psi2_value = psi2.evaluate(dict(zip(PSI_VARIABLES, (131, 75, 14, 14, 14))))
+        assert str(info.value) == (
+            "psi_2 disagrees with F_2 * deg^2 recomputed through the blowup pipeline "
+            f"at m = 131, alphas = (75, 14, 14, 14): psi_2 = {psi2_value}, "
+            f"F_2 * deg^2 = {psi2_value + 1}")
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):

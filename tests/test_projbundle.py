@@ -366,6 +366,16 @@ class TestValidation:
         with pytest.raises(TypeError, match=field):
             CurveBundleSpec(**kwargs)
 
+    @pytest.mark.parametrize("summands", [((1, 1, 1), (1, 0, 0)), (Summand(1, 1, 1), (1, 0, 0))])
+    def test_spec_summands_typed(self, summands):
+        with pytest.raises(TypeError, match=r"^summands\[\d\] must be a Summand"):
+            CurveBundleSpec(genus=2, summands=summands, b_deg=1)
+
+    @pytest.mark.parametrize("k", [True, 2.0, Fraction(2), "2"])
+    def test_oracle_k_typed(self, k):
+        with pytest.raises(TypeError, match="^k must"):
+            oracle(unstable_pair(), k)
+
     def test_derived_numbers_cached(self):
         spec = unstable_pair()
         assert spec.weighted_slope_sum is spec.weighted_slope_sum
