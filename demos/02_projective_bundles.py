@@ -2,9 +2,9 @@
 
 For E a direct sum of line bundles on a genus-2 curve, the Hilbert and
 weight polynomials of P(E) have closed forms coming from Riemann-Roch on
-the curve.  The composition oracle recomputes both by expanding the
-symmetric powers of E* summand by summand, so any slip in the closed
-forms (or their sign conventions) shows up as an exact integer mismatch.
+the curve.  The block-sum oracle recomputes both from the symmetric
+powers of E* summand by summand, so any slip in the closed forms (or
+their sign conventions) shows up as an exact integer mismatch.
 
 The decomposition E = O(1) + O is slope-unstable, and indeed every higher
 Futaki invariant is nonzero; a polystable decomposition forces them all

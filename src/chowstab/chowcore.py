@@ -141,16 +141,26 @@ def chow_weight_fn(h: HilbertData, w: WeightData) -> RatFn:
 
 
 def _futaki_numerators(a, b) -> list:
-    """a_0^2 F_l = a_0 b_l - b_0 a_l, l = 1..n, over any ring (Fractions, MPoly)."""
+    """a_0^2 F_l = a_0 b_l - b_0 a_l, l = 1..n, over any ring; p2lab's psi use it on MPoly."""
     a0, b0 = a[0], b[0]
     return [a0 * b[ell] - b0 * a[ell] for ell in range(1, len(a))]
 
 
 def futaki_invariants(h: HilbertData, w: WeightData) -> list[Fraction]:
-    """The invariants F_l = (a_0 b_l - b_0 a_l)/a_0^2 for l = 1..n."""
+    """The invariants F_l = (a_0 b_l - b_0 a_l)/a_0^2 for l = 1..n.
+
+    Computed on the integer numerators of chi = sum_i A_i k^i / d_A and
+    w = sum_i B_i k^i / d_B:
+    F_l = (A_n B_{n+1-l} - B_{n+1} A_{n-l}) d_A / (d_B A_n^2).
+    """
     _check_dims(h, w)
-    a0_sq = h.a[0] ** 2
-    return [num / a0_sq for num in _futaki_numerators(h.a, w.b)]
+    n = h.n
+    a, d_a = h.poly().numerators(n + 1)
+    b, d_b = w.poly().numerators(n + 2)
+    a0, b0 = a[n], b[n + 1]             # the numerators of a_0 and b_0
+    den = d_b * a0 * a0
+    return [Fraction((a0 * b[n + 1 - ell] - b0 * a[n - ell]) * d_a, den)
+            for ell in range(1, n + 1)]
 
 
 def shift_linearization(w: WeightData, h: HilbertData, c: Fraction | int) -> WeightData:

@@ -200,6 +200,14 @@ class Poly:
             raise ValueError("requested length shorter than the polynomial")
         return (Fraction(0),) * (length - n) + self.coeffs[::-1]
 
+    def numerators(self, length: int) -> tuple[tuple[int, ...], int]:
+        """The integer numerators by ascending power, zero-padded to
+        ``length``, and their common denominator."""
+        n = len(self._num)
+        if length < n:
+            raise ValueError("requested length shorter than the polynomial")
+        return self._num + (0,) * (length - n), self._den
+
     def leading_coefficient(self) -> Fraction:
         if not self._num:
             raise ValueError("the zero polynomial has no leading coefficient")
@@ -601,37 +609,27 @@ class MPoly:
             n >>= 1
         return result
 
-    def partial(self, name: str) -> "MPoly":
-        """Formal partial derivative with respect to one indeterminate."""
-        if name not in self._vars:
-            raise ValueError(f"unknown indeterminate {name!r}")
-        idx = self._vars.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self._terms.items():
-            if e[idx]:
-                new = list(e)
-                new[idx] -= 1
-                out[tuple(new)] = c * e[idx]
-        return MPoly(self._vars, out)
-
     def evaluate(self, values: Mapping[str, object]):
         """Evaluate at a point; values may be any exact ring elements.
 
         Accepts ints, Fractions, Poly, or MPoly values (anything supporting
         +, * and integer powers), so the same polynomial can be restricted
-        to a line or specialized numerically.
+        to a line or specialized numerically.  The result lies in the
+        values' ring, for the zero polynomial too.
         """
         missing = [v for v in self._vars if v not in values]
         if missing:
             raise ValueError(f"missing values for {missing}")
-        acc = None
+        acc = Fraction(0)
+        for name in self._vars:
+            acc = acc * values[name]        # the zero of the values' ring
         for e, c in sorted(self._terms.items()):
             term = c
             for name, power in zip(self._vars, e):
                 if power:
                     term = term * (values[name] ** power)
-            acc = term if acc is None else acc + term
-        return Fraction(0) if acc is None else acc
+            acc = acc + term
+        return acc
 
     def pretty(self) -> str:
         if not self._terms:
@@ -662,8 +660,9 @@ class MPoly:
         return f"MPoly({self.pretty()})"
 
 
-# Distinct n kept by each generator cache (and by blowup.projective_space_base).
-# The verified universes use n <= 6; larger n stay correct, and a caller
+# Distinct n kept by each generator cache (and by blowup.projective_space_base),
+# and distinct summand ranks kept by projbundle's oracle tables.  The
+# verified universes use n <= 6; larger n stay correct, and a caller
 # cycling through more distinct n than this recomputes O(n^2) small tables.
 GENERATOR_CACHE_SIZE = 64
 

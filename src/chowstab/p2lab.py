@@ -244,13 +244,17 @@ def psi_reconstruct(config: PointConfig, action: DiagAction | None = None) -> tu
 def triple_point_check(psi1: MPoly) -> bool:
     """True iff the quartic has a point of multiplicity exactly three at (1,1,0,0,0).
 
-    The multiplicity is the lowest total degree of psi1(B + y), expanded
-    once on generators shifted by B; the zero polynomial has no triple point.
+    psi1 must be a polynomial in PSI_VARIABLES, the coordinates of that
+    point.  The multiplicity is the lowest total degree of psi1(B + y),
+    expanded once on generators shifted by B; the zero polynomial has no
+    triple point.
     """
-    generators = MPoly.generators(psi1.variables)
+    if psi1.variables != PSI_VARIABLES:
+        raise ValueError(f"psi1 must be a polynomial in {PSI_VARIABLES}, got one in {psi1.variables}")
+    generators = MPoly.generators(PSI_VARIABLES)
     shifted = psi1.evaluate({name: y + b for name, y, b in
-                             zip(psi1.variables, generators, _BASE_POINT)})
-    return shifted != 0 and min(sum(exps) for exps, _ in shifted.terms()) == 3
+                             zip(PSI_VARIABLES, generators, _BASE_POINT)})
+    return not shifted.is_zero and min(sum(exps) for exps, _ in shifted.terms()) == 3
 
 
 def ample_check(config: PointConfig, m: int, alphas) -> bool:

@@ -23,9 +23,9 @@ prod_{i<n} (k + i/r) = sum_h s_h r^{h-n} k^h (so that C_l = s_{n+1-l}/(n(n+1))),
 
 The F_l are all proportional to S, so they vanish simultaneously: exactly
 when every summand has the slope of E.  The generic chi/w pipeline checks
-the closed form on every higher_futaki call, and a brute force enumeration
-over the compositions of the symmetric power is an independent oracle for
-both polynomials.
+the closed form on every higher_futaki call.  An independent oracle for
+both polynomials sums the blocks of the symmetric power block by block:
+the coefficient of t^{kr} in the product of one series per summand.
 """
 from __future__ import annotations
 
@@ -33,11 +33,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import chowcore
 from .errors import AmplenessWarning, CrossCheckError, DegenerateInputError, ResourceLimitError
-from .exactalg import Poly, RatFn, _require_ints, choose, cm_constants, stirling_coeffs
+from .exactalg import GENERATOR_CACHE_SIZE, Poly, RatFn, _require_ints, stirling_coeffs
 
 __all__ = [
     "Summand",
@@ -58,7 +58,7 @@ POLYSTABLE = "polystable"
 SEMISTABLE_NOT_POLYSTABLE = "semistable_not_polystable_relative"
 UNSTABLE = "unstable_relative"
 
-# Feasibility guard for the composition enumeration.
+# Feasibility guard of the oracle.
 ORACLE_MAX_KR = 60
 ORACLE_MAX_SUMMANDS = 4
 
@@ -135,15 +135,20 @@ class CurveBundleSpec:
 
     @cached_property
     def slope_gaps(self) -> tuple[Fraction, ...]:
-        """mu(E_j) - mu(E) for each summand, in order."""
-        mu = self.slope
-        return tuple(s.slope - mu for s in self.summands)
+        """mu(E_j) - mu(E) = (n deg(E_j) - rank(E_j) deg(E)) / (n rank(E_j)) for
+        each summand, in order."""
+        n, deg_e = self.n, self.deg_e
+        return tuple(Fraction(n * s.degree - s.rank * deg_e, n * s.rank) for s in self.summands)
 
     @cached_property
     def weighted_slope_sum(self) -> Fraction:
-        """S = sum lambda_j rank(E_j) (mu(E_j) - mu(E)); the common factor of all F_l."""
-        return sum((s.weight * s.rank * gap for s, gap in zip(self.summands, self.slope_gaps)),
-                   Fraction(0))
+        """S = sum lambda_j rank(E_j) (mu(E_j) - mu(E)); the common factor of all F_l.
+
+        As one fraction, S = (n sum lambda_j deg(E_j) - deg(E) tr) / n.
+        """
+        n = self.n
+        return Fraction(n * sum(s.weight * s.degree for s in self.summands)
+                        - self.deg_e * self.trace_weight, n)
 
     @cached_property
     def twisted_slope(self) -> Fraction:
@@ -165,14 +170,34 @@ class CurveBundleSpec:
         """w(k) of the module docstring, built once per spec."""
         n, r = self.n, self.r
         quad = Poly((0, r * n, r * r)) / (n * (n + 1))   # kr(n+kr)/(n(n+1))
-        shift = Poly((0, self.b_weight - Fraction(r, n) * self.trace_weight))
+        shift = Poly((0, n * self.b_weight - r * self.trace_weight)) / n   # k(lambda_0 - (r/n) tr)
         bracket = quad * self.weighted_slope_sum + shift * _fiber_degree_poly(self)
         return _fiber_rank_poly(n, r) * bracket
+
+    @cached_property
+    def futaki(self) -> tuple[Fraction, ...]:
+        """[F_1..F_n] of the module docstring, derived once per spec on integers.
+
+        With the integers X = r chi(det twist) and Z = n r mu~, and S = p/q,
+        F_l = -s_{n+1-l} n X p r^{n-l} / ((n+1) q Z^2 r^{n-2}).  Unchecked:
+        higher_futaki checks them against the generic pipeline.
+        """
+        n, r = self.n, self.r
+        z = r * self.deg_e - n * self.b_deg
+        if z == 0:
+            raise DegenerateInputError("twisted slope is zero; invariants and Chow weight undefined")
+        x = r * (self.deg_e + 1 - self.genus) - n * self.b_deg
+        s_sum = self.weighted_slope_sum
+        scale = -n * x * s_sum.numerator
+        den = (n + 1) * s_sum.denominator * z * z * r ** (n - 2)
+        stirling = stirling_coeffs(n)
+        return tuple(Fraction(scale * stirling[n + 1 - ell] * r ** (n - ell), den)
+                     for ell in range(1, n + 1))
 
     @property
     def satisfies_ampleness_necessary(self) -> bool:
         """Necessary inequality for L to be ample: the twisted slope is negative."""
-        return self.twisted_slope < 0
+        return self.r * self.deg_e < self.n * self.b_deg     # n r mu~ < 0
 
 
 @dataclass(frozen=True)
@@ -185,14 +210,14 @@ class SlopeVerdict:
 
 def _fiber_rank_poly(n: int, r: int) -> Poly:
     """binom(n-1+kr, kr) = sum_{h>=1} s_h(n) (rk)^{h-1} / (n-1)! as a polynomial in k."""
-    fact = math.factorial(n - 1)
-    return Poly(tuple(Fraction(s * r ** (h - 1), fact)
-                      for h, s in enumerate(stirling_coeffs(n)) if h))
+    return (Poly(tuple(s * r ** (h - 1) for h, s in enumerate(stirling_coeffs(n)) if h))
+            / math.factorial(n - 1))
 
 
 def _fiber_degree_poly(spec: CurveBundleSpec) -> Poly:
     """1 - g + c*k with c = deg(B) - r*mu(E), the curve factor of chi(k)."""
-    return Poly((1 - spec.genus, spec.b_deg - spec.r * spec.slope))
+    n = spec.n
+    return Poly((n * (1 - spec.genus), n * spec.b_deg - spec.r * spec.deg_e)) / n
 
 
 def euler_char_poly(spec: CurveBundleSpec) -> Poly:
@@ -206,22 +231,21 @@ def weight_poly(spec: CurveBundleSpec) -> Poly:
     Sign convention: weight lambda_j on E_j contributes -mu_j*lambda_j to a
     symmetric-power summand of E* and the weight on B^k enters as
     +k*lambda_0.  The convention is calibrated once against the
-    composition oracle and frozen.
+    block-sum oracle and frozen.
     """
     return spec.w
 
 
 def _closed_futaki(spec: CurveBundleSpec) -> list[Fraction]:
-    """F_l = -C_l r^{1-l} chi(det twist) S / (twisted slope)^2 for l = 1..n."""
-    if spec.twisted_slope == 0:
-        raise DegenerateInputError("twisted slope is zero; invariants and Chow weight undefined")
+    """spec.futaki, with the refusal and the warning that every call repeats:
+    a zero twisted slope raises, a positive one warns."""
+    closed = spec.futaki
     if not spec.satisfies_ampleness_necessary:
         warnings.warn(
             "twisted slope is not negative: L cannot be ample, the computed "
             "values are polynomial identities only",
             AmplenessWarning, stacklevel=3)   # the public function's caller
-    factor = -spec.twisted_det_chi * spec.weighted_slope_sum / spec.twisted_slope**2
-    return [c * factor / spec.r**i for i, c in enumerate(cm_constants(spec.n))]
+    return list(closed)
 
 
 def chow_weight(spec: CurveBundleSpec) -> RatFn:
@@ -272,25 +296,54 @@ def slope_classify(spec: CurveBundleSpec) -> SlopeVerdict:
     return SlopeVerdict(classification=cls, per_summand=gaps)
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
+def _symmetric_power_table(rank: int) -> tuple[tuple[int, int], ...]:
+    """(C(rank-1+mu, mu), C(rank-1+mu, mu-1)) for mu = 0..ORACLE_MAX_KR: the
+    rank of S^mu F, and its degree over deg F, for F of rank `rank`."""
+    return tuple((math.comb(rank - 1 + mu, mu), math.comb(rank - 1 + mu, mu - 1) if mu else 0)
+                 for mu in range(ORACLE_MAX_KR + 1))
+
+
+def _summand_series(summand: Summand, kr: int) -> list[tuple[int, int, int, int]]:
+    """sum_mu [S^mu E_j*] t^mu for mu = 0..kr, over Z[eps, delta]/(eps^2, delta^2).
+
+    The coefficient of t^mu is (rank + deg*eps)(1 + mu*lambda_j*delta) for
+    the rank and degree of S^mu E_j*, stored by the basis 1, eps, delta,
+    eps*delta.
+    """
+    degree, weight = summand.degree, summand.weight
+    series = []
+    for mu, (rank, unit) in enumerate(_symmetric_power_table(summand.rank)[:kr + 1]):
+        deg = -unit * degree
+        lam = mu * weight
+        series.append((rank, deg, lam * rank, lam * deg))
+    return series
+
+
+def _product_coefficient(a, b, t: int) -> tuple[int, int, int, int]:
+    """The t^t coefficient of the product of two series over Z[eps, delta]/(eps^2, delta^2)."""
+    c0 = c1 = c2 = c3 = 0
+    for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(a, reversed(b[:t + 1])):
+        c0 += a0 * b0
+        c1 += a0 * b1 + a1 * b0
+        c2 += a0 * b2 + a2 * b0
+        c3 += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+    return c0, c1, c2, c3
 
 
 def oracle(spec: CurveBundleSpec, k: int) -> tuple[int, int]:
     """Brute-force (dim, weight) of the space of sections at tensor power k.
 
-    Expands S^{kr}(E_1 + ... + E_s)* into the sum over compositions
-    mu_1 + ... + mu_s = kr of tensor products of symmetric powers, computes
-    each block's rank and degree from binomial identities, its Euler
-    characteristic by Riemann-Roch on the curve, and its weight
-    k*lambda_0 - sum mu_j lambda_j.  Exact integer arithmetic throughout;
-    the results must match euler_char_poly and weight_poly at k.
+    S^{kr}(E_1 + ... + E_s)* is the sum over mu_1 + ... + mu_s = kr of the
+    blocks S^{mu_1}E_1* x ... x S^{mu_s}E_s*, of weight
+    k*lambda_0 - sum mu_j lambda_j.  By distributivity, the coefficient of
+    t^{kr} in the product of the per-summand series of _summand_series is
+    the blocks' total rank, total degree, and both weighted by
+    sum mu_j lambda_j: eps carries the degree of a tensor product and delta
+    its weight.  Riemann-Roch on the curve and the weight are linear in the
+    blocks, so they apply once to these totals.  Exact integer arithmetic
+    throughout, and no use of the closed form; the results must match
+    euler_char_poly and weight_poly at k.
     """
     _require_ints(k=k)
     if k < 1:
@@ -301,29 +354,12 @@ def oracle(spec: CurveBundleSpec, k: int) -> tuple[int, int]:
         raise ResourceLimitError(
             f"oracle guard exceeded: kr={kr} (max {ORACLE_MAX_KR}), "
             f"s={s} (max {ORACLE_MAX_SUMMANDS})")
-    ranks = [sm.rank for sm in spec.summands]
-    degs = [sm.degree for sm in spec.summands]
-    lams = [sm.weight for sm in spec.summands]
-    # Per-summand tables over mu = 0..kr: rank and degree of S^mu E_j*.
-    rk = [[choose(ranks[j] - 1 + mu, mu) for mu in range(kr + 1)] for j in range(s)]
-    dg = [[-choose(ranks[j] - 1 + mu, mu - 1) * degs[j] for mu in range(kr + 1)] for j in range(s)]
-    one_minus_g = 1 - spec.genus
-    kb = k * spec.b_deg
-    kl0 = k * spec.b_weight
-    dim = 0
-    weight = 0
-    for comp in _compositions(kr, s):
-        rank = 1
-        for j in range(s):
-            rank *= rk[j][comp[j]]
-        if rank == 0:
-            continue
-        deg = rank * kb
-        wt = kl0
-        for j in range(s):
-            deg += (rank // rk[j][comp[j]]) * dg[j][comp[j]]
-            wt -= comp[j] * lams[j]
-        chi = deg + rank * one_minus_g
-        dim += chi
-        weight += wt * chi
-    return dim, weight
+    series = [_summand_series(summand, kr) for summand in spec.summands]
+    product = series[0]
+    for factor in series[1:-1]:
+        product = [_product_coefficient(product, factor, t) for t in range(kr + 1)]
+    rank, deg, weighted_rank, weighted_deg = (
+        product[kr] if s == 1 else _product_coefficient(product, series[-1], kr))
+    curve = k * spec.b_deg + 1 - spec.genus      # chi(V x B^k) = deg V + rank V * curve
+    dim = rank * curve + deg
+    return dim, k * spec.b_weight * dim - (weighted_rank * curve + weighted_deg)

@@ -121,7 +121,7 @@ def _run_suite(cases, check):
 
 
 def check_projbundle_spec(spec, kmax: int = PROJBUNDLE_KMAX) -> Mismatch | None:
-    """Compare (chi(k), w(k)) against the composition oracle for k = 1..kmax."""
+    """Compare (chi(k), w(k)) against the block-sum oracle for k = 1..kmax."""
     return _compare(spec, projbundle.euler_char_poly(spec), projbundle.weight_poly(spec),
                     lambda k: projbundle.oracle(spec, k), kmax)
 

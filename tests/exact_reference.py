@@ -7,8 +7,8 @@ Euclidean gcd over the rationals.  test_kernel_reference runs the library
 on both kernels and requires equal coefficients.
 
 The helpers at the end (``compose_linear``, ``hilbert_poly``,
-``total_degree``, ``is_homogeneous``) have no caller in the library; the
-tests use them as independent references.
+``total_degree``, ``is_homogeneous``, ``partial``) have no caller in the
+library; the tests use them as independent references.
 """
 from __future__ import annotations
 
@@ -67,6 +67,11 @@ class Poly:
         if length < n:
             raise ValueError("requested length shorter than the polynomial")
         return tuple(self.coefficient(length - 1 - i) for i in range(length))
+
+    def numerators(self, length: int) -> tuple[tuple[int, ...], int]:
+        den = math.lcm(*(c.denominator for c in self._coeffs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in self._coeffs)
+        return nums + (0,) * (length - len(nums)), den
 
     def leading_coefficient(self) -> Fraction:
         return self._coeffs[-1]
@@ -236,3 +241,17 @@ def total_degree(p: exactalg.MPoly) -> int | None:
 def is_homogeneous(p: exactalg.MPoly) -> bool:
     """Whether every term of p has the same total degree."""
     return len({sum(e) for e, _ in p.terms()}) <= 1
+
+
+def partial(p: exactalg.MPoly, name: str) -> exactalg.MPoly:
+    """Formal partial derivative of p with respect to one indeterminate."""
+    if name not in p.variables:
+        raise ValueError(f"unknown indeterminate {name!r}")
+    idx = p.variables.index(name)
+    out = {}
+    for e, c in p.terms():
+        if e[idx]:
+            new = list(e)
+            new[idx] -= 1
+            out[tuple(new)] = c * e[idx]
+    return exactalg.MPoly(p.variables, out)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from chowstab import blowup, chowcore, p2lab, projbundle, verification
 from chowstab.exactalg import MPoly, cm_constants, stirling_coeffs
 from chowstab.p2lab import PSI_VARIABLES, DiagAction, PointConfig
+from exact_reference import partial
 
 
 def _report(number: int, name: str, started: float, budget: float) -> None:
@@ -56,11 +57,11 @@ def test_criterion_02_triple_point():
     psi1, _ = p2lab.psi_reconstruct(PointConfig.four_points_three_aligned())
     point = dict(zip(PSI_VARIABLES, (1, 1, 0, 0, 0)))
     assert psi1.evaluate(point) == 0
-    firsts = [psi1.partial(v) for v in PSI_VARIABLES]
+    firsts = [partial(psi1, v) for v in PSI_VARIABLES]
     assert all(p.evaluate(point) == 0 for p in firsts)
-    seconds = [p.partial(v) for p in firsts for v in PSI_VARIABLES]
+    seconds = [partial(p, v) for p in firsts for v in PSI_VARIABLES]
     assert all(p.evaluate(point) == 0 for p in seconds)
-    thirds = [p.partial(v) for p in seconds for v in PSI_VARIABLES]
+    thirds = [partial(p, v) for p in seconds for v in PSI_VARIABLES]
     assert any(p.evaluate(point) != 0 for p in thirds)
     assert p2lab.triple_point_check(psi1)
     _report(2, "triple point", started, 1.0)

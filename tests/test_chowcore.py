@@ -71,6 +71,23 @@ class TestFutaki:
             fc = futaki_invariants(h, combo)
             assert fc == [2 * x + 3 * y for x, y in zip(f1, f2)]
 
+    def test_numerators_match_the_coefficient_formula(self):
+        """The integer-numerator form equals (a_0 b_l - b_0 a_l) / a_0^2 on the
+        Fraction coefficients, for negative and zero coefficients too."""
+        rng = random.Random(11)
+
+        def rational():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+        for _ in range(200):
+            n = rng.randint(0, 5)
+            a = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 5)),
+                 *(rational() for _ in range(n)))
+            h, w = HilbertData(n, a), WeightData(n, tuple(rational() for _ in range(n + 2)))
+            a0_sq = h.a[0] ** 2
+            assert futaki_invariants(h, w) == [
+                num / a0_sq for num in chowcore._futaki_numerators(h.a, w.b)]
+
 
 class TestShiftLinearization:
     def test_identity_shift(self):

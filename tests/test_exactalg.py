@@ -21,7 +21,7 @@ from chowstab.exactalg import (
     parse_rational,
     stirling_coeffs,
 )
-from exact_reference import compose_linear, is_homogeneous, total_degree
+from exact_reference import compose_linear, is_homogeneous, partial, total_degree
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 poly_lists = st.lists(rationals, max_size=6)
@@ -44,6 +44,12 @@ class TestPoly:
     def test_trailing_zeros_trimmed(self):
         assert Poly((1, 2, 0, 0)).coeffs == (1, 2)
         assert Poly((0, 0)).is_zero
+
+    def test_numerators_over_the_common_denominator(self):
+        assert Poly((Fraction(1, 2), 0, Fraction(-1, 3))).numerators(5) == ((3, 0, -2, 0, 0), 6)
+        assert Poly().numerators(2) == ((0, 0), 1)
+        with pytest.raises(ValueError):
+            Poly((1, 2, 3)).numerators(2)
 
     def test_degree_sentinel(self):
         assert Poly().degree is None
@@ -166,7 +172,7 @@ class TestMPoly:
     def test_power_rule_partial(self):
         m, alpha = MPoly.generators(("m", "alpha"))
         p = m**3 * alpha
-        assert p.partial("m") == 3 * m**2 * alpha
+        assert partial(p, "m") == 3 * m**2 * alpha
 
     def test_indeterminate_mismatch_rejected(self):
         a = MPoly.variable(("x", "y"), "x")
@@ -188,6 +194,18 @@ class TestMPoly:
         t = Poly((0, 1))
         restricted = p.evaluate({"x": t, "y": 1 - t})
         assert restricted == Poly((0, 2, -1))
+
+    def test_evaluate_stays_in_the_values_ring(self):
+        x, y = MPoly.generators(("x", "y"))
+        zero, three = MPoly.zeros(("x", "y")), MPoly.constant(("x", "y"), 3)
+        u, v = MPoly.generators(("u", "v"))
+        for p in (zero, three, x * y):
+            assert type(p.evaluate({"x": u, "y": v})) is MPoly
+            assert type(p.evaluate({"x": Poly((0, 1)), "y": 2})) is Poly
+            assert type(p.evaluate({"x": 2, "y": 3})) is Fraction
+        assert zero.evaluate({"x": u, "y": v}).variables == ("u", "v")
+        assert zero.evaluate({"x": u, "y": v}).is_zero
+        assert three.evaluate({"x": u, "y": v}) == MPoly.constant(("u", "v"), 3)
 
     def test_homogeneity_detection(self):
         x, y = MPoly.generators(("x", "y"))

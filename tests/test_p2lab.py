@@ -9,7 +9,7 @@ import pytest
 from chowstab import blowup, p2lab
 from chowstab.errors import CrossCheckError, ResourceLimitError
 from chowstab.exactalg import MPoly, Poly
-from exact_reference import is_homogeneous, total_degree
+from exact_reference import is_homogeneous, partial, total_degree
 from chowstab.p2lab import (
     PSI_VARIABLES,
     SEARCH_MAX_GRID_BOUND,
@@ -177,6 +177,17 @@ class TestTriplePoint:
         assert triple_point_check(a2 ** 3 + (m - a1) ** 4)
         assert not triple_point_check((m - a1) ** 2 * m ** 2)
         assert not triple_point_check(MPoly.zeros(PSI_VARIABLES))
+
+    def test_refuses_a_psi_in_other_variables(self):
+        # The three-point psi_1 lives in (m, a1, a2, a3); zipped with the five
+        # coordinates of B it would be tested at a truncated point.
+        psi1, _ = psi_reconstruct(PointConfig.three_general(), DiagAction((1, -1, 0)))
+        assert psi1.variables == ("m", "a1", "a2", "a3")
+        with pytest.raises(ValueError, match="must be a polynomial in"):
+            triple_point_check(psi1)
+        m, a1 = MPoly.generators(("m", "a1"))
+        with pytest.raises(ValueError, match="must be a polynomial in"):
+            triple_point_check((m - a1) ** 3 * m)
 
 
 class TestAmpleCheck:
@@ -429,7 +440,7 @@ def reference_hits(bound):
     for combo in itertools.combinations_with_replacement(range(5), 3):
         p = psi1
         for i in combo:
-            p = p.partial(PSI_VARIABLES[i])
+            p = partial(p, PSI_VARIABLES[i])
         mult = prod(factorial(len(tuple(g))) for _, g in itertools.groupby(combo))
         value = p.evaluate(base) / mult
         if value:

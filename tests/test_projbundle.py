@@ -12,7 +12,7 @@ from chowstab.errors import (
     DegenerateInputError,
     ResourceLimitError,
 )
-from chowstab.exactalg import Poly, RatFn, choose, cm_constants
+from chowstab.exactalg import GENERATOR_CACHE_SIZE, Poly, RatFn, choose, cm_constants
 from chowstab.projbundle import (
     POLYSTABLE,
     SEMISTABLE_NOT_POLYSTABLE,
@@ -144,6 +144,13 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle(trivial_rank2(), 0)
 
+    def test_table_cache_is_bounded(self):
+        size = projbundle._symmetric_power_table.cache_info().maxsize
+        assert size == GENERATOR_CACHE_SIZE
+        for rank in range(2, size + 10):
+            oracle(CurveBundleSpec(genus=2, summands=(Summand(rank, 1, 1),), b_deg=1), 1)
+        assert projbundle._symmetric_power_table.cache_info().currsize == size
+
 
 class TestChowWeight:
     def test_single_summand_is_zero(self):
@@ -269,6 +276,28 @@ class TestHigherFutaki:
             with pytest.warns(AmplenessWarning) as record:
                 fn(spec)
             assert [w.filename for w in record] == [__file__]
+
+
+class TestChecksOnEveryCall:
+    """The closed F_l are derived once per spec; the refusal of a zero
+    twisted slope and the ampleness warning still come with every call."""
+
+    def test_ampleness_warning_on_every_call(self):
+        spec = CurveBundleSpec(genus=2,
+                               summands=(Summand(1, 2, 1), Summand(1, 0, 0)),
+                               b_deg=0, b_weight=0, r=1)
+        for fn in (higher_futaki, chow_weight, higher_futaki, chow_weight):
+            with pytest.warns(AmplenessWarning) as record:
+                fn(spec)
+            assert [w.filename for w in record] == [__file__]
+
+    def test_zero_twisted_slope_refused_on_every_call(self):
+        spec = CurveBundleSpec(genus=2,
+                               summands=(Summand(1, 1, 1), Summand(1, 1, 0)),
+                               b_deg=1, b_weight=0, r=1)
+        for fn in (higher_futaki, chow_weight, higher_futaki, chow_weight):
+            with pytest.raises(DegenerateInputError):
+                fn(spec)
 
 
 class TestOneClosedForm:
