@@ -141,7 +141,8 @@ def chow_weight_fn(h: HilbertData, w: WeightData) -> RatFn:
 
 
 def _futaki_numerators(a, b) -> list:
-    """a_0^2 F_l = a_0 b_l - b_0 a_l, l = 1..n, over any ring; p2lab's psi use it on MPoly."""
+    """a_0^2 F_l = a_0 b_l - b_0 a_l, l = 1..n, over any ring, from descending
+    coefficients: futaki_invariants runs it on integers, p2lab's psi on MPoly."""
     a0, b0 = a[0], b[0]
     return [a0 * b[ell] - b0 * a[ell] for ell in range(1, len(a))]
 
@@ -154,13 +155,10 @@ def futaki_invariants(h: HilbertData, w: WeightData) -> list[Fraction]:
     F_l = (A_n B_{n+1-l} - B_{n+1} A_{n-l}) d_A / (d_B A_n^2).
     """
     _check_dims(h, w)
-    n = h.n
-    a, d_a = h.poly().numerators(n + 1)
-    b, d_b = w.poly().numerators(n + 2)
-    a0, b0 = a[n], b[n + 1]             # the numerators of a_0 and b_0
-    den = d_b * a0 * a0
-    return [Fraction((a0 * b[n + 1 - ell] - b0 * a[n - ell]) * d_a, den)
-            for ell in range(1, n + 1)]
+    a, d_a = h.poly().numerators(h.n + 1)
+    b, d_b = w.poly().numerators(h.n + 2)
+    den = d_b * a[-1] * a[-1]           # a[-1] is the numerator of a_0
+    return [Fraction(num * d_a, den) for num in _futaki_numerators(a[::-1], b[::-1])]
 
 
 def shift_linearization(w: WeightData, h: HilbertData, c: Fraction | int) -> WeightData:

@@ -41,16 +41,20 @@ def _ratfn_payload(f: RatFn) -> dict:
     return {"num": _poly_strings(f.num), "den": _poly_strings(f.den)}
 
 
+def _as_object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{context}: expected a JSON object, got {value!r}")
+    return value
+
+
 def _require(config: dict, key: str, context: str):
-    if key not in config:
+    if key not in _as_object(config, context):
         raise ValueError(f"missing field {key!r} in {context}")
     return config[key]
 
 
 def _as_rational(value, context: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"{context}: expected an integer or 'p/q' string, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
@@ -102,6 +106,12 @@ def _approx(q: Fraction) -> str:
     return f"{float(q):.6g}"
 
 
+def _futaki_lines(futaki, approx: bool) -> list[str]:
+    """One "F_l = value" table line per invariant, with its decimal if asked."""
+    return [f"F_{i} = {format_rational(f)}" + (f"   (approx {_approx(f)})" if approx else "")
+            for i, f in enumerate(futaki, start=1)]
+
+
 # ---------------------------------------------------------------------------
 # projbundle
 # ---------------------------------------------------------------------------
@@ -119,7 +129,7 @@ def _curve_bundle_from_config(config: dict) -> projbundle.CurveBundleSpec:
             degree=_as_int(_require(entry, "degree", ctx), f"{ctx}.degree"),
             weight=_as_int(_require(entry, "weight", ctx), f"{ctx}.weight"),
             stable=_as_bool(entry.get("stable", True), f"{ctx}.stable")))
-    b = config.get("B", {})
+    b = _as_object(config.get("B", {}), "B")
     return projbundle.CurveBundleSpec(
         genus=_as_int(_require(config, "genus", "projbundle config"), "genus"),
         summands=tuple(summands),
@@ -154,12 +164,8 @@ def _cmd_projbundle(args) -> int:
         f"classification: {verdict.classification} "
         f"(slope gaps: {', '.join(format_rational(g) for g in verdict.per_summand)})",
         f"ample necessary condition (twisted slope < 0): {spec.satisfies_ampleness_necessary}",
+        *_futaki_lines(futaki, args.approx),
     ]
-    for i, f in enumerate(futaki, start=1):
-        line = f"F_{i} = {format_rational(f)}"
-        if args.approx:
-            line += f"   (approx {_approx(f)})"
-        lines.append(line)
     if args.k_range:
         lo, hi = _parse_k_range(args.k_range)
         table = []
@@ -235,12 +241,8 @@ def _cmd_blowup(args) -> int:
         f"Chow(k)  = {chow.pretty()}",
         f"adiabatic leading term = {format_rational(leading)}, "
         f"zero-cycle weight = {format_rational(w_cw)}",
+        *_futaki_lines(futaki, args.approx),
     ]
-    for i, f in enumerate(futaki, start=1):
-        line = f"F_{i} = {format_rational(f)}"
-        if args.approx:
-            line += f"   (approx {_approx(f)})"
-        lines.append(line)
     _emit(payload, args.json, lines)
     return EXIT_OK
 

@@ -88,9 +88,8 @@ def _require_int_seq(name: str, values) -> None:
 
 def choose(n: int, k: int) -> int:
     """Binomial coefficient with the usual convention C(n, k) = 0 for k < 0 or k > n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+    _require_ints(n=n, k=k)
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def _horner(num, point: int) -> int:
@@ -683,6 +682,7 @@ def stirling_coeffs(n: int) -> list[int]:
     These are the non-negative integers generated by
     binom(n + x - 1, x - 1) = sum_h s_h x^h / n!; always s_0 = 0 and s_n = 1.
     """
+    _require_ints(n=n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     return list(_stirling_tuple(n))
@@ -693,6 +693,7 @@ def binom_poly_in_k(a: int, n: int) -> Poly:
 
     Agrees with the integer binomial coefficient at every integer k >= 1.
     """
+    _require_ints(a=a, n=n)
     if a < 1 or n < 1:
         raise ValueError("a and n must be positive integers")
     s = _stirling_tuple(n)
@@ -709,6 +710,7 @@ def _cm_tuple(n: int) -> tuple[Fraction, ...]:
 
 def cm_constants(n: int) -> list[Fraction]:
     """Positive constants [C_1..C_n] with sum_l C_l k^{n+1-l} = prod_{i<n}(k+i) / (n(n+1))."""
+    _require_ints(n=n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     return list(_cm_tuple(n))

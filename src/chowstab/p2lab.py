@@ -104,23 +104,31 @@ class DiagAction:
             raise ValueError("weights must sum to zero")
 
 
+_NAMED_BLOCKS = {FOUR_POINTS_THREE_ALIGNED: tuple(map(frozenset, ({0}, {1}, {1, 2}, {1, 2}))),
+                 THREE_GENERAL: tuple(map(frozenset, ({0}, {1}, {2})))}
+
+
 @dataclass(frozen=True)
 class PointConfig:
-    """A named configuration of blown points, each known by its coordinate
-    block (the set of indices where its coordinates are nonzero)."""
+    """A configuration of blown points, each known by its coordinate block
+    (the set of indices where its coordinates are nonzero).  A named kind
+    must carry its classmethod's blocks; any other kind is accepted."""
 
     kind: str
     blocks: tuple[frozenset[int], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(_coordinate_block(b) for b in self.blocks))
+        if self.blocks != _NAMED_BLOCKS.get(self.kind, self.blocks):
+            raise ValueError(f"a {self.kind} configuration needs the blocks of its classmethod")
+
     @classmethod
     def four_points_three_aligned(cls) -> "PointConfig":
-        return cls(FOUR_POINTS_THREE_ALIGNED,
-                   (frozenset({0}), frozenset({1}), frozenset({1, 2}), frozenset({1, 2})))
+        return cls(FOUR_POINTS_THREE_ALIGNED, _NAMED_BLOCKS[FOUR_POINTS_THREE_ALIGNED])
 
     @classmethod
     def three_general(cls) -> "PointConfig":
-        return cls(THREE_GENERAL,
-                   (frozenset({0}), frozenset({1}), frozenset({2})))
+        return cls(THREE_GENERAL, _NAMED_BLOCKS[THREE_GENERAL])
 
 
 @dataclass(frozen=True)
@@ -137,6 +145,14 @@ class Candidate:
     verified: bool
 
 
+def _coordinate_block(block) -> frozenset[int]:
+    """``block`` as a frozenset; ValueError unless it is a nonempty subset of {0, 1, 2}."""
+    idx = frozenset(block)
+    if not idx or not idx <= {0, 1, 2}:
+        raise ValueError(f"coordinate block must be a nonempty subset of {{0,1,2}}: {set(block)}")
+    return idx
+
+
 def fixed_point_data(action: DiagAction, block) -> tuple[Fraction, int]:
     """Moment-map value and isotropy weight at a fixed point with the given block.
 
@@ -146,9 +162,7 @@ def fixed_point_data(action: DiagAction, block) -> tuple[Fraction, int]:
     """
     if not isinstance(action, DiagAction):
         raise TypeError(f"action must be a DiagAction, got {action!r}")
-    idx = frozenset(block)
-    if not idx or not idx <= {0, 1, 2}:
-        raise ValueError(f"coordinate block must be a nonempty subset of {{0,1,2}}: {set(block)}")
+    idx = _coordinate_block(block)
     weights = {action.w[i] for i in idx}
     if len(weights) != 1:
         raise ValueError(f"point with block {set(idx)} is not fixed by weights {action.w}")

@@ -11,11 +11,16 @@ curve gives closed forms for the Hilbert and weight polynomials:
     chi(k) = binom(n-1+kr, kr) * (1 - g + c*k),
 
     w(k)   = binom(n-1+kr, kr) * [ kr(n+kr)/(n(n+1)) * S
-             + k*(lambda_0 - (r/n) tr) * (1 - g + c*k) ],
+             + k*(lambda_0 - (r/n) tr) * (1 - g + c*k) ]
+           = S * binom(n+kr, n+1) + k*(lambda_0 - (r/n) tr) * chi(k),
 
 where n = rank E, mu is degree/rank, c = deg B - r*mu(E), tr = sum lambda_j
-rank(E_j) and S = sum lambda_j rank(E_j) (mu(E_j) - mu(E)).  For every r,
-with the twisted slope mu~ = -c/r, chi_det = deg E - n deg B / r + 1 - g and
+rank(E_j) and S = sum lambda_j rank(E_j) (mu(E_j) - mu(E)); the second
+form of w uses binom(n-1+kr, kr) kr(n+kr)/(n(n+1)) = binom(n+kr, n+1).
+Each spec builds chi's two factors, binom(n-1+kr, kr) and the curve
+factor 1 - g + c*k, once: w reads chi, and the Chow weight reads the
+curve factor.  For every r, with the twisted slope mu~ = -c/r,
+chi_det = deg E - n deg B / r + 1 - g and
 prod_{i<n} (k + i/r) = sum_h s_h r^{h-n} k^h (so that C_l = s_{n+1-l}/(n(n+1))),
 
     sum_l F_l k^{n+1-l} = -chi_det S / mu~^2 * prod_{i<n} (k + i/r) / (n(n+1)),
@@ -37,7 +42,8 @@ from functools import cached_property, lru_cache
 
 from . import chowcore
 from .errors import AmplenessWarning, CrossCheckError, DegenerateInputError, ResourceLimitError
-from .exactalg import GENERATOR_CACHE_SIZE, Poly, RatFn, _require_ints, stirling_coeffs
+from .exactalg import (GENERATOR_CACHE_SIZE, Poly, RatFn, _require_ints, binom_poly_in_k,
+                       stirling_coeffs)
 
 __all__ = [
     "Summand",
@@ -81,10 +87,6 @@ class Summand:
         if self.rank < 1:
             raise ValueError("summand rank must be >= 1")
 
-    @cached_property
-    def slope(self) -> Fraction:
-        return Fraction(self.degree, self.rank)
-
 
 @dataclass(frozen=True)
 class CurveBundleSpec:
@@ -125,10 +127,6 @@ class CurveBundleSpec:
         return sum(s.degree for s in self.summands)
 
     @cached_property
-    def slope(self) -> Fraction:
-        return Fraction(self.deg_e, self.n)
-
-    @cached_property
     def trace_weight(self) -> int:
         """Trace of the action on E: sum lambda_j rank(E_j)."""
         return sum(s.weight * s.rank for s in self.summands)
@@ -151,28 +149,21 @@ class CurveBundleSpec:
                         - self.deg_e * self.trace_weight, n)
 
     @cached_property
-    def twisted_slope(self) -> Fraction:
-        """Slope of the formal twist of E by the inverse r-th root of B."""
-        return self.slope - Fraction(self.b_deg, self.r)
-
-    @cached_property
-    def twisted_det_chi(self) -> Fraction:
-        """Euler characteristic of the determinant of the formal twist."""
-        return self.deg_e - Fraction(self.n * self.b_deg, self.r) + 1 - self.genus
+    def _curve(self) -> Poly:
+        """The curve factor 1 - g + c*k of chi(k), c = deg(B) - r*mu(E)."""
+        return Poly((1 - self.genus, Fraction(self.n * self.b_deg - self.r * self.deg_e, self.n)))
 
     @cached_property
     def chi(self) -> Poly:
         """chi(k) of the module docstring, built once per spec."""
-        return _fiber_rank_poly(self.n, self.r) * _fiber_degree_poly(self)
+        return _fiber_rank_poly(self.n, self.r) * self._curve
 
     @cached_property
     def w(self) -> Poly:
-        """w(k) of the module docstring, built once per spec."""
+        """w(k) of the module docstring, built once per spec on chi."""
         n, r = self.n, self.r
-        quad = Poly((0, r * n, r * r)) / (n * (n + 1))   # kr(n+kr)/(n(n+1))
         shift = Poly((0, n * self.b_weight - r * self.trace_weight)) / n   # k(lambda_0 - (r/n) tr)
-        bracket = quad * self.weighted_slope_sum + shift * _fiber_degree_poly(self)
-        return _fiber_rank_poly(n, r) * bracket
+        return binom_poly_in_k(r, n + 1) * self.weighted_slope_sum + shift * self.chi
 
     @cached_property
     def futaki(self) -> tuple[Fraction, ...]:
@@ -214,12 +205,6 @@ def _fiber_rank_poly(n: int, r: int) -> Poly:
             / math.factorial(n - 1))
 
 
-def _fiber_degree_poly(spec: CurveBundleSpec) -> Poly:
-    """1 - g + c*k with c = deg(B) - r*mu(E), the curve factor of chi(k)."""
-    n = spec.n
-    return Poly((n * (1 - spec.genus), n * spec.b_deg - spec.r * spec.deg_e)) / n
-
-
 def euler_char_poly(spec: CurveBundleSpec) -> Poly:
     """Hilbert polynomial chi(k) of (P(E), L); degree n in k."""
     return spec.chi
@@ -251,13 +236,11 @@ def _closed_futaki(spec: CurveBundleSpec) -> list[Fraction]:
 def chow_weight(spec: CurveBundleSpec) -> RatFn:
     """Chow weight of (P(E), L^k) as a rational function of k.
 
-    Closed form: [kr/(n(n+1))] * chi(det twist) * S divided by
-    (twisted slope) * (1 - g - kr mu(E) + k deg B), which is
-    c F_1 k / (1 - g + c k) with c = deg B - r mu(E): built from the F_1
+    c F_1 k / (1 - g + c k) on the curve factor of chi, built from the F_1
     that higher_futaki checks against the generic pipeline.
     """
     f1 = _closed_futaki(spec)[0]
-    curve = _fiber_degree_poly(spec)
+    curve = spec._curve
     return RatFn(Poly((0, curve.coefficient(1) * f1)), curve)
 
 

@@ -6,10 +6,29 @@ S^{kr}(E_1 + ... + E_s)* per composition mu_1 + ... + mu_s = kr, each with
 its rank and degree from binomial identities, its Euler characteristic by
 Riemann-Roch on the curve and its weight k*lambda_0 - sum mu_j lambda_j.
 test_projbundle_reference requires the two to agree.
+
+``twisted_slope`` and ``twisted_det_chi`` give mu~ and chi(det twist) of the
+closed forms from the raw fields of a spec, so the references that use them
+share no derived number with the library they check.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 from chowstab.exactalg import choose
+
+
+def twisted_slope(spec) -> Fraction:
+    """mu~ = deg(E)/rank(E) - deg(B)/r: the slope of E twisted by the inverse r-th root of B."""
+    n = sum(sm.rank for sm in spec.summands)
+    return Fraction(sum(sm.degree for sm in spec.summands), n) - Fraction(spec.b_deg, spec.r)
+
+
+def twisted_det_chi(spec) -> Fraction:
+    """chi(det twist) = deg(E) - rank(E) deg(B)/r + 1 - g."""
+    n = sum(sm.rank for sm in spec.summands)
+    deg_e = sum(sm.degree for sm in spec.summands)
+    return deg_e - Fraction(n * spec.b_deg, spec.r) + 1 - spec.genus
 
 
 def compositions(total: int, parts: int):

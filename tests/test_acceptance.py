@@ -19,6 +19,7 @@ from chowstab import blowup, chowcore, p2lab, projbundle, verification
 from chowstab.exactalg import MPoly, cm_constants, stirling_coeffs
 from chowstab.p2lab import PSI_VARIABLES, DiagAction, PointConfig
 from exact_reference import partial
+from projbundle_reference import twisted_slope
 
 
 def _report(number: int, name: str, started: float, budget: float) -> None:
@@ -126,7 +127,7 @@ def test_criterion_06_pipeline_identities():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for spec in verification.projbundle_specs(seed=0, sample_size=500):
-            if spec.r != 1 or spec.twisted_slope == 0:
+            if spec.r != 1 or twisted_slope(spec) == 0:
                 continue
             bundles += 1
             closed = projbundle.higher_futaki(spec)   # cross-asserted internally

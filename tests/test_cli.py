@@ -64,13 +64,13 @@ class TestDerivedOncePerSpec:
         assert code == 0
         assert calls == {"chi_tilde_coeffs": 1, "_w_tilde_columns": 1}
 
-    def test_projbundle_builds_fiber_rank_at_most_twice(self, monkeypatch, capsys):
+    def test_projbundle_builds_fiber_rank_once(self, monkeypatch, capsys):
         calls = count_calls(monkeypatch, projbundle, ("_fiber_rank_poly",))
         code, _, _ = run_cli(capsys, "projbundle",
                              "--config", str(CONFIGS / "projbundle_split_degree_one.json"),
                              "--k-range", "1:6", "--json")
         assert code == 0
-        assert 1 <= calls["_fiber_rank_poly"] <= 2
+        assert calls == {"_fiber_rank_poly": 1}
 
 
 class TestProjbundle:
@@ -154,6 +154,36 @@ class TestProjbundle:
                                "--config", str(CONFIGS / "projbundle_split_degree_one.json"),
                                "--json", "--approx")
         assert code == 1 and "exact" in err
+
+
+def _edited(config: str, edit):
+    payload = json.loads((CONFIGS / f"{config}.json").read_text())
+    edit(payload)
+    return payload
+
+
+class TestMalformedShapes:
+    """A number, list or string where the config needs an object is an input error."""
+
+    @pytest.mark.parametrize("command,payload,context", [
+        ("projbundle", 5, "projbundle config"),
+        ("projbundle", "summands", "projbundle config"),
+        ("projbundle", _edited("projbundle_split_degree_one",
+                               lambda c: c.update(B=[1])), "B"),
+        ("projbundle", _edited("projbundle_split_degree_one",
+                               lambda c: c["summands"].__setitem__(0, 3)), "summands[0]"),
+        ("blowup", 5, "blowup config"),
+        ("blowup", _edited("blowup_p2_four_aligned", lambda c: c.update(base=5)), "base"),
+        ("blowup", _edited("blowup_p2_four_aligned",
+                           lambda c: c["points"].__setitem__(1, 7)), "points[1]"),
+    ])
+    def test_refused_as_input_error(self, tmp_path, capsys, command, payload, context):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, command, "--config", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {context}: expected a JSON object")
+        assert "Traceback" not in err
 
 
 class TestBlowup:

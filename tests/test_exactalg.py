@@ -251,6 +251,20 @@ class TestGenerators:
         with pytest.raises(ValueError):
             stirling_coeffs(0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: stirling_coeffs(True),
+        lambda: cm_constants(True),
+        lambda: binom_poly_in_k(True, 2),
+        lambda: binom_poly_in_k(1, True),
+        lambda: choose(True, 1),
+        lambda: choose(3, True),
+        lambda: stirling_coeffs(2.0),
+        lambda: choose(2.0, 5),
+    ])
+    def test_generators_refuse_bools_and_floats(self, call):
+        with pytest.raises(TypeError, match="must be an int"):
+            call()
+
     def test_binom_poly_examples(self):
         assert binom_poly_in_k(1, 2) == Poly((0, Fraction(1, 2), Fraction(1, 2)))
         assert binom_poly_in_k(2, 2) == Poly((0, 1, 2))

@@ -1,9 +1,10 @@
 """The integer exact kernel against the Fraction-coefficient kernel it replaced.
 
 Each derivation runs twice on fresh specs: once on chowstab.exactalg, and
-once with the Poly and RatFn names of the modules that use them bound to
-the reference kernel of exact_reference.  The coefficient tuples, read as
-Fractions, must be equal.
+once with the Poly and RatFn names of the modules that use them, and
+projbundle's binom_poly_in_k, bound to the reference kernel of
+exact_reference.  The coefficient tuples, read as Fractions, must be
+equal.
 """
 import itertools
 import warnings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import exact_reference as ref
 from chowstab import blowup, chowcore, exactalg, p2lab, projbundle, verification
 from chowstab.errors import AmplenessWarning
+from projbundle_reference import twisted_slope
 
 KERNEL_USERS = (projbundle, chowcore, blowup)
 
@@ -46,6 +48,7 @@ def on_both_kernels(monkeypatch, derive, make_inputs):
         for module in KERNEL_USERS:
             patch.setattr(module, "Poly", ref.Poly)
             patch.setattr(module, "RatFn", ref.RatFn)
+        patch.setattr(projbundle, "binom_poly_in_k", ref.binom_poly_in_k)
         blowup._geometry_for.cache_clear()
         try:
             reference = [derive(x) for x in make_inputs()]
@@ -61,7 +64,7 @@ def bundle_sample():
 def bundle_values(spec):
     chi, w = projbundle.euler_char_poly(spec), projbundle.weight_poly(spec)
     out = {"kernel": type(chi), "r": spec.r, "chi": coeffs(chi), "w": coeffs(w)}
-    if spec.twisted_slope != 0:     # else chi has degree below n
+    if twisted_slope(spec) != 0:     # else chi has degree below n
         rep = chowcore.report(chowcore.HilbertData.from_poly(chi, spec.n),
                               chowcore.WeightData.from_poly(w, spec.n))
         out["report_chow"] = ratfn_coeffs(rep.chow)

@@ -72,6 +72,39 @@ class TestFixedPointData:
             fixed_point_data(action, {0})
 
 
+class TestPointConfig:
+    def test_blocks_become_a_tuple_of_frozensets(self):
+        config = PointConfig("three_general", [{0}, [1], (2,)])
+        assert config.blocks == (frozenset({0}), frozenset({1}), frozenset({2}))
+        assert config == PointConfig.three_general()
+        assert hash(config) == hash(PointConfig.three_general())
+        assert psi_reconstruct(config, DiagAction((1, -1, 0))) == \
+            psi_reconstruct(PointConfig.three_general(), DiagAction((1, -1, 0)))
+
+    @pytest.mark.parametrize("blocks", [
+        ({0}, set(), {2}),
+        ({0}, {1}, {3}),
+        ({-1},),
+    ])
+    def test_block_outside_the_plane_refused(self, blocks):
+        with pytest.raises(ValueError, match="nonempty subset"):
+            PointConfig("two_points", blocks)
+
+    @pytest.mark.parametrize("kind, blocks", [
+        ("four_points_three_aligned", ({0},)),
+        ("four_points_three_aligned", ({0}, {1}, {2}, {1, 2})),
+        ("three_general", ({0}, {1}, {1, 2})),
+    ])
+    def test_named_kind_must_carry_its_blocks(self, kind, blocks):
+        with pytest.raises(ValueError, match=f"^a {kind} configuration needs the blocks of its classmethod"):
+            PointConfig(kind, blocks)
+
+    def test_other_kinds_stay_legal(self):
+        config = PointConfig("two_points", ({1}, {2}))
+        psi1, psi2 = psi_reconstruct(config, DiagAction((0, 1, -1)))
+        assert psi1.variables == psi2.variables == ("m", "a1", "a2")
+
+
 class TestPsiReconstruct:
     def test_matches_reference_exactly(self):
         psi1, psi2 = psi_reconstruct(PointConfig.four_points_three_aligned())

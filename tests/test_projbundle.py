@@ -26,20 +26,22 @@ from chowstab.projbundle import (
     slope_classify,
     weight_poly,
 )
+from projbundle_reference import twisted_det_chi, twisted_slope
 
 
 def reference_chow_weight(spec):
     """The separate Chow transcription chow_weight used before it was built
     from F_1: [kr/(n(n+1))] chi(det twist) S / (mu~ (1 - g - kr mu + k deg B))."""
     n, r = spec.n, spec.r
-    num = Poly((0, Fraction(r, n * (n + 1)))) * (spec.twisted_det_chi * spec.weighted_slope_sum)
-    den = Poly((1 - spec.genus, spec.b_deg - r * spec.slope)) * spec.twisted_slope
+    num = Poly((0, Fraction(r, n * (n + 1)))) * (twisted_det_chi(spec) * spec.weighted_slope_sum)
+    mu = Fraction(sum(sm.degree for sm in spec.summands), n)
+    den = Poly((1 - spec.genus, spec.b_deg - r * mu)) * twisted_slope(spec)
     return RatFn(num, den)
 
 
 def reference_r1_futaki(spec):
     """The r = 1 closed form higher_futaki used before it covered every r."""
-    factor = -spec.twisted_det_chi / spec.twisted_slope**2 * spec.weighted_slope_sum
+    factor = -twisted_det_chi(spec) / twisted_slope(spec)**2 * spec.weighted_slope_sum
     return [c * factor for c in cm_constants(spec.n)]
 
 
@@ -51,7 +53,7 @@ def generator_futaki(spec, generators):
         for i in range(n):
             gen = gen * Poly((Fraction(i, r), 1))
         generators[n, r] = gen / (n * (n + 1))
-    factor = -spec.twisted_det_chi / spec.twisted_slope**2 * spec.weighted_slope_sum
+    factor = -twisted_det_chi(spec) / twisted_slope(spec)**2 * spec.weighted_slope_sum
     return [generators[n, r].coefficient(n + 1 - ell) * factor for ell in range(1, n + 1)]
 
 
@@ -174,7 +176,7 @@ class TestChowWeight:
         spec = CurveBundleSpec(genus=2,
                                summands=(Summand(1, 1, 1), Summand(1, 1, 0)),
                                b_deg=1, b_weight=0, r=1)
-        assert spec.twisted_slope == 0
+        assert twisted_slope(spec) == 0
         with pytest.raises(DegenerateInputError):
             chow_weight(spec)
 
@@ -204,8 +206,7 @@ class TestHigherFutaki:
         got = higher_futaki(spec)
         assert got == [Fraction(4, 27), Fraction(4, 27)]
         # closed form re-derived literally
-        chi_det = spec.deg_e - Fraction(spec.n * spec.b_deg, spec.r) + 1 - spec.genus
-        mu_twist = spec.slope - Fraction(spec.b_deg, spec.r)
+        chi_det, mu_twist = twisted_det_chi(spec), twisted_slope(spec)
         s_sum = spec.weighted_slope_sum
         assert chi_det == -4 and mu_twist == Fraction(-3, 2) and s_sum == Fraction(1, 2)
         expect = [-c * chi_det / mu_twist**2 * s_sum for c in cm_constants(2)]
@@ -310,7 +311,7 @@ class TestOneClosedForm:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AmplenessWarning)
             for spec in verification.projbundle_specs(seed=0, sample_size=2000):
-                if spec.twisted_slope == 0:
+                if twisted_slope(spec) == 0:
                     continue
                 got, want = chow_weight(spec), reference_chow_weight(spec)
                 assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
@@ -412,6 +413,29 @@ class TestValidation:
         assert spec == unstable_pair() and hash(spec) == hash(unstable_pair())
         assert euler_char_poly(spec) is euler_char_poly(spec)
         assert weight_poly(spec) is weight_poly(spec)
+
+    def test_curve_factor_built_once_per_spec(self, monkeypatch):
+        """Every public derivation reads one curve factor 1 - g + c*k per spec.
+
+        With n >= 3, the only polynomial that projbundle constructs with
+        degree 1 and a nonzero constant term (g >= 2) is the curve factor or
+        a multiple of it, so counting those constructions counts its builds.
+        """
+        built = []
+
+        class CountingPoly(Poly):
+            def __init__(self, coeffs=()):
+                super().__init__(coeffs)
+                if self.degree == 1 and self.coefficient(0):
+                    built.append(self)
+
+        monkeypatch.setattr(projbundle, "Poly", CountingPoly)
+        specs = [CurveBundleSpec(genus=2, summands=(Summand(2, 1, 1), Summand(1, 0, 0)),
+                                 b_deg=2, b_weight=1, r=r) for r in (1, 2)]
+        for spec in specs:
+            for fn in (euler_char_poly, weight_poly, higher_futaki, chow_weight) * 2:
+                fn(spec)
+        assert len(built) == len(specs)
 
     def test_fiber_rank_poly_is_the_linear_product(self):
         for n in range(1, 9):
