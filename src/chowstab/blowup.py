@@ -33,7 +33,10 @@ Everything but the action data (phi, lambda) is fixed by the geometry
 and the point sums are linear in (phi, lambda), the coefficient of every
 phi_j and lambda_j in each coefficient of w~ and in each F_l.  These are
 derived once per geometry and held in a bounded cache
-(GEOMETRY_CACHE_SIZE entries); an action then costs dot products.  Every
+(GEOMETRY_CACHE_SIZE entries), the coefficients as integer numerators
+over one denominator per output.  An action, its phi brought to their
+least common denominator once, then costs one integer dot product per
+coefficient of w~ and per F_l, and one normalisation for each.  Every
 call of futaki_blowup still re-derives the invariants through the generic
 chi/w pipeline and insists on exact agreement with the point sums.
 chow_blowup goes through chowcore.report on (chi~, w~), which asserts the
@@ -205,25 +208,26 @@ class BlowupSpec:
         return self._geometry.chi
 
     @cached_property
+    def _action(self) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+        """The action data on integers (see _integer_action), once per spec."""
+        return _integer_action([p.phi for p in self.points], [p.lam for p in self.points])
+
+    @cached_property
     def w(self) -> Poly:
-        """w~(k), built once per spec; the same Poly as the WeightData's."""
-        return self.hilbert_weight_data[1].poly()
+        """w~(k) from the geometry's columns, built once per spec."""
+        return self._geometry.w_poly(*self._action)
 
     @cached_property
     def hilbert_weight_data(self) -> tuple[chowcore.HilbertData, chowcore.WeightData]:
         """chi~ and w~ as the generic pipeline's input: the geometry's
-        HilbertData, and w~ from the geometry's columns, once per spec."""
-        geometry = self._geometry
-        return geometry.hilbert, chowcore.WeightData(
-            self.base.n, geometry.w_coeffs([p.phi for p in self.points],
-                                           [p.lam for p in self.points]))
+        HilbertData, and the WeightData of w~, once per spec."""
+        return self._geometry.hilbert, chowcore.WeightData.from_poly(self.w, self.base.n)
 
     @cached_property
     def _point_sum_futaki(self) -> tuple[Fraction, ...]:
         """[F_1..F_n] from the point-sum formula, unchecked; futaki_blowup and
         chow_blowup check them against the pipeline on every call."""
-        return self._geometry.point_sum_futaki([p.phi for p in self.points],
-                                               [p.lam for p in self.points])
+        return self._geometry.point_sum_futaki(*self._action)
 
 
 def _apply_columns(columns, phis, lams) -> list:
@@ -233,16 +237,39 @@ def _apply_columns(columns, phis, lams) -> list:
             for phi_col, lam_col in columns]
 
 
+def _integer_action(phis, lams) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """(P, q, lams) with phi_j = P_j / q for q the least common denominator of the phi."""
+    q = math.lcm(*(phi.denominator for phi in phis))
+    return tuple(phi.numerator * (q // phi.denominator) for phi in phis), q, tuple(lams)
+
+
+def _over_one_denominator(columns) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], int]:
+    """Fraction column pairs (c, d) as integer pairs (c * den, d * den) and
+    den, the least common denominator of all their entries."""
+    den = math.lcm(*(v.denominator for pair in columns for column in pair for v in column))
+    return tuple(tuple(tuple(v.numerator * (den // v.denominator) for v in column)
+                       for column in pair) for pair in columns), den
+
+
+def _integer_dot(pair, phi_nums, q, lams) -> int:
+    """q * (c . phi + d . lam) for an integer column pair (c, d) and
+    phi = phi_nums / q: over q * den, the value of the Fraction pair (c, d) / den."""
+    phi_col, lam_col = pair
+    return sum(map(operator.mul, phi_col, phi_nums)) + q * sum(map(operator.mul, lam_col, lams))
+
+
 class _Geometry:
     """What a blowup's action does not change, derived once per (base, m, alphas).
 
     Holds the ratios x_j = alpha_j/m, D and the per-level terms of f_l,
     g_l (from _f_g_levels), chi~ and, for a polarization (D > 0), its
     HilbertData, whose Poly is chi~.  w~ and the point sums F_l are linear
-    in the action data (phi, lambda); their coefficient columns are kept,
-    one pair per coefficient of w~ and one per F_l, the latter the
-    point-sum columns of _f_g_levels scaled by 1/(D^2 m^{l-1}), so an
-    action costs dot products.
+    in the action data (phi, lambda).  Their coefficient columns are kept
+    as integer numerators: one pair per coefficient of w~, from
+    _w_tilde_columns, over one denominator for all of w~, and one pair per
+    F_l, the point-sum columns of _f_g_levels scaled by 1/(D^2 m^{l-1}),
+    over one denominator each.  An action (_integer_action) then costs one
+    integer dot product per coefficient.
     """
 
     __slots__ = ("ratios", "volume_gap", "levels", "chi", "hilbert", "_w_columns",
@@ -253,7 +280,7 @@ class _Geometry:
         self.ratios = tuple(Fraction(alpha, m) for alpha in alphas)
         self.volume_gap, self.levels, columns = _f_g_levels(n, base.a, self.ratios)
         chi = chi_tilde_coeffs(n, base.a, m, alphas)
-        self._w_columns = _w_tilde_columns(n, m, alphas)
+        self._w_columns = _over_one_denominator(_w_tilde_columns(n, m, alphas))
         # D <= 0 is no polarization (BlowupSpec refuses it); only the
         # counting identity, chi~ and w~, is defined there.
         if self.volume_gap <= 0:
@@ -267,15 +294,18 @@ class _Geometry:
             for ell, (f_col, g_col) in enumerate(columns, start=1):
                 scale = 1 / (d_sq * m ** (ell - 1))
                 scaled.append((tuple(v * scale for v in f_col), tuple(v * scale for v in g_col)))
-            self._futaki_columns = tuple(scaled)
+            self._futaki_columns = tuple(_over_one_denominator([pair]) for pair in scaled)
 
-    def w_coeffs(self, phis, lams) -> list[Fraction]:
-        """Descending coefficients [b_0..b_{n+1}] of w~ under the action (phis, lams)."""
-        return _w_coeffs(self._w_columns, phis, lams)
+    def w_poly(self, phi_nums, q, lams) -> Poly:
+        """w~ under the integer action (phi_nums / q, lams); b_{n+1} = 0: smooth."""
+        pairs, den = self._w_columns
+        return Poly([0] + [_integer_dot(pair, phi_nums, q, lams) for pair in reversed(pairs)]) \
+            / (q * den)
 
-    def point_sum_futaki(self, phis, lams) -> tuple[Fraction, ...]:
-        """[F_1..F_n] from the point-sum formula under the action (phis, lams)."""
-        return tuple(_apply_columns(self._futaki_columns, phis, lams))
+    def point_sum_futaki(self, phi_nums, q, lams) -> tuple[Fraction, ...]:
+        """[F_1..F_n] from the point-sum formula under the integer action (phi_nums / q, lams)."""
+        return tuple(Fraction(_integer_dot(pair, phi_nums, q, lams), q * den)
+                     for (pair,), den in self._futaki_columns)
 
 
 @lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
@@ -335,14 +365,14 @@ def _w_tilde_columns(n: int, m, alphas) -> tuple[tuple[tuple, tuple], ...]:
                  for ell in range(n + 1))
 
 
-def _w_coeffs(columns, phis, lams) -> list:
-    """[b_0..b_{n+1}] of w~ from its _w_tilde_columns and the action (phis, lams)."""
-    return _apply_columns(columns, phis, lams) + [Fraction(0)]   # b_{n+1} = 0: smooth
-
-
 def w_tilde_coeffs(n: int, m: int, alphas, phis, lams) -> list[Fraction]:
-    """Descending coefficients [b_0..b_{n+1}] of the blowup weight polynomial."""
-    return _w_coeffs(_w_tilde_columns(n, m, alphas), [Fraction(phi) for phi in phis], lams)
+    """Descending coefficients [b_0..b_{n+1}] of the blowup weight polynomial.
+
+    Applies _w_tilde_columns over any ring: m and the alpha_j may be ints
+    or polynomial generators; b_{n+1} = 0 (smooth).
+    """
+    return _apply_columns(_w_tilde_columns(n, m, alphas),
+                          [Fraction(phi) for phi in phis], lams) + [Fraction(0)]
 
 
 def w_tilde(spec: BlowupSpec) -> Poly:

@@ -18,12 +18,15 @@ w(k)/chi(k) - (b_0/a_0) k, a rational function of k that expands as
 with F_l = (a_0 b_l - b_0 a_l) / a_0^2.  The F_l are independent of the
 choice of linearization (which can only shift w by c*k*chi) and are the
 obstructions to asymptotic Chow semistability computed by the rest of the
-package.  This module works purely with the coefficient lists; geometric
+package.  This module works purely with the two polynomials; geometric
 families enter through the modules that produce their chi and w.
+HilbertData and WeightData each hold n and one Poly, so the pipeline reads
+integer numerators and the leading and constant coefficients from it, and
+builds the coefficient tuples a and b only when they are asked for.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .errors import CrossCheckError
@@ -40,81 +43,131 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class _PolyData:
+    """An integer n and one Poly, read as a tuple of descending coefficients.
+
+    The common body of HilbertData and WeightData: immutable, and equal,
+    hashed and shown as a frozen dataclass of the two fields (n,
+    coefficients) would be, while only the Poly is stored.
+    """
+
+    __slots__ = ("n", "_poly")
+    _field = ""     # name of the coefficient tuple
+    _extra = 0      # its length minus n
+
+    def _hold(self, n: int, poly: Poly) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_poly", poly)
+
+    @classmethod
+    def _of(cls, n: int, poly: Poly):
+        data = object.__new__(cls)
+        data._hold(n, poly)
+        return data
+
+    def poly(self) -> Poly:
+        """The polynomial, as stored: no coefficient tuple is built."""
+        return self._poly
+
+    def _coefficients(self) -> tuple[Fraction, ...]:
+        return self._poly.descending(self.n + self._extra)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self._poly == other._poly
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._coefficients()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, {self._field}={self._coefficients()!r})"
+
+    def __reduce__(self):
+        return type(self), (self.n, self._coefficients())
+
+
+def _require_dimension(n) -> None:
+    _require_ints(n=n)
+    if n < 0:
+        raise ValueError("dimension must be non-negative")
+
+
+class HilbertData(_PolyData):
     """Hilbert polynomial chi(k) = sum_l a[l] k^{n-l} of an n-dimensional family."""
 
-    n: int
-    a: tuple[Fraction, ...]
+    __slots__ = ()
+    _field, _extra = "a", 1
 
-    def __post_init__(self):
-        _require_ints(n=self.n)
-        if self.n < 0:
-            raise ValueError("dimension must be non-negative")
-        object.__setattr__(self, "a", tuple(_as_rat(c) for c in self.a))
-        if len(self.a) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} coefficients, got {len(self.a)}")
-        if self.a[0] == 0:
+    def __init__(self, n: int, a):
+        _require_dimension(n)
+        a = tuple(a)
+        chi = Poly(a[::-1])             # refuses an entry that is no int or Fraction
+        if len(a) != n + 1:
+            raise ValueError(f"expected {n + 1} coefficients, got {len(a)}")
+        if chi.degree != n:
             raise ValueError("leading Hilbert coefficient a_0 must be nonzero")
+        self._hold(n, chi)
 
     @classmethod
     def from_poly(cls, chi: Poly, n: int) -> "HilbertData":
+        """chi, of degree exactly n, held as it is."""
         if chi.is_zero:
             raise ValueError("the Hilbert polynomial cannot be zero")
-        h = cls(n, chi.descending(n + 1))
-        object.__setattr__(h, "_poly", chi)     # the memo poly() returns
-        return h
+        _require_dimension(n)
+        if chi.degree > n:
+            raise ValueError(f"expected {n + 1} coefficients, got {chi.degree + 1}")
+        if chi.degree < n:
+            raise ValueError("leading Hilbert coefficient a_0 must be nonzero")
+        return cls._of(n, chi)
 
-    def poly(self) -> Poly:
-        """chi as a Poly: the one from_poly was given, or built on first use
-        and kept; it is no field, so equality, hash and repr ignore it."""
-        try:
-            return self._poly
-        except AttributeError:
-            object.__setattr__(self, "_poly", Poly.from_descending(self.a))
-            return self._poly
+    @property
+    def a(self) -> tuple[Fraction, ...]:
+        """The coefficients [a_0..a_n], read from the Poly."""
+        return self._coefficients()
 
 
-@dataclass(frozen=True)
-class WeightData:
+class WeightData(_PolyData):
     """Weight polynomial w(k) = sum_l b[l] k^{n+1-l}, including the constant b_{n+1}."""
 
-    n: int
-    b: tuple[Fraction, ...]
+    __slots__ = ()
+    _field, _extra = "b", 2
 
-    def __post_init__(self):
-        _require_ints(n=self.n)
-        if self.n < 0:
-            raise ValueError("dimension must be non-negative")
-        object.__setattr__(self, "b", tuple(_as_rat(c) for c in self.b))
-        if len(self.b) != self.n + 2:
-            raise ValueError(f"expected {self.n + 2} coefficients, got {len(self.b)}")
+    def __init__(self, n: int, b):
+        _require_dimension(n)
+        b = tuple(b)
+        w = Poly(b[::-1])               # refuses an entry that is no int or Fraction
+        if len(b) != n + 2:
+            raise ValueError(f"expected {n + 2} coefficients, got {len(b)}")
+        self._hold(n, w)
 
     @classmethod
     def from_poly(cls, w: Poly, n: int) -> "WeightData":
+        """w, of degree at most n + 1, held as it is."""
+        _require_dimension(n)
         if not w.is_zero and w.degree > n + 1:
             raise ValueError("weight polynomial degree exceeds n + 1")
-        data = cls(n, w.descending(n + 2))
-        object.__setattr__(data, "_poly", w)    # the memo poly() returns
-        return data
+        return cls._of(n, w)
 
     @classmethod
     def zero(cls, n: int) -> "WeightData":
-        return cls(n, (Fraction(0),) * (n + 2))
+        return cls(n, (0,) * (n + 2))
 
-    def poly(self) -> Poly:
-        """w as a Poly: the one from_poly was given, or built on first use
-        and kept; it is no field, so equality, hash and repr ignore it."""
-        try:
-            return self._poly
-        except AttributeError:
-            object.__setattr__(self, "_poly", Poly.from_descending(self.b))
-            return self._poly
+    @property
+    def b(self) -> tuple[Fraction, ...]:
+        """The coefficients [b_0..b_{n+1}], read from the Poly."""
+        return self._coefficients()
 
     @property
     def b_top(self) -> Fraction:
         """The constant coefficient b_{n+1}; zero whenever the family is smooth."""
-        return self.b[-1]
+        return self._poly.coefficient(0)
 
 
 @dataclass(frozen=True)
@@ -134,9 +187,9 @@ def _check_dims(h: HilbertData, w: WeightData) -> None:
 def chow_weight_fn(h: HilbertData, w: WeightData) -> RatFn:
     """Normalized Chow weight w(k)/chi(k) - (b_0/a_0) k as a reduced rational function."""
     _check_dims(h, w)
-    chi = h.poly()
-    shift = w.b[0] / h.a[0]
-    num = w.poly() - Poly((0, shift)) * chi
+    chi, w_poly = h.poly(), w.poly()
+    shift = w_poly.coefficient(w.n + 1) / chi.leading_coefficient()
+    num = w_poly - Poly((0, shift)) * chi
     return RatFn(num, chi)
 
 
@@ -168,10 +221,7 @@ def shift_linearization(w: WeightData, h: HilbertData, c: Fraction | int) -> Wei
     Chow weight function and every F_l are unchanged.
     """
     _check_dims(h, w)
-    c = _as_rat(c)
-    shifted = [w.b[ell] + c * h.a[ell] for ell in range(h.n + 1)]
-    shifted.append(w.b_top)
-    return WeightData(w.n, tuple(shifted))
+    return WeightData._of(w.n, w.poly() + Poly((0, _as_rat(c))) * h.poly())
 
 
 def report(h: HilbertData, w: WeightData) -> InvariantReport:
@@ -183,12 +233,13 @@ def report(h: HilbertData, w: WeightData) -> InvariantReport:
     """
     chow = chow_weight_fn(h, w)
     futaki = futaki_invariants(h, w)
-    chi = h.poly()
-    expansion = Poly.from_descending((0, *(h.a[0] * f for f in futaki), w.b_top))
+    chi, b_top = h.poly(), w.b_top
+    a0 = chi.leading_coefficient()
+    expansion = Poly.from_descending((0, *(a0 * f for f in futaki), b_top))
     lhs, rhs = chow.num * chi, expansion * chow.den
     if lhs != rhs:
         raise CrossCheckError(
             f"Chow expansion does not match the invariants F_l at chi = {chi.pretty()}, "
             f"w = {w.poly().pretty()}: chow.num * chi = {lhs.pretty()}, "
             f"expansion * chow.den = {rhs.pretty()}")
-    return InvariantReport(chow=chow, futaki=tuple(futaki), b_top=w.b_top)
+    return InvariantReport(chow=chow, futaki=tuple(futaki), b_top=b_top)

@@ -111,14 +111,17 @@ _NAMED_BLOCKS = {FOUR_POINTS_THREE_ALIGNED: tuple(map(frozenset, ({0}, {1}, {1, 
 @dataclass(frozen=True)
 class PointConfig:
     """A configuration of blown points, each known by its coordinate block
-    (the set of indices where its coordinates are nonzero).  A named kind
-    must carry its classmethod's blocks; any other kind is accepted."""
+    (the set of indices where its coordinates are nonzero).  At least one
+    block is required.  A named kind must carry its classmethod's blocks;
+    any other kind is accepted."""
 
     kind: str
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(_coordinate_block(b) for b in self.blocks))
+        if not self.blocks:
+            raise ValueError("a point configuration needs at least one blown point (block)")
         if self.blocks != _NAMED_BLOCKS.get(self.kind, self.blocks):
             raise ValueError(f"a {self.kind} configuration needs the blocks of its classmethod")
 
@@ -146,8 +149,10 @@ class Candidate:
 
 
 def _coordinate_block(block) -> frozenset[int]:
-    """``block`` as a frozenset; ValueError unless it is a nonempty subset of {0, 1, 2}."""
+    """``block`` as a frozenset; TypeError unless every index is an int (bools
+    refused), ValueError unless it is a nonempty subset of {0, 1, 2}."""
     idx = frozenset(block)
+    _require_int_seq("block", tuple(idx))
     if not idx or not idx <= {0, 1, 2}:
         raise ValueError(f"coordinate block must be a nonempty subset of {{0,1,2}}: {set(block)}")
     return idx

@@ -1,4 +1,4 @@
-"""Test-only reference: the per-spec blowup derivation that the geometry cache replaced.
+"""Test-only references for chowstab.blowup.
 
 ``derive(spec)`` computes everything of one BlowupSpec from scratch, as
 chowstab.blowup did before it held one object per geometry: chi~ and w~
@@ -6,13 +6,17 @@ from their coefficient formulas, D and the point sums through the f_l/g_l
 transcription, the generic pipeline on (chi~, w~) with both cross-checks,
 and the Chow function from chowcore.report.  test_blowup requires the
 library's values to pickle to the same bytes.
+
+``fraction_column_values(spec)`` applies the geometry's coefficient
+columns to the action as Fractions, as the geometry did before it held
+them as integer numerators; test_blowup requires equal values.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from chowstab import chowcore
+from chowstab import blowup, chowcore
 from chowstab.exactalg import Poly, stirling_coeffs
 
 
@@ -82,3 +86,26 @@ def derive(spec) -> dict:
     assert list(rep.futaki) == futaki
     return {"chi": chi, "w": w, "D": d_val, "futaki": futaki,
             "chow": (rep.chow.num, rep.chow.den)}
+
+
+def apply_columns(columns, phis, lams):
+    """sum_j (c_j phi_j + d_j lam_j) for each Fraction column pair (c, d)."""
+    return [sum((c * phi for c, phi in zip(phi_col, phis)), Fraction(0))
+            + sum((d * lam for d, lam in zip(lam_col, lams)), Fraction(0))
+            for phi_col, lam_col in columns]
+
+
+def fraction_column_values(spec):
+    """(w~ coefficients [b_0..b_{n+1}], point-sum [F_1..F_n]) of one spec from
+    the Fraction columns of _w_tilde_columns and of _f_g_levels, the latter
+    scaled by 1/(D^2 m^{l-1})."""
+    n, m = spec.base.n, spec.m
+    phis = [p.phi for p in spec.points]
+    lams = [p.lam for p in spec.points]
+    d_val, _, columns = blowup._f_g_levels(n, spec.base.a, spec.ratios)
+    scaled = []
+    for ell, (f_col, g_col) in enumerate(columns, start=1):
+        scale = 1 / (d_val**2 * m ** (ell - 1))
+        scaled.append(([v * scale for v in f_col], [v * scale for v in g_col]))
+    w_coeffs = apply_columns(blowup._w_tilde_columns(n, m, spec.alphas), phis, lams)
+    return w_coeffs + [Fraction(0)], apply_columns(scaled, phis, lams)

@@ -83,6 +83,23 @@ def random_specs(n, count, seed):
 REFERENCE_SPECS = list(criterion5_specs()) + random_specs(3, 60, seed=7)
 
 
+def rational_phi_specs():
+    """Blowups of P^2 and P^3 whose phi are not integers, each phi over its own denominator."""
+    phis = (Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6), Fraction(5, 4))
+    specs = []
+    for n in (2, 3):
+        base = projective_space_base(n)
+        for size in (1, 2, 3):
+            for shift in range(len(phis)):
+                points = tuple(BlownPoint(alpha=1 + (shift + j) % 3,
+                                          phi=phis[(shift + j) % len(phis)],
+                                          lam=(-1) ** j * (j + 2))
+                               for j in range(size))
+                m = sum(p.alpha for p in points) + 1 + shift
+                specs.append(BlowupSpec(base=base, points=points, m=m))
+    return specs
+
+
 def reference_chow(spec):
     """The Chow expansion (a_0/chi~(k)) sum_l F_l k^{n+1-l}, built monomial by monomial."""
     n = spec.base.n
@@ -218,13 +235,36 @@ class TestGeometryCache:
         assert (info.misses, info.hits) == (45, 3885 - 45)
 
 
+class TestIntegerColumns:
+    """The geometry applies its w~ and point-sum columns as integer numerators;
+    the values must equal the Fraction-column dot products they replaced."""
+
+    def test_specs_with_non_integral_phi(self):
+        specs = rational_phi_specs()
+        assert len(specs) == 24
+        assert all(any(p.phi.denominator > 1 for p in spec.points) for spec in specs)
+        assert {spec.base.n for spec in specs} == {2, 3}
+
+    def test_match_fraction_columns(self):
+        for spec in REFERENCE_SPECS + rational_phi_specs():
+            w_coeffs, futaki = blowup_reference.fraction_column_values(spec)
+            assert w_tilde(spec).descending(spec.base.n + 2) == tuple(w_coeffs), spec
+            assert spec._point_sum_futaki == tuple(futaki), spec
+            assert futaki_blowup(spec) == futaki, spec
+
+    def test_action_over_the_least_common_denominator(self):
+        phis = (Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6), Fraction(4))
+        assert blowup._integer_action(phis, [1, -2, 0, 3]) == ((3, -2, -1, 24), 6, (1, -2, 0, 3))
+        assert blowup._integer_action((Fraction(2), Fraction(-1)), (-6, 3)) == ((2, -1), 1, (-6, 3))
+
+
 class TestForcedCrossCheckFailures:
     def test_point_sums_disagree(self, monkeypatch):
         original = blowup._Geometry.point_sum_futaki
         spec = aligned_four_point_spec(3)
 
-        def skewed(self, phis, lams):      # the level-1 point sum + 1
-            futaki = original(self, phis, lams)
+        def skewed(self, *action):         # the level-1 point sum + 1
+            futaki = original(self, *action)
             return (futaki[0] + 1 / spec.volume_gap**2,) + futaki[1:]
 
         monkeypatch.setattr(blowup._Geometry, "point_sum_futaki", skewed)

@@ -1,5 +1,7 @@
 """Generic Chow weight pipeline: worked examples and structural invariants."""
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -214,7 +216,7 @@ class TestPolyBuiltOnce:
     def test_one_poly_per_instance(self, make):
         data, untouched = make(), make()
         assert data.poly() is data.poly()
-        # the cached Poly is no field: equality, hash and repr ignore it
+        # equality, hash and repr are those of the pair (n, coefficients)
         assert data == untouched and hash(data) == hash(untouched)
         assert repr(data) == repr(untouched)
         assert data.poly() == untouched.poly()
@@ -228,3 +230,98 @@ class TestPolyBuiltOnce:
         data = WeightData.from_poly(w, 2)
         assert data.poly() is w and w == Poly.from_descending(data.b)
         assert data == WeightData(2, w.descending(4))
+
+
+class TestHeldAsOnePoly:
+    """HilbertData and WeightData store n and one Poly; the coefficient tuples
+    are read from it, and the constructors, refusals, equality, hash and
+    repr are those of the former frozen dataclasses of (n, coefficients)."""
+
+    # Every message below is the one the frozen dataclasses raised.
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: HilbertData(2.0, (1, 2, 3)), TypeError, "n must be an int, got 2.0"),
+        (lambda: HilbertData(True, (1, 2)), TypeError, "n must be an int, got True"),
+        (lambda: HilbertData(-1, ()), ValueError, "dimension must be non-negative"),
+        (lambda: HilbertData(1, (0.5, 1)), TypeError, "expected an int or a Fraction, got 0.5"),
+        (lambda: HilbertData(1, (1, "1")), TypeError, "expected an int or a Fraction, got '1'"),
+        (lambda: HilbertData(2, (1, 2)), ValueError, "expected 3 coefficients, got 2"),
+        (lambda: HilbertData(1, (1, 2, 3)), ValueError, "expected 2 coefficients, got 3"),
+        (lambda: HilbertData(2, (0, 1, 2)), ValueError,
+         "leading Hilbert coefficient a_0 must be nonzero"),
+        (lambda: HilbertData(1, (0, 0)), ValueError,
+         "leading Hilbert coefficient a_0 must be nonzero"),
+        (lambda: WeightData(1.0, (1, 2, 0)), TypeError, "n must be an int, got 1.0"),
+        (lambda: WeightData(-1, (1,)), ValueError, "dimension must be non-negative"),
+        (lambda: WeightData(1, (1, 0.5, 0)), TypeError, "expected an int or a Fraction, got 0.5"),
+        (lambda: WeightData(1, (1, 0)), ValueError, "expected 3 coefficients, got 2"),
+        (lambda: WeightData(1, (1, 0, 0, 0)), ValueError, "expected 3 coefficients, got 4"),
+        (lambda: WeightData.zero(True), TypeError, "n must be an int, got True"),
+        (lambda: WeightData.zero(-1), ValueError, "dimension must be non-negative"),
+        (lambda: HilbertData.from_poly(Poly(), 1), ValueError,
+         "the Hilbert polynomial cannot be zero"),
+        (lambda: HilbertData.from_poly(Poly((1, 1)), 2), ValueError,
+         "leading Hilbert coefficient a_0 must be nonzero"),
+        (lambda: HilbertData.from_poly(Poly((1, 1)), True), TypeError,
+         "n must be an int, got True"),
+        (lambda: WeightData.from_poly(Poly((1, 1, 1, 1)), 1), ValueError,
+         "weight polynomial degree exceeds n + 1"),
+        (lambda: WeightData.from_poly(Poly((1, 1)), True), TypeError,
+         "n must be an int, got True"),
+    ])
+    def test_refusals(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
+
+    # These two once failed with the incidental messages "requested length
+    # shorter than the polynomial" and "can't multiply sequence by non-int".
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: HilbertData.from_poly(Poly((1, 1, 1)), 1), ValueError,
+         "expected 2 coefficients, got 3"),
+        (lambda: HilbertData.from_poly(Poly((1, 1)), 1.0), TypeError,
+         "n must be an int, got 1.0"),
+    ])
+    def test_from_poly_refusals_name_the_rule(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_reprs_of_the_dataclasses(self):
+        assert repr(HilbertData(2, (Fraction(1, 2), Fraction(3, 2), 1))) == \
+            "HilbertData(n=2, a=(Fraction(1, 2), Fraction(3, 2), Fraction(1, 1)))"
+        assert repr(WeightData(2, (1, Fraction(-1, 3), 2, 0))) == \
+            "WeightData(n=2, b=(Fraction(1, 1), Fraction(-1, 3), Fraction(2, 1), Fraction(0, 1)))"
+        assert repr(WeightData.zero(1)) == \
+            "WeightData(n=1, b=(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)))"
+        assert repr(HilbertData.from_poly(Poly((-1, Fraction(-5, 2), Fraction(-3, 2))), 2)) == \
+            "HilbertData(n=2, a=(Fraction(-3, 2), Fraction(-5, 2), Fraction(-1, 1)))"
+
+    def test_both_constructors_agree_and_hash_as_the_pair(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(0, 5)
+            a = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n + 1)]
+            a[0] = a[0] or Fraction(1, 3)
+            b = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n + 2)]
+            for cls, values, field in ((HilbertData, tuple(a), "a"), (WeightData, tuple(b), "b")):
+                data, held = cls(n, values), cls.from_poly(Poly.from_descending(values), n)
+                assert data == held and hash(data) == hash(held) == hash((n, values))
+                assert repr(data) == repr(held)
+                assert getattr(data, field) == getattr(held, field) == values
+
+    def test_equality_needs_the_class_and_n(self):
+        assert HilbertData(1, (1, 1)) != WeightData(0, (1, 1))
+        assert WeightData(1, (0, 0, 1)) != WeightData(2, (0, 0, 0, 1))
+        assert WeightData(1, (0, 0, 1)).poly() == WeightData(2, (0, 0, 0, 1)).poly()
+        assert HilbertData(1, (1, 1)) != (1, (1, 1))
+
+    def test_immutable_and_picklable(self):
+        h, w = HilbertData(2, (Fraction(1, 2), Fraction(3, 2), 1)), WeightData(1, (1, 2, 0))
+        for data, field in ((h, "a"), (w, "b")):
+            for name in ("n", field, "_poly"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(data, name, 1)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(data, name)
+            copy = pickle.loads(pickle.dumps(data))
+            assert copy == data and copy.poly() == data.poly()

@@ -99,6 +99,27 @@ class TestPointConfig:
         with pytest.raises(ValueError, match=f"^a {kind} configuration needs the blocks of its classmethod"):
             PointConfig(kind, blocks)
 
+    def test_no_blocks_refused(self):
+        # once accepted, failing later inside psi_reconstruct with
+        # "not enough values to unpack"
+        with pytest.raises(ValueError, match="^a point configuration needs at least one"):
+            PointConfig("none", ())
+
+    # 1.0 == True == 1, so set membership alone once let float and bool
+    # indices through: {True} was read as {1}, and fixed_point_data failed
+    # on {1.0} while indexing the weights.
+    @pytest.mark.parametrize("make", [
+        lambda: PointConfig("x", ({1.0},)),
+        lambda: PointConfig("three_general", ({0}, {True}, {2})),
+        lambda: PointConfig("two_points", ({0}, {1, 2.0})),
+        lambda: fixed_point_data(DiagAction((1, -1, 0)), {1.0}),
+        lambda: fixed_point_data(DiagAction((1, -1, 0)), {False}),
+        lambda: fixed_point_data(DiagAction((0, 0, 0)), {"0"}),
+    ], ids=["float", "bool-in-named", "float-in-pair", "float-point", "bool-point", "str-point"])
+    def test_non_int_indices_refused(self, make):
+        with pytest.raises(TypeError, match=r"^block\[\d\] must be an int, got "):
+            make()
+
     def test_other_kinds_stay_legal(self):
         config = PointConfig("two_points", ({1}, {2}))
         psi1, psi2 = psi_reconstruct(config, DiagAction((0, 1, -1)))
