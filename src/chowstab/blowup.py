@@ -35,10 +35,13 @@ phi_j and lambda_j in each coefficient of w~ and in each F_l.  These are
 derived once per geometry and held in a bounded cache
 (GEOMETRY_CACHE_SIZE entries), the coefficients as integer numerators
 over one denominator per output.  An action, its phi brought to their
-least common denominator once, then costs one integer dot product per
-coefficient of w~ and per F_l, and one normalisation for each.  Every
-call of futaki_blowup still re-derives the invariants through the generic
-chi/w pipeline and insists on exact agreement with the point sums.
+least common denominator, then costs one integer dot product per
+coefficient of w~ and per F_l, and one normalisation for each.  A
+BlowupSpec derives all of its data at construction, once: the geometry,
+w~ and its WeightData, and the point-sum F_l, held as plain attributes
+that every consumer reads.  Every call of futaki_blowup still re-derives
+the invariants through the generic chi/w pipeline and insists on exact
+agreement with the point sums.
 chow_blowup goes through chowcore.report on (chi~, w~), which asserts the
 Chow function's expansion in the F_l, and checks those F_l against the
 point sums the same way.
@@ -53,7 +56,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import chowcore
 from .errors import CrossCheckError, DegenerateInputError, ResourceLimitError
@@ -159,7 +162,11 @@ class BlowupSpec:
     """Base data, blown points, and the twist exponent m.
 
     Requires D = deg - sum (alpha_j/m)^n > 0; inputs with D <= 0 are not
-    polarizations of the blowup and are rejected outright.
+    polarizations of the blowup and are rejected outright.  The rest is
+    derived at construction, once, and read as attributes: ``alphas``, the
+    ``ratios`` alpha_j/m, the volume gap D (``volume_gap``), chi~ (``chi``,
+    the geometry's), w~ (``w``) and ``hilbert_weight_data``, the generic
+    pipeline's input (the geometry's HilbertData, the WeightData of w~).
     """
 
     base: BaseSummary
@@ -180,54 +187,19 @@ class BlowupSpec:
             raise ValueError("twist m must be >= 1")
         if not self.base.polystable_certified:
             raise ValueError("the base must be certified asymptotically Chow polystable")
-        if self.volume_gap <= 0:
+        alphas = tuple(p.alpha for p in self.points)
+        geometry = _geometry_for(self.base, self.m, alphas)
+        if geometry.volume_gap <= 0:
             raise DegenerateInputError(
-                f"exceptional volume exhausts the base: D = {self.volume_gap}")
-
-    @cached_property
-    def _geometry(self) -> _Geometry:
-        return _geometry_for(self.base, self.m, self.alphas)
-
-    @property
-    def ratios(self) -> tuple[Fraction, ...]:
-        """The ratios alpha_j / m."""
-        return self._geometry.ratios
-
-    @property
-    def volume_gap(self) -> Fraction:
-        """D = deg(M, L) - sum_j (alpha_j/m)^n."""
-        return self._geometry.volume_gap
-
-    @cached_property
-    def alphas(self) -> tuple[int, ...]:
-        return tuple(p.alpha for p in self.points)
-
-    @property
-    def chi(self) -> Poly:
-        """chi~(k), built once per geometry."""
-        return self._geometry.chi
-
-    @cached_property
-    def _action(self) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-        """The action data on integers (see _integer_action), once per spec."""
-        return _integer_action([p.phi for p in self.points], [p.lam for p in self.points])
-
-    @cached_property
-    def w(self) -> Poly:
-        """w~(k) from the geometry's columns, built once per spec."""
-        return self._geometry.w_poly(*self._action)
-
-    @cached_property
-    def hilbert_weight_data(self) -> tuple[chowcore.HilbertData, chowcore.WeightData]:
-        """chi~ and w~ as the generic pipeline's input: the geometry's
-        HilbertData, and the WeightData of w~, once per spec."""
-        return self._geometry.hilbert, chowcore.WeightData.from_poly(self.w, self.base.n)
-
-    @cached_property
-    def _point_sum_futaki(self) -> tuple[Fraction, ...]:
-        """[F_1..F_n] from the point-sum formula, unchecked; futaki_blowup and
-        chow_blowup check them against the pipeline on every call."""
-        return self._geometry.point_sum_futaki(*self._action)
+                f"exceptional volume exhausts the base: D = {geometry.volume_gap}")
+        phis, lams = [p.phi for p in self.points], [p.lam for p in self.points]
+        w = geometry.w_poly(phis, lams)
+        # Plain attributes beside the fields: equality, hash and repr stay the dataclass's.
+        self.__dict__.update(
+            _geometry=geometry, alphas=alphas, ratios=geometry.ratios,
+            volume_gap=geometry.volume_gap, chi=geometry.chi, w=w,
+            hilbert_weight_data=(geometry.hilbert, chowcore.WeightData.from_poly(w, self.base.n)),
+            _point_sum_futaki=geometry.point_sum_futaki(phis, lams))
 
 
 def _apply_columns(columns, phis, lams) -> list:
@@ -235,12 +207,6 @@ def _apply_columns(columns, phis, lams) -> list:
     return [sum(map(operator.mul, phi_col, phis), Fraction(0))
             + sum(map(operator.mul, lam_col, lams), Fraction(0))
             for phi_col, lam_col in columns]
-
-
-def _integer_action(phis, lams) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """(P, q, lams) with phi_j = P_j / q for q the least common denominator of the phi."""
-    q = math.lcm(*(phi.denominator for phi in phis))
-    return tuple(phi.numerator * (q // phi.denominator) for phi in phis), q, tuple(lams)
 
 
 def _over_one_denominator(columns) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], int]:
@@ -268,7 +234,8 @@ class _Geometry:
     as integer numerators: one pair per coefficient of w~, from
     _w_tilde_columns, over one denominator for all of w~, and one pair per
     F_l, the point-sum columns of _f_g_levels scaled by 1/(D^2 m^{l-1}),
-    over one denominator each.  An action (_integer_action) then costs one
+    over one denominator each.  An action (phi, lambda), its phi brought to
+    their least common denominator (_integer_action), then costs one
     integer dot product per coefficient.
     """
 
@@ -296,14 +263,22 @@ class _Geometry:
                 scaled.append((tuple(v * scale for v in f_col), tuple(v * scale for v in g_col)))
             self._futaki_columns = tuple(_over_one_denominator([pair]) for pair in scaled)
 
-    def w_poly(self, phi_nums, q, lams) -> Poly:
-        """w~ under the integer action (phi_nums / q, lams); b_{n+1} = 0: smooth."""
+    @staticmethod
+    def _integer_action(phis, lams) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+        """(P, q, lams) with phi_j = P_j / q for q the least common denominator of the phi."""
+        q = math.lcm(*(phi.denominator for phi in phis))
+        return tuple(phi.numerator * (q // phi.denominator) for phi in phis), q, tuple(lams)
+
+    def w_poly(self, phis, lams) -> Poly:
+        """w~ under the action (phi, lambda); b_{n+1} = 0: smooth."""
+        phi_nums, q, lams = self._integer_action(phis, lams)
         pairs, den = self._w_columns
         return Poly([0] + [_integer_dot(pair, phi_nums, q, lams) for pair in reversed(pairs)]) \
             / (q * den)
 
-    def point_sum_futaki(self, phi_nums, q, lams) -> tuple[Fraction, ...]:
-        """[F_1..F_n] from the point-sum formula under the integer action (phi_nums / q, lams)."""
+    def point_sum_futaki(self, phis, lams) -> tuple[Fraction, ...]:
+        """[F_1..F_n] from the point-sum formula under the action (phi, lambda)."""
+        phi_nums, q, lams = self._integer_action(phis, lams)
         return tuple(Fraction(_integer_dot(pair, phi_nums, q, lams), q * den)
                      for (pair,), den in self._futaki_columns)
 

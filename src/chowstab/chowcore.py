@@ -118,6 +118,8 @@ class HilbertData(_PolyData):
     @classmethod
     def from_poly(cls, chi: Poly, n: int) -> "HilbertData":
         """chi, of degree exactly n, held as it is."""
+        if not isinstance(chi, Poly):
+            raise TypeError(f"chi must be a Poly, got {chi!r}")
         if chi.is_zero:
             raise ValueError("the Hilbert polynomial cannot be zero")
         _require_dimension(n)
@@ -150,6 +152,8 @@ class WeightData(_PolyData):
     @classmethod
     def from_poly(cls, w: Poly, n: int) -> "WeightData":
         """w, of degree at most n + 1, held as it is."""
+        if not isinstance(w, Poly):
+            raise TypeError(f"w must be a Poly, got {w!r}")
         _require_dimension(n)
         if not w.is_zero and w.degree > n + 1:
             raise ValueError("weight polynomial degree exceeds n + 1")

@@ -299,6 +299,8 @@ def _cmd_oracle_check(args) -> int:
     if args.suite == "projbundle":
         seed = 0 if args.seed is None else args.seed
         count, mismatches = verification.run_projbundle_suite(seed=seed)
+    elif args.seed is not None:
+        raise ValueError("--seed applies only to --suite projbundle")
     else:
         count, mismatches = verification.run_blowup_suite()
     payload = {"suite": args.suite, "specs": count, "mismatches": len(mismatches)}

@@ -74,13 +74,15 @@ PSI_VARIABLES = ("m", "a1", "a2", "a3", "a4")
 _BASE_POINT = (1, 1, 0, 0, 0)
 
 # Largest accepted grid_bound.  The sweep visits 678 721 lines at b = 8, and
-# search_unstable(8, 1) takes about 6 s on one core of a 2-vCPU x86-64 host.
+# search_unstable(8, 1) gives 1 385 candidates in about 6.4 s (median of
+# five runs, spread 6.2-8.8 s) on one core of a 2-vCPU Intel Xeon host
+# under CPython 3.11.
 SEARCH_MAX_GRID_BOUND = 8
 
 # Largest accepted scale_bound.  Ampleness is invariant under scaling, so
 # each scale re-verifies every ample point, about 1 ms a candidate:
 # search_unstable(8, 8) gives 11 080 candidates in about 17 s on the same
-# host, against 1 385 in about 8 s at (8, 1).
+# host.
 SEARCH_MAX_SCALE_BOUND = 8
 
 

@@ -1,4 +1,6 @@
 """Blowup invariants: closed forms, skyscraper weights, oracle, adiabatic limit."""
+import dataclasses
+import functools
 import math
 import pickle
 import random
@@ -254,20 +256,21 @@ class TestIntegerColumns:
 
     def test_action_over_the_least_common_denominator(self):
         phis = (Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6), Fraction(4))
-        assert blowup._integer_action(phis, [1, -2, 0, 3]) == ((3, -2, -1, 24), 6, (1, -2, 0, 3))
-        assert blowup._integer_action((Fraction(2), Fraction(-1)), (-6, 3)) == ((2, -1), 1, (-6, 3))
+        assert blowup._Geometry._integer_action(phis, [1, -2, 0, 3]) == ((3, -2, -1, 24), 6, (1, -2, 0, 3))
+        assert blowup._Geometry._integer_action((Fraction(2), Fraction(-1)), (-6, 3)) == ((2, -1), 1, (-6, 3))
 
 
 class TestForcedCrossCheckFailures:
     def test_point_sums_disagree(self, monkeypatch):
+        # The spec derives its point sums at construction: patch first.
         original = blowup._Geometry.point_sum_futaki
-        spec = aligned_four_point_spec(3)
 
         def skewed(self, *action):         # the level-1 point sum + 1
             futaki = original(self, *action)
-            return (futaki[0] + 1 / spec.volume_gap**2,) + futaki[1:]
+            return (futaki[0] + 1 / self.volume_gap**2,) + futaki[1:]
 
         monkeypatch.setattr(blowup._Geometry, "point_sum_futaki", skewed)
+        spec = aligned_four_point_spec(3)
         for fn in (futaki_blowup, chow_blowup):
             with pytest.raises(CrossCheckError) as info:
                 fn(spec)
@@ -286,6 +289,91 @@ class TestForcedCrossCheckFailures:
         monkeypatch.setattr(chowcore, "chow_weight_fn", skewed)
         with pytest.raises(CrossCheckError, match="Chow expansion"):
             chow_blowup(aligned_four_point_spec(3))
+
+
+@pytest.fixture
+def geometry_calls(monkeypatch):
+    """Counts of the calls into _geometry_for and into every _Geometry method."""
+    calls = {}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        calls[name] = 0
+        return wrapper
+
+    monkeypatch.setattr(blowup, "_geometry_for", counted("_geometry_for", blowup._geometry_for))
+    for name, value in list(vars(blowup._Geometry).items()):
+        if isinstance(value, staticmethod):
+            monkeypatch.setattr(blowup._Geometry, name,
+                                staticmethod(counted(name, value.__func__)))
+        elif callable(value):
+            monkeypatch.setattr(blowup._Geometry, name, counted(name, value))
+    assert {"_geometry_for", "__init__", "w_poly", "point_sum_futaki"} <= set(calls)
+    return calls
+
+
+def read_everything_twice(spec) -> list:
+    values = []
+    for _ in range(2):
+        chow = chow_blowup(spec)
+        values.append((chi_tilde(spec), w_tilde(spec), futaki_blowup(spec), (chow.num, chow.den),
+                       [d_f_g(spec, ell) for ell in range(1, spec.base.n + 1)]))
+    return values
+
+
+class TestDerivedAtConstruction:
+    """A BlowupSpec derives its data in its constructor; reading it calls
+    into no geometry, and the dataclass fields alone define the spec."""
+
+    SPECS = (lambda: aligned_four_point_spec(3),
+             lambda: BlowupSpec(base=projective_space_base(3), m=4, points=(
+                 BlownPoint(2, Fraction(1, 2), -3), BlownPoint(1, Fraction(-1, 3), 4))))
+
+    @pytest.mark.parametrize("make_spec", SPECS)
+    def test_reads_call_no_geometry(self, geometry_calls, make_spec):
+        spec = make_spec()
+        assert geometry_calls["_geometry_for"] == 1 and geometry_calls["point_sum_futaki"] == 1
+        geometry_calls.update(dict.fromkeys(geometry_calls, 0))
+        first, second = read_everything_twice(spec)
+        assert first == second
+        assert set(geometry_calls.values()) == {0}, geometry_calls
+
+    def test_equality_hash_and_repr_are_the_fields(self):
+        spec = aligned_four_point_spec(3)
+        # as printed before the spec held its derived data as attributes
+        assert repr(spec) == (
+            "BlowupSpec(base=BaseSummary(n=2, a=(Fraction(1, 2), Fraction(3, 2), "
+            "Fraction(1, 1)), polystable_certified=True), points=(BlownPoint(alpha=1, "
+            "phi=Fraction(2, 1), lam=-6), BlownPoint(alpha=1, phi=Fraction(-1, 1), lam=3), "
+            "BlownPoint(alpha=1, phi=Fraction(-1, 1), lam=3), BlownPoint(alpha=1, "
+            "phi=Fraction(-1, 1), lam=3)), m=3)")
+        assert hash(spec) == hash((spec.base, spec.points, spec.m))
+        assert spec == aligned_four_point_spec(3) and spec != aligned_four_point_spec(4)
+        assert [field.name for field in dataclasses.fields(BlowupSpec)] == ["base", "points", "m"]
+        assert not [name for name, value in vars(BlowupSpec).items()
+                    if isinstance(value, (property, functools.cached_property))]
+
+    @pytest.mark.parametrize("make_spec", SPECS)
+    def test_pickle_round_trip(self, geometry_calls, make_spec):
+        spec = make_spec()
+        loaded = pickle.loads(pickle.dumps(spec))
+        geometry_calls.update(dict.fromkeys(geometry_calls, 0))
+        got = read_everything_twice(loaded)
+        assert set(geometry_calls.values()) == {0}, geometry_calls
+        assert loaded == spec and hash(loaded) == hash(spec) and repr(loaded) == repr(spec)
+        assert got == read_everything_twice(spec)
+
+    def test_replace_derives_afresh(self, geometry_calls):
+        spec = aligned_four_point_spec(3)
+        replaced, fresh = dataclasses.replace(spec, m=4), aligned_four_point_spec(4)
+        geometry_calls.update(dict.fromkeys(geometry_calls, 0))
+        assert w_tilde(replaced) == w_tilde(fresh) != w_tilde(spec)
+        assert replaced._point_sum_futaki == fresh._point_sum_futaki != spec._point_sum_futaki
+        assert futaki_blowup(replaced) == futaki_blowup(fresh)
+        assert (replaced.volume_gap, replaced.ratios) == (fresh.volume_gap, fresh.ratios)
+        assert set(geometry_calls.values()) == {0}, geometry_calls
 
 
 class TestInexactInputRefused:

@@ -267,6 +267,9 @@ class TestHeldAsOnePoly:
          "weight polynomial degree exceeds n + 1"),
         (lambda: WeightData.from_poly(Poly((1, 1)), True), TypeError,
          "n must be an int, got True"),
+        (lambda: HilbertData.from_poly(5, 1), TypeError, "chi must be a Poly, got 5"),
+        (lambda: WeightData.from_poly([1, 2], 1), TypeError, "w must be a Poly, got [1, 2]"),
+        (lambda: HilbertData.from_poly((1, 1), 1.0), TypeError, "chi must be a Poly, got (1, 1)"),
     ])
     def test_refusals(self, make, error, message):
         with pytest.raises(error) as info:

@@ -294,6 +294,16 @@ class TestOracleCheck:
         payload = json.loads(out)
         assert payload["mismatches"] == 0 and payload["specs"] == 40
 
+    def test_seed_refused_for_the_exhaustive_blowup_suite(self, capsys, monkeypatch):
+        from chowstab import verification
+
+        def no_sweep():
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(verification, "run_blowup_suite", no_sweep)
+        code, out, err = run_cli(capsys, "oracle-check", "--suite", "blowup", "--seed", "3")
+        assert (code, out, err) == (1, "", "error: --seed applies only to --suite projbundle\n")
+
 
 class TestProcessEntry:
     def test_console_invocation(self):
