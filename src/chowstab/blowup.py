@@ -201,6 +201,11 @@ class BlowupSpec:
             hilbert_weight_data=(geometry.hilbert, chowcore.WeightData.from_poly(w, self.base.n)),
             _point_sum_futaki=geometry.point_sum_futaki(phis, lams))
 
+    def __reduce__(self):
+        # Pickle the fields alone: loading rebuilds through the constructor,
+        # so the copy shares the _geometry_for entry instead of carrying one.
+        return BlowupSpec, (self.base, self.points, self.m)
+
 
 def _apply_columns(columns, phis, lams) -> list:
     """sum_j (c_j phi_j + d_j lam_j) for each column pair (c, d) of a linear map, over any ring."""

@@ -23,9 +23,11 @@ its points, giving psi_l in (m, a1, ..., a<number of points>) with
 F_l = psi_l / deg^2, each proved where it is built to equal F_l * deg^2
 from chi~ and w~ on the same generators, as polynomials.  One bounded
 cache holds each (config, action)'s polynomials with their compiled
-integer evaluators.  The search evaluates those of the four-point family
-and re-verifies every candidate through the full pipeline;
-three_point_loci evaluates those of the two three-point generators.
+integer evaluators, and another the quartic and cubic parts of
+psi_1(B + y) at the triple point B, compiled into one evaluator.  The
+search evaluates those of the four-point family and re-verifies every
+candidate through the full pipeline; three_point_loci evaluates those of
+the two three-point generators.
 
 At a fixed point whose nonzero coordinates form a block on which the
 diagonal action has a single weight, the normalized moment-map value is
@@ -41,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd, lcm, prod
 
 from . import blowup, chowcore
 from .errors import CrossCheckError, ResourceLimitError
@@ -73,16 +75,16 @@ PSI_VARIABLES = ("m", "a1", "a2", "a3", "a4")
 # the triple point of the quartic sits at m = a1 = 1, a2 = a3 = a4 = 0.
 _BASE_POINT = (1, 1, 0, 0, 0)
 
-# Largest accepted grid_bound.  The sweep visits 678 721 lines at b = 8, and
-# search_unstable(8, 1) gives 1 385 candidates in about 6.4 s (median of
-# five runs, spread 6.2-8.8 s) on one core of a 2-vCPU Intel Xeon host
-# under CPython 3.11.
+# Largest accepted grid_bound.  The sweep visits 142 575 lines at b = 8
+# (of the box's 678 721), and search_unstable(8, 1) gives 1 385 candidates
+# in about 1.9 s (median of five runs, spread 1.7-2.2 s) on one core of a
+# 2-vCPU Intel Xeon host under CPython 3.11.
 SEARCH_MAX_GRID_BOUND = 8
 
 # Largest accepted scale_bound.  Ampleness is invariant under scaling, so
-# each scale re-verifies every ample point, about 1 ms a candidate:
-# search_unstable(8, 8) gives 11 080 candidates in about 17 s on the same
-# host.
+# each scale re-verifies every ample point, about 0.6 ms a candidate:
+# search_unstable(8, 8) gives 11 080 candidates in about 7.5 s (median of
+# three runs) on the same host.
 SEARCH_MAX_SCALE_BOUND = 8
 
 
@@ -267,15 +269,35 @@ def triple_point_check(psi1: MPoly) -> bool:
 
     psi1 must be a polynomial in PSI_VARIABLES, the coordinates of that
     point.  The multiplicity is the lowest total degree of psi1(B + y),
-    expanded once on generators shifted by B; the zero polynomial has no
-    triple point.
+    read off its expansion by degree (_base_point_parts); the zero
+    polynomial has no triple point.
     """
     if psi1.variables != PSI_VARIABLES:
         raise ValueError(f"psi1 must be a polynomial in {PSI_VARIABLES}, got one in {psi1.variables}")
-    generators = MPoly.generators(PSI_VARIABLES)
-    shifted = psi1.evaluate({name: y + b for name, y, b in
-                             zip(PSI_VARIABLES, generators, _BASE_POINT)})
-    return not shifted.is_zero and min(sum(exps) for exps, _ in shifted.terms()) == 3
+    parts = _base_point_parts(psi1)
+    return bool(parts) and min(parts) == 3
+
+
+def _base_point_parts(psi: MPoly) -> dict[int, MPoly]:
+    """The nonzero homogeneous parts of psi(B + y) in y, keyed by degree.
+
+    Expanded on psi's term list as integer numerators over one
+    denominator: each power (b + y_i)^e of a shifted coordinate is
+    sum_k C(e, k) b^(e-k) y_i^k, and only m and a1 are shifted.
+    """
+    terms = list(psi.terms())
+    den = lcm(*(coeff.denominator for _, coeff in terms))
+    parts: dict[int, dict[tuple[int, ...], int]] = {}
+    for exps, coeff in terms:
+        numerator = coeff.numerator * (den // coeff.denominator)
+        for shifted in itertools.product(*(range(e + 1) if b else (e,)
+                                           for e, b in zip(exps, _BASE_POINT))):
+            weight = prod(comb(e, k) * b ** (e - k) for e, k, b in zip(exps, shifted, _BASE_POINT))
+            part = parts.setdefault(sum(shifted), {})
+            part[shifted] = part.get(shifted, 0) + numerator * weight
+    polys = {degree: MPoly(psi.variables, {exps: Fraction(c, den) for exps, c in part.items()})
+             for degree, part in parts.items()}
+    return {degree: part for degree, part in polys.items() if not part.is_zero}
 
 
 def ample_check(config: PointConfig, m: int, alphas) -> bool:
@@ -340,9 +362,9 @@ def three_point_loci(m: int, alphas) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _compile_int_poly(poly: MPoly):
-    """Straight-line integer evaluator of an integral polynomial, taking its
-    variables in order, generated from its term list."""
+def _int_poly_source(poly: MPoly) -> str:
+    """Straight-line integer expression of an integral polynomial in its
+    variables, generated from its term list."""
     products = []
     for exps, coeff in poly.terms():
         if coeff.denominator != 1:
@@ -353,28 +375,72 @@ def _compile_int_poly(poly: MPoly):
         for name, e in zip(poly.variables, exps):
             factors.extend((name,) * e)
         products.append("*".join(factors))
-    source = f"lambda {', '.join(poly.variables)}: {' + '.join(products) or '0'}"
-    return eval(compile(source, "<psi>", "eval"), {})
+    return " + ".join(products) or "0"
+
+
+def _compile(variables: tuple[str, ...], expression: str):
+    return eval(compile(f"lambda {', '.join(variables)}: {expression}", "<psi>", "eval"), {})
+
+
+def _compile_int_poly(poly: MPoly):
+    """Integer evaluator of an integral polynomial, taking its variables in order."""
+    return _compile(poly.variables, _int_poly_source(poly))
+
+
+@lru_cache(maxsize=_PSI_CACHE_SIZE)
+def _line_coefficients(config: PointConfig, action: DiagAction):
+    """Compiled integer evaluator of (c4, c3) = (psi_1(v), cubic part of
+    psi_1(B + v)), the quartic and cubic coefficients of psi_1 on the line
+    B + t*v of (config, action).
+
+    Both parts come from one expansion of psi_1(B + y); CrossCheckError
+    unless its parts of degree 0-2 vanish and its quartic part is psi_1,
+    so that psi_1(B + t*v) = c3 t^3 + c4 t^4 on every line.
+    """
+    psi1 = _psi(config, action)[0][0]
+    parts = _base_point_parts(psi1)
+    where = f"psi_1 of {config.kind} under diag{action.w}"
+    for degree in range(3):
+        if degree in parts:
+            raise CrossCheckError(
+                f"{where} has no triple point at {_BASE_POINT}: the degree-{degree} part "
+                f"of psi_1(B + y) is {parts[degree].pretty()}")
+    zero = MPoly.zeros(psi1.variables)
+    quartic, cubic = parts.get(4, zero), parts.get(3, zero)
+    if quartic != psi1:
+        raise CrossCheckError(
+            f"{where} is not a quartic form: the degree-4 part of psi_1(B + y) is "
+            f"{quartic.pretty()}, psi_1 = {psi1.pretty()}")
+    return _compile(psi1.variables, f"({_int_poly_source(quartic)}, {_int_poly_source(cubic)})")
 
 
 def _line_directions(bound: int):
-    """One direction per line through the origin of the box [-bound, bound]^5.
+    """One direction per line through the origin of the box [-bound, bound]^5
+    whose last three entries are nonzero and share one sign.
 
-    Each line yields its first member in the box's lexicographic order,
-    -T*p with p primitive, first nonzero entry positive, and
+    Each such line yields its first member in the box's lexicographic
+    order, -T*p with p primitive, first nonzero entry positive, and
     T = bound // max|p|; lines come in the order of those members.  A
     vector v = -g*p (g = gcd(v)) is that member iff (g + 1) * max|p| > bound.
+    A first member has its first nonzero entry negative, so its head
+    (v0, v1) is (negative, any) or (0, negative), or (0, 0) followed by a
+    negative tail (v2, v3, v4).
     """
-    box = range(-bound, bound + 1)
-    for lead in range(5):
-        zeros = (0,) * lead
-        for a in range(-bound, 0):
-            for rest in itertools.product(box, repeat=4 - lead):
-                v = zeros + (a,) + rest
-                g = gcd(*v)
-                top = max(map(abs, v))
-                if top + top // g > bound:
-                    yield v
+    below, box = range(-bound, 0), range(-bound, bound + 1)
+    negative = [(t, gcd(*t), -min(t)) for t in itertools.product(below, repeat=3)]
+    positive = [(t, gcd(*t), max(t)) for t in itertools.product(range(1, bound + 1), repeat=3)]
+    tails = negative + positive
+    heads = [(a, b) for a in below for b in box] + [(0, b) for b in below]
+    for head in heads:
+        head_gcd, head_top = gcd(*head), max(map(abs, head))
+        for tail, tail_gcd, tail_top in tails:
+            g = gcd(head_gcd, tail_gcd)
+            top = max(head_top, tail_top)
+            if top + top // g > bound:
+                yield head + tail
+    for tail, g, top in negative:
+        if top + top // g > bound:
+            yield (0, 0) + tail
 
 
 def _verify_candidate(m: int, alphas: tuple[int, ...]) -> Fraction:
@@ -398,18 +464,22 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     cscK-compatible yet asymptotically Chow unstable (F_1 = 0, F_2 != 0).
 
     psi_1 has a triple point at B = (1,1,0,0,0), so along the line B + t*v
-    it restricts to c3 t^3 + c4 t^4 with c4 = psi_1(v) and
-    c3 = psi_1(B + v) - c4.  When c4 != 0 the line meets the quartic once
-    more, at the integer point c4*B - c3*v, taken primitive with its first
-    nonzero entry positive.  The sweep visits each line through B with a
-    direction in [-grid_bound, grid_bound]^5 once, represented by its first
-    member in the box's lexicographic order (-T*p for the primitive,
+    it restricts to c3 t^3 + c4 t^4, where c4 = psi_1(v) and c3 is the
+    cubic part of psi_1(B + y) at y = v (one compiled evaluator gives both).
+    When c4 != 0 the line meets the quartic once more, at the integer point
+    c4*B - c3*v, taken primitive with its first nonzero entry positive.
+    Only points whose five entries share one strict sign are kept.  The
+    last three entries of c4*B - c3*v are -c3*(v2, v3, v4), so only lines
+    with v2, v3 and v4 nonzero and of one sign can yield a kept point, and
+    the sweep visits just those.  It visits each such line through B with
+    a direction in [-grid_bound, grid_bound]^5 once, represented by its
+    first member in the box's lexicographic order (-T*p for the primitive,
     positively signed p and T = grid_bound // max|p|); the other box
     members of a line come later and give the same point.  Directions v
     and v + c*B span the same projective line, so a point can recur; it is
-    kept at its first occurrence.  Points with all five entries positive
-    are scaled by 1..scale_bound and kept when the polarization is ample
-    and psi_2 does not vanish.  Each returned candidate is re-verified
+    kept at its first occurrence.  Kept points are scaled by
+    1..scale_bound and kept when the polarization is ample and psi_2 does
+    not vanish.  Each returned candidate, at every scale, is re-verified
     through the full invariant pipeline.  Output order is deterministic:
     lines in the order of their representatives, scales increasing, the
     same as a scan of every direction of the box in lexicographic order.
@@ -428,14 +498,15 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
         raise ResourceLimitError(
             f"search guard exceeded: scale_bound = {scale_bound} > {SEARCH_MAX_SCALE_BOUND}")
     config = PointConfig.four_points_three_aligned()
-    psi1, psi2 = _psi(config, _default_action(config))[1]
+    action = _default_action(config)
+    line_coefficients = _line_coefficients(config, action)
+    psi2 = _psi(config, action)[1][1]
     candidates: list[Candidate] = []
     seen: set[tuple[int, ...]] = set()
     for v0, v1, v2, v3, v4 in _line_directions(grid_bound):
-        c4 = psi1(v0, v1, v2, v3, v4)
+        c4, c3 = line_coefficients(v0, v1, v2, v3, v4)
         if c4 == 0:
             continue
-        c3 = psi1(1 + v0, 1 + v1, v2, v3, v4) - c4
         point = (c4 - c3 * v0, c4 - c3 * v1, -c3 * v2, -c3 * v3, -c3 * v4)
         # Keep only points whose entries share one strict sign.
         if min(point) < 1 and max(point) > -1:

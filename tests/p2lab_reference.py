@@ -1,0 +1,76 @@
+"""Test-only reference for chowstab.p2lab.search_unstable.
+
+``search(bound, scale)`` is the integer line sweep as it stood before the
+direction walk skipped lines: ``line_directions(bound)`` yields the first
+box member of every line through the origin, and each line evaluates the
+compiled quartic twice, c4 = psi_1(v) and c3 = psi_1(B + v) - c4, before
+the sign test drops the points it cannot keep.  It leaves out the
+per-candidate pipeline re-verification, which never changes the output.
+test_p2lab requires the library's candidates to equal its own, order
+included.
+"""
+from __future__ import annotations
+
+import functools
+import itertools
+from fractions import Fraction
+from math import gcd
+
+from chowstab import p2lab
+from chowstab.p2lab import Candidate, PointConfig, ample_check
+
+
+def line_directions(bound):
+    """One direction per line through the origin of [-bound, bound]^5: its
+    first member in lexicographic order, -T*p for the primitive p with first
+    nonzero entry positive and T = bound // max|p|."""
+    box = range(-bound, bound + 1)
+    for lead in range(5):
+        zeros = (0,) * lead
+        for a in range(-bound, 0):
+            for rest in itertools.product(box, repeat=4 - lead):
+                v = zeros + (a,) + rest
+                g = gcd(*v)
+                top = max(map(abs, v))
+                if top + top // g > bound:
+                    yield v
+
+
+@functools.lru_cache(maxsize=None)
+def kept_points(bound):
+    """The primitive points of every line, in line order, first occurrence
+    kept, whose entries share one strict sign."""
+    psi1 = p2lab._compile_int_poly(p2lab.psi_reconstruct(PointConfig.four_points_three_aligned())[0])
+    points, seen = [], set()
+    for v0, v1, v2, v3, v4 in line_directions(bound):
+        c4 = psi1(v0, v1, v2, v3, v4)
+        if c4 == 0:
+            continue
+        c3 = psi1(1 + v0, 1 + v1, v2, v3, v4) - c4
+        point = (c4 - c3 * v0, c4 - c3 * v1, -c3 * v2, -c3 * v3, -c3 * v4)
+        if min(point) < 1 and max(point) > -1:
+            continue
+        g = gcd(*point)
+        if point[0] < 0:
+            g = -g
+        point = tuple(c // g for c in point)
+        if point not in seen:
+            seen.add(point)
+            points.append(point)
+    return tuple(points)
+
+
+def search(bound, scale):
+    config = PointConfig.four_points_three_aligned()
+    psi2 = p2lab._compile_int_poly(p2lab.psi_reconstruct(config)[1])
+    out = []
+    for point in kept_points(bound):
+        for k in range(1, scale + 1):
+            m, alphas = k * point[0], tuple(k * c for c in point[1:])
+            if not ample_check(config, m, alphas):
+                continue
+            psi2_value = Fraction(psi2(m, *alphas))
+            if psi2_value:
+                out.append(Candidate(m=m, alphas=alphas, psi1_value=Fraction(0),
+                                     psi2_value=psi2_value, ample=True, verified=True))
+    return out

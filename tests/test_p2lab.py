@@ -10,6 +10,7 @@ from chowstab import blowup, p2lab
 from chowstab.errors import CrossCheckError, ResourceLimitError
 from chowstab.exactalg import MPoly, Poly
 from exact_reference import is_homogeneous, partial, total_degree
+import p2lab_reference
 from chowstab.p2lab import (
     PSI_VARIABLES,
     SEARCH_MAX_GRID_BOUND,
@@ -242,6 +243,58 @@ class TestTriplePoint:
         m, a1 = MPoly.generators(("m", "a1"))
         with pytest.raises(ValueError, match="must be a polynomial in"):
             triple_point_check((m - a1) ** 3 * m)
+
+    def test_expansion_matches_evaluation_on_shifted_generators(self):
+        m, a1, a2, *_ = MPoly.generators(PSI_VARIABLES)
+        shifted = {name: y + b for name, y, b in
+                   zip(PSI_VARIABLES, MPoly.generators(PSI_VARIABLES), (1, 1, 0, 0, 0))}
+        psi1, _ = psi_reconstruct(PointConfig.four_points_three_aligned())
+        for poly in (psi1, Fraction(1, 3) * m**4 - a1 * a2, (m - a1) ** 2 * m**2):
+            parts = p2lab._base_point_parts(poly)
+            assert all(not part.is_zero and is_homogeneous(part) and total_degree(part) == degree
+                       for degree, part in parts.items())
+            assert sum(parts.values(), MPoly.zeros(PSI_VARIABLES)) == poly.evaluate(shifted)
+        assert sorted(p2lab._base_point_parts(psi1)) == [3, 4]
+
+
+@pytest.fixture
+def cold_line_coefficients():
+    p2lab._line_coefficients.cache_clear()
+    yield p2lab._line_coefficients
+    p2lab._line_coefficients.cache_clear()
+
+
+class TestLineCoefficients:
+    """The sweep's (c4, c3) come from one expansion of psi_1 at B, checked
+    to have no part below degree 3 and psi_1 as its quartic part."""
+
+    def test_coefficients_on_the_lines(self, cold_line_coefficients):
+        config = PointConfig.four_points_three_aligned()
+        line = p2lab._line_coefficients(config, DiagAction((2, -1, -1)))
+        psi1 = p2lab._compile_int_poly(psi_reconstruct(config)[0])
+        for v in itertools.product(range(-2, 3), repeat=5):
+            c4 = psi1(*v)
+            assert line(*v) == (c4, psi1(1 + v[0], 1 + v[1], *v[2:]) - c4)
+        assert cold_line_coefficients.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda m, a2: m**4, "has no triple point at (1, 1, 0, 0, 0): the degree-0 part "
+                             "of psi_1(B + y) is 1"),
+        (lambda m, a2: m**2 * a2**3, "is not a quartic form: the degree-4 part of "
+                                     "psi_1(B + y) is 2*m*a2^3, psi_1 = m^2*a2^3"),
+    ])
+    def test_forced_failure_is_named(self, monkeypatch, cold_line_coefficients, make, message):
+        m, _, a2, _, _ = MPoly.generators(PSI_VARIABLES)
+        psi1 = make(m, a2)
+        monkeypatch.setattr(p2lab, "_psi", lambda config, action: ((psi1, None), None))
+        for call in (lambda: search_unstable(1, 1),
+                     lambda: p2lab._line_coefficients(PointConfig.four_points_three_aligned(),
+                                                      DiagAction((2, -1, -1)))):
+            with pytest.raises(CrossCheckError) as info:
+                call()
+            assert str(info.value) == (
+                f"psi_1 of four_points_three_aligned under diag(2, -1, -1) {message}")
+        assert cold_line_coefficients.cache_info().currsize == 0
 
 
 class TestAmpleCheck:
@@ -540,7 +593,18 @@ def test_search_matches_full_box_reference(bound, scale):
     assert search_unstable(bound, scale) == reference_search(bound, scale)
 
 
-@pytest.mark.parametrize("bound, lines", [(1, 121), (2, 1441), (3, 8161), (4, 27841)])
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+@pytest.mark.parametrize("scale", [1, 2, 3])
+def test_search_matches_the_sweep_of_every_line(bound, scale):
+    assert search_unstable(bound, scale) == p2lab_reference.search(bound, scale)
+
+
+def _signs_can_keep(v):
+    """The last three entries of a line's point are -c3 * (v2, v3, v4)."""
+    return all(c < 0 for c in v[2:]) or all(c > 0 for c in v[2:])
+
+
+@pytest.mark.parametrize("bound, lines", [(1, 9), (2, 191), (3, 1305), (4, 4975)])
 def test_line_directions_first_box_member(bound, lines):
     directions = list(_line_directions(bound))
     assert len(directions) == lines
@@ -549,6 +613,7 @@ def test_line_directions_first_box_member(bound, lines):
     for v, p in zip(directions, rays):
         assert v == tuple(-(bound // max(map(abs, p))) * c for c in p)
     assert directions == sorted(directions)
+    assert directions == list(filter(_signs_can_keep, p2lab_reference.line_directions(bound)))
 
 
 @pytest.mark.parametrize("bound", [1, 2])
@@ -558,4 +623,4 @@ def test_line_directions_brute_force(bound):
         if any(v) and _ray(v) not in seen:
             seen.add(_ray(v))
             first.append(v)
-    assert list(_line_directions(bound)) == first
+    assert list(_line_directions(bound)) == list(filter(_signs_can_keep, first))
