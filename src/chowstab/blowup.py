@@ -32,11 +32,12 @@ Everything but the action data (phi, lambda) is fixed by the geometry
 (base, m, alphas): chi~ and its HilbertData, the ratios, D, and, since w~
 and the point sums are linear in (phi, lambda), the coefficient of every
 phi_j and lambda_j in each coefficient of w~ and in each F_l.  These are
-derived once per geometry and held in a bounded cache
+derived once per geometry, on integers, and held in a bounded cache
 (GEOMETRY_CACHE_SIZE entries), the coefficients as integer numerators
-over one denominator per output.  An action, its phi brought to their
-least common denominator, then costs one integer dot product per
-coefficient of w~ and per F_l, and one normalisation for each.  A
+over one denominator for w~ and one for the F_l.  An action, its phi
+brought to their least common denominator, then costs one integer dot
+product per coefficient of w~ and per F_l, and one normalisation for
+each.  A
 BlowupSpec derives all of its data at construction, once: the geometry,
 w~ and its WeightData, and the point-sum F_l, held as plain attributes
 that every consumer reads.  Every call of futaki_blowup still re-derives
@@ -214,12 +215,16 @@ def _apply_columns(columns, phis, lams) -> list:
             for phi_col, lam_col in columns]
 
 
-def _over_one_denominator(columns) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], int]:
-    """Fraction column pairs (c, d) as integer pairs (c * den, d * den) and
-    den, the least common denominator of all their entries."""
+def _over_one_denominator(columns, scale) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], int]:
+    """Column pairs (c, d) of ints or Fractions, each divided by the positive
+    rational ``scale``, as integer pairs (c * den / scale, d * den / scale)
+    and den: the least common denominator of the entries times the
+    numerator of scale."""
+    scale = Fraction(scale)
     den = math.lcm(*(v.denominator for pair in columns for column in pair for v in column))
-    return tuple(tuple(tuple(v.numerator * (den // v.denominator) for v in column)
-                       for column in pair) for pair in columns), den
+    top = scale.denominator
+    return tuple(tuple(tuple(v.numerator * (den // v.denominator) * top for v in column)
+                       for column in pair) for pair in columns), den * scale.numerator
 
 
 def _integer_dot(pair, phi_nums, q, lams) -> int:
@@ -233,15 +238,22 @@ class _Geometry:
     """What a blowup's action does not change, derived once per (base, m, alphas).
 
     Holds the ratios x_j = alpha_j/m, D and the per-level terms of f_l,
-    g_l (from _f_g_levels), chi~ and, for a polarization (D > 0), its
-    HilbertData, whose Poly is chi~.  w~ and the point sums F_l are linear
-    in the action data (phi, lambda).  Their coefficient columns are kept
-    as integer numerators: one pair per coefficient of w~, from
-    _w_tilde_columns, over one denominator for all of w~, and one pair per
-    F_l, the point-sum columns of _f_g_levels scaled by 1/(D^2 m^{l-1}),
-    over one denominator each.  An action (phi, lambda), its phi brought to
-    their least common denominator (_integer_action), then costs one
-    integer dot product per coefficient.
+    g_l, chi~ and, for a polarization (D > 0), its HilbertData, whose Poly
+    is chi~.  w~ and the point sums F_l are linear in the action data
+    (phi, lambda).  Their coefficient columns are kept as integer
+    numerators: one pair per coefficient of w~, from _w_tilde_columns, over
+    one denominator, and one pair per F_l, the point-sum columns of
+    _f_g_levels scaled by 1/(D^2 m^{l-1}), over another.  An action (phi,
+    lambda), its phi brought to their least common denominator
+    (_integer_action), then costs one integer dot product per coefficient.
+
+    Everything is derived on integers.  The x_j share the denominator m,
+    and the transcription of _f_g_levels is weighted homogeneous (x of
+    weight 1, n! a_l of weight n - l).  Run at x_j = alpha_j and
+    n! a_l m^{n-l}, it gives m^n D, level terms scaled by m^n, m^n and
+    m^{n-l}, and columns f_l and (n+1) g_l scaled by m^{2n-l} and
+    m^{2n+1-l}: integers whenever the base's n! a_l are, as on projective
+    space (otherwise the same code runs on Fractions).
     """
 
     __slots__ = ("ratios", "volume_gap", "levels", "chi", "hilbert", "_w_columns",
@@ -249,10 +261,16 @@ class _Geometry:
 
     def __init__(self, base: BaseSummary, m: int, alphas: tuple[int, ...]):
         n = base.n
+        fact = math.factorial(n)
+        weighted = [_whole(fact * c) * m ** (n - ell) for ell, c in enumerate(base.a)]
+        d_int, levels, columns = _f_g_levels(n, weighted, alphas)
         self.ratios = tuple(Fraction(alpha, m) for alpha in alphas)
-        self.volume_gap, self.levels, columns = _f_g_levels(n, base.a, self.ratios)
+        self.volume_gap = Fraction(d_int, m**n)
+        self.levels = [(ell, Fraction(d_lo, m**n), Fraction(d_hi, m**n),
+                        Fraction(second, m ** (n - ell))) for ell, d_lo, d_hi, second in levels]
         chi = chi_tilde_coeffs(n, base.a, m, alphas)
-        self._w_columns = _over_one_denominator(_w_tilde_columns(n, m, alphas))
+        self._w_columns = _over_one_denominator(_w_tilde_columns(n, m, alphas),
+                                                math.factorial(n + 1))
         # D <= 0 is no polarization (BlowupSpec refuses it); only the
         # counting identity, chi~ and w~, is defined there.
         if self.volume_gap <= 0:
@@ -261,12 +279,11 @@ class _Geometry:
         else:
             self.hilbert = chowcore.HilbertData(n, chi)
             self.chi = self.hilbert.poly()
-            d_sq = self.volume_gap**2
-            scaled = []
-            for ell, (f_col, g_col) in enumerate(columns, start=1):
-                scale = 1 / (d_sq * m ** (ell - 1))
-                scaled.append((tuple(v * scale for v in f_col), tuple(v * scale for v in g_col)))
-            self._futaki_columns = tuple(_over_one_denominator([pair]) for pair in scaled)
+            # With f and (n+1) g from the integer run, f_l(x_j) / (D^2 m^{l-1})
+            # = m f / (m^n D)^2 and g_l(x_j) / (D^2 m^{l-1}) = g / (m^n D)^2.
+            self._futaki_columns = _over_one_denominator(
+                [(tuple((n + 1) * m * v for v in f_col), g_col) for f_col, g_col in columns],
+                (n + 1) * d_int**2)
 
     @staticmethod
     def _integer_action(phis, lams) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
@@ -284,13 +301,18 @@ class _Geometry:
     def point_sum_futaki(self, phis, lams) -> tuple[Fraction, ...]:
         """[F_1..F_n] from the point-sum formula under the action (phi, lambda)."""
         phi_nums, q, lams = self._integer_action(phis, lams)
-        return tuple(Fraction(_integer_dot(pair, phi_nums, q, lams), q * den)
-                     for (pair,), den in self._futaki_columns)
+        pairs, den = self._futaki_columns
+        return tuple(Fraction(_integer_dot(pair, phi_nums, q, lams), q * den) for pair in pairs)
 
 
 @lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def _geometry_for(base: BaseSummary, m: int, alphas: tuple[int, ...]) -> _Geometry:
     return _Geometry(base, m, alphas)
+
+
+def _whole(value: Fraction):
+    """value as an int when it is one, else the Fraction itself."""
+    return value.numerator if value.denominator == 1 else value
 
 
 def _alpha_power_sum(alphas, power: int) -> int:
@@ -333,15 +355,14 @@ def quotient_weight(spec: BlowupSpec, k: int) -> Fraction:
 
 
 def _w_tilde_columns(n: int, m, alphas) -> tuple[tuple[tuple, tuple], ...]:
-    """For each coefficient b_l of w~, l = 0..n, the coefficients of phi_j and of
-    lambda_j: (s_{n-l} / n!) m alpha_j^{n-l} and
-    ((s_{n-l} - s_{n+1-l}) / (n+1)!) alpha_j^{n+1-l}.  Like chi_tilde_coeffs,
-    m and the alpha_j may be ints or polynomial generators."""
+    """For each coefficient b_l of w~, l = 0..n, (n+1)! times the coefficients
+    of phi_j and of lambda_j, (s_{n-l} / n!) m alpha_j^{n-l} and
+    ((s_{n-l} - s_{n+1-l}) / (n+1)!) alpha_j^{n+1-l}: integers for integer
+    m and alpha_j.  Like chi_tilde_coeffs, m and the alpha_j may also be
+    polynomial generators."""
     s = stirling_coeffs(n) + [0]       # s_{n+1} = 0
-    fact = math.factorial(n)
-    return tuple((tuple(Fraction(s[n - ell], fact) * (m * a ** (n - ell)) for a in alphas),
-                  tuple(Fraction(s[n - ell] - s[n + 1 - ell], fact * (n + 1)) * a ** (n + 1 - ell)
-                        for a in alphas))
+    return tuple((tuple((n + 1) * s[n - ell] * (m * a ** (n - ell)) for a in alphas),
+                  tuple((s[n - ell] - s[n + 1 - ell]) * a ** (n + 1 - ell) for a in alphas))
                  for ell in range(n + 1))
 
 
@@ -351,8 +372,9 @@ def w_tilde_coeffs(n: int, m: int, alphas, phis, lams) -> list[Fraction]:
     Applies _w_tilde_columns over any ring: m and the alpha_j may be ints
     or polynomial generators; b_{n+1} = 0 (smooth).
     """
-    return _apply_columns(_w_tilde_columns(n, m, alphas),
-                          [Fraction(phi) for phi in phis], lams) + [Fraction(0)]
+    unit = Fraction(1, math.factorial(n + 1))
+    return [unit * c for c in _apply_columns(_w_tilde_columns(n, m, alphas),
+                                             [Fraction(phi) for phi in phis], lams)] + [Fraction(0)]
 
 
 def w_tilde(spec: BlowupSpec) -> Poly:
@@ -360,19 +382,19 @@ def w_tilde(spec: BlowupSpec) -> Poly:
     return spec.w
 
 
-def _f_g_levels(n: int, a, ratios):
+def _f_g_levels(n: int, fact_a, ratios):
     """D = n! a_0 - sum_i x_i^n and, for l = 1..n, the per-level terms
     (l, D s_{n-l}, D s_{n+1-l}, n! a_l - s_{n-l} sum_i x_i^{n-l}) of f_l and g_l
-    and the point-sum columns (f_l(x_j))_j and (-g_l(x_j))_j, over any ring."""
+    and the point-sum columns (f_l(x_j))_j and (-(n+1) g_l(x_j))_j, over any
+    ring, from fact_a = (n! a_0, ..., n! a_n)."""
     s = stirling_coeffs(n) + [0]       # s_{n+1} = 0
-    fact = math.factorial(n)
 
     def power_sum(p):
         return sum((x**p for x in ratios[1:]), ratios[0] ** p)
 
-    d_val = fact * Fraction(a[0]) - power_sum(n)
+    d_val = fact_a[0] - power_sum(n)
     levels = [(ell, d_val * s[n - ell], d_val * s[n + 1 - ell],
-               fact * Fraction(a[ell]) - s[n - ell] * power_sum(n - ell))
+               fact_a[ell] - s[n - ell] * power_sum(n - ell))
               for ell in range(1, n + 1)]
     columns = []
     for level in levels:
@@ -382,11 +404,10 @@ def _f_g_levels(n: int, a, ratios):
 
 
 def _f_g(n: int, level, x):
-    """f_l(x) and g_l(x) at an exact ring element x, from one entry of _f_g_levels."""
+    """f_l(x) and (n+1) g_l(x) at an exact ring element x, from one entry of _f_g_levels."""
     ell, d_lo, d_hi, second = level
     f_val = d_lo * x ** (n - ell) - second * x**n
-    g_val = (d_hi * x ** (n + 1 - ell) - x * f_val) * Fraction(1, n + 1)
-    return f_val, g_val
+    return f_val, d_hi * x ** (n + 1 - ell) - x * f_val
 
 
 def futaki_point_sums(n: int, a, ratios, phis, lams) -> list:
@@ -394,14 +415,17 @@ def futaki_point_sums(n: int, a, ratios, phis, lams) -> list:
 
     x_j = ratios[j] stands for alpha_j/m: the unscaled point-sum columns of
     _f_g_levels, over Fractions (numeric invariants) or multivariate
-    polynomial generators (symbolic vanishing loci), applied to (phi, lam);
+    polynomial generators (symbolic vanishing loci), applied to
+    (phi, lam / (n+1)), since their second column holds -(n+1) g_l;
     d_f_g evaluates the same per-level terms at the polynomial variable:
 
         f_l(x) = D s_{n-l} x^{n-l} - (n! a_l - s_{n-l} sum_i x_i^{n-l}) x^n,
         g_l(x) = (D s_{n+1-l} x^{n+1-l} - x f_l(x)) / (n+1),
         D      = n! a_0 - sum_i x_i^n.
     """
-    return _apply_columns(_f_g_levels(n, a, ratios)[2], [Fraction(phi) for phi in phis], lams)
+    fact = math.factorial(n)
+    return _apply_columns(_f_g_levels(n, [fact * Fraction(c) for c in a], ratios)[2],
+                          [Fraction(phi) for phi in phis], [Fraction(lam, n + 1) for lam in lams])
 
 
 def d_f_g(spec: BlowupSpec, ell: int) -> tuple[Fraction, Poly, Poly]:
@@ -412,7 +436,7 @@ def d_f_g(spec: BlowupSpec, ell: int) -> tuple[Fraction, Poly, Poly]:
     if not 1 <= ell <= n:
         raise ValueError(f"l must be in 1..{n}")
     f, g = _f_g(n, spec._geometry.levels[ell - 1], Poly((0, 1)))
-    return spec.volume_gap, f, g
+    return spec.volume_gap, f, g / (n + 1)
 
 
 def _checked_point_sums(spec: BlowupSpec, pipeline) -> list[Fraction]:

@@ -75,16 +75,18 @@ PSI_VARIABLES = ("m", "a1", "a2", "a3", "a4")
 # the triple point of the quartic sits at m = a1 = 1, a2 = a3 = a4 = 0.
 _BASE_POINT = (1, 1, 0, 0, 0)
 
-# Largest accepted grid_bound.  The sweep visits 142 575 lines at b = 8
-# (of the box's 678 721), and search_unstable(8, 1) gives 1 385 candidates
-# in about 1.9 s (median of five runs, spread 1.7-2.2 s) on one core of a
-# 2-vCPU Intel Xeon host under CPython 3.11.
+# Largest accepted grid_bound.  The sweep walks 142 575 lines at b = 8
+# (of the box's 678 721) and evaluates one per class mod B, and
+# search_unstable(8, 1) gives 1 385 candidates in about 0.56 s (median of
+# five fresh processes, spread 0.47-0.62 s) on one core of a 2-vCPU Intel
+# Xeon host under CPython 3.11.
 SEARCH_MAX_GRID_BOUND = 8
 
-# Largest accepted scale_bound.  Ampleness is invariant under scaling, so
-# each scale re-verifies every ample point, about 0.6 ms a candidate:
-# search_unstable(8, 8) gives 11 080 candidates in about 7.5 s (median of
-# three runs) on the same host.
+# Largest accepted scale_bound.  Ampleness is invariant under scaling and
+# tested once per point, but every scale re-verifies each ample point
+# through the pipeline, about 0.18 ms a candidate: search_unstable(8, 8)
+# gives 11 080 candidates in about 2.3 s (median of three fresh processes)
+# on the same host.
 SEARCH_MAX_SCALE_BOUND = 8
 
 
@@ -142,7 +144,8 @@ class PointConfig:
 class Candidate:
     """An integer polarization of the four-point blowup with F_1 = 0 and
     F_2 != 0, i.e. asymptotically Chow unstable; ``verified`` records that
-    the full invariant pipeline confirmed both values."""
+    the full invariant pipeline, run on each candidate at its own scale,
+    confirmed both values."""
 
     m: int
     alphas: tuple[int, int, int, int]
@@ -178,14 +181,6 @@ def fixed_point_data(action: DiagAction, block) -> tuple[Fraction, int]:
     w_block = weights.pop()
     lam = sum(action.w[i] - w_block for i in range(3) if i not in idx)
     return Fraction(w_block), lam
-
-
-def _plane_blowup(config: PointConfig, action: DiagAction, m: int, alphas) -> BlowupSpec:
-    """The plane blown up at the points of ``config`` with multiplicities
-    ``alphas``, twisted by m, with the fixed-point data of ``action``."""
-    points = tuple(BlownPoint(alpha, *fixed_point_data(action, block))
-                   for block, alpha in zip(config.blocks, alphas))
-    return BlowupSpec(base=projective_space_base(2), points=points, m=m)
 
 
 # Entries are a few small polynomials and two compiled functions; the
@@ -315,14 +310,20 @@ def ample_check(config: PointConfig, m: int, alphas) -> bool:
     alphas = tuple(alphas)
     _require_ints(m=m)
     _require_int_seq("alphas", alphas)
+    return _is_ample(config.kind, m, alphas)
+
+
+def _is_ample(kind: str, m: int, alphas: tuple[int, ...]) -> bool:
+    """ample_check on checked ints.  Every inequality is homogeneous, so
+    the answer at (s*m, s*alphas) is the one at (m, alphas) for every s >= 1."""
     if m <= 0 or any(a <= 0 for a in alphas):
         return False
-    if config.kind == THREE_GENERAL:
+    if kind == THREE_GENERAL:
         if len(alphas) != 3:
             raise ValueError("three multiplicities expected")
         total = sum(alphas)
         return all(m + a > total for a in alphas)
-    if config.kind == FOUR_POINTS_THREE_ALIGNED:
+    if kind == FOUR_POINTS_THREE_ALIGNED:
         if len(alphas) != 4:
             raise ValueError("four multiplicities expected")
         a1, a2, a3, a4 = alphas
@@ -331,7 +332,7 @@ def ample_check(config: PointConfig, m: int, alphas) -> bool:
         if any(m - a1 - aj <= 0 for aj in (a2, a3, a4)):
             return False
         return m * m - sum(a * a for a in alphas) > 0
-    raise ValueError(f"unknown configuration kind: {config.kind}")
+    raise ValueError(f"unknown configuration kind: {kind}")
 
 
 _THREE_POINT_ACTIONS = (DiagAction((1, -1, 0)), DiagAction((0, 1, -1)))
@@ -443,14 +444,15 @@ def _line_directions(bound: int):
             yield (0, 0) + tail
 
 
-def _verify_candidate(m: int, alphas: tuple[int, ...]) -> Fraction:
+def _verify_candidate(m: int, alphas: tuple[int, ...], data) -> Fraction:
     """Recompute F_1 and F_2 through the blowup pipeline; returns F_2 * deg^2.
 
+    ``data`` holds the fixed-point data (phi, lambda) of each blown point.
     Raises if the candidate fails recomputation, which by construction
     should never happen.
     """
-    config = PointConfig.four_points_three_aligned()
-    spec = _plane_blowup(config, _default_action(config), m, alphas)
+    points = tuple(BlownPoint(alpha, phi, lam) for alpha, (phi, lam) in zip(alphas, data))
+    spec = BlowupSpec(base=projective_space_base(2), points=points, m=m)
     f1, f2 = blowup.futaki_blowup(spec)
     if f1 != 0 or f2 == 0:
         raise CrossCheckError(
@@ -471,18 +473,27 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     Only points whose five entries share one strict sign are kept.  The
     last three entries of c4*B - c3*v are -c3*(v2, v3, v4), so only lines
     with v2, v3 and v4 nonzero and of one sign can yield a kept point, and
-    the sweep visits just those.  It visits each such line through B with
-    a direction in [-grid_bound, grid_bound]^5 once, represented by its
-    first member in the box's lexicographic order (-T*p for the primitive,
-    positively signed p and T = grid_bound // max|p|); the other box
-    members of a line come later and give the same point.  Directions v
-    and v + c*B span the same projective line, so a point can recur; it is
-    kept at its first occurrence.  Kept points are scaled by
-    1..scale_bound and kept when the polarization is ample and psi_2 does
-    not vanish.  Each returned candidate, at every scale, is re-verified
-    through the full invariant pipeline.  Output order is deterministic:
-    lines in the order of their representatives, scales increasing, the
-    same as a scan of every direction of the box in lexicographic order.
+    the sweep visits just those.  It visits each such line through the
+    origin with a direction in [-grid_bound, grid_bound]^5 once,
+    represented by its first member in the box's lexicographic order (-T*p
+    for the primitive, positively signed p and T = grid_bound // max|p|).
+
+    Directions v and v + c*B span the same line through B, whose class
+    (v0 - v1, v2, v3, v4), made primitive with v2 > 0, names it; the point
+    depends on the class alone.  A class is marked done once one of its
+    directions has given c4 != 0, and later directions of a done class are
+    skipped unevaluated.  A direction with c4 = 0 lies on the quartic
+    itself and gives no point, so it leaves its class open: a later
+    direction v + c*B of the class recovers the line's point.  A point is
+    kept at its first occurrence.
+
+    A kept point that is ample gives its multiples by 1..scale_bound
+    (ampleness is invariant under scaling, so it is tested once, on the
+    primitive point), each kept when psi_2 does not vanish there.  Every
+    returned candidate is re-verified at its own scale through the full
+    invariant pipeline.  Output order is deterministic: lines in the order
+    of their representatives, scales increasing, the same as a scan of
+    every direction of the box in lexicographic order.
 
     Bounds must be ints >= 1 (TypeError, ValueError otherwise), grid_bound
     at most SEARCH_MAX_GRID_BOUND and scale_bound at most
@@ -501,12 +512,22 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     action = _default_action(config)
     line_coefficients = _line_coefficients(config, action)
     psi2 = _psi(config, action)[1][1]
+    data = tuple(fixed_point_data(action, block) for block in config.blocks)
     candidates: list[Candidate] = []
     seen: set[tuple[int, ...]] = set()
+    done: set[tuple[int, int, int, int]] = set()
     for v0, v1, v2, v3, v4 in _line_directions(grid_bound):
+        u0 = v0 - v1
+        g = gcd(u0, v2, v3, v4)
+        if v2 < 0:
+            g = -g
+        line = (u0 // g, v2 // g, v3 // g, v4 // g)
+        if line in done:
+            continue
         c4, c3 = line_coefficients(v0, v1, v2, v3, v4)
         if c4 == 0:
             continue
+        done.add(line)
         point = (c4 - c3 * v0, c4 - c3 * v1, -c3 * v2, -c3 * v3, -c3 * v4)
         # Keep only points whose entries share one strict sign.
         if min(point) < 1 and max(point) > -1:
@@ -518,15 +539,15 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
         if point in seen:
             continue
         seen.add(point)
+        if not _is_ample(FOUR_POINTS_THREE_ALIGNED, point[0], point[1:]):
+            continue
         for scale in range(1, scale_bound + 1):
             m = scale * point[0]
             alphas = tuple(scale * c for c in point[1:])
-            if not ample_check(config, m, alphas):
-                continue
             psi2_value = Fraction(psi2(m, *alphas))
             if psi2_value == 0:
                 continue
-            f2_scaled = _verify_candidate(m, alphas)
+            f2_scaled = _verify_candidate(m, alphas, data)
             if f2_scaled != psi2_value:
                 raise CrossCheckError(
                     f"psi_2 disagrees with F_2 * deg^2 recomputed through the blowup "

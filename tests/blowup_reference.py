@@ -7,16 +7,18 @@ transcription, the generic pipeline on (chi~, w~) with both cross-checks,
 and the Chow function from chowcore.report.  test_blowup requires the
 library's values to pickle to the same bytes.
 
-``fraction_column_values(spec)`` applies the geometry's coefficient
-columns to the action as Fractions, as the geometry did before it held
-them as integer numerators; test_blowup requires equal values.
+``FractionGeometry(base, m, alphas)`` derives what blowup._Geometry
+holds, on Fractions, as the library did before it ran its transcription
+on integers: the ratios alpha_j/m, D, the per-level terms, chi~ and its
+HilbertData, and under an action w~ and the point-sum F_l.  test_blowup
+requires the library's geometry to hold equal values, D <= 0 included.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from chowstab import blowup, chowcore
+from chowstab import chowcore
 from chowstab.exactalg import Poly, stirling_coeffs
 
 
@@ -46,8 +48,9 @@ def w_tilde_coeffs(n, m, alphas, phis, lams):
     return out
 
 
-def futaki_point_sums(n, a, ratios, phis, lams):
-    """sum_j [f_l(x_j) phi_j - g_l(x_j) lam_j] for l = 1..n, point by point."""
+def levels(n, a, ratios):
+    """D = n! a_0 - sum_i x_i^n and the per-level terms
+    (l, D s_{n-l}, D s_{n+1-l}, n! a_l - s_{n-l} sum_i x_i^{n-l}), l = 1..n."""
     s = stirling_coeffs(n) + [0]
     fact = math.factorial(n)
 
@@ -55,57 +58,58 @@ def futaki_point_sums(n, a, ratios, phis, lams):
         return sum((x**p for x in ratios), Fraction(0))
 
     d_val = fact * Fraction(a[0]) - power_sum(n)
+    return d_val, [(ell, d_val * s[n - ell], d_val * s[n + 1 - ell],
+                    fact * Fraction(a[ell]) - s[n - ell] * power_sum(n - ell))
+                   for ell in range(1, n + 1)]
+
+
+def futaki_point_sums(n, a, ratios, phis, lams):
+    """sum_j [f_l(x_j) phi_j - g_l(x_j) lam_j] for l = 1..n, point by point."""
     out = []
-    for ell in range(1, n + 1):
-        second = fact * Fraction(a[ell]) - s[n - ell] * power_sum(n - ell)
+    for ell, d_lo, d_hi, second in levels(n, a, ratios)[1]:
         acc = Fraction(0)
         for x, phi, lam in zip(ratios, phis, lams):
-            f_val = d_val * s[n - ell] * x ** (n - ell) - second * x**n
-            g_val = (d_val * s[n + 1 - ell] * x ** (n + 1 - ell) - x * f_val) / (n + 1)
+            f_val = d_lo * x ** (n - ell) - second * x**n
+            g_val = (d_hi * x ** (n + 1 - ell) - x * f_val) / (n + 1)
             acc += f_val * Fraction(phi) - g_val * lam
         out.append(acc)
     return out
 
 
+class FractionGeometry:
+    """The fields of blowup._Geometry, and its w~ and point sums under an
+    action, each derived on Fractions from the formulas of this module."""
+
+    def __init__(self, base, m, alphas):
+        n = base.n
+        self.n, self.a, self.m, self.alphas = n, base.a, m, tuple(alphas)
+        self.ratios = tuple(Fraction(alpha, m) for alpha in alphas)
+        self.volume_gap, self.levels = levels(n, base.a, self.ratios)
+        chi = chi_tilde_coeffs(n, base.a, m, alphas)
+        self.chi = Poly.from_descending(chi)
+        self.hilbert = chowcore.HilbertData(n, chi) if self.volume_gap > 0 else None
+
+    def w_poly(self, phis, lams):
+        return Poly.from_descending(w_tilde_coeffs(self.n, self.m, self.alphas, phis, lams))
+
+    def point_sum_futaki(self, phis, lams):
+        sums = futaki_point_sums(self.n, self.a, self.ratios, phis, lams)
+        return tuple(total / (self.volume_gap**2 * self.m ** (ell - 1))
+                     for ell, total in enumerate(sums, start=1))
+
+
 def derive(spec) -> dict:
     """chi~, w~, D, the F_l and the Chow function's num/den of one spec."""
-    n, a, m = spec.base.n, spec.base.a, spec.m
-    alphas = [p.alpha for p in spec.points]
+    n = spec.base.n
     phis = [p.phi for p in spec.points]
     lams = [p.lam for p in spec.points]
-    ratios = [Fraction(alpha, m) for alpha in alphas]
-    d_val = spec.base.degree - sum((x**n for x in ratios), Fraction(0))
-    chi = Poly.from_descending(chi_tilde_coeffs(n, a, m, alphas))
-    w = Poly.from_descending(w_tilde_coeffs(n, m, alphas, phis, lams))
+    geometry = FractionGeometry(spec.base, spec.m, [p.alpha for p in spec.points])
+    chi, w = geometry.chi, geometry.w_poly(phis, lams)
     h = chowcore.HilbertData.from_poly(chi, n)
     wd = chowcore.WeightData.from_poly(w, n)
-    sums = futaki_point_sums(n, a, ratios, phis, lams)
-    futaki = [sums[ell - 1] / (d_val**2 * m ** (ell - 1)) for ell in range(1, n + 1)]
+    futaki = list(geometry.point_sum_futaki(phis, lams))
     assert futaki == chowcore.futaki_invariants(h, wd)
     rep = chowcore.report(h, wd)
     assert list(rep.futaki) == futaki
-    return {"chi": chi, "w": w, "D": d_val, "futaki": futaki,
+    return {"chi": chi, "w": w, "D": geometry.volume_gap, "futaki": futaki,
             "chow": (rep.chow.num, rep.chow.den)}
-
-
-def apply_columns(columns, phis, lams):
-    """sum_j (c_j phi_j + d_j lam_j) for each Fraction column pair (c, d)."""
-    return [sum((c * phi for c, phi in zip(phi_col, phis)), Fraction(0))
-            + sum((d * lam for d, lam in zip(lam_col, lams)), Fraction(0))
-            for phi_col, lam_col in columns]
-
-
-def fraction_column_values(spec):
-    """(w~ coefficients [b_0..b_{n+1}], point-sum [F_1..F_n]) of one spec from
-    the Fraction columns of _w_tilde_columns and of _f_g_levels, the latter
-    scaled by 1/(D^2 m^{l-1})."""
-    n, m = spec.base.n, spec.m
-    phis = [p.phi for p in spec.points]
-    lams = [p.lam for p in spec.points]
-    d_val, _, columns = blowup._f_g_levels(n, spec.base.a, spec.ratios)
-    scaled = []
-    for ell, (f_col, g_col) in enumerate(columns, start=1):
-        scale = 1 / (d_val**2 * m ** (ell - 1))
-        scaled.append(([v * scale for v in f_col], [v * scale for v in g_col]))
-    w_coeffs = apply_columns(blowup._w_tilde_columns(n, m, spec.alphas), phis, lams)
-    return w_coeffs + [Fraction(0)], apply_columns(scaled, phis, lams)

@@ -237,9 +237,31 @@ class TestGeometryCache:
         assert (info.misses, info.hits) == (45, 3885 - 45)
 
 
+# n! a_l = 2/3, 2/5, 4/7: the geometry's integer run falls back to Fractions.
+NON_INTEGRAL_BASE = BaseSummary(n=2, a=(Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)))
+
+
+def geometry_universe():
+    """(base, m, alphas) of every REFERENCE_SPECS geometry, of every
+    candidate of search_unstable(4, 3), of a base whose n! a_l are not
+    integers, and of geometries with D <= 0."""
+    keys = {(spec.base, spec.m, spec.alphas): None for spec in REFERENCE_SPECS}
+    keys.update(((P2, c.m, c.alphas), None) for c in p2lab.search_unstable(4, 3))
+    for base in (P2, projective_space_base(3), NON_INTEGRAL_BASE):
+        for m in range(1, 6):
+            for alphas in ((1,), (m,), (2, 1), (1, 1, 1, 1), (3, 2, 2)):
+                keys[(base, m, alphas)] = None
+    return list(keys)
+
+
+def exact_fields(geometry) -> tuple:
+    return tuple(pickle.dumps(getattr(geometry, name))
+                 for name in ("ratios", "volume_gap", "levels", "chi", "hilbert"))
+
+
 class TestIntegerColumns:
-    """The geometry applies its w~ and point-sum columns as integer numerators;
-    the values must equal the Fraction-column dot products they replaced."""
+    """The geometry derives its fields and its w~ and point-sum columns on
+    integers; the values must equal the Fraction derivation they replaced."""
 
     def test_specs_with_non_integral_phi(self):
         specs = rational_phi_specs()
@@ -249,10 +271,34 @@ class TestIntegerColumns:
 
     def test_match_fraction_columns(self):
         for spec in REFERENCE_SPECS + rational_phi_specs():
-            w_coeffs, futaki = blowup_reference.fraction_column_values(spec)
-            assert w_tilde(spec).descending(spec.base.n + 2) == tuple(w_coeffs), spec
-            assert spec._point_sum_futaki == tuple(futaki), spec
-            assert futaki_blowup(spec) == futaki, spec
+            reference = blowup_reference.FractionGeometry(spec.base, spec.m, spec.alphas)
+            phis, lams = [p.phi for p in spec.points], [p.lam for p in spec.points]
+            futaki = reference.point_sum_futaki(phis, lams)
+            assert w_tilde(spec) == reference.w_poly(phis, lams), spec
+            assert spec._point_sum_futaki == futaki, spec
+            assert futaki_blowup(spec) == list(futaki), spec
+
+    def test_universe_reaches_every_branch(self):
+        geometries = [blowup._Geometry(*key) for key in geometry_universe()]
+        assert len(geometries) == 348
+        assert any(g.volume_gap == 0 for g in geometries)
+        assert sum(g.volume_gap < 0 for g in geometries) > 20
+        assert any(base is NON_INTEGRAL_BASE and g.volume_gap > 0
+                   for (base, _, _), g in zip(geometry_universe(), geometries))
+        assert any(math.factorial(2) * c % 1 for c in NON_INTEGRAL_BASE.a)
+
+    def test_integer_geometry_matches_fraction_geometry(self):
+        for base, m, alphas in geometry_universe():
+            got = blowup._Geometry(base, m, alphas)
+            want = blowup_reference.FractionGeometry(base, m, alphas)
+            assert exact_fields(got) == exact_fields(want), (base, m, alphas)
+            k = len(alphas)
+            for phis, lams in (([Fraction(2)] + [Fraction(-1)] * (k - 1), [-6] + [3] * (k - 1)),
+                               ([Fraction((-1) ** j * (j + 1), j + 2) for j in range(k)],
+                                [(-1) ** j * (j + 3) for j in range(k)])):
+                assert got.w_poly(phis, lams) == want.w_poly(phis, lams), (base, m, alphas)
+                if want.volume_gap > 0:
+                    assert got.point_sum_futaki(phis, lams) == want.point_sum_futaki(phis, lams)
 
     def test_action_over_the_least_common_denominator(self):
         phis = (Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6), Fraction(4))

@@ -45,6 +45,7 @@ class TestGoldenOutput:
         ("search_unstable_grid2_scale3", "search-unstable", None, ("--grid", "2", "--scale", "3")),
         ("blowup_rational_phi", "blowup", "blowup_rational_phi", ()),
         ("search_unstable_grid4_scale1", "search-unstable", None, ("--grid", "4", "--scale", "1")),
+        ("search_unstable_grid4_scale3", "search-unstable", None, ("--grid", "4", "--scale", "3")),
     ])
     def test_matches_golden(self, capsys, golden, command, config, extra):
         config_args = ("--config", str(CONFIGS / f"{config}.json")) if config else ()

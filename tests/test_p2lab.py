@@ -325,6 +325,42 @@ class TestAmpleCheck:
             ample_check(config, m, alphas)
 
 
+class TestAmpleScaleInvariance:
+    """The search tests ampleness once per primitive point: the answer must
+    not change under scaling, on and off the boundary of the cone."""
+
+    GRIDS = {"three_general": (range(-1, 12), range(-1, 6), 3),
+             "four_points_three_aligned": (range(0, 14), range(0, 6), 4)}
+
+    @pytest.mark.parametrize("config", [PointConfig.three_general(),
+                                        PointConfig.four_points_three_aligned()])
+    def test_every_scale_agrees(self, config):
+        ms, entries, size = self.GRIDS[config.kind]
+        verdicts = []
+        for m in ms:
+            for alphas in itertools.product(entries, repeat=size):
+                ample = ample_check(config, m, alphas)
+                for s in range(2, 5):
+                    assert ample_check(config, s * m, tuple(s * a for a in alphas)) == ample, (
+                        config.kind, m, alphas, s)
+                verdicts.append((m, alphas, ample))
+        assert any(ample for *_, ample in verdicts) and not all(ample for *_, ample in verdicts)
+
+        def on_boundary(m, alphas):
+            if config.kind == "three_general":
+                slacks = [m + a - sum(alphas) for a in alphas]
+            else:
+                a1, *rest = alphas
+                slacks = [m - sum(rest), m * m - sum(a * a for a in alphas)]
+                slacks += [m - a1 - a for a in rest]
+            return min(slacks) == 0
+
+        boundary = [(m, alphas) for m, alphas, _ in verdicts
+                    if m > 0 and min(alphas) > 0 and on_boundary(m, alphas)]
+        assert len(boundary) > 20
+        assert not any(ample_check(config, m, alphas) for m, alphas in boundary)
+
+
 class TestThreePointLoci:
     def test_equal_multiplicities(self):
         assert three_point_loci(5, (1, 1, 1)) == (True, True)
@@ -471,10 +507,41 @@ class TestSearch:
         scaled = {(2 * c.m, tuple(2 * a for a in c.alphas)) for c in ones}
         assert scaled <= {(c.m, c.alphas) for c in doubled}
 
+    @pytest.mark.parametrize("bounds", [(3, 3), (4, 3)])
+    def test_every_candidate_is_verified_at_its_own_scale(self, monkeypatch, bounds):
+        verified = []
+        real = blowup.futaki_blowup
+
+        def counted(spec):
+            verified.append((spec.m, spec.alphas))
+            return real(spec)
+
+        monkeypatch.setattr(blowup, "futaki_blowup", counted)
+        candidates = search_unstable(*bounds)
+        assert verified == [(c.m, c.alphas) for c in candidates]
+        assert len(candidates) == {(3, 3): 45, (4, 3): 198}[bounds]
+
+    @pytest.mark.parametrize("skew, shown", [
+        (lambda f1, f2: [f1 + 1, f2], "F1=1, F2={f2}"),
+        (lambda f1, f2: [f1, 0], "F1=0, F2=0"),
+    ])
+    def test_recomputed_f1_or_f2_failure_is_named(self, monkeypatch, skew, shown):
+        real = blowup.futaki_blowup
+        monkeypatch.setattr(blowup, "futaki_blowup", lambda spec: skew(*real(spec)))
+        with pytest.raises(CrossCheckError) as info:
+            search_unstable(2, 1)
+        points = tuple(blowup.BlownPoint(alpha, *fixed_point_data(DiagAction((2, -1, -1)), block))
+                       for alpha, block in zip((75, 14, 14, 14),
+                                               PointConfig.four_points_three_aligned().blocks))
+        f1, f2 = real(blowup.BlowupSpec(base=blowup.projective_space_base(2), points=points, m=131))
+        assert f1 == 0
+        assert str(info.value) == ("candidate (m=131, alphas=(75, 14, 14, 14)) failed "
+                                   f"recomputation: {shown.format(f2=f2)}")
+
     def test_recomputed_f2_disagreement_is_named(self, monkeypatch):
         real = p2lab._verify_candidate
         monkeypatch.setattr(p2lab, "_verify_candidate",
-                            lambda m, alphas: real(m, alphas) + 1)
+                            lambda m, alphas, data: real(m, alphas, data) + 1)
         with pytest.raises(CrossCheckError) as info:
             search_unstable(2, 1)
         # The first candidate of search_unstable(2, 1).
@@ -597,6 +664,56 @@ def test_search_matches_full_box_reference(bound, scale):
 @pytest.mark.parametrize("scale", [1, 2, 3])
 def test_search_matches_the_sweep_of_every_line(bound, scale):
     assert search_unstable(bound, scale) == p2lab_reference.search(bound, scale)
+
+
+def line_class(v):
+    """The line through B and v, as the class of v modulo B made primitive with v2 > 0."""
+    u = (v[0] - v[1],) + tuple(v[2:])
+    g = gcd(*u) * (1 if u[1] > 0 else -1)
+    return tuple(c // g for c in u)
+
+
+def line_evaluator():
+    return p2lab._line_coefficients(PointConfig.four_points_three_aligned(), DiagAction((2, -1, -1)))
+
+
+@pytest.mark.parametrize("bound, evaluations, classes",
+                         [(2, 70, 67), (3, 348, 339), (4, 1023, 1011)])
+def test_one_evaluation_per_class(monkeypatch, bound, evaluations, classes):
+    """Once one of its lines gave c4 != 0, a class is not evaluated again."""
+    real, calls = line_evaluator(), []
+
+    def recorded(*v):
+        calls.append((v, real(*v)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(p2lab, "_line_coefficients", lambda *key: recorded)
+    search_unstable(bound, 1)
+    assert len(calls) == evaluations
+    assert len({line_class(v) for v, (c4, _) in calls if c4 != 0}) == classes
+    assert len(calls) < len(list(_line_directions(bound)))
+
+
+def test_class_with_c4_zero_stays_open(monkeypatch):
+    """Forced: the first direction of the class of (131; 75, 14, 14, 14)
+    gives c4 = 0, and a later direction of the class still yields the point."""
+    real = line_evaluator()
+    first, second = (-3, 1, -1, -1, -1), (-2, 2, -1, -1, -1)
+    directions = list(_line_directions(3))
+    assert [v for v in directions if line_class(v) == (4, 1, 1, 1)] == [first, second, (-1, 3, -1, -1, -1)]
+    expected = search_unstable(3, 1)
+    calls = []
+
+    def forced(*v):
+        calls.append(v)
+        c4, c3 = real(*v)
+        return (0, c3) if v == first else (c4, c3)
+
+    monkeypatch.setattr(p2lab, "_line_coefficients", lambda *key: forced)
+    found = search_unstable(3, 1)
+    assert first in calls and second in calls and (-1, 3, -1, -1, -1) not in calls
+    assert sorted((c.m, c.alphas) for c in found) == sorted((c.m, c.alphas) for c in expected)
+    assert (131, (75, 14, 14, 14)) in [(c.m, c.alphas) for c in found]
 
 
 def _signs_can_keep(v):
