@@ -25,9 +25,9 @@ from chi~ and w~ on the same generators, as polynomials.  One bounded
 cache holds each (config, action)'s polynomials with their compiled
 integer evaluators, and another the quartic and cubic parts of
 psi_1(B + y) at the triple point B, compiled into one evaluator.  The
-search evaluates those of the four-point family and re-verifies every
-candidate through the full pipeline; three_point_loci evaluates those of
-the two three-point generators.
+search evaluates those of the four-point family and verifies each
+primitive point it keeps through the full pipeline once; three_point_loci
+evaluates those of the two three-point generators.
 
 At a fixed point whose nonzero coordinates form a block on which the
 diagonal action has a single weight, the normalized moment-map value is
@@ -82,11 +82,11 @@ _BASE_POINT = (1, 1, 0, 0, 0)
 # Xeon host under CPython 3.11.
 SEARCH_MAX_GRID_BOUND = 8
 
-# Largest accepted scale_bound.  Ampleness is invariant under scaling and
-# tested once per point, but every scale re-verifies each ample point
-# through the pipeline, about 0.18 ms a candidate: search_unstable(8, 8)
-# gives 11 080 candidates in about 2.3 s (median of three fresh processes)
-# on the same host.
+# Largest accepted scale_bound.  Each primitive point is verified once and
+# its scaled copies follow by homogeneity, so the bound limits output size:
+# the candidates grow linearly in scale, 11 080 at search_unstable(8, 8),
+# which takes about 0.6 s (median of five fresh processes, spread
+# 0.56-0.68 s) on the same host.
 SEARCH_MAX_SCALE_BOUND = 8
 
 
@@ -144,8 +144,10 @@ class PointConfig:
 class Candidate:
     """An integer polarization of the four-point blowup with F_1 = 0 and
     F_2 != 0, i.e. asymptotically Chow unstable; ``verified`` records that
-    the full invariant pipeline, run on each candidate at its own scale,
-    confirmed both values."""
+    the full invariant pipeline confirmed both values.  It is run once, on
+    the primitive point; a scaled copy s*P is verified through P, since
+    F_1 = 0 and ampleness are invariant under scaling and psi_2, proved
+    homogeneous of degree 3, gives psi_2(s*P) = s^3 * psi_2(P)."""
 
     m: int
     alphas: tuple[int, int, int, int]
@@ -196,8 +198,9 @@ def _default_action(config: PointConfig) -> DiagAction:
 
 @lru_cache(maxsize=_PSI_CACHE_SIZE)
 def _psi(config: PointConfig, action: DiagAction):
-    """(psi_1, psi_2) of (config, action), each proved equal to F_l * deg^2
-    as a polynomial, and their compiled integer evaluators."""
+    """(psi_1, psi_2) of (config, action), each proved homogeneous of degree
+    2n + 1 - l and equal to F_l * deg^2 as a polynomial, and their compiled
+    integer evaluators."""
     data = [fixed_point_data(action, b) for b in config.blocks]
     phis, lams = zip(*data)
     base = projective_space_base(2)
@@ -227,6 +230,14 @@ def _psi(config: PointConfig, action: DiagAction):
                     f"the clearing degree {target}: term {exps} with coefficient {coeff}")
             terms[(spare,) + exps] = coeff
         psi, expected = MPoly(variables, terms), factorial(n) ** 2 * numerator
+        # psi is homogeneous of degree target by its clearing; the pipeline's
+        # F_l * deg^2 is proved to be, term by term, so that the search may
+        # take psi_l(s*P) = s^target * psi_l(P) for every scale s.
+        for exps, coeff in expected.terms():
+            if sum(exps) != target:
+                raise CrossCheckError(
+                    f"psi_{ell} of {config.kind} under diag{action.w} from chi~ and w~ is "
+                    f"not homogeneous of degree {target}: term {exps} with coefficient {coeff}")
         if psi != expected:
             raise CrossCheckError(
                 f"psi_{ell} of {config.kind} under diag{action.w} disagrees with "
@@ -245,10 +256,11 @@ def psi_reconstruct(config: PointConfig, action: DiagAction | None = None) -> tu
     power-of-m prefactors, so F_l = psi_l / deg^2 with
     deg = m^2 - sum alpha_j^2, proved against chi~ and w~ before it is
     cached (CrossCheckError, on every call, on a disagreement).
-    Homogeneous of degrees 4 and 3.  The action defaults to
-    diag(2, -1, -1) for the aligned four-point family and is
-    required for three general points (ValueError); an action that moves a
-    point of the configuration is refused with ValueError.
+    Homogeneous of degrees 4 and 3, which is proved before caching too.
+    The action defaults to diag(2, -1, -1) for the aligned four-point
+    family and is required for three general points (ValueError); an
+    action that moves a point of the configuration is refused with
+    ValueError.
     """
     if not isinstance(config, PointConfig):
         raise TypeError(f"config must be a PointConfig, got {config!r}")
@@ -487,11 +499,12 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     direction v + c*B of the class recovers the line's point.  A point is
     kept at its first occurrence.
 
-    A kept point that is ample gives its multiples by 1..scale_bound
-    (ampleness is invariant under scaling, so it is tested once, on the
-    primitive point), each kept when psi_2 does not vanish there.  Every
-    returned candidate is re-verified at its own scale through the full
-    invariant pipeline.  Output order is deterministic: lines in the order
+    A kept primitive point P that is ample and has psi_2(P) != 0 is
+    verified once through the full invariant pipeline (F_1 = 0 and
+    F_2 * deg^2 = psi_2(P)) and gives its multiples by 1..scale_bound, with
+    psi_2(s*P) = s^3 * psi_2(P).  This holds because ampleness and F_1 = 0
+    are invariant under scaling and psi_2 is proved homogeneous of degree 3
+    where it is built.  Output order is deterministic: lines in the order
     of their representatives, scales increasing, the same as a scan of
     every direction of the box in lexicographic order.
 
@@ -539,21 +552,20 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
         if point in seen:
             continue
         seen.add(point)
-        if not _is_ample(FOUR_POINTS_THREE_ALIGNED, point[0], point[1:]):
+        m, alphas = point[0], point[1:]
+        if not _is_ample(FOUR_POINTS_THREE_ALIGNED, m, alphas):
             continue
+        psi2_value = psi2(m, *alphas)
+        if psi2_value == 0:
+            continue
+        f2_scaled = _verify_candidate(m, alphas, data)
+        if f2_scaled != psi2_value:
+            raise CrossCheckError(
+                f"psi_2 disagrees with F_2 * deg^2 recomputed through the blowup "
+                f"pipeline at m = {m}, alphas = {alphas}: psi_2 = {psi2_value}, "
+                f"F_2 * deg^2 = {f2_scaled}")
         for scale in range(1, scale_bound + 1):
-            m = scale * point[0]
-            alphas = tuple(scale * c for c in point[1:])
-            psi2_value = Fraction(psi2(m, *alphas))
-            if psi2_value == 0:
-                continue
-            f2_scaled = _verify_candidate(m, alphas, data)
-            if f2_scaled != psi2_value:
-                raise CrossCheckError(
-                    f"psi_2 disagrees with F_2 * deg^2 recomputed through the blowup "
-                    f"pipeline at m = {m}, alphas = {alphas}: psi_2 = {psi2_value}, "
-                    f"F_2 * deg^2 = {f2_scaled}")
             candidates.append(Candidate(
-                m=m, alphas=alphas, psi1_value=Fraction(0),
-                psi2_value=psi2_value, ample=True, verified=True))
+                m=scale * m, alphas=tuple(scale * c for c in alphas), psi1_value=Fraction(0),
+                psi2_value=Fraction(scale**3 * psi2_value), ample=True, verified=True))
     return candidates

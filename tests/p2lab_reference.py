@@ -5,9 +5,12 @@ direction walk skipped lines: ``line_directions(bound)`` yields the first
 box member of every line through the origin, and each line evaluates the
 compiled quartic twice, c4 = psi_1(v) and c3 = psi_1(B + v) - c4, before
 the sign test drops the points it cannot keep.  It leaves out the
-per-candidate pipeline re-verification, which never changes the output.
-test_p2lab requires the library's candidates to equal its own, order
-included.
+pipeline verification, which never changes the output.  test_p2lab
+requires the library's candidates to equal its own, order included.
+
+``recheck_every_scale(candidates)`` is the verification as it stood before
+the search verified each primitive point once: every candidate, at its own
+scale, recomputed through futaki_blowup.
 """
 from __future__ import annotations
 
@@ -16,8 +19,8 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from chowstab import p2lab
-from chowstab.p2lab import Candidate, PointConfig, ample_check
+from chowstab import blowup, p2lab
+from chowstab.p2lab import Candidate, DiagAction, PointConfig, ample_check, fixed_point_data
 
 
 def line_directions(bound):
@@ -74,3 +77,17 @@ def search(bound, scale):
                 out.append(Candidate(m=m, alphas=alphas, psi1_value=Fraction(0),
                                      psi2_value=psi2_value, ample=True, verified=True))
     return out
+
+
+def recheck_every_scale(candidates):
+    """Recompute each candidate at its own scale through futaki_blowup;
+    AssertionError unless F_1 = 0 and F_2 * deg^2 is its psi2_value."""
+    config, action = PointConfig.four_points_three_aligned(), DiagAction((2, -1, -1))
+    data = [fixed_point_data(action, block) for block in config.blocks]
+    for c in candidates:
+        points = tuple(blowup.BlownPoint(alpha, phi, lam)
+                       for alpha, (phi, lam) in zip(c.alphas, data))
+        spec = blowup.BlowupSpec(base=blowup.projective_space_base(2), points=points, m=c.m)
+        f1, f2 = blowup.futaki_blowup(spec)
+        deg = c.m**2 - sum(a * a for a in c.alphas)
+        assert f1 == 0 and f2 * deg**2 == c.psi2_value != 0, (c.m, c.alphas, f1, f2)

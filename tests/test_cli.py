@@ -46,6 +46,7 @@ class TestGoldenOutput:
         ("blowup_rational_phi", "blowup", "blowup_rational_phi", ()),
         ("search_unstable_grid4_scale1", "search-unstable", None, ("--grid", "4", "--scale", "1")),
         ("search_unstable_grid4_scale3", "search-unstable", None, ("--grid", "4", "--scale", "3")),
+        ("search_unstable_grid3_scale8", "search-unstable", None, ("--grid", "3", "--scale", "8")),
     ])
     def test_matches_golden(self, capsys, golden, command, config, extra):
         config_args = ("--config", str(CONFIGS / f"{config}.json")) if config else ()

@@ -6,7 +6,7 @@ from math import factorial, gcd, lcm, prod
 
 import pytest
 
-from chowstab import blowup, p2lab
+from chowstab import blowup, chowcore, p2lab
 from chowstab.errors import CrossCheckError, ResourceLimitError
 from chowstab.exactalg import MPoly, Poly
 from exact_reference import is_homogeneous, partial, total_degree
@@ -458,6 +458,23 @@ class TestThreePointProof:
             "clearing degree 4: term (5, 0, 0) with coefficient 7")
         assert p2lab._psi.cache_info().currsize == 0
 
+    def test_inhomogeneous_psi_is_named(self, monkeypatch):
+        real = chowcore._futaki_numerators
+
+        def skewed(a, b):
+            first, second = real(a, b)
+            return [first, second + MPoly.variable(second.variables, "m")]
+
+        monkeypatch.setattr(chowcore, "_futaki_numerators", skewed)
+        p2lab._psi.cache_clear()
+        for _ in range(2):
+            with pytest.raises(CrossCheckError) as info:
+                psi_reconstruct(PointConfig.four_points_three_aligned())
+            assert str(info.value) == (
+                "psi_2 of four_points_three_aligned under diag(2, -1, -1) from chi~ and w~ "
+                "is not homogeneous of degree 3: term (1, 0, 0, 0, 0) with coefficient 4")
+            assert p2lab._psi.cache_info().currsize == 0
+
     def test_non_integral_polynomial_is_named(self):
         m, a1 = MPoly.generators(("m", "a1"))
         with pytest.raises(CrossCheckError) as info:
@@ -508,7 +525,7 @@ class TestSearch:
         assert scaled <= {(c.m, c.alphas) for c in doubled}
 
     @pytest.mark.parametrize("bounds", [(3, 3), (4, 3)])
-    def test_every_candidate_is_verified_at_its_own_scale(self, monkeypatch, bounds):
+    def test_each_primitive_point_is_verified_once(self, monkeypatch, bounds):
         verified = []
         real = blowup.futaki_blowup
 
@@ -518,8 +535,26 @@ class TestSearch:
 
         monkeypatch.setattr(blowup, "futaki_blowup", counted)
         candidates = search_unstable(*bounds)
-        assert verified == [(c.m, c.alphas) for c in candidates]
-        assert len(candidates) == {(3, 3): 45, (4, 3): 198}[bounds]
+        # Each verified primitive point heads its scale_bound copies.
+        scale = bounds[1]
+        assert verified == [(c.m, c.alphas) for c in candidates[::scale]]
+        primitive = {(3, 3): 15, (4, 3): 66}[bounds]
+        assert len(verified) == primitive and len(candidates) == scale * primitive
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1, 2, 3])
+    def test_every_scaled_copy_passes_the_per_scale_recheck(self, bound, scale):
+        p2lab_reference.recheck_every_scale(search_unstable(bound, scale))
+
+    def test_two_searches_share_the_geometry_cache(self):
+        # Only primitive points build geometries, 66 at (4, 3), fewer than
+        # GEOMETRY_CACHE_SIZE, so the second search finds every one cached.
+        assert blowup.GEOMETRY_CACHE_SIZE >= 66
+        blowup._geometry_for.cache_clear()
+        for _ in range(2):
+            search_unstable(4, 3)
+        info = blowup._geometry_for.cache_info()
+        assert (info.misses, info.hits) == (66, 66)
 
     @pytest.mark.parametrize("skew, shown", [
         (lambda f1, f2: [f1 + 1, f2], "F1=1, F2={f2}"),
