@@ -47,7 +47,7 @@ for c in candidates:
     print(f"  m={c.m}, alphas={c.alphas}: psi1={c.psi1_value}, "
           f"psi2={c.psi2_value}, ample={c.ample}, verified={c.verified}")
 print()
-print("Each candidate is re-verified through the full invariant pipeline:")
+print("Each primitive candidate is verified through the full pipeline, its multiples by homogeneity:")
 print("F_1 = 0 exactly, F_2 != 0, and the polarization is ample, so these")
 print("are integer classes that are asymptotically Chow unstable; scaling")
 print("them produces infinitely many more.")

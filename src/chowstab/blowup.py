@@ -58,6 +58,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from . import chowcore
 from .errors import CrossCheckError, DegenerateInputError, ResourceLimitError
@@ -98,6 +99,8 @@ ORACLE_CACHE_SIZE = 1024
 # Above the 105 (points, m) configurations, 45 geometries, of
 # verification.run_blowup_suite.
 GEOMETRY_CACHE_SIZE = 128
+
+_PLANE_AXES = frozenset((0, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -483,12 +486,17 @@ def adiabatic(spec: BlowupSpec) -> tuple[Fraction, Fraction]:
 
     the latter being the Chow weight of the cycle sum alpha_j^{n-1} p_j
     under the normalized linearization (base average of phi equal zero);
-    F_1 - leading decays like m^{-n}.
+    F_1 - leading decays like m^{-n}.  Both are summed on the integer
+    numerators of the phi over their least common denominator q, as the
+    geometry applies an action, and each is built as one Fraction.
     """
     n = spec.base.n
-    w_cw = sum((Fraction(p.alpha) ** (n - 1) * p.phi for p in spec.points), Fraction(0))
-    leading = Fraction(n * (n - 1), 2) / spec.base.degree * w_cw / spec.m ** (n - 1)
-    return leading, w_cw
+    phi_nums, q, _ = _Geometry._integer_action([p.phi for p in spec.points], ())
+    total = sum(p.alpha ** (n - 1) * num for p, num in zip(spec.points, phi_nums))
+    degree = spec.base.degree
+    return (Fraction(n * (n - 1) * total * degree.denominator,
+                     2 * degree.numerator * q * spec.m ** (n - 1)),
+            Fraction(total, q))
 
 
 @lru_cache(maxsize=ORACLE_CACHE_SIZE)
@@ -534,28 +542,53 @@ def oracle_p2(weights: tuple[int, int, int],
     the degree-mk monomials vanishing to order alpha_j*k at each point; a
     monomial x^e contributes weight -<e, weights>.  Requires m >= sum alpha_j,
     which makes the counting exact at every k >= 1.
+
+    Refuses, in this order: a non-int m, k, weight or point entry
+    (TypeError naming it; bools are refused, other int subclasses
+    accepted), a weight vector of other than three entries, a point that
+    is not an (axis, alpha) pair, a nonzero trace, an axis outside
+    {0, 1, 2}, a repeated axis, alpha < 1, m < sum(alpha), k < 1
+    (ValueError), and mk > ORACLE_MAX_MK (ResourceLimitError).
     """
-    _require_ints(m=m, k=k)
-    _require_int_seq("weights", weights)
+    # One pass over the types of plain ints; on a miss the named checks
+    # run in order and raise, or pass an int subclass such as an IntEnum.
+    # The sequences are held as tuples first, so that those checks see
+    # every point of a generator even when one of them is not iterable.
+    try:
+        weights, points = tuple(weights), tuple(points)
+        points = tuple(map(tuple, points))
+        plain = {type(m), type(k), *map(type, chain(weights, *points))} == {int}
+    except TypeError:
+        plain = False
+    if not plain:
+        _require_ints(m=m, k=k)
+        _require_int_seq("weights", weights)
+        for i, point in enumerate(points):
+            _require_int_seq(f"points[{i}]", point)
+    if len(weights) != 3:
+        raise ValueError(f"weights must have three entries, got {len(weights)}")
     for i, point in enumerate(points):
-        _require_int_seq(f"points[{i}]", point)
-    if sum(weights) != 0:
+        if len(point) != 2:
+            raise ValueError(f"points[{i}] must be an (axis, alpha) pair, got {point!r}")
+    w0, w1, w2 = weights
+    if w0 + w1 + w2 != 0:
         raise ValueError("weight vector must have trace zero")
-    pts = tuple(sorted(tuple(p) for p in points))
-    axes = [axis for axis, _ in pts]
-    if any(axis not in (0, 1, 2) for axis in axes):
+    pts = tuple(sorted(points))
+    axes = {axis for axis, _ in pts}
+    if not axes <= _PLANE_AXES:
         raise ValueError("only the three coordinate points of the plane are supported")
-    if len(set(axes)) != len(axes):
+    if len(axes) != len(pts):
         raise ValueError("blown points must be distinct")
-    alphas = [alpha for _, alpha in pts]
-    if any(alpha < 1 for alpha in alphas):
-        raise ValueError("multiplicities must be >= 1")
-    if m < sum(alphas):
-        raise ValueError(f"exactness regime requires m >= sum(alpha) = {sum(alphas)}")
+    total = 0
+    for _, alpha in pts:
+        if alpha < 1:
+            raise ValueError("multiplicities must be >= 1")
+        total += alpha
+    if m < total:
+        raise ValueError(f"exactness regime requires m >= sum(alpha) = {total}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if m * k > ORACLE_MAX_MK:
         raise ResourceLimitError(f"oracle guard exceeded: mk = {m * k} > {ORACLE_MAX_MK}")
-    count, sums = _admissible_monomial_stats(pts, m, k)
-    weight = -sum(s * w for s, w in zip(sums, weights))
-    return count, weight
+    count, (s0, s1, s2) = _admissible_monomial_stats(pts, m, k)
+    return count, -(s0 * w0 + s1 * w1 + s2 * w2)

@@ -26,6 +26,7 @@ builds the coefficient tuples a and b only when they are asked for.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
@@ -189,12 +190,19 @@ def _check_dims(h: HilbertData, w: WeightData) -> None:
 
 
 def chow_weight_fn(h: HilbertData, w: WeightData) -> RatFn:
-    """Normalized Chow weight w(k)/chi(k) - (b_0/a_0) k as a reduced rational function."""
+    """Normalized Chow weight w(k)/chi(k) - (b_0/a_0) k as a reduced rational function.
+
+    Computed on the integer numerators of chi = sum_i A_i k^i / d_A and
+    w = sum_i B_i k^i / d_B: b_0/a_0 = B_{n+1} d_A / (d_B A_n), so
+    w - (b_0/a_0) k chi = (A_n B - B_{n+1} k A) / (d_B A_n).
+    """
     _check_dims(h, w)
-    chi, w_poly = h.poly(), w.poly()
-    shift = w_poly.coefficient(w.n + 1) / chi.leading_coefficient()
-    num = w_poly - Poly((0, shift)) * chi
-    return RatFn(num, chi)
+    chi = h.poly()
+    a, _ = chi.numerators(h.n + 1)
+    b, d_b = w.poly().numerators(h.n + 2)
+    lead, top = a[-1], b[-1]
+    num = Poly([lead * b[0]] + [lead * b_i - top * a_i for b_i, a_i in zip(b[1:], a)])
+    return RatFn(num / (d_b * lead), chi)
 
 
 def _futaki_numerators(a, b) -> list:
@@ -238,8 +246,14 @@ def report(h: HilbertData, w: WeightData) -> InvariantReport:
     chow = chow_weight_fn(h, w)
     futaki = futaki_invariants(h, w)
     chi, b_top = h.poly(), w.b_top
-    a0 = chi.leading_coefficient()
-    expansion = Poly.from_descending((0, *(a0 * f for f in futaki), b_top))
+    # The expansion's coefficients b_{n+1} and a_0 F_l = A_n F_l / d_A,
+    # read from the returned F_l, as integers over d_A times the least
+    # common denominator of b_{n+1} and the F_l.
+    a, d_a = chi.numerators(h.n + 1)
+    den = math.lcm(b_top.denominator, *(f.denominator for f in futaki))
+    expansion = Poly([b_top.numerator * d_a * (den // b_top.denominator),
+                      *(a[-1] * f.numerator * (den // f.denominator) for f in reversed(futaki))]) \
+        / (d_a * den)
     lhs, rhs = chow.num * chi, expansion * chow.den
     if lhs != rhs:
         raise CrossCheckError(

@@ -347,6 +347,7 @@ def _is_ample(kind: str, m: int, alphas: tuple[int, ...]) -> bool:
     raise ValueError(f"unknown configuration kind: {kind}")
 
 
+_THREE_POINTS = PointConfig.three_general()
 _THREE_POINT_ACTIONS = (DiagAction((1, -1, 0)), DiagAction((0, 1, -1)))
 
 
@@ -361,10 +362,9 @@ def three_point_loci(m: int, alphas) -> tuple[bool, bool]:
     F_l * deg^2 as polynomials when they are built (see psi_reconstruct).
     """
     alphas = tuple(alphas)
-    config = PointConfig.three_general()
-    if not ample_check(config, m, alphas):
+    if not ample_check(_THREE_POINTS, m, alphas):
         raise ValueError(f"(m, alphas) = ({m}, {alphas}) is not ample")
-    (psi1_a, psi2_a), (psi1_b, psi2_b) = (_psi(config, action)[1]
+    (psi1_a, psi2_a), (psi1_b, psi2_b) = (_psi(_THREE_POINTS, action)[1]
                                           for action in _THREE_POINT_ACTIONS)
     return (psi1_a(m, *alphas) == 0 and psi1_b(m, *alphas) == 0,
             psi2_a(m, *alphas) == 0 and psi2_b(m, *alphas) == 0)

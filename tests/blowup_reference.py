@@ -12,6 +12,12 @@ holds, on Fractions, as the library did before it ran its transcription
 on integers: the ratios alpha_j/m, D, the per-level terms, chi~ and its
 HilbertData, and under an action w~ and the point-sum F_l.  test_blowup
 requires the library's geometry to hold equal values, D <= 0 included.
+
+``adiabatic(spec)`` and ``chow_weight_fn(h, w)`` are the library's
+functions as they were computed on Fractions, before the one moved to
+integer numerators over the phi's common denominator and the other to
+the integer shift A_n B - B_{n+1} k A of chi's and w's numerators:
+test_blowup requires the library's values to pickle to the same bytes.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ import math
 from fractions import Fraction
 
 from chowstab import chowcore
-from chowstab.exactalg import Poly, stirling_coeffs
+from chowstab.exactalg import Poly, RatFn, stirling_coeffs
 
 
 def chi_tilde_coeffs(n, a, m, alphas):
@@ -113,3 +119,18 @@ def derive(spec) -> dict:
     assert list(rep.futaki) == futaki
     return {"chi": chi, "w": w, "D": geometry.volume_gap, "futaki": futaki,
             "chow": (rep.chow.num, rep.chow.den)}
+
+
+def adiabatic(spec):
+    """(n(n-1)/(2 deg) sum_j (alpha_j/m)^{n-1} phi_j, sum_j alpha_j^{n-1} phi_j), on Fractions."""
+    n = spec.base.n
+    w_cw = sum((Fraction(p.alpha) ** (n - 1) * p.phi for p in spec.points), Fraction(0))
+    leading = Fraction(n * (n - 1), 2) / spec.base.degree * w_cw / spec.m ** (n - 1)
+    return leading, w_cw
+
+
+def chow_weight_fn(h, w):
+    """w(k)/chi(k) - (b_0/a_0) k with the shift b_0/a_0 a Fraction and a Poly product."""
+    chi, w_poly = h.poly(), w.poly()
+    shift = w_poly.coefficient(w.n + 1) / chi.leading_coefficient()
+    return RatFn(w_poly - Poly((0, shift)) * chi, chi)

@@ -1,14 +1,16 @@
 """Blowup invariants: closed forms, skyscraper weights, oracle, adiabatic limit."""
 import dataclasses
+import enum
 import functools
 import math
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from chowstab import blowup, chowcore, p2lab, verification
+from chowstab import blowup, chowcore, cli, p2lab, verification
 from chowstab.blowup import (
     GEOMETRY_CACHE_SIZE,
     ORACLE_CACHE_SIZE,
@@ -34,6 +36,7 @@ from exact_reference import compose_linear, hilbert_poly
 
 
 P2 = projective_space_base(2)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -499,6 +502,15 @@ class TestInexactInputRefused:
         (((1, -1, 0), ((True, 1),), 3, 2), "points"),
         (((1, -1, 0), ((0, 1),), 3.0, 2), "m"),
         (((1, -1, 0), ((0, 1),), 3, True), "k"),
+        # Types are checked before the points are sorted: no comparison error.
+        (((1, -1, 0), [(0, "a"), (0, 2)], 3, 1), r"points\[0\]\[1\] must be an int, got 'a'$"),
+        (((1, -1, 0), [(0, 1), (None, 2)], 3, 1), r"points\[1\]\[0\] must be an int, got None$"),
+        # Types come before lengths, and m and k before the weights and points.
+        (((1.0, -1), [(0, 1)], 2, 1), r"weights\[0\] must be an int"),
+        (((1, -1, 0), [(0, 1, 2.0)], 2, 1), r"points\[0\]\[2\] must be an int"),
+        (((1, -1), [(0, 1.5)], 2.0, 1), "m must be an int"),
+        # A generator's points after one that is not iterable are not skipped.
+        (((1, -1, 0), iter([(0, 1), 5, (1, 1.0)]), 3, 1), "'int' object is not iterable"),
     ])
     def test_oracle_p2_int_arguments(self, args, field):
         with pytest.raises(TypeError, match=f"^{field}"):
@@ -718,6 +730,60 @@ class TestAdiabatic:
             assert lo <= err <= hi
 
 
+def rational_phi_config_spec():
+    return cli._blowup_from_config(cli._load_config(str(CONFIGS / "blowup_rational_phi.json")))
+
+
+class TestFractionReferences:
+    """adiabatic and chowcore.chow_weight_fn, now on integer numerators,
+    against the Fraction forms they replaced, bit for bit: the
+    criterion-5 universe, the seeded blowups of P^3, phi over mixed
+    denominators, the spec of configs/blowup_rational_phi.json, and bases
+    of degree 2 and 2/3."""
+
+    SPECS = (REFERENCE_SPECS + rational_phi_specs() + [rational_phi_config_spec()]
+             + two_bases_one_geometry()
+             + [BlowupSpec(base=NON_INTEGRAL_BASE, points=spec.points[:1], m=spec.m)
+                for spec in rational_phi_specs() if spec.base.n == 2])
+
+    def test_universe(self):
+        assert len(self.SPECS) == 3552 + 60 + 24 + 1 + 2 + 12
+        assert {spec.base.degree for spec in self.SPECS} == {1, 2, Fraction(2, 3)}
+        assert sum(len({p.phi.denominator for p in spec.points}) > 1 for spec in self.SPECS) > 20
+
+    def test_adiabatic(self):
+        for spec in self.SPECS:
+            got, want = adiabatic(spec), blowup_reference.adiabatic(spec)
+            assert pickle.dumps(got) == pickle.dumps(want), spec
+
+    def test_chow_weight_fn(self):
+        for spec in self.SPECS:
+            got = chowcore.chow_weight_fn(*spec.hilbert_weight_data)
+            want = blowup_reference.chow_weight_fn(*spec.hilbert_weight_data)
+            assert pickle.dumps((got.num, got.den)) == pickle.dumps((want.num, want.den)), spec
+
+
+# (arguments, error, message) of each refusal of oracle_p2 on int arguments.
+ORACLE_REFUSALS = [
+    (((1, 0, 0), [(0, 1)], 2, 1), ValueError, "^weight vector must have trace zero$"),
+    (((1, -1, 0), [(0, 1), (0, 1)], 3, 1), ValueError, "^blown points must be distinct$"),
+    (((1, -1, 0), [(3, 1)], 2, 1), ValueError,
+     "^only the three coordinate points of the plane are supported$"),
+    (((1, -1, 0), [(0, 0)], 2, 1), ValueError, "^multiplicities must be >= 1$"),
+    (((1, -1, 0), [(0, 2)], 1, 1), ValueError,
+     r"^exactness regime requires m >= sum\(alpha\) = 2$"),
+    (((1, -1, 0), [(0, 1)], 2, 0), ValueError, "^k must be >= 1$"),
+    (((1, -1, 0), [(0, 1)], 101, 100), ResourceLimitError,
+     "^oracle guard exceeded: mk = 10100 > 10000$"),
+    # Several faults at once: the first check in the documented order fires.
+    (((1, 0, 0), [(3, 0), (3, 0)], 1, 0), ValueError, "^weight vector must have trace zero$"),
+    (((1, -1, 0), [(3, 0), (3, 0)], 1, 0), ValueError, "^only the three coordinate"),
+    (((1, -1, 0), [(0, 0), (0, 0)], 1, 0), ValueError, "^blown points must be distinct$"),
+    (((1, -1, 0), [(0, 0)], 0, 0), ValueError, "^multiplicities must be >= 1$"),
+    (((1, -1, 0), [(0, 2)], 1, 0), ValueError, "^exactness regime"),
+]
+
+
 class TestOracleP2:
     def test_no_points_sl_weight(self):
         for k in range(1, 5):
@@ -752,16 +818,35 @@ class TestOracleP2:
             assert oracle_p2(weights, points, m, k) == (chi.evaluate(k), w.evaluate(k))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            oracle_p2((1, 0, 0), [(0, 1)], 2, 1)          # trace nonzero
-        with pytest.raises(ValueError):
-            oracle_p2((1, -1, 0), [(0, 1), (0, 1)], 3, 1)  # duplicate point
-        with pytest.raises(ValueError):
-            oracle_p2((1, -1, 0), [(3, 1)], 2, 1)          # not a coordinate point
-        with pytest.raises(ValueError):
-            oracle_p2((1, -1, 0), [(0, 2)], 1, 1)          # outside exactness regime
-        with pytest.raises(ResourceLimitError):
-            oracle_p2((1, -1, 0), [(0, 1)], 101, 100)      # guard
+        for args, error, message in ORACLE_REFUSALS:
+            with pytest.raises(error, match=message):
+                oracle_p2(*args)
+
+    # A short or long weight vector was once truncated by zip: both read (5, 2).
+    @pytest.mark.parametrize("weights,length", [((1, -1), 2), ((1, -1, 0, 0), 4), ((), 0)])
+    def test_weight_vector_needs_three_entries(self, weights, length):
+        with pytest.raises(ValueError, match=f"^weights must have three entries, got {length}$"):
+            oracle_p2(weights, [(0, 1)], 2, 1)
+
+    @pytest.mark.parametrize("points,index", [
+        ([(0, 1, 2)], 0), ([(0,)], 0), ([(0, 1), (1, 1, 1)], 1), ([(0, 1), ()], 1)])
+    def test_point_needs_axis_and_alpha(self, points, index):
+        with pytest.raises(ValueError, match=rf"^points\[{index}\] must be an \(axis, alpha\) pair"):
+            oracle_p2((1, -1, 0), points, 3, 1)
+
+    def test_int_subclasses_other_than_bool_accepted(self):
+        class Small(enum.IntEnum):
+            MINUS, ZERO, ONE, TWO = -1, 0, 1, 2
+
+        got = oracle_p2((Small.ONE, Small.MINUS, Small.ZERO), [(Small.ZERO, Small.ONE)],
+                        Small.TWO, Small.ONE)
+        assert got == oracle_p2((1, -1, 0), [(0, 1)], 2, 1) == (5, 2)
+        assert type(got[0]) is int and type(got[1]) is int
+
+    def test_sequences_of_any_kind(self):
+        want = oracle_p2((2, -1, -1), ((0, 1), (1, 2)), 4, 3)
+        assert oracle_p2([2, -1, -1], [[1, 2], [0, 1]], 4, 3) == want
+        assert oracle_p2(iter((2, -1, -1)), iter([(1, 2), (0, 1)]), 4, 3) == want
 
 
 class TestOracleCache:

@@ -17,6 +17,7 @@ from chowstab.chowcore import (
 )
 from chowstab.errors import CrossCheckError
 from chowstab.exactalg import Poly, RatFn
+import blowup_reference
 
 
 def hyperplane_curve():
@@ -43,6 +44,20 @@ class TestChowWeightFn:
         h = HilbertData(1, (1, 1))
         with pytest.raises(ValueError):
             chow_weight_fn(h, WeightData.zero(2))
+
+    def test_matches_fraction_shift_randomized(self):
+        # Negative and fractional a_0 included: the integer shift divides by d_B A_n.
+        rng = random.Random(20261019)
+        for _ in range(400):
+            n = rng.randint(0, 4)
+            a = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))]
+            a += [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+            b = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n + 2)]
+            h, w = HilbertData(n, a), WeightData(n, b)
+            got, want = chow_weight_fn(h, w), blowup_reference.chow_weight_fn(h, w)
+            assert pickle.dumps((got.num, got.den)) == pickle.dumps((want.num, want.den)), (a, b)
+            # report's integer expansion identity holds on the same inputs.
+            assert report(h, w).chow == got
 
 
 class TestFutaki:

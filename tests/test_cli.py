@@ -1,11 +1,13 @@
 """Command-line interface: configs, output stability, exit codes."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import chowstab
 from chowstab import blowup, projbundle
 from chowstab.cli import main
 from chowstab.exactalg import parse_rational
@@ -13,6 +15,7 @@ from chowstab.p2lab import SEARCH_MAX_GRID_BOUND, SEARCH_MAX_SCALE_BOUND
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def run_cli(capsys, *argv):
@@ -316,3 +319,17 @@ class TestProcessEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["F1_zero"] is True
+
+
+class TestDemos:
+    """Each demo's standard output, byte for byte as recorded in tests/golden."""
+
+    @pytest.mark.parametrize("demo", sorted(path.name for path in DEMOS.glob("0*.py")))
+    def test_stdout_matches_golden(self, demo):
+        # The demo imports the chowstab these tests import, installed or not.
+        src = str(Path(chowstab.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, str(DEMOS / demo)], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == (GOLDEN / f"demo_{demo[:2]}.txt").read_bytes()
