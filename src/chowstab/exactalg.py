@@ -161,12 +161,6 @@ class Poly:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, power: int, coeff: Fraction | int = 1) -> "Poly":
-        if power < 0:
-            raise ValueError("power must be non-negative")
-        return cls((0,) * power + (coeff,))
-
-    @classmethod
     def from_descending(cls, coeffs: Iterable[Fraction | int]) -> "Poly":
         """Build from coefficients listed by descending power."""
         return cls(tuple(coeffs)[::-1])
@@ -607,28 +601,6 @@ class MPoly:
             base = base * base
             n >>= 1
         return result
-
-    def evaluate(self, values: Mapping[str, object]):
-        """Evaluate at a point; values may be any exact ring elements.
-
-        Accepts ints, Fractions, Poly, or MPoly values (anything supporting
-        +, * and integer powers), so the same polynomial can be restricted
-        to a line or specialized numerically.  The result lies in the
-        values' ring, for the zero polynomial too.
-        """
-        missing = [v for v in self._vars if v not in values]
-        if missing:
-            raise ValueError(f"missing values for {missing}")
-        acc = Fraction(0)
-        for name in self._vars:
-            acc = acc * values[name]        # the zero of the values' ring
-        for e, c in sorted(self._terms.items()):
-            term = c
-            for name, power in zip(self._vars, e):
-                if power:
-                    term = term * (values[name] ** power)
-            acc = acc + term
-        return acc
 
     def pretty(self) -> str:
         if not self._terms:

@@ -24,7 +24,8 @@ F_l = psi_l / deg^2, each proved where it is built to equal F_l * deg^2
 from chi~ and w~ on the same generators, as polynomials.  One bounded
 cache holds each (config, action)'s polynomials with their compiled
 integer evaluators, and another the quartic and cubic parts of
-psi_1(B + y) at the triple point B, compiled into one evaluator.  The
+psi_1(B + y) at the triple point B, restricted to a1 = 0 and compiled
+into one evaluator.  Every compiled evaluator is in nested Horner form.  The
 search evaluates those of the four-point family and verifies each
 primitive point it keeps through the full pipeline once; three_point_loci
 evaluates those of the two three-point generators.
@@ -75,18 +76,18 @@ PSI_VARIABLES = ("m", "a1", "a2", "a3", "a4")
 # the triple point of the quartic sits at m = a1 = 1, a2 = a3 = a4 = 0.
 _BASE_POINT = (1, 1, 0, 0, 0)
 
-# Largest accepted grid_bound.  The sweep walks 142 575 lines at b = 8
-# (of the box's 678 721) and evaluates one per class mod B, and
-# search_unstable(8, 1) gives 1 385 candidates in about 0.56 s (median of
-# five fresh processes, spread 0.47-0.62 s) on one core of a 2-vCPU Intel
-# Xeon host under CPython 3.11.
+# Largest accepted grid_bound.  The sweep walks 25 442 lines at b = 8
+# (of the box's 678 721), those whose point can be ample, and evaluates
+# one per class mod B, and search_unstable(8, 1) gives 1 385 candidates in
+# about 0.32 s (median of five fresh processes, spread 0.28-0.35 s) on one
+# core of a 2-vCPU Intel Xeon host under CPython 3.11.
 SEARCH_MAX_GRID_BOUND = 8
 
 # Largest accepted scale_bound.  Each primitive point is verified once and
 # its scaled copies follow by homogeneity, so the bound limits output size:
 # the candidates grow linearly in scale, 11 080 at search_unstable(8, 8),
-# which takes about 0.6 s (median of five fresh processes, spread
-# 0.56-0.68 s) on the same host.
+# which takes about 0.34 s (median of five fresh processes, spread
+# 0.32-0.36 s) on the same host.
 SEARCH_MAX_SCALE_BOUND = 8
 
 
@@ -279,8 +280,6 @@ def triple_point_check(psi1: MPoly) -> bool:
     read off its expansion by degree (_base_point_parts); the zero
     polynomial has no triple point.
     """
-    if psi1.variables != PSI_VARIABLES:
-        raise ValueError(f"psi1 must be a polynomial in {PSI_VARIABLES}, got one in {psi1.variables}")
     parts = _base_point_parts(psi1)
     return bool(parts) and min(parts) == 3
 
@@ -290,8 +289,11 @@ def _base_point_parts(psi: MPoly) -> dict[int, MPoly]:
 
     Expanded on psi's term list as integer numerators over one
     denominator: each power (b + y_i)^e of a shifted coordinate is
-    sum_k C(e, k) b^(e-k) y_i^k, and only m and a1 are shifted.
+    sum_k C(e, k) b^(e-k) y_i^k, and only m and a1 are shifted.  ValueError
+    unless psi is a polynomial in PSI_VARIABLES, the coordinates of B.
     """
+    if psi.variables != PSI_VARIABLES:
+        raise ValueError(f"psi must be a polynomial in {PSI_VARIABLES}, got one in {psi.variables}")
     terms = list(psi.terms())
     den = lcm(*(coeff.denominator for _, coeff in terms))
     parts: dict[int, dict[tuple[int, ...], int]] = {}
@@ -376,19 +378,43 @@ def three_point_loci(m: int, alphas) -> tuple[bool, bool]:
 
 
 def _int_poly_source(poly: MPoly) -> str:
-    """Straight-line integer expression of an integral polynomial in its
-    variables, generated from its term list."""
-    products = []
+    """Integer expression of an integral polynomial in its variables, in
+    nested Horner form, generated from its term list."""
+    terms = {}
     for exps, coeff in poly.terms():
         if coeff.denominator != 1:
             raise CrossCheckError(
                 f"vanishing-locus polynomial is not integral: term {exps} in "
                 f"{poly.variables} has coefficient {coeff}")
-        factors = [f"({coeff.numerator})"]
-        for name, e in zip(poly.variables, exps):
-            factors.extend((name,) * e)
-        products.append("*".join(factors))
-    return " + ".join(products) or "0"
+        terms[exps] = coeff.numerator
+    return _horner_source(terms, poly.variables)
+
+
+def _horner_source(terms: dict[tuple[int, ...], int], variables: tuple[str, ...]) -> str:
+    """sum c * x^e over ``terms`` as p_0 + x*(p_1 + x*(...)) in the first
+    variable x, each p_k written the same way in the remaining variables."""
+    if not terms:
+        return "0"
+    if not variables:
+        return f"({terms[()]})"
+    name, rest = variables[0], variables[1:]
+    by_power: dict[int, dict[tuple[int, ...], int]] = {}
+    for exps, c in terms.items():
+        by_power.setdefault(exps[0], {})[exps[1:]] = c
+    powers = sorted(by_power, reverse=True)
+    expression = _horner_source(by_power[powers[0]], rest)
+    for higher, power in zip(powers, powers[1:]):
+        inner = _horner_source(by_power[power], rest)
+        expression = f"{inner} + {_times(name, higher - power, expression)}"
+    return _times(name, powers[-1], expression) if powers[-1] else expression
+
+
+def _times(name: str, power: int, expression: str) -> str:
+    """name^power * (expression), a unit factor left out."""
+    step = "*".join((name,) * power)
+    if expression in ("(1)", "(-1)"):
+        return step if expression == "(1)" else f"-{step}"
+    return f"{step}*({expression})"
 
 
 def _compile(variables: tuple[str, ...], expression: str):
@@ -402,13 +428,16 @@ def _compile_int_poly(poly: MPoly):
 
 @lru_cache(maxsize=_PSI_CACHE_SIZE)
 def _line_coefficients(config: PointConfig, action: DiagAction):
-    """Compiled integer evaluator of (c4, c3) = (psi_1(v), cubic part of
-    psi_1(B + v)), the quartic and cubic coefficients of psi_1 on the line
-    B + t*v of (config, action).
+    """Compiled integer evaluator of (c4, c3) = (psi_1(u), cubic part of
+    psi_1(B + u)) at u = (u0, 0, u2, u3, u4), taking (u0, u2, u3, u4): the
+    quartic and cubic coefficients of psi_1 on the line B + t*u of
+    (config, action).
 
     Both parts come from one expansion of psi_1(B + y); CrossCheckError
     unless its parts of degree 0-2 vanish and its quartic part is psi_1,
-    so that psi_1(B + t*v) = c3 t^3 + c4 t^4 on every line.
+    so that psi_1(B + t*v) = c3 t^3 + c4 t^4 on every line.  They are
+    then restricted to a1 = 0, which every line through B meets: with
+    v = g*u + c*B, psi_1(B + t*v) = g^3 c3(u) t^3 + g^3 (g c4(u) + c c3(u)) t^4.
     """
     psi1 = _psi(config, action)[0][0]
     parts = _base_point_parts(psi1)
@@ -424,36 +453,46 @@ def _line_coefficients(config: PointConfig, action: DiagAction):
         raise CrossCheckError(
             f"{where} is not a quartic form: the degree-4 part of psi_1(B + y) is "
             f"{quartic.pretty()}, psi_1 = {psi1.pretty()}")
-    return _compile(psi1.variables, f"({_int_poly_source(quartic)}, {_int_poly_source(cubic)})")
+    drop = psi1.variables.index("a1")
+    variables = psi1.variables[:drop] + psi1.variables[drop + 1:]
+
+    def on_a1_zero(part: MPoly) -> str:
+        terms = {exps[:drop] + exps[drop + 1:]: coeff
+                 for exps, coeff in part.terms() if not exps[drop]}
+        return _int_poly_source(MPoly(variables, terms))
+
+    return _compile(variables, f"({on_a1_zero(quartic)}, {on_a1_zero(cubic)})")
 
 
 def _line_directions(bound: int):
     """One direction per line through the origin of the box [-bound, bound]^5
-    whose last three entries are nonzero and share one sign.
+    that can yield an ample point: its last three entries are nonzero and
+    share one sign s, and s*(v0 - v1) > max(|v2|, |v3|, |v4|).
 
     Each such line yields its first member in the box's lexicographic
     order, -T*p with p primitive, first nonzero entry positive, and
     T = bound // max|p|; lines come in the order of those members.  A
     vector v = -g*p (g = gcd(v)) is that member iff (g + 1) * max|p| > bound.
     A first member has its first nonzero entry negative, so its head
-    (v0, v1) is (negative, any) or (0, negative), or (0, 0) followed by a
-    negative tail (v2, v3, v4).
+    (v0, v1) is (negative, any) or (0, negative); a head (0, 0) leaves
+    v0 - v1 = 0 and no line.  The tails of a head with d = v0 - v1 are
+    those of the sign of d whose entries are below |d| in size.
     """
     below, box = range(-bound, 0), range(-bound, bound + 1)
-    negative = [(t, gcd(*t), -min(t)) for t in itertools.product(below, repeat=3)]
-    positive = [(t, gcd(*t), max(t)) for t in itertools.product(range(1, bound + 1), repeat=3)]
-    tails = negative + positive
-    heads = [(a, b) for a in below for b in box] + [(0, b) for b in below]
+    signed = {-1: [(t, gcd(*t), -min(t)) for t in itertools.product(below, repeat=3)],
+              1: [(t, gcd(*t), max(t)) for t in itertools.product(range(1, bound + 1), repeat=3)]}
+    # shorter[s][k]: the tails of sign s, in product order, whose top is below k.
+    shorter = {s: [[tail for tail in tails if tail[2] < k] for k in range(bound + 2)]
+               for s, tails in signed.items()}
+    heads = [(a, b) for a in below for b in box if a != b] + [(0, b) for b in below]
     for head in heads:
+        d = head[0] - head[1]
         head_gcd, head_top = gcd(*head), max(map(abs, head))
-        for tail, tail_gcd, tail_top in tails:
+        for tail, tail_gcd, tail_top in shorter[1 if d > 0 else -1][min(abs(d), bound + 1)]:
             g = gcd(head_gcd, tail_gcd)
             top = max(head_top, tail_top)
             if top + top // g > bound:
                 yield head + tail
-    for tail, g, top in negative:
-        if top + top // g > bound:
-            yield (0, 0) + tail
 
 
 def _verify_candidate(m: int, alphas: tuple[int, ...], data) -> Fraction:
@@ -479,25 +518,35 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
 
     psi_1 has a triple point at B = (1,1,0,0,0), so along the line B + t*v
     it restricts to c3 t^3 + c4 t^4, where c4 = psi_1(v) and c3 is the
-    cubic part of psi_1(B + y) at y = v (one compiled evaluator gives both).
-    When c4 != 0 the line meets the quartic once more, at the integer point
-    c4*B - c3*v, taken primitive with its first nonzero entry positive.
-    Only points whose five entries share one strict sign are kept.  The
-    last three entries of c4*B - c3*v are -c3*(v2, v3, v4), so only lines
-    with v2, v3 and v4 nonzero and of one sign can yield a kept point, and
-    the sweep visits just those.  It visits each such line through the
-    origin with a direction in [-grid_bound, grid_bound]^5 once,
-    represented by its first member in the box's lexicographic order (-T*p
-    for the primitive, positively signed p and T = grid_bound // max|p|).
+    cubic part of psi_1(B + y) at y = v.  When c4 != 0 the line meets the
+    quartic once more, at the integer point c4*B - c3*v, taken primitive
+    with its first nonzero entry positive.  Only points whose five entries
+    share one strict sign are kept.
 
     Directions v and v + c*B span the same line through B, whose class
-    (v0 - v1, v2, v3, v4), made primitive with v2 > 0, names it; the point
-    depends on the class alone.  A class is marked done once one of its
-    directions has given c4 != 0, and later directions of a done class are
-    skipped unevaluated.  A direction with c4 = 0 lies on the quartic
-    itself and gives no point, so it leaves its class open: a later
-    direction v + c*B of the class recovers the line's point.  A point is
-    kept at its first occurrence.
+    u = (v0 - v1, v2, v3, v4), made primitive with u2 > 0, names it.  With
+    v = g*(u0, 0, u2, u3, u4) + v1*B, c3(v) = g^3 c3(u) and
+    c4(v) = g^3 (g c4(u) + v1 c3(u)), so one compiled evaluator of
+    (c4(u), c3(u)) in the four variables (u0, u2, u3, u4) serves every
+    direction of the class, and the point is
+    (c4 - c3*u0, c4, -c3*u2, -c3*u3, -c3*u4) up to the factor g^4 > 0.
+    Its last three entries force -c3 > 0 on a kept point, and then
+    m - a1 - a_j = -c3 (u0 - u_j), so the point can be ample only if
+    u2, u3, u4 > 0 and u0 > max(u2, u3, u4).  On a direction this reads:
+    v2, v3 and v4 nonzero and of one sign s, and s*(v0 - v1) > max|v_j|.
+    The sweep visits just those lines, each line through the origin with a
+    direction in [-grid_bound, grid_bound]^5 once, represented by its first
+    member in the box's lexicographic order (-T*p for the primitive,
+    positively signed p and T = grid_bound // max|p|).  The bound is
+    necessary, not sufficient, so ampleness is still tested on every kept
+    point.
+
+    A class is marked done once one of its directions has given c4 != 0,
+    and later directions of a done class are skipped unevaluated.  A
+    direction with c4 = 0 lies on the quartic itself and gives no point,
+    so it leaves its class open: a later direction v + c*B of the class
+    recovers the line's point.  A point other than B fixes its line
+    through B, so each kept point comes from one class, once.
 
     A kept primitive point P that is ample and has psi_2(P) != 0 is
     verified once through the full invariant pipeline (F_1 = 0 and
@@ -527,21 +576,23 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     psi2 = _psi(config, action)[1][1]
     data = tuple(fixed_point_data(action, block) for block in config.blocks)
     candidates: list[Candidate] = []
-    seen: set[tuple[int, ...]] = set()
     done: set[tuple[int, int, int, int]] = set()
     for v0, v1, v2, v3, v4 in _line_directions(grid_bound):
-        u0 = v0 - v1
-        g = gcd(u0, v2, v3, v4)
+        d = v0 - v1
+        g = gcd(d, v2, v3, v4)
         if v2 < 0:
             g = -g
-        line = (u0 // g, v2 // g, v3 // g, v4 // g)
+        line = (d // g, v2 // g, v3 // g, v4 // g)
         if line in done:
             continue
-        c4, c3 = line_coefficients(v0, v1, v2, v3, v4)
-        if c4 == 0:
+        c4, c3 = line_coefficients(*line)
+        # v = g*(u0, 0, u2, u3, u4) + v1*B, so c4(v) = g^3 (g*c4 + v1*c3).
+        if g * c4 + v1 * c3 == 0:
             continue
         done.add(line)
-        point = (c4 - c3 * v0, c4 - c3 * v1, -c3 * v2, -c3 * v3, -c3 * v4)
+        u0, u2, u3, u4 = line
+        # c4(v)*B - c3(v)*v, divided by g^4 > 0.
+        point = (c4 - c3 * u0, c4, -c3 * u2, -c3 * u3, -c3 * u4)
         # Keep only points whose entries share one strict sign.
         if min(point) < 1 and max(point) > -1:
             continue
@@ -549,9 +600,6 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
         if point[0] < 0:
             g = -g
         point = tuple(c // g for c in point)
-        if point in seen:
-            continue
-        seen.add(point)
         m, alphas = point[0], point[1:]
         if not _is_ample(FOUR_POINTS_THREE_ALIGNED, m, alphas):
             continue

@@ -8,8 +8,9 @@ polynomial on this kernel.  test_kernel_reference runs the library on
 both kernels and requires equal coefficients.
 
 The helpers at the end (``compose_linear``, ``hilbert_poly``,
-``total_degree``, ``is_homogeneous``, ``partial``) have no caller in the
-library; the tests use them as independent references.
+``total_degree``, ``is_homogeneous``, ``partial``, ``monomial``,
+``evaluate``) have no caller in the library; the tests use them as
+independent references.
 """
 from __future__ import annotations
 
@@ -263,3 +264,33 @@ def partial(p: exactalg.MPoly, name: str) -> exactalg.MPoly:
             new[idx] -= 1
             out[tuple(new)] = c * e[idx]
     return exactalg.MPoly(p.variables, out)
+
+
+def monomial(power: int, coeff=1) -> exactalg.Poly:
+    """coeff * x^power as a library Poly."""
+    if power < 0:
+        raise ValueError("power must be non-negative")
+    return exactalg.Poly((0,) * power + (coeff,))
+
+
+def evaluate(p: exactalg.MPoly, values):
+    """p at a point; values may be any exact ring elements.
+
+    Accepts ints, Fractions, Poly, or MPoly values (anything supporting
+    +, * and integer powers), so the same polynomial can be restricted
+    to a line or specialized numerically.  The result lies in the
+    values' ring, for the zero polynomial too.
+    """
+    missing = [v for v in p.variables if v not in values]
+    if missing:
+        raise ValueError(f"missing values for {missing}")
+    acc = Fraction(0)
+    for name in p.variables:
+        acc = acc * values[name]        # the zero of the values' ring
+    for e, c in p.terms():
+        term = c
+        for name, power in zip(p.variables, e):
+            if power:
+                term = term * (values[name] ** power)
+        acc = acc + term
+    return acc

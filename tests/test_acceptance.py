@@ -18,7 +18,7 @@ from fractions import Fraction
 from chowstab import blowup, chowcore, p2lab, projbundle, verification
 from chowstab.exactalg import MPoly, cm_constants, stirling_coeffs
 from chowstab.p2lab import PSI_VARIABLES, DiagAction, PointConfig
-from exact_reference import partial
+from exact_reference import evaluate, partial
 from projbundle_reference import twisted_slope
 
 
@@ -57,13 +57,13 @@ def test_criterion_02_triple_point():
     started = time.perf_counter()
     psi1, _ = p2lab.psi_reconstruct(PointConfig.four_points_three_aligned())
     point = dict(zip(PSI_VARIABLES, (1, 1, 0, 0, 0)))
-    assert psi1.evaluate(point) == 0
+    assert evaluate(psi1, point) == 0
     firsts = [partial(psi1, v) for v in PSI_VARIABLES]
-    assert all(p.evaluate(point) == 0 for p in firsts)
+    assert all(evaluate(p, point) == 0 for p in firsts)
     seconds = [partial(p, v) for p in firsts for v in PSI_VARIABLES]
-    assert all(p.evaluate(point) == 0 for p in seconds)
+    assert all(evaluate(p, point) == 0 for p in seconds)
     thirds = [partial(p, v) for p in seconds for v in PSI_VARIABLES]
-    assert any(p.evaluate(point) != 0 for p in thirds)
+    assert any(evaluate(p, point) != 0 for p in thirds)
     assert p2lab.triple_point_check(psi1)
     _report(2, "triple point", started, 1.0)
 
@@ -248,8 +248,8 @@ def test_criterion_11_search_soundness():
         # independent recomputation of every certified property
         assert cand.verified and cand.ample
         point = dict(zip(PSI_VARIABLES, (cand.m,) + cand.alphas))
-        assert ref1.evaluate(point) == 0
-        assert ref2.evaluate(point) != 0
+        assert evaluate(ref1, point) == 0
+        assert evaluate(ref2, point) != 0
         assert p2lab.ample_check(config, cand.m, cand.alphas)
         data = [p2lab.fixed_point_data(DiagAction((2, -1, -1)), b) for b in config.blocks]
         spec = blowup.BlowupSpec(

@@ -32,7 +32,7 @@ from chowstab.blowup import (
 from chowstab.errors import CrossCheckError, DegenerateInputError, ResourceLimitError
 from chowstab.exactalg import GENERATOR_CACHE_SIZE, Poly, RatFn, binom_poly_in_k, stirling_coeffs
 import blowup_reference
-from exact_reference import compose_linear, hilbert_poly
+from exact_reference import compose_linear, hilbert_poly, monomial
 
 
 P2 = projective_space_base(2)
@@ -112,21 +112,21 @@ def reference_chow(spec):
     a0 = chi.coefficient(n)
     num = Poly()
     for ell, f in enumerate(futaki_blowup(spec), start=1):
-        num = num + Poly.monomial(n + 1 - ell, a0 * f)
+        num = num + monomial(n + 1 - ell, a0 * f)
     return RatFn(num, chi)
 
 
 def reference_d_f_g(spec, ell):
-    """D, f_l and g_l transcribed coefficient by coefficient with Poly.monomial."""
+    """D, f_l and g_l transcribed coefficient by coefficient with monomial."""
     n = spec.base.n
     s = stirling_coeffs(n) + [0]
     fact = math.factorial(n)
     d_val = spec.volume_gap
     ratio_sum = sum(
         (Fraction(p.alpha, spec.m) ** (n - ell) for p in spec.points), Fraction(0))
-    f = Poly.monomial(n - ell, d_val * s[n - ell]) \
-        - Poly.monomial(n, fact * spec.base.a[ell] - s[n - ell] * ratio_sum)
-    g = (Poly.monomial(n + 1 - ell, d_val * s[n + 1 - ell]) - Poly((0, 1)) * f) / (n + 1)
+    f = monomial(n - ell, d_val * s[n - ell]) \
+        - monomial(n, fact * spec.base.a[ell] - s[n - ell] * ratio_sum)
+    g = (monomial(n + 1 - ell, d_val * s[n + 1 - ell]) - Poly((0, 1)) * f) / (n + 1)
     return d_val, f, g
 
 
@@ -647,8 +647,8 @@ class TestDFG:
         d, f1, g1 = d_f_g(spec, 1)
         ratio_sum = Fraction(4, 3)          # sum alpha_i/m
         assert d == Fraction(5, 9)
-        assert f1 == Poly((0, d)) - Poly.monomial(2, 3 - ratio_sum)
-        assert g1 == Poly.monomial(3, (3 - ratio_sum) / 3)
+        assert f1 == Poly((0, d)) - monomial(2, 3 - ratio_sum)
+        assert g1 == monomial(3, (3 - ratio_sum) / 3)
 
     def test_ell_range(self):
         spec = aligned_four_point_spec(3)

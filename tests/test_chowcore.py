@@ -18,6 +18,7 @@ from chowstab.chowcore import (
 from chowstab.errors import CrossCheckError
 from chowstab.exactalg import Poly, RatFn
 import blowup_reference
+from exact_reference import monomial
 
 
 def hyperplane_curve():
@@ -160,7 +161,7 @@ class TestReport:
             rep = report(h, w)          # raises CrossCheckError on failure
             expansion = Poly((rep.b_top,))
             for ell, f in enumerate(rep.futaki, start=1):
-                expansion = expansion + Poly.monomial(n + 1 - ell, h.a[0] * f)
+                expansion = expansion + monomial(n + 1 - ell, h.a[0] * f)
             assert rep.chow == RatFn(expansion, h.poly())
 
 

@@ -1,4 +1,5 @@
 """Command-line interface: configs, output stability, exit codes."""
+import hashlib
 import json
 import os
 import subprocess
@@ -56,6 +57,14 @@ class TestGoldenOutput:
         code, out, err = run_cli(capsys, command, *config_args, *extra, "--json")
         assert (code, err) == (0, "")
         assert out.encode("utf-8") == (GOLDEN / f"{golden}.json").read_bytes()
+
+    def test_search_at_the_guard_limit_matches_its_digest(self, capsys):
+        # 11 080 candidates, pinned by the sha256 of the output rather than the output.
+        assert (SEARCH_MAX_GRID_BOUND, SEARCH_MAX_SCALE_BOUND) == (8, 8)
+        code, out, err = run_cli(capsys, "search-unstable", "--grid", "8", "--scale", "8", "--json")
+        assert (code, err) == (0, "")
+        digest = (GOLDEN / "search_unstable_grid8_scale8.sha256").read_text().split()[0]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestDerivedOncePerSpec:

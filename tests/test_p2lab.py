@@ -9,7 +9,7 @@ import pytest
 from chowstab import blowup, chowcore, p2lab
 from chowstab.errors import CrossCheckError, ResourceLimitError
 from chowstab.exactalg import MPoly, Poly
-from exact_reference import is_homogeneous, partial, total_degree
+from exact_reference import evaluate, is_homogeneous, partial, total_degree
 import p2lab_reference
 from chowstab.p2lab import (
     PSI_VARIABLES,
@@ -143,12 +143,12 @@ class TestPsiReconstruct:
         psi1, _ = psi_reconstruct(PointConfig.four_points_three_aligned())
         m, a1 = MPoly.generators(("m", "a1"))
         zero = MPoly.zeros(("m", "a1"))
-        restricted = psi1.evaluate({"m": m, "a1": a1, "a2": zero, "a3": zero, "a4": zero})
+        restricted = evaluate(psi1, {"m": m, "a1": a1, "a2": zero, "a3": zero, "a4": zero})
         assert restricted == 2 * a1 * (m - a1) ** 3
 
     def test_base_point_value(self):
         psi1, _ = psi_reconstruct(PointConfig.four_points_three_aligned())
-        assert psi1.evaluate(dict(zip(PSI_VARIABLES, (1, 1, 0, 0, 0)))) == 0
+        assert evaluate(psi1, dict(zip(PSI_VARIABLES, (1, 1, 0, 0, 0)))) == 0
 
     def test_three_general_requires_an_action(self):
         with pytest.raises(ValueError, match="action is required"):
@@ -179,7 +179,7 @@ class TestPsiReconstruct:
             values = dict(gens)
             for name, expr in substitution.items():
                 values[name] = sum((gens[v] for v in expr.split("+")), MPoly.zeros(names))
-            return psi.evaluate(values)
+            return evaluate(psi, values)
 
         for psi in psis:
             assert psi.variables == names and not psi.is_zero
@@ -244,6 +244,16 @@ class TestTriplePoint:
         with pytest.raises(ValueError, match="must be a polynomial in"):
             triple_point_check((m - a1) ** 3 * m)
 
+    @pytest.mark.parametrize("variables", [("m", "a1", "a2"), PSI_VARIABLES + ("a5",)])
+    def test_expansion_refuses_other_variables(self, variables):
+        # Zipped with the five coordinates of B, three variables would be
+        # expanded about (1, 1, 0) and six would fail on a bad exponent vector.
+        m, a1, *_ = MPoly.generators(variables)
+        with pytest.raises(ValueError) as info:
+            p2lab._base_point_parts((m - a1) ** 3 * m)
+        assert str(info.value) == (f"psi must be a polynomial in {PSI_VARIABLES}, "
+                                   f"got one in {variables}")
+
     def test_expansion_matches_evaluation_on_shifted_generators(self):
         m, a1, a2, *_ = MPoly.generators(PSI_VARIABLES)
         shifted = {name: y + b for name, y, b in
@@ -253,7 +263,7 @@ class TestTriplePoint:
             parts = p2lab._base_point_parts(poly)
             assert all(not part.is_zero and is_homogeneous(part) and total_degree(part) == degree
                        for degree, part in parts.items())
-            assert sum(parts.values(), MPoly.zeros(PSI_VARIABLES)) == poly.evaluate(shifted)
+            assert sum(parts.values(), MPoly.zeros(PSI_VARIABLES)) == evaluate(poly, shifted)
         assert sorted(p2lab._base_point_parts(psi1)) == [3, 4]
 
 
@@ -272,9 +282,19 @@ class TestLineCoefficients:
         config = PointConfig.four_points_three_aligned()
         line = p2lab._line_coefficients(config, DiagAction((2, -1, -1)))
         psi1 = p2lab._compile_int_poly(psi_reconstruct(config)[0])
-        for v in itertools.product(range(-2, 3), repeat=5):
-            c4 = psi1(*v)
-            assert line(*v) == (c4, psi1(1 + v[0], 1 + v[1], *v[2:]) - c4)
+        for u0, u2, u3, u4 in itertools.product(range(-2, 3), repeat=4):
+            c4 = psi1(u0, 0, u2, u3, u4)
+            assert line(u0, u2, u3, u4) == (c4, psi1(1 + u0, 1, u2, u3, u4) - c4)
+        # The shift identity: v = g*u + v1*B gives c3(v) = g^3 c3(u) and
+        # c4(v) = g^3 (g c4(u) + v1 c3(u)), u the class of v.
+        shifted = 0
+        for v in filter(_signs_can_keep, itertools.product(range(-2, 3), repeat=5)):
+            u, g = line_class(v), line_scale(v)
+            c4, c3 = line(*u)
+            assert psi1(*v) == g**3 * (g * c4 + v[1] * c3)
+            assert psi1(1 + v[0], 1 + v[1], *v[2:]) - psi1(*v) == g**3 * c3
+            shifted += 1
+        assert shifted == 25 * 2 * 2**3
         assert cold_line_coefficients.cache_info().currsize == 1
 
     @pytest.mark.parametrize("make, message", [
@@ -497,8 +517,8 @@ class TestSearch:
         # residual point (1,1,2,0,0) has zero multiplicities and is dropped.
         psi1, _ = psi_reconstruct(PointConfig.four_points_three_aligned())
         t = Poly((0, 1))
-        line = psi1.evaluate({"m": Poly((1,)), "a1": Poly((1,)),
-                              "a2": t, "a3": Poly(), "a4": Poly()})
+        line = evaluate(psi1, {"m": Poly((1,)), "a1": Poly((1,)),
+                               "a2": t, "a3": Poly(), "a4": Poly()})
         assert line == Poly((0, 0, 0, -2, 1))
         for cand in search_unstable(1, 3):
             assert 0 not in ((cand.m,) + cand.alphas)
@@ -514,8 +534,8 @@ class TestSearch:
         ref1, ref2 = reference_psis()
         for c in search_unstable(2, 2):
             point = dict(zip(PSI_VARIABLES, (c.m,) + c.alphas))
-            assert ref1.evaluate(point) == 0
-            assert ref2.evaluate(point) == c.psi2_value != 0
+            assert evaluate(ref1, point) == 0
+            assert evaluate(ref2, point) == c.psi2_value != 0
 
     def test_scaling_layer(self):
         ones = search_unstable(2, 1)
@@ -581,7 +601,7 @@ class TestSearch:
             search_unstable(2, 1)
         # The first candidate of search_unstable(2, 1).
         psi2 = psi_reconstruct(PointConfig.four_points_three_aligned())[1]
-        psi2_value = psi2.evaluate(dict(zip(PSI_VARIABLES, (131, 75, 14, 14, 14))))
+        psi2_value = evaluate(psi2, dict(zip(PSI_VARIABLES, (131, 75, 14, 14, 14))))
         assert str(info.value) == (
             "psi_2 disagrees with F_2 * deg^2 recomputed through the blowup pipeline "
             f"at m = 131, alphas = (75, 14, 14, 14): psi_2 = {psi2_value}, "
@@ -651,7 +671,7 @@ def reference_hits(bound):
         for i in combo:
             p = partial(p, PSI_VARIABLES[i])
         mult = prod(factorial(len(tuple(g))) for _, g in itertools.groupby(combo))
-        value = p.evaluate(base) / mult
+        value = evaluate(p, base) / mult
         if value:
             jet.append((combo, value))
     hits, seen = [], set()
@@ -695,8 +715,8 @@ def test_search_matches_full_box_reference(bound, scale):
     assert search_unstable(bound, scale) == reference_search(bound, scale)
 
 
-@pytest.mark.parametrize("bound", [1, 2, 3, 4])
-@pytest.mark.parametrize("scale", [1, 2, 3])
+@pytest.mark.parametrize("scale, bound", [(s, b) for b in (1, 2, 3, 4) for s in (1, 2, 3)]
+                         + [(1, 5), (1, 6)])
 def test_search_matches_the_sweep_of_every_line(bound, scale):
     assert search_unstable(bound, scale) == p2lab_reference.search(bound, scale)
 
@@ -708,25 +728,28 @@ def line_class(v):
     return tuple(c // g for c in u)
 
 
+def line_scale(v):
+    """The signed g with (v0 - v1, v2, v3, v4) = g * line_class(v)."""
+    return gcd(v[0] - v[1], *v[2:]) * (1 if v[2] > 0 else -1)
+
+
 def line_evaluator():
     return p2lab._line_coefficients(PointConfig.four_points_three_aligned(), DiagAction((2, -1, -1)))
 
 
-@pytest.mark.parametrize("bound, evaluations, classes",
-                         [(2, 70, 67), (3, 348, 339), (4, 1023, 1011)])
-def test_one_evaluation_per_class(monkeypatch, bound, evaluations, classes):
-    """Once one of its lines gave c4 != 0, a class is not evaluated again."""
+@pytest.mark.parametrize("bound, evaluations", [(2, 16), (3, 87), (4, 274)])
+def test_one_evaluation_per_class(monkeypatch, bound, evaluations):
+    """Each class the walk reaches is evaluated once, at its primitive u."""
     real, calls = line_evaluator(), []
 
-    def recorded(*v):
-        calls.append((v, real(*v)))
-        return calls[-1][1]
+    def recorded(*u):
+        calls.append(u)
+        return real(*u)
 
     monkeypatch.setattr(p2lab, "_line_coefficients", lambda *key: recorded)
     search_unstable(bound, 1)
-    assert len(calls) == evaluations
-    assert len({line_class(v) for v, (c4, _) in calls if c4 != 0}) == classes
-    assert len(calls) < len(list(_line_directions(bound)))
+    assert len(calls) == len(set(calls)) == evaluations
+    assert set(calls) == {line_class(v) for v in _line_directions(bound)}
 
 
 def test_class_with_c4_zero_stays_open(monkeypatch):
@@ -739,14 +762,22 @@ def test_class_with_c4_zero_stays_open(monkeypatch):
     expected = search_unstable(3, 1)
     calls = []
 
-    def forced(*v):
-        calls.append(v)
-        c4, c3 = real(*v)
-        return (0, c3) if v == first else (c4, c3)
+    def forced(*u):
+        calls.append(u)
+        c4, c3 = real(*u)
+        if u == (4, 1, 1, 1) and calls.count(u) == 1:
+            return c3, c3
+        return c4, c3
 
     monkeypatch.setattr(p2lab, "_line_coefficients", lambda *key: forced)
     found = search_unstable(3, 1)
-    assert first in calls and second in calls and (-1, 3, -1, -1, -1) not in calls
+    # Evaluated for the first and second directions, not for the third.
+    assert calls.count((4, 1, 1, 1)) == 2
+    # c4(v) = g^3 (g c4 + v1 c3): zero on the first direction with the forced
+    # values, nonzero on the second with the real ones.
+    c4, c3 = real(4, 1, 1, 1)
+    assert line_scale(first) * c3 + first[1] * c3 == 0
+    assert line_scale(second) * c4 + second[1] * c3 != 0
     assert sorted((c.m, c.alphas) for c in found) == sorted((c.m, c.alphas) for c in expected)
     assert (131, (75, 14, 14, 14)) in [(c.m, c.alphas) for c in found]
 
@@ -756,7 +787,13 @@ def _signs_can_keep(v):
     return all(c < 0 for c in v[2:]) or all(c > 0 for c in v[2:])
 
 
-@pytest.mark.parametrize("bound, lines", [(1, 9), (2, 191), (3, 1305), (4, 4975)])
+def _can_be_ample(v):
+    """m - a1 - a_j of a line's kept point is, up to a positive factor,
+    s*(v0 - v1) - |v_j| for the sign s of the tail (v2, v3, v4)."""
+    return _signs_can_keep(v) and (1 if v[2] > 0 else -1) * (v[0] - v[1]) > max(map(abs, v[2:]))
+
+
+@pytest.mark.parametrize("bound, lines", [(1, 1), (2, 26), (3, 197), (4, 802)])
 def test_line_directions_first_box_member(bound, lines):
     directions = list(_line_directions(bound))
     assert len(directions) == lines
@@ -765,7 +802,7 @@ def test_line_directions_first_box_member(bound, lines):
     for v, p in zip(directions, rays):
         assert v == tuple(-(bound // max(map(abs, p))) * c for c in p)
     assert directions == sorted(directions)
-    assert directions == list(filter(_signs_can_keep, p2lab_reference.line_directions(bound)))
+    assert directions == list(filter(_can_be_ample, p2lab_reference.line_directions(bound)))
 
 
 @pytest.mark.parametrize("bound", [1, 2])
@@ -775,4 +812,31 @@ def test_line_directions_brute_force(bound):
         if any(v) and _ray(v) not in seen:
             seen.add(_ray(v))
             first.append(v)
-    assert list(_line_directions(bound)) == list(filter(_signs_can_keep, first))
+    assert list(_line_directions(bound)) == list(filter(_can_be_ample, first))
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_dropped_lines_give_no_ample_point(bound):
+    """Every sign-rule line the walk leaves out, evaluated as the reference
+    does (two quartic evaluations), gives no kept ample point."""
+    config = PointConfig.four_points_three_aligned()
+    psi1 = p2lab._compile_int_poly(psi_reconstruct(config)[0])
+    walked = set(_line_directions(bound))
+    dropped = [v for v in p2lab_reference.line_directions(bound)
+               if _signs_can_keep(v) and v not in walked]
+    assert len(dropped) == {1: 9, 2: 191, 3: 1305, 4: 4975}[bound] - len(walked)
+    for v in dropped:
+        c4 = psi1(*v)
+        c3 = psi1(1 + v[0], 1 + v[1], *v[2:]) - c4
+        point = [c4 * b - c3 * c for b, c in zip(_TRIPLE_POINT, v)]
+        if c4 and (min(point) > 0 or max(point) < 0):
+            point = _ray(point)
+            assert not ample_check(config, point[0], point[1:]), (v, point)
+
+
+@pytest.mark.parametrize("bound", range(1, SEARCH_MAX_GRID_BOUND + 1))
+def test_primitive_points_are_distinct(bound):
+    """A point other than B fixes its line through B, and each class gives
+    its point once, so no primitive point repeats."""
+    points = [(c.m, c.alphas) for c in search_unstable(bound, 1)]
+    assert len(points) == len(set(points))
