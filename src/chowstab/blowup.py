@@ -25,27 +25,29 @@ fully explicit form
                                       - g_l(alpha_j/m) lambda(p_j) ],
 
 with D = deg - sum_j (alpha_j/m)^n > 0 and one-variable polynomials f_l,
-g_l built from D, the base coefficients and the s_h (one transcription,
-shared by the numeric, symbolic and polynomial paths).
+g_l built from D, the base coefficients and the s_h.  One transcription,
+_f_g_levels, runs them at x_j = alpha_j with the base coefficients scaled
+by powers of m, which clears the denominator D^2 m^{l-1}: on integers for
+a geometry, on polynomial generators (m, alpha_j) for p2lab's vanishing
+loci; d_f_g evaluates the same per-level terms at the polynomial variable.
 
 Everything but the action data (phi, lambda) is fixed by the geometry
-(base, m, alphas): chi~ and its HilbertData, the ratios, D, and, since w~
-and the point sums are linear in (phi, lambda), the coefficient of every
-phi_j and lambda_j in each coefficient of w~ and in each F_l.  These are
+(base, m, alphas): chi~ and its HilbertData, D, and, since w~ and the
+point sums are linear in (phi, lambda), the coefficient of every phi_j
+and lambda_j in each coefficient of w~ and in each F_l.  These are
 derived once per geometry, on integers, and held in a bounded cache
 (GEOMETRY_CACHE_SIZE entries), the coefficients as integer numerators
 over one denominator for w~ and one for the F_l.  An action, its phi
-brought to their least common denominator, then costs one integer dot
-product per coefficient of w~ and per F_l, and one normalisation for
-each.  A
-BlowupSpec derives all of its data at construction, once: the geometry,
-w~ and its WeightData, and the point-sum F_l, held as plain attributes
-that every consumer reads.  Every call of futaki_blowup still re-derives
-the invariants through the generic chi/w pipeline and insists on exact
-agreement with the point sums.
-chow_blowup goes through chowcore.report on (chi~, w~), which asserts the
-Chow function's expansion in the F_l, and checks those F_l against the
-point sums the same way.
+brought to their least common denominator once, then costs one integer
+dot product per coefficient of w~ and per F_l, and one normalisation for
+each.  A BlowupSpec derives all of its data at construction, once: the
+geometry, the action over one denominator, w~ and its WeightData, and
+the point-sum F_l, held as plain attributes that every consumer reads.
+Every call of futaki_blowup still re-derives the invariants through the
+generic chi/w pipeline and insists on exact agreement with the point
+sums.  chow_blowup goes through chowcore.report on (chi~, w~), which
+asserts the Chow function's expansion in the F_l, and checks those F_l
+against the point sums the same way.
 
 For blowups of the projective plane at coordinate points the space of
 sections is a span of monomials, and oracle_p2 checks both polynomials by
@@ -83,7 +85,6 @@ __all__ = [
     "quotient_weight",
     "w_tilde",
     "w_tilde_coeffs",
-    "futaki_point_sums",
     "d_f_g",
     "futaki_blowup",
     "chow_blowup",
@@ -168,9 +169,11 @@ class BlowupSpec:
     Requires D = deg - sum (alpha_j/m)^n > 0; inputs with D <= 0 are not
     polarizations of the blowup and are rejected outright.  The rest is
     derived at construction, once, and read as attributes: ``alphas``, the
-    ``ratios`` alpha_j/m, the volume gap D (``volume_gap``), chi~ (``chi``,
-    the geometry's), w~ (``w``) and ``hilbert_weight_data``, the generic
-    pipeline's input (the geometry's HilbertData, the WeightData of w~).
+    volume gap D (``volume_gap``), chi~ (``chi``, the geometry's), w~
+    (``w``) and ``hilbert_weight_data``, the generic pipeline's input (the
+    geometry's HilbertData, the WeightData of w~).  The phi are brought to
+    their least common denominator once, for w~, the point sums and
+    adiabatic.
     """
 
     base: BaseSummary
@@ -196,14 +199,15 @@ class BlowupSpec:
         if geometry.volume_gap <= 0:
             raise DegenerateInputError(
                 f"exceptional volume exhausts the base: D = {geometry.volume_gap}")
-        phis, lams = [p.phi for p in self.points], [p.lam for p in self.points]
-        w = geometry.w_poly(phis, lams)
+        action = geometry._integer_action([p.phi for p in self.points],
+                                          [p.lam for p in self.points])
+        w = geometry.w_poly(action)
         # Plain attributes beside the fields: equality, hash and repr stay the dataclass's.
         self.__dict__.update(
-            _geometry=geometry, alphas=alphas, ratios=geometry.ratios,
-            volume_gap=geometry.volume_gap, chi=geometry.chi, w=w,
+            _geometry=geometry, alphas=alphas, volume_gap=geometry.volume_gap,
+            chi=geometry.chi, w=w,
             hilbert_weight_data=(geometry.hilbert, chowcore.WeightData.from_poly(w, self.base.n)),
-            _point_sum_futaki=geometry.point_sum_futaki(phis, lams))
+            _point_sum_futaki=geometry.point_sum_futaki(action), _action=action)
 
     def __reduce__(self):
         # Pickle the fields alone: loading rebuilds through the constructor,
@@ -240,34 +244,22 @@ def _integer_dot(pair, phi_nums, q, lams) -> int:
 class _Geometry:
     """What a blowup's action does not change, derived once per (base, m, alphas).
 
-    Holds the ratios x_j = alpha_j/m, D and the per-level terms of f_l,
-    g_l, chi~ and, for a polarization (D > 0), its HilbertData, whose Poly
-    is chi~.  w~ and the point sums F_l are linear in the action data
-    (phi, lambda).  Their coefficient columns are kept as integer
-    numerators: one pair per coefficient of w~, from _w_tilde_columns, over
-    one denominator, and one pair per F_l, the point-sum columns of
-    _f_g_levels scaled by 1/(D^2 m^{l-1}), over another.  An action (phi,
-    lambda), its phi brought to their least common denominator
-    (_integer_action), then costs one integer dot product per coefficient.
-
-    Everything is derived on integers.  The x_j share the denominator m,
-    and the transcription of _f_g_levels is weighted homogeneous (x of
-    weight 1, n! a_l of weight n - l).  Run at x_j = alpha_j and
-    n! a_l m^{n-l}, it gives m^n D, level terms scaled by m^n, m^n and
-    m^{n-l}, and columns f_l and (n+1) g_l scaled by m^{2n-l} and
-    m^{2n+1-l}: integers whenever the base's n! a_l are, as on projective
-    space (otherwise the same code runs on Fractions).
+    Holds D, the per-level terms of f_l, g_l, chi~ and, for a polarization
+    (D > 0), its HilbertData, whose Poly is chi~.  w~ and the point sums
+    F_l are linear in the action data (phi, lambda).  Their coefficient
+    columns are kept as integer numerators: one pair per coefficient of
+    w~, from _w_tilde_columns, over one denominator, and one pair per F_l,
+    the columns of (n+1) F_l (m^n D)^2 from _f_g_levels divided by
+    (n+1) (m^n D)^2, over another.  An action (phi, lambda), its phi
+    brought to their least common denominator once (_integer_action),
+    then costs one integer dot product per coefficient.
     """
 
-    __slots__ = ("ratios", "volume_gap", "levels", "chi", "hilbert", "_w_columns",
-                 "_futaki_columns")
+    __slots__ = ("volume_gap", "levels", "chi", "hilbert", "_w_columns", "_futaki_columns")
 
     def __init__(self, base: BaseSummary, m: int, alphas: tuple[int, ...]):
         n = base.n
-        fact = math.factorial(n)
-        weighted = [_whole(fact * c) * m ** (n - ell) for ell, c in enumerate(base.a)]
-        d_int, levels, columns = _f_g_levels(n, weighted, alphas)
-        self.ratios = tuple(Fraction(alpha, m) for alpha in alphas)
+        d_int, levels, columns = _f_g_levels(base, m, alphas)
         self.volume_gap = Fraction(d_int, m**n)
         self.levels = [(ell, Fraction(d_lo, m**n), Fraction(d_hi, m**n),
                         Fraction(second, m ** (n - ell))) for ell, d_lo, d_hi, second in levels]
@@ -282,11 +274,7 @@ class _Geometry:
         else:
             self.hilbert = chowcore.HilbertData(n, chi)
             self.chi = self.hilbert.poly()
-            # With f and (n+1) g from the integer run, f_l(x_j) / (D^2 m^{l-1})
-            # = m f / (m^n D)^2 and g_l(x_j) / (D^2 m^{l-1}) = g / (m^n D)^2.
-            self._futaki_columns = _over_one_denominator(
-                [(tuple((n + 1) * m * v for v in f_col), g_col) for f_col, g_col in columns],
-                (n + 1) * d_int**2)
+            self._futaki_columns = _over_one_denominator(columns, (n + 1) * d_int**2)
 
     @staticmethod
     def _integer_action(phis, lams) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
@@ -294,16 +282,16 @@ class _Geometry:
         q = math.lcm(*(phi.denominator for phi in phis))
         return tuple(phi.numerator * (q // phi.denominator) for phi in phis), q, tuple(lams)
 
-    def w_poly(self, phis, lams) -> Poly:
-        """w~ under the action (phi, lambda); b_{n+1} = 0: smooth."""
-        phi_nums, q, lams = self._integer_action(phis, lams)
+    def w_poly(self, action) -> Poly:
+        """w~ under an action (P, q, lams) of _integer_action; b_{n+1} = 0: smooth."""
+        phi_nums, q, lams = action
         pairs, den = self._w_columns
         return Poly([0] + [_integer_dot(pair, phi_nums, q, lams) for pair in reversed(pairs)]) \
             / (q * den)
 
-    def point_sum_futaki(self, phis, lams) -> tuple[Fraction, ...]:
-        """[F_1..F_n] from the point-sum formula under the action (phi, lambda)."""
-        phi_nums, q, lams = self._integer_action(phis, lams)
+    def point_sum_futaki(self, action) -> tuple[Fraction, ...]:
+        """[F_1..F_n] from the point-sum formula under an action (P, q, lams) of _integer_action."""
+        phi_nums, q, lams = action
         pairs, den = self._futaki_columns
         return tuple(Fraction(_integer_dot(pair, phi_nums, q, lams), q * den) for pair in pairs)
 
@@ -385,15 +373,32 @@ def w_tilde(spec: BlowupSpec) -> Poly:
     return spec.w
 
 
-def _f_g_levels(n: int, fact_a, ratios):
-    """D = n! a_0 - sum_i x_i^n and, for l = 1..n, the per-level terms
-    (l, D s_{n-l}, D s_{n+1-l}, n! a_l - s_{n-l} sum_i x_i^{n-l}) of f_l and g_l
-    and the point-sum columns (f_l(x_j))_j and (-(n+1) g_l(x_j))_j, over any
-    ring, from fact_a = (n! a_0, ..., n! a_n)."""
+def _f_g_levels(base: BaseSummary, m, alphas):
+    """m^n D, the per-level terms of f_l and g_l and, for l = 1..n, the
+    point-sum columns ((n+1) m f_l, -(n+1) g_l), which applied to
+    (phi, lambda) give (n+1) F_l (m^n D)^2, over any ring: m and the
+    alpha_j may be ints or polynomial generators.  In x_j = alpha_j/m,
+
+        D      = n! a_0 - sum_i x_i^n,
+        f_l(x) = D s_{n-l} x^{n-l} - (n! a_l - s_{n-l} sum_i x_i^{n-l}) x^n,
+        g_l(x) = (D s_{n+1-l} x^{n+1-l} - x f_l(x)) / (n+1),
+
+    and F_l = sum_j [f_l(x_j) phi_j - g_l(x_j) lam_j] / (D^2 m^{l-1}).  The
+    transcription is weighted homogeneous (x of weight 1, n! a_l of weight
+    n - l).  Run at x_j = alpha_j and n! a_l m^{n-l}, it gives m^n D, the
+    level terms (l, D s_{n-l}, D s_{n+1-l}, n! a_l - s_{n-l} sum_i x_i^{n-l})
+    scaled by m^n, m^n and m^{n-l}, and f_l and (n+1) g_l scaled by
+    m^{2n-l} and m^{2n+1-l}, which clears D^2 m^{l-1}: integers whenever
+    the base's n! a_l are, as on projective space (otherwise Fractions),
+    and polynomials on generators.
+    """
+    n = base.n
     s = stirling_coeffs(n) + [0]       # s_{n+1} = 0
+    fact = math.factorial(n)
+    fact_a = [_whole(fact * c) * m ** (n - ell) for ell, c in enumerate(base.a)]
 
     def power_sum(p):
-        return sum((x**p for x in ratios[1:]), ratios[0] ** p)
+        return sum((x**p for x in alphas[1:]), alphas[0] ** p)
 
     d_val = fact_a[0] - power_sum(n)
     levels = [(ell, d_val * s[n - ell], d_val * s[n + 1 - ell],
@@ -401,8 +406,9 @@ def _f_g_levels(n: int, fact_a, ratios):
               for ell in range(1, n + 1)]
     columns = []
     for level in levels:
-        f_g = [_f_g(n, level, x) for x in ratios]
-        columns.append((tuple(f_val for f_val, _ in f_g), tuple(-g_val for _, g_val in f_g)))
+        f_g = [_f_g(n, level, x) for x in alphas]
+        columns.append((tuple((n + 1) * m * f_val for f_val, _ in f_g),
+                        tuple(-g_val for _, g_val in f_g)))
     return d_val, levels, columns
 
 
@@ -411,24 +417,6 @@ def _f_g(n: int, level, x):
     ell, d_lo, d_hi, second = level
     f_val = d_lo * x ** (n - ell) - second * x**n
     return f_val, d_hi * x ** (n + 1 - ell) - x * f_val
-
-
-def futaki_point_sums(n: int, a, ratios, phis, lams) -> list:
-    """The per-level weighted sums sum_j [f_l(x_j) phi_j - g_l(x_j) lam_j].
-
-    x_j = ratios[j] stands for alpha_j/m: the unscaled point-sum columns of
-    _f_g_levels, over Fractions (numeric invariants) or multivariate
-    polynomial generators (symbolic vanishing loci), applied to
-    (phi, lam / (n+1)), since their second column holds -(n+1) g_l;
-    d_f_g evaluates the same per-level terms at the polynomial variable:
-
-        f_l(x) = D s_{n-l} x^{n-l} - (n! a_l - s_{n-l} sum_i x_i^{n-l}) x^n,
-        g_l(x) = (D s_{n+1-l} x^{n+1-l} - x f_l(x)) / (n+1),
-        D      = n! a_0 - sum_i x_i^n.
-    """
-    fact = math.factorial(n)
-    return _apply_columns(_f_g_levels(n, [fact * Fraction(c) for c in a], ratios)[2],
-                          [Fraction(phi) for phi in phis], [Fraction(lam, n + 1) for lam in lams])
 
 
 def d_f_g(spec: BlowupSpec, ell: int) -> tuple[Fraction, Poly, Poly]:
@@ -487,11 +475,12 @@ def adiabatic(spec: BlowupSpec) -> tuple[Fraction, Fraction]:
     the latter being the Chow weight of the cycle sum alpha_j^{n-1} p_j
     under the normalized linearization (base average of phi equal zero);
     F_1 - leading decays like m^{-n}.  Both are summed on the integer
-    numerators of the phi over their least common denominator q, as the
-    geometry applies an action, and each is built as one Fraction.
+    numerators of the phi over their least common denominator q, which
+    the spec holds from its construction, and each is built as one
+    Fraction.
     """
     n = spec.base.n
-    phi_nums, q, _ = _Geometry._integer_action([p.phi for p in spec.points], ())
+    phi_nums, q, _ = spec._action
     total = sum(p.alpha ** (n - 1) * num for p, num in zip(spec.points, phi_nums))
     degree = spec.base.degree
     return (Fraction(n * (n - 1) * total * degree.denominator,

@@ -17,9 +17,10 @@ plane blown up at points carries residual torus actions worth studying:
   together, exactly on {alpha_1 = alpha_2 = alpha_3} union
   {alpha_1 + alpha_2 + alpha_3 = m} inside the ample cone.
 
-psi_reconstruct(config, action) runs the blowup point-sum formula on
-polynomial generators for any configuration and any diagonal action fixing
-its points, giving psi_l in (m, a1, ..., a<number of points>) with
+psi_reconstruct(config, action) runs the blowup geometry's point-sum
+columns, the transcription that clears their denominator on integers, on
+polynomial generators (m, a1, ..., a<number of points>) for any
+configuration and any diagonal action fixing its points, giving psi_l with
 F_l = psi_l / deg^2, each proved where it is built to equal F_l * deg^2
 from chi~ and w~ on the same generators, as polynomials.  One bounded
 cache holds each (config, action)'s polynomials with their compiled
@@ -206,34 +207,22 @@ def _psi(config: PointConfig, action: DiagAction):
     phis, lams = zip(*data)
     base = projective_space_base(2)
     n = base.n
-    indices = range(1, len(config.blocks) + 1)
-    ratios = MPoly.generators(tuple(f"x{j}" for j in indices))
-    sums = blowup.futaki_point_sums(n, base.a, ratios, phis, lams)
-    variables = ("m",) + tuple(f"a{j}" for j in indices)
+    variables = ("m",) + tuple(f"a{j}" for j in range(1, len(config.blocks) + 1))
     m, *alphas = MPoly.generators(variables)
+    # The point-sum columns give (n+1) F_l deg^2 with deg = m^n D, a
+    # polynomial by the weighted homogeneity of their transcription; and
     # deg = n! a_0 for the leading coefficient a_0 of chi~, so
     # F_l * deg^2 = (n!)^2 (a_0 b_l - b_0 a_l).
+    sums = blowup._apply_columns(blowup._f_g_levels(base, m, alphas)[2], phis, lams)
     pipeline = chowcore._futaki_numerators(blowup.chi_tilde_coeffs(n, base.a, m, alphas),
                                            blowup.w_tilde_coeffs(n, m, alphas, phis, lams))
     polys = []
     for ell, (total, numerator) in enumerate(zip(sums, pipeline), start=1):
-        # F_l = total / (D^2 m^{l-1}) and deg^2 = m^{2n} D^2, so clearing the
-        # prefactors amounts to substituting x_j = alpha_j/m into total and
-        # multiplying by m^{2n+1-l}: each monomial x^e becomes
-        # alpha^e m^{2n+1-l-|e|}, a polynomial since total has degree <= 2n+1-l.
         target = 2 * n + 1 - ell
-        terms = {}
-        for exps, coeff in total.terms():
-            spare = target - sum(exps)
-            if spare < 0:
-                raise CrossCheckError(
-                    f"point sum for F_{ell} of {config.kind} under diag{action.w} exceeds "
-                    f"the clearing degree {target}: term {exps} with coefficient {coeff}")
-            terms[(spare,) + exps] = coeff
-        psi, expected = MPoly(variables, terms), factorial(n) ** 2 * numerator
-        # psi is homogeneous of degree target by its clearing; the pipeline's
-        # F_l * deg^2 is proved to be, term by term, so that the search may
-        # take psi_l(s*P) = s^target * psi_l(P) for every scale s.
+        psi, expected = Fraction(1, n + 1) * total, factorial(n) ** 2 * numerator
+        # The pipeline's F_l * deg^2 is proved homogeneous of degree target,
+        # term by term, so that the search may take
+        # psi_l(s*P) = s^target * psi_l(P) for every scale s.
         for exps, coeff in expected.terms():
             if sum(exps) != target:
                 raise CrossCheckError(
@@ -252,10 +241,11 @@ def psi_reconstruct(config: PointConfig, action: DiagAction | None = None) -> tu
     """Vanishing-locus polynomials (psi_1, psi_2) of a plane configuration
     under a diagonal action fixing its points.
 
-    Runs the blowup point-sum formula symbolically in
-    (m, a1, ..., a<number of points>) and clears the deg^{-2} and
-    power-of-m prefactors, so F_l = psi_l / deg^2 with
-    deg = m^2 - sum alpha_j^2, proved against chi~ and w~ before it is
+    Runs the blowup geometry's point-sum columns (blowup._f_g_levels) on
+    the generators (m, a1, ..., a<number of points>): their weighted
+    homogeneous transcription clears the deg^{-2} and power-of-m
+    prefactors, so F_l = psi_l / deg^2 with deg = m^2 - sum alpha_j^2,
+    a polynomial by construction, proved against chi~ and w~ before it is
     cached (CrossCheckError, on every call, on a disagreement).
     Homogeneous of degrees 4 and 3, which is proved before caching too.
     The action defaults to diag(2, -1, -1) for the aligned four-point

@@ -162,7 +162,7 @@ def check_blowup_case(weights, points, m, kmax: int = BLOWUP_KMAX) -> Mismatch |
                                     tuple(alpha for _, alpha in points))
     data = [p2lab.fixed_point_data(p2lab.DiagAction(weights), {axis})
             for axis, _ in points]
-    w = geometry.w_poly([phi for phi, _ in data], [lam for _, lam in data])
+    w = geometry.w_poly(geometry._integer_action(*zip(*data)))
     return _compare((weights, points, m), geometry.chi, w,
                     lambda k: blowup.oracle_p2(weights, points, m, k), kmax)
 

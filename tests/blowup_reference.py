@@ -70,13 +70,14 @@ def levels(n, a, ratios):
 
 
 def futaki_point_sums(n, a, ratios, phis, lams):
-    """sum_j [f_l(x_j) phi_j - g_l(x_j) lam_j] for l = 1..n, point by point."""
+    """sum_j [f_l(x_j) phi_j - g_l(x_j) lam_j] for l = 1..n, point by point,
+    over Fractions or MPoly generators x_j (p2lab_reference.psi_by_clearing)."""
     out = []
     for ell, d_lo, d_hi, second in levels(n, a, ratios)[1]:
         acc = Fraction(0)
         for x, phi, lam in zip(ratios, phis, lams):
             f_val = d_lo * x ** (n - ell) - second * x**n
-            g_val = (d_hi * x ** (n + 1 - ell) - x * f_val) / (n + 1)
+            g_val = (d_hi * x ** (n + 1 - ell) - x * f_val) * Fraction(1, n + 1)
             acc += f_val * Fraction(phi) - g_val * lam
         out.append(acc)
     return out

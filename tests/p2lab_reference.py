@@ -11,6 +11,12 @@ requires the library's candidates to equal its own, order included.
 ``recheck_every_scale(candidates)`` is the verification as it stood before
 the search verified each primitive point once: every candidate, at its own
 scale, recomputed through futaki_blowup.
+
+``psi_by_clearing(config, action)`` is psi_reconstruct's construction as
+it stood before it ran the geometry's integer transcription on generators:
+the point sums on ratio generators x_j = alpha_j/m, then the substitution
+x_j -> alpha_j/m and the factor m^{2n+1-l} that clear D^2 m^{l-1} and
+deg^{-2}.  test_p2lab requires psi_reconstruct to equal it.
 """
 from __future__ import annotations
 
@@ -19,7 +25,9 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
+import blowup_reference
 from chowstab import blowup, p2lab
+from chowstab.exactalg import MPoly
 from chowstab.p2lab import Candidate, DiagAction, PointConfig, ample_check, fixed_point_data
 
 
@@ -91,3 +99,23 @@ def recheck_every_scale(candidates):
         f1, f2 = blowup.futaki_blowup(spec)
         deg = c.m**2 - sum(a * a for a in c.alphas)
         assert f1 == 0 and f2 * deg**2 == c.psi2_value != 0, (c.m, c.alphas, f1, f2)
+
+
+def psi_by_clearing(config, action):
+    """(psi_1, psi_2) in (m, a1, ..., a<number of points>): each level's point
+    sum in x_j, every monomial x^e turned into alpha^e m^{2n+1-l-|e|}."""
+    phis, lams = zip(*(fixed_point_data(action, block) for block in config.blocks))
+    base, n = blowup.projective_space_base(2), 2
+    indices = range(1, len(config.blocks) + 1)
+    ratios = MPoly.generators(tuple(f"x{j}" for j in indices))
+    variables = ("m",) + tuple(f"a{j}" for j in indices)
+    psis = []
+    for ell, total in enumerate(blowup_reference.futaki_point_sums(n, base.a, ratios, phis, lams),
+                                start=1):
+        terms = {}
+        for exps, coeff in total.terms():
+            spare = 2 * n + 1 - ell - sum(exps)
+            assert spare >= 0, (config.kind, action.w, ell, exps)
+            terms[(spare,) + exps] = coeff
+        psis.append(MPoly(variables, terms))
+    return tuple(psis)

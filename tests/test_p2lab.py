@@ -160,6 +160,21 @@ class TestPsiReconstruct:
         with pytest.raises(TypeError):
             psi_reconstruct(PointConfig.four_points_three_aligned(), (2, -1, -1))
 
+    @pytest.mark.parametrize("config, action", [
+        (PointConfig.four_points_three_aligned(), DiagAction((2, -1, -1))),
+        (PointConfig.three_general(), DiagAction((1, -1, 0))),
+        (PointConfig.three_general(), DiagAction((0, 1, -1))),
+        (PointConfig("p1_plus_4_aligned", ({0},) + ({1, 2},) * 4), DiagAction((2, -1, -1))),
+        (PointConfig("p1_plus_5_aligned", ({0},) + ({1, 2},) * 5), DiagAction((2, -1, -1))),
+    ], ids=["four_points", "three_general_1-10", "three_general_01-1", "p1_plus_4_aligned",
+            "p1_plus_5_aligned"])
+    def test_equals_the_clearing_reference(self, config, action):
+        """The geometry's integer transcription on generators gives the psi of
+        the point sums on ratio generators, cleared by substitution."""
+        psis = psi_reconstruct(config, action)
+        assert psis == p2lab_reference.psi_by_clearing(config, action)
+        assert psis[0].variables == ("m",) + tuple(f"a{j}" for j in range(1, len(config.blocks) + 1))
+
     def test_default_action_of_the_four_point_family(self):
         config = PointConfig.four_points_three_aligned()
         assert psi_reconstruct(config, DiagAction((2, -1, -1))) == psi_reconstruct(config)
@@ -194,19 +209,13 @@ class TestPsiReconstruct:
         config = PointConfig.four_points_three_aligned()
         action = DiagAction((2, -1, -1))
         data = [fixed_point_data(action, b) for b in config.blocks]
-        ratios = MPoly.generators(tuple(f"x{j}" for j in range(1, 5)))
-        base = blowup.projective_space_base(2)
+        m, *alphas = MPoly.generators(PSI_VARIABLES)
+        columns = blowup._f_g_levels(blowup.projective_space_base(2), m, alphas)[2]
 
         def build(phi_sign, lam_sign):
             phis = [phi_sign * phi for phi, _ in data]
             lams = [lam_sign * lam for _, lam in data]
-            total = blowup.futaki_point_sums(2, base.a, ratios, phis, lams)[0]
-            terms = {}
-            for exps, coeff in total.terms():
-                spare = 4 - sum(exps)
-                assert spare >= 0
-                terms[(spare,) + exps] = coeff
-            return MPoly(PSI_VARIABLES, terms)
+            return Fraction(1, 3) * blowup._apply_columns(columns, phis, lams)[0]
 
         outcomes = {(sp, sl): build(sp, sl) == ref1
                     for sp in (1, -1) for sl in (1, -1)}
@@ -436,15 +445,21 @@ class TestThreePointProof:
     def test_corrupted_point_sums_raise_every_call(self, monkeypatch):
         four_points, three_points = PointConfig.four_points_three_aligned(), PointConfig.three_general()
         first_action = p2lab._THREE_POINT_ACTIONS[0]
-        true_psi2 = {config.kind: psi_reconstruct(config, action)[1] for config, action in (
-            (four_points, DiagAction((2, -1, -1))), (three_points, first_action))}
-        real = blowup.futaki_point_sums
+        pairs = ((four_points, DiagAction((2, -1, -1))), (three_points, first_action))
+        true_psi2 = {config.kind: psi_reconstruct(config, action)[1] for config, action in pairs}
+        first_phi = {config.kind: fixed_point_data(action, config.blocks[0])[0]
+                     for config, action in pairs}
+        real = blowup._f_g_levels
 
-        def corrupted(*args):
-            sums = real(*args)
-            return [sums[0], sums[1] + 1]       # psi_2's m^3 coefficient off by one
+        def corrupted(base, m, alphas):
+            d_val, levels, columns = real(base, m, alphas)
+            phi_col, lam_col = columns[1]
+            # the first point's level-2 phi coefficient off by (n+1) m^3,
+            # so psi_2's m^3 coefficient is off by that point's phi
+            columns = [columns[0], ((phi_col[0] + 3 * m**3,) + phi_col[1:], lam_col)]
+            return d_val, levels, columns
 
-        monkeypatch.setattr(blowup, "futaki_point_sums", corrupted)
+        monkeypatch.setattr(blowup, "_f_g_levels", corrupted)
         p2lab._psi.cache_clear()
         calls = ((four_points, "diag(2, -1, -1)",
                   lambda: psi_reconstruct(four_points)),
@@ -452,7 +467,7 @@ class TestThreePointProof:
                   lambda: three_point_loci(5, (2, 1, 1))))
         for config, action, call in calls:
             psi2 = true_psi2[config.kind]
-            wrong = psi2 + MPoly.variable(psi2.variables, "m") ** 3
+            wrong = psi2 + first_phi[config.kind] * MPoly.variable(psi2.variables, "m") ** 3
             for _ in range(2):
                 with pytest.raises(CrossCheckError) as info:
                     call()
@@ -460,23 +475,6 @@ class TestThreePointProof:
                 assert message.startswith(f"psi_2 of {config.kind} under {action} disagrees")
                 assert f"psi_2 = {wrong.pretty()}, pipeline {psi2.pretty()}" in message
                 assert p2lab._psi.cache_info().currsize == 0
-
-    def test_point_sum_above_the_clearing_degree_is_named(self, monkeypatch):
-        real = blowup.futaki_point_sums
-
-        def raised(n, a, ratios, phis, lams):
-            sums = real(n, a, ratios, phis, lams)
-            return [sums[0] + 7 * ratios[0] ** 5, sums[1]]
-
-        monkeypatch.setattr(blowup, "futaki_point_sums", raised)
-        p2lab._psi.cache_clear()
-        action = p2lab._THREE_POINT_ACTIONS[0]
-        with pytest.raises(CrossCheckError) as info:
-            psi_reconstruct(PointConfig.three_general(), action)
-        assert str(info.value) == (
-            f"point sum for F_1 of three_general under diag{action.w} exceeds the "
-            "clearing degree 4: term (5, 0, 0) with coefficient 7")
-        assert p2lab._psi.cache_info().currsize == 0
 
     def test_inhomogeneous_psi_is_named(self, monkeypatch):
         real = chowcore._futaki_numerators
