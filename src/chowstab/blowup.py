@@ -35,19 +35,24 @@ Everything but the action data (phi, lambda) is fixed by the geometry
 (base, m, alphas): chi~ and its HilbertData, D, and, since w~ and the
 point sums are linear in (phi, lambda), the coefficient of every phi_j
 and lambda_j in each coefficient of w~ and in each F_l.  These are
-derived once per geometry, on integers, and held in a bounded cache
-(GEOMETRY_CACHE_SIZE entries), the coefficients as integer numerators
-over one denominator for w~ and one for the F_l.  An action, its phi
-brought to their least common denominator once, then costs one integer
-dot product per coefficient of w~ and per F_l, and one normalisation for
-each.  A BlowupSpec derives all of its data at construction, once: the
-geometry, the action over one denominator, w~ and its WeightData, and
-the point-sum F_l, held as plain attributes that every consumer reads.
-Every call of futaki_blowup still re-derives the invariants through the
-generic chi/w pipeline and insists on exact agreement with the point
-sums.  chow_blowup goes through chowcore.report on (chi~, w~), which
-asserts the Chow function's expansion in the F_l, and checks those F_l
-against the point sums the same way.
+derived once per geometry, on integers (chi~ as n! chi~ over n!), and
+held in a bounded cache (GEOMETRY_CACHE_SIZE entries), the coefficients
+as integer numerators over one denominator for w~ and one for the F_l.
+An action, its phi brought to their least common denominator once, then
+costs one integer dot product per coefficient of w~ and per F_l, and one
+normalisation for each.  A BlowupSpec derives all of its data at
+construction, once: the geometry, the action over one denominator, w~
+and its WeightData, and the point-sum F_l, held as plain attributes that
+every consumer reads.  Every call of futaki_blowup still derives the
+invariants twice and insists on exact agreement: the geometry's
+checked_futaki runs the generic pipeline's formula
+(chowcore._futaki_numerators) on the integer numerators of chi~ and w~
+and the point-sum columns on the same action, and compares the two by
+integer cross-multiplication before it builds a Fraction; p2lab's search
+verifies its candidates through the same method, without a BlowupSpec.
+chow_blowup goes through chowcore.report on (chi~, w~), which asserts the
+Chow function's expansion in the F_l, and checks those F_l against the
+point sums; both checks raise the same CrossCheckError message.
 
 For blowups of the projective plane at coordinate points the space of
 sections is a span of monomials, and oracle_p2 checks both polynomials by
@@ -244,36 +249,38 @@ def _integer_dot(pair, phi_nums, q, lams) -> int:
 class _Geometry:
     """What a blowup's action does not change, derived once per (base, m, alphas).
 
-    Holds D, the per-level terms of f_l, g_l, chi~ and, for a polarization
-    (D > 0), its HilbertData, whose Poly is chi~.  w~ and the point sums
-    F_l are linear in the action data (phi, lambda).  Their coefficient
-    columns are kept as integer numerators: one pair per coefficient of
-    w~, from _w_tilde_columns, over one denominator, and one pair per F_l,
-    the columns of (n+1) F_l (m^n D)^2 from _f_g_levels divided by
-    (n+1) (m^n D)^2, over another.  An action (phi, lambda), its phi
-    brought to their least common denominator once (_integer_action),
-    then costs one integer dot product per coefficient.
+    Holds the key (base, m, alphas), D, the per-level terms of f_l, g_l,
+    chi~ and, for a polarization (D > 0), its HilbertData, whose Poly is
+    chi~, formed as integer numerators n! chi~ over n! (_scaled_chi_tilde).
+    w~ and the point sums F_l are linear in the action data (phi, lambda).
+    Their coefficient columns are kept as integer numerators: one pair per
+    coefficient of w~, from _w_tilde_columns, over one denominator, and one
+    pair per F_l, the columns of (n+1) F_l (m^n D)^2 from _f_g_levels
+    divided by (n+1) (m^n D)^2, over another.  An action (phi, lambda), its
+    phi brought to their least common denominator once (_integer_action),
+    then costs one integer dot product per coefficient; checked_futaki
+    runs both derivations of the F_l that way and compares them.
     """
 
-    __slots__ = ("volume_gap", "levels", "chi", "hilbert", "_w_columns", "_futaki_columns")
+    __slots__ = ("base", "m", "alphas", "volume_gap", "levels", "chi", "hilbert",
+                 "_w_columns", "_futaki_columns")
 
     def __init__(self, base: BaseSummary, m: int, alphas: tuple[int, ...]):
         n = base.n
+        self.base, self.m, self.alphas = base, m, alphas
         d_int, levels, columns = _f_g_levels(base, m, alphas)
         self.volume_gap = Fraction(d_int, m**n)
         self.levels = [(ell, Fraction(d_lo, m**n), Fraction(d_hi, m**n),
                         Fraction(second, m ** (n - ell))) for ell, d_lo, d_hi, second in levels]
-        chi = chi_tilde_coeffs(n, base.a, m, alphas)
+        self.chi = Poly(_scaled_chi_tilde(n, base.a, m, alphas)[::-1]) / math.factorial(n)
         self._w_columns = _over_one_denominator(_w_tilde_columns(n, m, alphas),
                                                 math.factorial(n + 1))
         # D <= 0 is no polarization (BlowupSpec refuses it); only the
         # counting identity, chi~ and w~, is defined there.
         if self.volume_gap <= 0:
-            self.chi = Poly.from_descending(chi)
             self.hilbert = self._futaki_columns = None
         else:
-            self.hilbert = chowcore.HilbertData(n, chi)
-            self.chi = self.hilbert.poly()
+            self.hilbert = chowcore.HilbertData.from_poly(self.chi, n)
             self._futaki_columns = _over_one_denominator(columns, (n + 1) * d_int**2)
 
     @staticmethod
@@ -289,11 +296,56 @@ class _Geometry:
         return Poly([0] + [_integer_dot(pair, phi_nums, q, lams) for pair in reversed(pairs)]) \
             / (q * den)
 
-    def point_sum_futaki(self, action) -> tuple[Fraction, ...]:
-        """[F_1..F_n] from the point-sum formula under an action (P, q, lams) of _integer_action."""
+    def _point_sums(self, action) -> tuple[list[int], int]:
+        """The integer numerators of the point-sum [F_1..F_n] under an
+        action (P, q, lams) of _integer_action, and their one denominator."""
         phi_nums, q, lams = action
         pairs, den = self._futaki_columns
-        return tuple(Fraction(_integer_dot(pair, phi_nums, q, lams), q * den) for pair in pairs)
+        return [_integer_dot(pair, phi_nums, q, lams) for pair in pairs], q * den
+
+    def point_sum_futaki(self, action) -> tuple[Fraction, ...]:
+        """[F_1..F_n] from the point-sum formula under an action (P, q, lams) of _integer_action."""
+        sums, den = self._point_sums(action)
+        return tuple(Fraction(total, den) for total in sums)
+
+    def checked_futaki(self, action) -> list[Fraction]:
+        """[F_1..F_n] of a polarization (D > 0) under an action (P, q, lams)
+        of _integer_action, derived twice on integers and compared.
+
+        The pipeline: chowcore._futaki_numerators on the integer numerators
+        A of chi~ (the HilbertData's Poly, over d_A) and B of w~ (dot
+        products on the w~ columns, over q times their denominator), so
+        F_l = (A_0 B_l - B_0 A_l) d_A / (d_B A_0^2) as in
+        chowcore.futaki_invariants.  The point sums: dot products on the
+        F_l columns.  The two are compared by cross-multiplication, and
+        Fractions are built only once they agree; a disagreement raises
+        CrossCheckError with both sets of values.
+        """
+        phi_nums, q, lams = action
+        h = self.hilbert
+        a, d_a = h.poly().numerators(h.n + 1)
+        a = a[::-1]
+        w_pairs, w_den = self._w_columns
+        pipeline = chowcore._futaki_numerators(
+            a, [_integer_dot(pair, phi_nums, q, lams) for pair in w_pairs])
+        pipeline_den = q * w_den * a[0] * a[0]
+        sums, den = self._point_sums(action)
+        if any(num * d_a * den != total * pipeline_den for num, total in zip(pipeline, sums)):
+            raise self._disagreement(action, [Fraction(total, den) for total in sums],
+                                     [Fraction(num * d_a, pipeline_den) for num in pipeline])
+        return [Fraction(total, den) for total in sums]
+
+    def _disagreement(self, action, direct, pipeline) -> CrossCheckError:
+        """The error for point-sum invariants ``direct`` that differ from the
+        pipeline's under an action (P, q, lams) of _integer_action."""
+        phi_nums, q, lams = action
+        points = [(alpha, str(Fraction(num, q)), lam)
+                  for alpha, num, lam in zip(self.alphas, phi_nums, lams)]
+        return CrossCheckError(
+            f"point-sum invariants disagree with the chi/w pipeline at "
+            f"a = {[str(c) for c in self.base.a]}, m = {self.m}, (alpha, phi, lambda) = "
+            f"{points}: point sums "
+            f"{[str(f) for f in direct]}, pipeline {[str(f) for f in pipeline]}")
 
 
 @lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
@@ -310,15 +362,24 @@ def _alpha_power_sum(alphas, power: int) -> int:
     return sum(a**power for a in alphas)
 
 
-def chi_tilde_coeffs(n: int, a, m, alphas) -> list[Fraction]:
-    """Descending coefficients of chi~(k): a_l m^{n-l} - (s_{n-l}/n!) sum alpha_j^{n-l}."""
+def _scaled_chi_tilde(n: int, a, m, alphas) -> list:
+    """n! times the descending coefficients of chi~(k),
+    n! a_l m^{n-l} - s_{n-l} sum_j alpha_j^{n-l}: integers whenever the
+    base's n! a_l are (otherwise Fractions), and polynomials when m and the
+    alpha_j are polynomial generators.  The same n! a_l m^{n-l} enter
+    _f_g_levels, but this transcription stays apart from it, since
+    futaki_blowup compares the two."""
     s = stirling_coeffs(n)
     fact = math.factorial(n)
-    return [
-        Fraction(a[ell]) * m ** (n - ell)
-        - Fraction(s[n - ell], fact) * _alpha_power_sum(alphas, n - ell)
-        for ell in range(n + 1)
-    ]
+    return [_whole(fact * Fraction(a[ell])) * m ** (n - ell)
+            - s[n - ell] * _alpha_power_sum(alphas, n - ell)
+            for ell in range(n + 1)]
+
+
+def chi_tilde_coeffs(n: int, a, m, alphas) -> list[Fraction]:
+    """Descending coefficients of chi~(k): a_l m^{n-l} - (s_{n-l}/n!) sum alpha_j^{n-l}."""
+    unit = Fraction(1, math.factorial(n))
+    return [unit * c for c in _scaled_chi_tilde(n, a, m, alphas)]
 
 
 def chi_tilde(spec: BlowupSpec) -> Poly:
@@ -361,8 +422,13 @@ def w_tilde_coeffs(n: int, m: int, alphas, phis, lams) -> list[Fraction]:
     """Descending coefficients [b_0..b_{n+1}] of the blowup weight polynomial.
 
     Applies _w_tilde_columns over any ring: m and the alpha_j may be ints
-    or polynomial generators; b_{n+1} = 0 (smooth).
+    or polynomial generators; b_{n+1} = 0 (smooth).  ValueError unless
+    alphas, phis and lams have one entry per point each.
     """
+    alphas, phis, lams = tuple(alphas), tuple(phis), tuple(lams)
+    if not len(alphas) == len(phis) == len(lams):
+        raise ValueError(f"alphas, phis and lams must have one entry per point, "
+                         f"got {len(alphas)}, {len(phis)} and {len(lams)}")
     unit = Fraction(1, math.factorial(n + 1))
     return [unit * c for c in _apply_columns(_w_tilde_columns(n, m, alphas),
                                              [Fraction(phi) for phi in phis], lams)] + [Fraction(0)]
@@ -434,11 +500,7 @@ def _checked_point_sums(spec: BlowupSpec, pipeline) -> list[Fraction]:
     """The point-sum invariants F_l, which must equal the pipeline's values."""
     direct = list(spec._point_sum_futaki)
     if direct != list(pipeline):
-        raise CrossCheckError(
-            f"point-sum invariants disagree with the chi/w pipeline at "
-            f"a = {[str(c) for c in spec.base.a]}, m = {spec.m}, (alpha, phi, lambda) = "
-            f"{[(p.alpha, str(p.phi), p.lam) for p in spec.points]}: point sums "
-            f"{[str(f) for f in direct]}, pipeline {[str(f) for f in pipeline]}")
+        raise spec._geometry._disagreement(spec._action, direct, pipeline)
     return direct
 
 
@@ -446,10 +508,11 @@ def futaki_blowup(spec: BlowupSpec) -> list[Fraction]:
     """The invariants [F_1..F_n] of the blown-up polarization.
 
     Computed from the explicit point-sum formula and re-derived through the
-    generic pipeline on (chi~, w~) on every call; disagreement raises a
-    cross-check error.
+    generic pipeline's formula on the integer numerators of chi~ and w~ on
+    every call (the geometry's checked_futaki, on the spec's action);
+    disagreement raises a cross-check error.
     """
-    return _checked_point_sums(spec, chowcore.futaki_invariants(*spec.hilbert_weight_data))
+    return spec._geometry.checked_futaki(spec._action)
 
 
 def chow_blowup(spec: BlowupSpec) -> RatFn:

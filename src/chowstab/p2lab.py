@@ -28,8 +28,11 @@ integer evaluators, and another the quartic and cubic parts of
 psi_1(B + y) at the triple point B, restricted to a1 = 0 and compiled
 into one evaluator.  Every compiled evaluator is in nested Horner form.  The
 search evaluates those of the four-point family and verifies each
-primitive point it keeps through the full pipeline once; three_point_loci
-evaluates those of the two three-point generators.
+primitive point it keeps once, through the cached blowup geometry of the
+point: F_1 and F_2 derived from chi~ and w~ and from the point sums, on
+integers, and compared (blowup._Geometry.checked_futaki), with no
+BlowupSpec built; three_point_loci evaluates those of the two three-point
+generators.
 
 At a fixed point whose nonzero coordinates form a block on which the
 diagonal action has a single weight, the normalized moment-map value is
@@ -50,7 +53,7 @@ from math import comb, factorial, gcd, lcm, prod
 from . import blowup, chowcore
 from .errors import CrossCheckError, ResourceLimitError
 from .exactalg import MPoly, _require_int_seq, _require_ints
-from .blowup import BlownPoint, BlowupSpec, projective_space_base
+from .blowup import projective_space_base
 
 __all__ = [
     "DiagAction",
@@ -80,15 +83,15 @@ _BASE_POINT = (1, 1, 0, 0, 0)
 # Largest accepted grid_bound.  The sweep walks 25 442 lines at b = 8
 # (of the box's 678 721), those whose point can be ample, and evaluates
 # one per class mod B, and search_unstable(8, 1) gives 1 385 candidates in
-# about 0.32 s (median of five fresh processes, spread 0.28-0.35 s) on one
+# about 0.21 s (median of five fresh processes, spread 0.20-0.25 s) on one
 # core of a 2-vCPU Intel Xeon host under CPython 3.11.
 SEARCH_MAX_GRID_BOUND = 8
 
 # Largest accepted scale_bound.  Each primitive point is verified once and
 # its scaled copies follow by homogeneity, so the bound limits output size:
 # the candidates grow linearly in scale, 11 080 at search_unstable(8, 8),
-# which takes about 0.34 s (median of five fresh processes, spread
-# 0.32-0.36 s) on the same host.
+# which takes about 0.24 s (median of five fresh processes, spread
+# 0.24-0.30 s) on the same host.
 SEARCH_MAX_SCALE_BOUND = 8
 
 
@@ -146,10 +149,12 @@ class PointConfig:
 class Candidate:
     """An integer polarization of the four-point blowup with F_1 = 0 and
     F_2 != 0, i.e. asymptotically Chow unstable; ``verified`` records that
-    the full invariant pipeline confirmed both values.  It is run once, on
-    the primitive point; a scaled copy s*P is verified through P, since
-    F_1 = 0 and ampleness are invariant under scaling and psi_2, proved
-    homogeneous of degree 3, gives psi_2(s*P) = s^3 * psi_2(P)."""
+    the invariant pipeline confirmed both values: F_1 and F_2 derived from
+    chi~ and w~ and from the point sums of the point's cached blowup
+    geometry, on integers, and found equal, with F_2 * deg^2 = psi_2.  It
+    is run once, on the primitive point; a scaled copy s*P is verified
+    through P, since F_1 = 0 and ampleness are invariant under scaling and
+    psi_2, proved homogeneous of degree 3, gives psi_2(s*P) = s^3 * psi_2(P)."""
 
     m: int
     alphas: tuple[int, int, int, int]
@@ -485,21 +490,25 @@ def _line_directions(bound: int):
                 yield head + tail
 
 
-def _verify_candidate(m: int, alphas: tuple[int, ...], data) -> Fraction:
+def _verify_candidate(m: int, alphas: tuple[int, ...], action) -> Fraction:
     """Recompute F_1 and F_2 through the blowup pipeline; returns F_2 * deg^2.
 
-    ``data`` holds the fixed-point data (phi, lambda) of each blown point.
-    Raises if the candidate fails recomputation, which by construction
-    should never happen.
+    ``action`` is the blown points' fixed-point data as the integer action
+    (P, q, lams) of blowup._Geometry._integer_action.  The cached geometry
+    of (m, alphas) derives the F_l twice on integers, through chi~ and w~
+    and through the point sums, and compares them (checked_futaki): no
+    BlowupSpec, BlownPoint, Poly or WeightData is built.  Raises if the
+    candidate fails recomputation, which by construction should never
+    happen.
     """
-    points = tuple(BlownPoint(alpha, phi, lam) for alpha, (phi, lam) in zip(alphas, data))
-    spec = BlowupSpec(base=projective_space_base(2), points=points, m=m)
-    f1, f2 = blowup.futaki_blowup(spec)
+    geometry = blowup._geometry_for(projective_space_base(2), m, alphas)
+    f1, f2 = geometry.checked_futaki(action)
     if f1 != 0 or f2 == 0:
         raise CrossCheckError(
             f"candidate (m={m}, alphas={alphas}) failed recomputation: F1={f1}, F2={f2}")
-    deg_sq = (spec.volume_gap * m**2) ** 2      # deg = m^2 D on the plane
-    return f2 * deg_sq
+    gap = geometry.volume_gap
+    deg = gap.numerator * m**2 // gap.denominator   # deg = m^2 D on the plane, an integer
+    return f2 * (deg * deg)
 
 
 def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
@@ -539,8 +548,10 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     through B, so each kept point comes from one class, once.
 
     A kept primitive point P that is ample and has psi_2(P) != 0 is
-    verified once through the full invariant pipeline (F_1 = 0 and
-    F_2 * deg^2 = psi_2(P)) and gives its multiples by 1..scale_bound, with
+    verified once through the invariant pipeline (F_1 = 0 and
+    F_2 * deg^2 = psi_2(P)), on the blown points' fixed-point data brought
+    to one integer action once per search, and gives its multiples by
+    1..scale_bound, with
     psi_2(s*P) = s^3 * psi_2(P).  This holds because ampleness and F_1 = 0
     are invariant under scaling and psi_2 is proved homogeneous of degree 3
     where it is built.  Output order is deterministic: lines in the order
@@ -564,7 +575,8 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     action = _default_action(config)
     line_coefficients = _line_coefficients(config, action)
     psi2 = _psi(config, action)[1][1]
-    data = tuple(fixed_point_data(action, block) for block in config.blocks)
+    integer_action = blowup._Geometry._integer_action(
+        *zip(*(fixed_point_data(action, block) for block in config.blocks)))
     candidates: list[Candidate] = []
     done: set[tuple[int, int, int, int]] = set()
     for v0, v1, v2, v3, v4 in _line_directions(grid_bound):
@@ -596,7 +608,7 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
         psi2_value = psi2(m, *alphas)
         if psi2_value == 0:
             continue
-        f2_scaled = _verify_candidate(m, alphas, data)
+        f2_scaled = _verify_candidate(m, alphas, integer_action)
         if f2_scaled != psi2_value:
             raise CrossCheckError(
                 f"psi_2 disagrees with F_2 * deg^2 recomputed through the blowup "

@@ -24,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from . import blowup, p2lab, projbundle
-from .exactalg import Poly
+from .exactalg import Poly, _require_ints
 
 __all__ = [
     "Mismatch",
@@ -128,7 +128,13 @@ def check_projbundle_spec(spec, kmax: int = PROJBUNDLE_KMAX) -> Mismatch | None:
 
 def run_projbundle_suite(seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE,
                          kmax: int = PROJBUNDLE_KMAX):
-    """Run the bundle sweep; returns (spec count, mismatches)."""
+    """Run the bundle sweep; returns (spec count, mismatches).
+
+    sample_size must be an int (TypeError) and >= 0 (ValueError).
+    """
+    _require_ints(sample_size=sample_size)
+    if sample_size < 0:
+        raise ValueError(f"sample_size must be >= 0, got {sample_size}")
     return _run_suite(projbundle_specs(seed=seed, sample_size=sample_size),
                       lambda spec: check_projbundle_spec(spec, kmax=kmax))
 
@@ -157,7 +163,10 @@ def check_blowup_case(weights, points, m, kmax: int = BLOWUP_KMAX) -> Mismatch |
     BlowupSpec, so that boundary inputs with D = deg - sum(alpha/m)^n <= 0
     (legal for the counting identity, not for the invariants) are covered
     as well; each geometry is derived once for all its weight vectors.
+    m and kmax must be ints (TypeError naming them); the oracle checks the
+    rest.
     """
+    _require_ints(m=m, kmax=kmax)
     geometry = blowup._geometry_for(blowup.projective_space_base(2), m,
                                     tuple(alpha for _, alpha in points))
     data = [p2lab.fixed_point_data(p2lab.DiagAction(weights), {axis})

@@ -13,6 +13,11 @@ on integers: the ratios alpha_j/m, D, the per-level terms, chi~ and its
 HilbertData, and under an action w~ and the point-sum F_l.  test_blowup
 requires the library's geometry to hold equal values, D <= 0 included.
 
+``futaki_by_pipeline(spec)`` is futaki_blowup as it stood before it ran
+its check on integers in the geometry: the spec's point-sum F_l, compared
+with chowcore.futaki_invariants on the spec's HilbertData and WeightData.
+test_blowup and test_p2lab require the geometry's checked F_l to equal it.
+
 ``adiabatic(spec)`` and ``chow_weight_fn(h, w)`` are the library's
 functions as they were computed on Fractions, before the one moved to
 integer numerators over the phi's common denominator and the other to
@@ -120,6 +125,14 @@ def derive(spec) -> dict:
     assert list(rep.futaki) == futaki
     return {"chi": chi, "w": w, "D": geometry.volume_gap, "futaki": futaki,
             "chow": (rep.chow.num, rep.chow.den)}
+
+
+def futaki_by_pipeline(spec):
+    """The spec's point-sum [F_1..F_n], asserted equal to the generic
+    pipeline's F_l on (chi~, w~) as Poly-backed HilbertData and WeightData."""
+    direct = list(spec._point_sum_futaki)
+    assert direct == chowcore.futaki_invariants(*spec.hilbert_weight_data), spec
+    return direct
 
 
 def adiabatic(spec):

@@ -148,7 +148,7 @@ class TestReferences:
     def test_chow_builds_chi_and_w_once(self, monkeypatch, cold_geometry_cache):
         # chi~ and the w~ columns belong to the geometry: with a cold cache,
         # a spec and its chow_blowup derive each exactly once.
-        calls = {"chi_tilde_coeffs": 0, "_w_tilde_columns": 0}
+        calls = {"_scaled_chi_tilde": 0, "_w_tilde_columns": 0}
 
         def counted(name):
             original = getattr(blowup, name)
@@ -163,9 +163,9 @@ class TestReferences:
         for make_spec in (lambda: aligned_four_point_spec(3),
                           lambda: random_specs(3, 1, seed=2)[0]):
             blowup._geometry_for.cache_clear()
-            calls.update(chi_tilde_coeffs=0, _w_tilde_columns=0)
+            calls.update(_scaled_chi_tilde=0, _w_tilde_columns=0)
             chow_blowup(make_spec())
-            assert calls == {"chi_tilde_coeffs": 1, "_w_tilde_columns": 1}
+            assert calls == {"_scaled_chi_tilde": 1, "_w_tilde_columns": 1}
 
     def test_polynomials_and_volume_gap_built_once_per_spec(self):
         spec = aligned_four_point_spec(3)
@@ -312,14 +312,18 @@ class TestIntegerColumns:
 
 class TestForcedCrossCheckFailures:
     def test_point_sums_disagree(self, monkeypatch):
-        # The spec derives its point sums at construction: patch first.
-        original = blowup._Geometry.point_sum_futaki
+        # The spec derives its point sums at construction (chow_blowup reads
+        # them) and futaki_blowup re-derives them on every call: both go
+        # through the integer point sums, so patch those first.
+        original = blowup._Geometry._point_sums
 
-        def skewed(self, *action):         # the level-1 point sum + 1
-            futaki = original(self, *action)
-            return (futaki[0] + 1 / self.volume_gap**2,) + futaki[1:]
+        def skewed(self, action):          # the level-1 point sum + 1/D^2
+            sums, den = original(self, action)
+            shift = den / self.volume_gap**2
+            assert shift.denominator == 1
+            return [sums[0] + shift.numerator] + sums[1:], den
 
-        monkeypatch.setattr(blowup._Geometry, "point_sum_futaki", skewed)
+        monkeypatch.setattr(blowup._Geometry, "_point_sums", skewed)
         spec = aligned_four_point_spec(3)
         for fn in (futaki_blowup, chow_blowup):
             with pytest.raises(CrossCheckError) as info:
@@ -364,6 +368,15 @@ def geometry_calls(monkeypatch):
     return calls
 
 
+# Reading everything twice calls futaki_blowup twice, and each call re-runs
+# the geometry's checked derivation of the F_l: nothing else is derived.
+CHECKS_OF_TWO_READS = {"checked_futaki": 2, "_point_sums": 2}
+
+
+def calls_made(geometry_calls) -> dict:
+    return {name: count for name, count in geometry_calls.items() if count}
+
+
 def read_everything_twice(spec) -> list:
     values = []
     for _ in range(2):
@@ -375,7 +388,8 @@ def read_everything_twice(spec) -> list:
 
 class TestDerivedAtConstruction:
     """A BlowupSpec derives its data in its constructor; reading it calls
-    into no geometry, and the dataclass fields alone define the spec."""
+    into no geometry but futaki_blowup's check, and the dataclass fields
+    alone define the spec."""
 
     SPECS = (lambda: aligned_four_point_spec(3),
              lambda: BlowupSpec(base=projective_space_base(3), m=4, points=(
@@ -388,7 +402,7 @@ class TestDerivedAtConstruction:
         geometry_calls.update(dict.fromkeys(geometry_calls, 0))
         first, second = read_everything_twice(spec)
         assert first == second
-        assert set(geometry_calls.values()) == {0}, geometry_calls
+        assert calls_made(geometry_calls) == CHECKS_OF_TWO_READS
 
     @pytest.mark.parametrize("make_spec", SPECS)
     def test_one_integer_action_per_spec(self, geometry_calls, make_spec):
@@ -422,7 +436,7 @@ class TestDerivedAtConstruction:
         loaded = pickle.loads(pickle.dumps(spec))
         geometry_calls.update(dict.fromkeys(geometry_calls, 0))
         got = read_everything_twice(loaded)
-        assert set(geometry_calls.values()) == {0}, geometry_calls
+        assert calls_made(geometry_calls) == CHECKS_OF_TWO_READS
         assert loaded == spec and hash(loaded) == hash(spec) and repr(loaded) == repr(spec)
         assert got == read_everything_twice(spec)
 
@@ -444,7 +458,7 @@ class TestDerivedAtConstruction:
         assert replaced._point_sum_futaki == fresh._point_sum_futaki != spec._point_sum_futaki
         assert futaki_blowup(replaced) == futaki_blowup(fresh)
         assert (replaced.volume_gap, replaced.alphas) == (fresh.volume_gap, fresh.alphas)
-        assert set(geometry_calls.values()) == {0}, geometry_calls
+        assert calls_made(geometry_calls) == CHECKS_OF_TWO_READS
 
 
 class TestInexactInputRefused:
@@ -647,6 +661,22 @@ class TestWTilde:
         spec = aligned_four_point_spec(3)
         assert w_tilde(spec) == Poly((0, Fraction(-1, 2), Fraction(-3, 2), -1))
 
+    # zip once truncated these to the shortest: (2, 3, (1, 2), (0,), (0,)) gave zeros.
+    @pytest.mark.parametrize("alphas,phis,lams,counts", [
+        ((1, 2), (0,), (0,), "2, 1 and 1"),
+        ((1,), (0, 1), (0,), "1, 2 and 1"),
+        ((1,), (0,), (0, 3), "1, 1 and 2"),
+        ((), (0,), (), "0, 1 and 0"),
+    ])
+    def test_coeffs_need_one_entry_per_point(self, alphas, phis, lams, counts):
+        with pytest.raises(ValueError, match=(
+                f"^alphas, phis and lams must have one entry per point, got {counts}$")):
+            w_tilde_coeffs(2, 3, alphas, phis, lams)
+
+    def test_coeffs_accept_any_iterables(self):
+        want = w_tilde_coeffs(2, 4, (1, 2), (Fraction(2), Fraction(-1)), (-6, 3))
+        assert w_tilde_coeffs(2, 4, iter([1, 2]), (p for p in (2, -1)), iter((-6, 3))) == want
+
 
 class TestDFG:
     def test_volume_gap(self):
@@ -686,6 +716,36 @@ class TestFutakiBlowup:
         h = chowcore.HilbertData.from_poly(chi_tilde(spec), 2)
         w = chowcore.WeightData.from_poly(w_tilde(spec), 2)
         assert futaki_blowup(spec) == chowcore.futaki_invariants(h, w)
+
+    def test_checked_on_integers_matches_the_pipeline_route(self):
+        # futaki_blowup runs the geometry's integer check; the reference is
+        # the Poly-backed chowcore.futaki_invariants against the point sums.
+        specs = list(criterion5_specs())
+        assert len(specs) == 3552
+        for spec in specs:
+            want = blowup_reference.futaki_by_pipeline(spec)
+            assert spec._geometry.checked_futaki(spec._action) == want, spec
+            assert futaki_blowup(spec) == want, spec
+        for spec in REFERENCE_SPECS + rational_phi_specs():
+            assert futaki_blowup(spec) == blowup_reference.futaki_by_pipeline(spec), spec
+
+    def test_pipeline_side_disagreement_is_named(self, monkeypatch):
+        real = chowcore._futaki_numerators
+
+        def skewed(a, b):
+            # chi~ = (5k^2 + 5k + 2)/2 (A_0 = 5, d_A = 2) and w~ over d_B = 6,
+            # so one more unit in A_0 B_1 - B_0 A_1 moves F_1 by 2/(6*25) = 1/75.
+            first, *rest = real(a, b)
+            return [first + 1, *rest]
+
+        monkeypatch.setattr(chowcore, "_futaki_numerators", skewed)
+        with pytest.raises(CrossCheckError) as info:
+            futaki_blowup(aligned_four_point_spec(3))
+        assert str(info.value) == (
+            "point-sum invariants disagree with the chi/w pipeline at "
+            "a = ['1/2', '3/2', '1'], m = 3, (alpha, phi, lambda) = [(1, '2', -6), "
+            "(1, '-1', 3), (1, '-1', 3), (1, '-1', 3)]: point sums ['-1/5', '-1/25'], "
+            "pipeline ['-14/75', '-1/25']")
 
     def test_scaling_homogeneity(self):
         # scaling (m, alphas) by c leaves F_1 fixed and scales F_l by c^{1-l}

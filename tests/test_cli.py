@@ -70,7 +70,7 @@ class TestGoldenOutput:
 class TestDerivedOncePerSpec:
     def test_blowup_builds_chi_and_w_once(self, monkeypatch, capsys):
         # chi~ and the w~ columns are derived per geometry: start from a cold cache.
-        calls = count_calls(monkeypatch, blowup, ("chi_tilde_coeffs", "_w_tilde_columns"))
+        calls = count_calls(monkeypatch, blowup, ("_scaled_chi_tilde", "_w_tilde_columns"))
         blowup._geometry_for.cache_clear()
         try:
             code, _, _ = run_cli(capsys, "blowup", "--config",
@@ -78,7 +78,7 @@ class TestDerivedOncePerSpec:
         finally:
             blowup._geometry_for.cache_clear()
         assert code == 0
-        assert calls == {"chi_tilde_coeffs": 1, "_w_tilde_columns": 1}
+        assert calls == {"_scaled_chi_tilde": 1, "_w_tilde_columns": 1}
 
     def test_projbundle_builds_fiber_rank_once(self, monkeypatch, capsys):
         calls = count_calls(monkeypatch, projbundle, ("_fiber_rank_poly",))
@@ -241,6 +241,20 @@ class TestBlowup:
                                  "--config", str(CONFIGS / "blowup_p2_four_aligned.json"))
         assert code == 2 and out == ""
         assert "cross-check failure" in err and "point-sum" in err
+
+
+class TestSearchCrossCheck:
+    def test_forced_verification_failure_exits_2(self, monkeypatch, capsys):
+        original = blowup._Geometry._point_sums
+
+        def skewed(self, action):          # every point-sum numerator one unit off
+            sums, den = original(self, action)
+            return [total + 1 for total in sums], den
+
+        monkeypatch.setattr(blowup._Geometry, "_point_sums", skewed)
+        code, out, err = run_cli(capsys, "search-unstable", "--grid", "2", "--scale", "1")
+        assert code == 2 and out == ""
+        assert "cross-check failure" in err and "point-sum" in err and "m = 131" in err
 
 
 class TestLoci:

@@ -6,10 +6,11 @@ from math import factorial, gcd, lcm, prod
 
 import pytest
 
-from chowstab import blowup, chowcore, p2lab
+from chowstab import blowup, chowcore, exactalg, p2lab
 from chowstab.errors import CrossCheckError, ResourceLimitError
 from chowstab.exactalg import MPoly, Poly
 from exact_reference import evaluate, is_homogeneous, partial, total_degree
+import blowup_reference
 import p2lab_reference
 from chowstab.p2lab import (
     PSI_VARIABLES,
@@ -545,13 +546,13 @@ class TestSearch:
     @pytest.mark.parametrize("bounds", [(3, 3), (4, 3)])
     def test_each_primitive_point_is_verified_once(self, monkeypatch, bounds):
         verified = []
-        real = blowup.futaki_blowup
+        real = blowup._Geometry.checked_futaki
 
-        def counted(spec):
-            verified.append((spec.m, spec.alphas))
-            return real(spec)
+        def counted(geometry, action):
+            verified.append((geometry.m, geometry.alphas))
+            return real(geometry, action)
 
-        monkeypatch.setattr(blowup, "futaki_blowup", counted)
+        monkeypatch.setattr(blowup._Geometry, "checked_futaki", counted)
         candidates = search_unstable(*bounds)
         # Each verified primitive point heads its scale_bound copies.
         scale = bounds[1]
@@ -579,22 +580,61 @@ class TestSearch:
         (lambda f1, f2: [f1, 0], "F1=0, F2=0"),
     ])
     def test_recomputed_f1_or_f2_failure_is_named(self, monkeypatch, skew, shown):
-        real = blowup.futaki_blowup
-        monkeypatch.setattr(blowup, "futaki_blowup", lambda spec: skew(*real(spec)))
+        real = blowup._Geometry.checked_futaki
+        monkeypatch.setattr(blowup._Geometry, "checked_futaki",
+                            lambda geometry, action: skew(*real(geometry, action)))
         with pytest.raises(CrossCheckError) as info:
             search_unstable(2, 1)
         points = tuple(blowup.BlownPoint(alpha, *fixed_point_data(DiagAction((2, -1, -1)), block))
                        for alpha, block in zip((75, 14, 14, 14),
                                                PointConfig.four_points_three_aligned().blocks))
-        f1, f2 = real(blowup.BlowupSpec(base=blowup.projective_space_base(2), points=points, m=131))
+        spec = blowup.BlowupSpec(base=blowup.projective_space_base(2), points=points, m=131)
+        f1, f2 = real(spec._geometry, spec._action)
         assert f1 == 0
         assert str(info.value) == ("candidate (m=131, alphas=(75, 14, 14, 14)) failed "
                                    f"recomputation: {shown.format(f2=f2)}")
 
+    def test_verification_matches_the_pipeline_route(self):
+        # Every primitive point of search_unstable(6, 1): the geometry's
+        # integer check against the Poly-backed pipeline on a BlowupSpec.
+        config, action = PointConfig.four_points_three_aligned(), DiagAction((2, -1, -1))
+        data = [fixed_point_data(action, block) for block in config.blocks]
+        integer_action = blowup._Geometry._integer_action(*zip(*data))
+        candidates = search_unstable(6, 1)
+        assert len(candidates) == 391
+        for c in candidates:
+            spec = blowup.BlowupSpec(
+                base=blowup.projective_space_base(2), m=c.m,
+                points=tuple(blowup.BlownPoint(alpha, phi, lam)
+                             for alpha, (phi, lam) in zip(c.alphas, data)))
+            want = blowup_reference.futaki_by_pipeline(spec)
+            geometry = blowup._geometry_for(blowup.projective_space_base(2), c.m, c.alphas)
+            assert geometry.checked_futaki(integer_action) == want, (c.m, c.alphas)
+            deg = c.m**2 - sum(a * a for a in c.alphas)
+            assert p2lab._verify_candidate(c.m, c.alphas, integer_action) \
+                == want[1] * deg**2 == c.psi2_value
+
+    def test_search_builds_no_spec(self, monkeypatch):
+        def refuse(name):
+            def constructor(*args, **kwargs):
+                raise AssertionError(f"the search built a {name}")
+            return constructor
+
+        want = search_unstable(4, 2)
+        monkeypatch.setattr(blowup.BlowupSpec, "__post_init__", refuse("BlowupSpec"))
+        monkeypatch.setattr(blowup.BlownPoint, "__post_init__", refuse("BlownPoint"))
+        blowup._geometry_for.cache_clear()
+        assert search_unstable(4, 2) == want
+        # With the geometries cached, verification builds no polynomial either.
+        monkeypatch.setattr(Poly, "__init__", refuse("Poly"))
+        monkeypatch.setattr(exactalg, "_canonical", refuse("Poly"))
+        monkeypatch.setattr(chowcore._PolyData, "_hold", refuse("HilbertData or WeightData"))
+        assert search_unstable(4, 2) == want
+
     def test_recomputed_f2_disagreement_is_named(self, monkeypatch):
         real = p2lab._verify_candidate
         monkeypatch.setattr(p2lab, "_verify_candidate",
-                            lambda m, alphas, data: real(m, alphas, data) + 1)
+                            lambda m, alphas, action: real(m, alphas, action) + 1)
         with pytest.raises(CrossCheckError) as info:
             search_unstable(2, 1)
         # The first candidate of search_unstable(2, 1).
