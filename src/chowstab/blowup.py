@@ -113,7 +113,8 @@ _PLANE_AXES = frozenset((0, 1, 2))
 class BaseSummary:
     """Hilbert coefficients of the base polarization, plus the certification
     that the base is asymptotically Chow polystable (which this module
-    cannot verify and does not try to)."""
+    cannot verify and does not try to).  Its hash, the dataclass's, is taken
+    once, at construction, for the _geometry_for lookups, and not pickled."""
 
     n: int
     a: tuple[Fraction, ...]
@@ -131,6 +132,17 @@ class BaseSummary:
             raise ValueError(f"expected {self.n + 1} Hilbert coefficients")
         if self.a[0] <= 0:
             raise ValueError("leading Hilbert coefficient must be positive")
+        self.__dict__["_hash"] = hash((self.n, self.a, self.polystable_certified))
+
+    def __hash__(self):
+        return self._hash
+
+    def __getstate__(self):
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def degree(self) -> Fraction:
@@ -231,7 +243,9 @@ def _over_one_denominator(columns, scale) -> tuple[tuple[tuple[tuple[int, ...], 
     """Column pairs (c, d) of ints or Fractions, each divided by the positive
     rational ``scale``, as integer pairs (c * den / scale, d * den / scale)
     and den: the least common denominator of the entries times the
-    numerator of scale."""
+    numerator of scale; int entries over an int scale come back as they are."""
+    if type(scale) is int and all(type(v) is int for pair in columns for col in pair for v in col):
+        return tuple(tuple(map(tuple, pair)) for pair in columns), scale
     scale = Fraction(scale)
     den = math.lcm(*(v.denominator for pair in columns for column in pair for v in column))
     top = scale.denominator

@@ -27,10 +27,10 @@ cache holds each (config, action)'s polynomials with their compiled
 integer evaluators, and another the quartic and cubic parts of
 psi_1(B + y) at the triple point B, restricted to a1 = 0 and compiled
 into one evaluator.  Every compiled evaluator is in nested Horner form.  The
-search evaluates those of the four-point family and verifies each
-primitive point it keeps once, through the cached blowup geometry of the
-point: F_1 and F_2 derived from chi~ and w~ and from the point sums, on
-integers, and compared (blowup._Geometry.checked_futaki), with no
+search evaluates those of the four-point family once per class of lines
+through B and verifies each primitive point it keeps once, through its
+cached blowup geometry (blowup._Geometry.checked_futaki: F_1 and F_2 from
+chi~ and w~ and from the point sums, on integers, compared), with no
 BlowupSpec built; three_point_loci evaluates those of the two three-point
 generators.
 
@@ -48,6 +48,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import comb, factorial, gcd, lcm, prod
 
 from . import blowup, chowcore
@@ -80,18 +81,15 @@ PSI_VARIABLES = ("m", "a1", "a2", "a3", "a4")
 # the triple point of the quartic sits at m = a1 = 1, a2 = a3 = a4 = 0.
 _BASE_POINT = (1, 1, 0, 0, 0)
 
-# Largest accepted grid_bound.  The sweep walks 25 442 lines at b = 8
-# (of the box's 678 721), those whose point can be ample, and evaluates
-# one per class mod B, and search_unstable(8, 1) gives 1 385 candidates in
-# about 0.21 s (median of five fresh processes, spread 0.20-0.25 s) on one
-# core of a 2-vCPU Intel Xeon host under CPython 3.11.
+# Largest accepted grid_bound and scale_bound.  At b = 8 the search
+# evaluates 4 561 line classes, those of the box's 678 721 lines through
+# the origin whose point can be ample.  Each primitive point is verified
+# once and its scaled copies follow by homogeneity, so the scale bound
+# limits output size: search_unstable(8, 1) gives 1 385 candidates in
+# about 0.18 s and search_unstable(8, 8) 11 080 in about 0.22 s (medians
+# of five fresh processes, spreads 0.18-0.21 s and 0.21-0.23 s, on one
+# core of a 2-vCPU Intel Xeon host under CPython 3.11).
 SEARCH_MAX_GRID_BOUND = 8
-
-# Largest accepted scale_bound.  Each primitive point is verified once and
-# its scaled copies follow by homogeneity, so the bound limits output size:
-# the candidates grow linearly in scale, 11 080 at search_unstable(8, 8),
-# which takes about 0.24 s (median of five fresh processes, spread
-# 0.24-0.30 s) on the same host.
 SEARCH_MAX_SCALE_BOUND = 8
 
 
@@ -197,12 +195,6 @@ def fixed_point_data(action: DiagAction, block) -> tuple[Fraction, int]:
 _PSI_CACHE_SIZE = 16
 
 
-def _default_action(config: PointConfig) -> DiagAction:
-    if config.kind != FOUR_POINTS_THREE_ALIGNED:
-        raise ValueError(f"an action is required for the {config.kind} configuration")
-    return DiagAction((2, -1, -1))
-
-
 @lru_cache(maxsize=_PSI_CACHE_SIZE)
 def _psi(config: PointConfig, action: DiagAction):
     """(psi_1, psi_2) of (config, action), each proved homogeneous of degree
@@ -261,7 +253,9 @@ def psi_reconstruct(config: PointConfig, action: DiagAction | None = None) -> tu
     if not isinstance(config, PointConfig):
         raise TypeError(f"config must be a PointConfig, got {config!r}")
     if action is None:
-        action = _default_action(config)
+        if config.kind != FOUR_POINTS_THREE_ALIGNED:
+            raise ValueError(f"an action is required for the {config.kind} configuration")
+        action = _FOUR_POINT_ACTION
     elif not isinstance(action, DiagAction):
         raise TypeError(f"action must be a DiagAction, got {action!r}")
     return _psi(config, action)[0]
@@ -346,6 +340,12 @@ def _is_ample(kind: str, m: int, alphas: tuple[int, ...]) -> bool:
 
 _THREE_POINTS = PointConfig.three_general()
 _THREE_POINT_ACTIONS = (DiagAction((1, -1, 0)), DiagAction((0, 1, -1)))
+
+# The search's configuration and action, and the action as (P, q, lams).
+_FOUR_POINTS = PointConfig.four_points_three_aligned()
+_FOUR_POINT_ACTION = DiagAction((2, -1, -1))
+_FOUR_POINT_INTEGER_ACTION = blowup._Geometry._integer_action(
+    *zip(*(fixed_point_data(_FOUR_POINT_ACTION, block) for block in _FOUR_POINTS.blocks)))
 
 
 def three_point_loci(m: int, alphas) -> tuple[bool, bool]:
@@ -459,35 +459,51 @@ def _line_coefficients(config: PointConfig, action: DiagAction):
     return _compile(variables, f"({on_a1_zero(quartic)}, {on_a1_zero(cubic)})")
 
 
-def _line_directions(bound: int):
-    """One direction per line through the origin of the box [-bound, bound]^5
-    that can yield an ample point: its last three entries are nonzero and
-    share one sign s, and s*(v0 - v1) > max(|v2|, |v3|, |v4|).
+def _resolved_classes(bound: int, line_coefficients):
+    """(u, c4, c3) of each primitive u with 1 <= u2, u3, u4 <= bound and
+    max(u2, u3, u4) < u0 <= 2 * bound, evaluated at the class's first
+    direction with c4(v) != 0, in the order of those directions: its first,
+    (-bound, u0 - bound, -u2, -u3, -u4), unless c4(v) = 0 there."""
+    late = []   # (direction, u, c4, c3) of classes resolved later, a heap
+    for u0 in range(2, 2 * bound + 1):
+        v1 = u0 - bound
+        tails = range(min(u0 - 1, bound), 0, -1)
+        for u2 in tails:
+            for u3 in tails:
+                g3 = gcd(u0, u2, u3)
+                for u4 in tails:
+                    if g3 > 1 and gcd(g3, u4) > 1:
+                        continue
+                    u = (u0, u2, u3, u4)
+                    c4, c3 = line_coefficients(*u)
+                    # c4(v) = v1*c3 - c4 on the first direction -(u0, 0, u2, u3, u4) + v1*B.
+                    if c4 != v1 * c3:
+                        while late and late[0][0] < (-bound, v1, -u2, -u3, -u4):
+                            yield heappop(late)[1:]
+                        yield u, c4, c3
+                    elif resolved := _later_resolution(bound, u, line_coefficients):
+                        heappush(late, (resolved[0], u, *resolved[1:]))
+    while late:
+        yield heappop(late)[1:]
 
-    Each such line yields its first member in the box's lexicographic
-    order, -T*p with p primitive, first nonzero entry positive, and
-    T = bound // max|p|; lines come in the order of those members.  A
-    vector v = -g*p (g = gcd(v)) is that member iff (g + 1) * max|p| > bound.
-    A first member has its first nonzero entry negative, so its head
-    (v0, v1) is (negative, any) or (0, negative); a head (0, 0) leaves
-    v0 - v1 = 0 and no line.  The tails of a head with d = v0 - v1 are
-    those of the sign of d whose entries are below |d| in size.
-    """
-    below, box = range(-bound, 0), range(-bound, bound + 1)
-    signed = {-1: [(t, gcd(*t), -min(t)) for t in itertools.product(below, repeat=3)],
-              1: [(t, gcd(*t), max(t)) for t in itertools.product(range(1, bound + 1), repeat=3)]}
-    # shorter[s][k]: the tails of sign s, in product order, whose top is below k.
-    shorter = {s: [[tail for tail in tails if tail[2] < k] for k in range(bound + 2)]
-               for s, tails in signed.items()}
-    heads = [(a, b) for a in below for b in box if a != b] + [(0, b) for b in below]
-    for head in heads:
-        d = head[0] - head[1]
-        head_gcd, head_top = gcd(*head), max(map(abs, head))
-        for tail, tail_gcd, tail_top in shorter[1 if d > 0 else -1][min(abs(d), bound + 1)]:
-            g = gcd(head_gcd, tail_gcd)
-            top = max(head_top, tail_top)
-            if top + top // g > bound:
-                yield head + tail
+
+def _later_resolution(bound: int, u: tuple[int, int, int, int], line_coefficients):
+    """(v, c4, c3) at the first direction v of class u after its first with
+    c4(v) != 0, or None.  The directions are the box's lines through the
+    origin with v - v1*B = g*(u0, 0, u2, u3, u4), g != 0, each at its first
+    member in lexicographic order (first nonzero entry negative, and
+    (t + 1) * max|v| / t > bound for t = gcd(v)), taken in that order."""
+    u0, u2, u3, u4 = u
+    reach = bound // max(u2, u3, u4)
+    for v in sorted((g * u0 + v1, v1, g * u2, g * u3, g * u4)
+                    for g in range(-reach, reach + 1) if g
+                    for v1 in range(-bound, bound + 1) if abs(g * u0 + v1) <= bound)[1:]:
+        top = max(map(abs, v))
+        if v < (0, 0) and top + top // gcd(*v) > bound:
+            c4, c3 = line_coefficients(*u)
+            if (v[2] // u2) * c4 + v[1] * c3:
+                return v, c4, c3
+    return None
 
 
 def _verify_candidate(m: int, alphas: tuple[int, ...], action) -> Fraction:
@@ -515,48 +531,32 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     """Hunt integer polarizations of the aligned four-point blowup that are
     cscK-compatible yet asymptotically Chow unstable (F_1 = 0, F_2 != 0).
 
-    psi_1 has a triple point at B = (1,1,0,0,0), so along the line B + t*v
-    it restricts to c3 t^3 + c4 t^4, where c4 = psi_1(v) and c3 is the
-    cubic part of psi_1(B + y) at y = v.  When c4 != 0 the line meets the
-    quartic once more, at the integer point c4*B - c3*v, taken primitive
-    with its first nonzero entry positive.  Only points whose five entries
-    share one strict sign are kept.
-
-    Directions v and v + c*B span the same line through B, whose class
-    u = (v0 - v1, v2, v3, v4), made primitive with u2 > 0, names it.  With
-    v = g*(u0, 0, u2, u3, u4) + v1*B, c3(v) = g^3 c3(u) and
-    c4(v) = g^3 (g c4(u) + v1 c3(u)), so one compiled evaluator of
-    (c4(u), c3(u)) in the four variables (u0, u2, u3, u4) serves every
-    direction of the class, and the point is
-    (c4 - c3*u0, c4, -c3*u2, -c3*u3, -c3*u4) up to the factor g^4 > 0.
-    Its last three entries force -c3 > 0 on a kept point, and then
-    m - a1 - a_j = -c3 (u0 - u_j), so the point can be ample only if
-    u2, u3, u4 > 0 and u0 > max(u2, u3, u4).  On a direction this reads:
-    v2, v3 and v4 nonzero and of one sign s, and s*(v0 - v1) > max|v_j|.
-    The sweep visits just those lines, each line through the origin with a
-    direction in [-grid_bound, grid_bound]^5 once, represented by its first
-    member in the box's lexicographic order (-T*p for the primitive,
-    positively signed p and T = grid_bound // max|p|).  The bound is
-    necessary, not sufficient, so ampleness is still tested on every kept
-    point.
-
-    A class is marked done once one of its directions has given c4 != 0,
-    and later directions of a done class are skipped unevaluated.  A
-    direction with c4 = 0 lies on the quartic itself and gives no point,
-    so it leaves its class open: a later direction v + c*B of the class
-    recovers the line's point.  A point other than B fixes its line
-    through B, so each kept point comes from one class, once.
+    psi_1 has a triple point at B = (1,1,0,0,0), so on the line B + t*v it
+    is c3 t^3 + c4 t^4, with c4 = psi_1(v) and c3 the cubic part of
+    psi_1(B + y) at y = v.  For c4 != 0 the line meets the quartic again at
+    c4*B - c3*v, taken primitive with its first nonzero entry positive and
+    kept only if its five entries share one strict sign.  The line is named
+    by its class u, (v0 - v1, v2, v3, v4) made primitive with u2 > 0; for
+    v = g*(u0, 0, u2, u3, u4) + v1*B the point is, up to g^4 > 0,
+    (c4 - c3*u0, c4, -c3*u2, -c3*u3, -c3*u4) at u (_line_coefficients).
+    A kept point has -c3 > 0 and m - a1 - a_j = -c3 (u0 - u_j), so it can
+    be ample only if u2, u3, u4 > 0 and u0 > max(u2, u3, u4).  For the
+    directions of the box [-b, b]^5 (b = grid_bound), where |g*u_j| <= b
+    and |g*u0| = |v0 - v1| <= 2b, those are the classes of
+    _resolved_classes, and their least directions in lexicographic order
+    are (-b, u0 - b, -u2, -u3, -u4): v0 = g*u0 + v1 = -b needs g < 0, and
+    v1 = -b - g*u0 is then least at g = -1.  So candidates come in the
+    order of a scan of every direction of the box, each point once, since
+    a point other than B fixes its line through B.  The ampleness bound is
+    necessary, not sufficient: every kept point is still tested.
 
     A kept primitive point P that is ample and has psi_2(P) != 0 is
     verified once through the invariant pipeline (F_1 = 0 and
-    F_2 * deg^2 = psi_2(P)), on the blown points' fixed-point data brought
-    to one integer action once per search, and gives its multiples by
-    1..scale_bound, with
-    psi_2(s*P) = s^3 * psi_2(P).  This holds because ampleness and F_1 = 0
-    are invariant under scaling and psi_2 is proved homogeneous of degree 3
-    where it is built.  Output order is deterministic: lines in the order
-    of their representatives, scales increasing, the same as a scan of
-    every direction of the box in lexicographic order.
+    F_2 * deg^2 = psi_2(P)), on the blown points' fixed-point data as one
+    integer action, and gives its multiples by 1..scale_bound, scales
+    increasing, with psi_2(s*P) = s^3 * psi_2(P): ampleness and F_1 = 0
+    are invariant under scaling, and psi_2 is proved homogeneous of
+    degree 3 where it is built.
 
     Bounds must be ints >= 1 (TypeError, ValueError otherwise), grid_bound
     at most SEARCH_MAX_GRID_BOUND and scale_bound at most
@@ -571,28 +571,10 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     if scale_bound > SEARCH_MAX_SCALE_BOUND:
         raise ResourceLimitError(
             f"search guard exceeded: scale_bound = {scale_bound} > {SEARCH_MAX_SCALE_BOUND}")
-    config = PointConfig.four_points_three_aligned()
-    action = _default_action(config)
-    line_coefficients = _line_coefficients(config, action)
-    psi2 = _psi(config, action)[1][1]
-    integer_action = blowup._Geometry._integer_action(
-        *zip(*(fixed_point_data(action, block) for block in config.blocks)))
+    line_coefficients = _line_coefficients(_FOUR_POINTS, _FOUR_POINT_ACTION)
+    psi2 = _psi(_FOUR_POINTS, _FOUR_POINT_ACTION)[1][1]
     candidates: list[Candidate] = []
-    done: set[tuple[int, int, int, int]] = set()
-    for v0, v1, v2, v3, v4 in _line_directions(grid_bound):
-        d = v0 - v1
-        g = gcd(d, v2, v3, v4)
-        if v2 < 0:
-            g = -g
-        line = (d // g, v2 // g, v3 // g, v4 // g)
-        if line in done:
-            continue
-        c4, c3 = line_coefficients(*line)
-        # v = g*(u0, 0, u2, u3, u4) + v1*B, so c4(v) = g^3 (g*c4 + v1*c3).
-        if g * c4 + v1 * c3 == 0:
-            continue
-        done.add(line)
-        u0, u2, u3, u4 = line
+    for (u0, u2, u3, u4), c4, c3 in _resolved_classes(grid_bound, line_coefficients):
         # c4(v)*B - c3(v)*v, divided by g^4 > 0.
         point = (c4 - c3 * u0, c4, -c3 * u2, -c3 * u3, -c3 * u4)
         # Keep only points whose entries share one strict sign.
@@ -608,7 +590,7 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
         psi2_value = psi2(m, *alphas)
         if psi2_value == 0:
             continue
-        f2_scaled = _verify_candidate(m, alphas, integer_action)
+        f2_scaled = _verify_candidate(m, alphas, _FOUR_POINT_INTEGER_ACTION)
         if f2_scaled != psi2_value:
             raise CrossCheckError(
                 f"psi_2 disagrees with F_2 * deg^2 recomputed through the blowup "

@@ -100,7 +100,10 @@ def projbundle_specs(seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE):
 
 def _compare(case, chi: Poly, w: Poly, brute, kmax: int) -> Mismatch | None:
     """The first disagreement of a closed form with its oracle, or None: w(0)
-    must vanish, then (chi(k), w(k)) must equal brute(k) for k = 1..kmax."""
+    must vanish, then (chi(k), w(k)) must equal brute(k) for k = 1..kmax.
+    ValueError unless kmax >= 1: a smaller kmax would compare w(0) alone."""
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
     if w.coefficient(0) != 0:
         return Mismatch(case, 0, ("constant-term", w.coefficient(0)), ("expected", 0))
     for k in range(1, kmax + 1):
@@ -163,8 +166,8 @@ def check_blowup_case(weights, points, m, kmax: int = BLOWUP_KMAX) -> Mismatch |
     BlowupSpec, so that boundary inputs with D = deg - sum(alpha/m)^n <= 0
     (legal for the counting identity, not for the invariants) are covered
     as well; each geometry is derived once for all its weight vectors.
-    m and kmax must be ints (TypeError naming them); the oracle checks the
-    rest.
+    m and kmax must be ints (TypeError naming them), kmax >= 1
+    (ValueError); the oracle checks the rest.
     """
     _require_ints(m=m, kmax=kmax)
     geometry = blowup._geometry_for(blowup.projective_space_base(2), m,

@@ -304,6 +304,16 @@ class TestIntegerColumns:
                 if want.volume_gap > 0:
                     assert got.point_sum_futaki(action) == want.point_sum_futaki(phis, lams)
 
+    def test_int_columns_over_one_denominator(self):
+        # Int columns over an int scale are returned as they are, den = scale:
+        # what the Fraction route gives on the same values.
+        int_columns = blowup._w_tilde_columns(2, 131, (75, 14, 14, 14))
+        as_fractions = [tuple(tuple(map(Fraction, column)) for column in pair)
+                        for pair in int_columns]
+        got = blowup._over_one_denominator(int_columns, 6)
+        assert got[1] == 6
+        assert pickle.dumps(got) == pickle.dumps(blowup._over_one_denominator(as_fractions, 6))
+
     def test_action_over_the_least_common_denominator(self):
         phis = (Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6), Fraction(4))
         assert blowup._Geometry._integer_action(phis, [1, -2, 0, 3]) == ((3, -2, -1, 24), 6, (1, -2, 0, 3))
@@ -565,6 +575,29 @@ class TestBase:
         assert info.maxsize == GENERATOR_CACHE_SIZE
         assert info.currsize <= GENERATOR_CACHE_SIZE
         assert projective_space_base(2) == P2
+
+    @pytest.mark.parametrize("base", [
+        P2, NON_INTEGRAL_BASE, BaseSummary(n=3, a=(1, 2, 3, 4), polystable_certified=False)])
+    def test_hash_equality_repr_and_pickle_are_the_dataclass_ones(self, base):
+        """The hash is taken once, at construction, as the dataclass's
+        hash((n, a, polystable_certified)); equality, repr and the pickled
+        state stay the fields'."""
+        fields = (base.n, base.a, base.polystable_certified)
+        assert hash(base) == hash(fields)
+        twin = BaseSummary(*fields)
+        assert twin == base and twin is not base and hash(twin) == hash(base)
+        assert base != BaseSummary(base.n, base.a, not base.polystable_certified)
+        assert repr(base) == (f"BaseSummary(n={base.n!r}, a={base.a!r}, "
+                              f"polystable_certified={base.polystable_certified!r})")
+        state = base.__reduce_ex__(pickle.DEFAULT_PROTOCOL)[2]
+        assert state == dict(zip(("n", "a", "polystable_certified"), fields))
+        loaded = pickle.loads(pickle.dumps(base))
+        assert loaded == base and hash(loaded) == hash(base)
+        assert pickle.dumps(loaded) == pickle.dumps(base)
+
+    def test_plane_repr(self):
+        assert repr(P2) == ("BaseSummary(n=2, a=(Fraction(1, 2), Fraction(3, 2), Fraction(1, 1)), "
+                            "polystable_certified=True)")
 
     def test_validation(self):
         with pytest.raises(ValueError):

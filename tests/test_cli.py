@@ -58,13 +58,24 @@ class TestGoldenOutput:
         assert (code, err) == (0, "")
         assert out.encode("utf-8") == (GOLDEN / f"{golden}.json").read_bytes()
 
-    def test_search_at_the_guard_limit_matches_its_digest(self, capsys):
-        # 11 080 candidates, pinned by the sha256 of the output rather than the output.
-        assert (SEARCH_MAX_GRID_BOUND, SEARCH_MAX_SCALE_BOUND) == (8, 8)
-        code, out, err = run_cli(capsys, "search-unstable", "--grid", "8", "--scale", "8", "--json")
+    def search_matches_its_digest(self, capsys, grid, scale):
+        """search-unstable's output, pinned by its sha256 rather than itself."""
+        code, out, err = run_cli(capsys, "search-unstable", "--grid", str(grid),
+                                 "--scale", str(scale), "--json")
         assert (code, err) == (0, "")
-        digest = (GOLDEN / "search_unstable_grid8_scale8.sha256").read_text().split()[0]
+        digest = (GOLDEN / f"search_unstable_grid{grid}_scale{scale}.sha256").read_text().split()[0]
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_search_at_the_guard_limit_matches_its_digest(self, capsys):
+        # 11 080 candidates.
+        assert (SEARCH_MAX_GRID_BOUND, SEARCH_MAX_SCALE_BOUND) == (8, 8)
+        self.search_matches_its_digest(capsys, 8, 8)
+
+    def test_search_past_the_geometry_cache_matches_its_digest(self, capsys):
+        # 782 candidates: grid 6 is the first whose primitive points, 391,
+        # outnumber the geometry cache, so verification misses it.
+        assert blowup.GEOMETRY_CACHE_SIZE < 391
+        self.search_matches_its_digest(capsys, 6, 2)
 
 
 class TestDerivedOncePerSpec:

@@ -19,7 +19,6 @@ from chowstab.p2lab import (
     Candidate,
     DiagAction,
     PointConfig,
-    _line_directions,
     ample_check,
     fixed_point_data,
     psi_reconstruct,
@@ -754,7 +753,7 @@ def test_search_matches_full_box_reference(bound, scale):
 
 
 @pytest.mark.parametrize("scale, bound", [(s, b) for b in (1, 2, 3, 4) for s in (1, 2, 3)]
-                         + [(1, 5), (1, 6)])
+                         + [(1, 5), (1, 6), (1, 7), (1, 8)])
 def test_search_matches_the_sweep_of_every_line(bound, scale):
     assert search_unstable(bound, scale) == p2lab_reference.search(bound, scale)
 
@@ -775,39 +774,64 @@ def line_evaluator():
     return p2lab._line_coefficients(PointConfig.four_points_three_aligned(), DiagAction((2, -1, -1)))
 
 
-@pytest.mark.parametrize("bound, evaluations", [(2, 16), (3, 87), (4, 274)])
-def test_one_evaluation_per_class(monkeypatch, bound, evaluations):
-    """Each class the walk reaches is evaluated once, at its primitive u."""
+def recorded_evaluator(monkeypatch, forced=None):
+    """Patch the search's class evaluator with one that records each class
+    it is asked for, in order, and answers forced(u, count, real) when
+    given (count: how often u was asked before), else the real values."""
     real, calls = line_evaluator(), []
 
     def recorded(*u):
+        count = calls.count(u) if forced else 0
         calls.append(u)
-        return real(*u)
+        return forced(u, count, real) if forced else real(*u)
 
     monkeypatch.setattr(p2lab, "_line_coefficients", lambda *key: recorded)
+    return calls
+
+
+@pytest.mark.parametrize("bound, evaluations", [(2, 16), (3, 87), (4, 274)])
+def test_one_evaluation_per_class(monkeypatch, bound, evaluations):
+    """Each class the walk reaches is evaluated once, at its primitive u."""
+    calls = recorded_evaluator(monkeypatch)
     search_unstable(bound, 1)
     assert len(calls) == len(set(calls)) == evaluations
-    assert set(calls) == {line_class(v) for v in _line_directions(bound)}
+    assert set(calls) == {line_class(v) for v in p2lab_reference.walk_directions(bound)}
+
+
+@pytest.mark.parametrize("bound, classes", zip(range(1, SEARCH_MAX_GRID_BOUND + 1),
+                                               (1, 16, 87, 274, 697, 1414, 2707, 4561)))
+def test_classes_are_the_walks_at_first_appearance(monkeypatch, bound, classes):
+    """The search's classes are, in order, those the walk of lines meets, each
+    at its first appearance, which is the direction (-b, u0 - b, -u2, -u3, -u4)."""
+    first = {}
+    for v in p2lab_reference.walk_directions(bound):
+        first.setdefault(line_class(v), v)
+    assert len(first) == classes
+    for (u0, u2, u3, u4), v in first.items():
+        assert v == (-bound, u0 - bound, -u2, -u3, -u4)
+    calls = recorded_evaluator(monkeypatch)
+    search_unstable(bound, 1)
+    assert calls == list(first)
+
+
+def forced_first_direction(u, count, real):
+    """(4, 1, 1, 1) answers (c3, c3) when first asked, which gives
+    c4(v) = -(-c3 + 1*c3) = 0 on its first direction at bound 3, and its
+    real values afterwards; every other class its real values."""
+    c4, c3 = real(*u)
+    return (c3, c3) if u == (4, 1, 1, 1) and count == 0 else (c4, c3)
 
 
 def test_class_with_c4_zero_stays_open(monkeypatch):
     """Forced: the first direction of the class of (131; 75, 14, 14, 14)
-    gives c4 = 0, and a later direction of the class still yields the point."""
+    gives c4 = 0, so the class resolves at its second direction and its
+    point moves there in the order, exactly as in the walk of lines."""
     real = line_evaluator()
     first, second = (-3, 1, -1, -1, -1), (-2, 2, -1, -1, -1)
-    directions = list(_line_directions(3))
+    directions = list(p2lab_reference.walk_directions(3))
     assert [v for v in directions if line_class(v) == (4, 1, 1, 1)] == [first, second, (-1, 3, -1, -1, -1)]
     expected = search_unstable(3, 1)
-    calls = []
-
-    def forced(*u):
-        calls.append(u)
-        c4, c3 = real(*u)
-        if u == (4, 1, 1, 1) and calls.count(u) == 1:
-            return c3, c3
-        return c4, c3
-
-    monkeypatch.setattr(p2lab, "_line_coefficients", lambda *key: forced)
+    calls = recorded_evaluator(monkeypatch, forced_first_direction)
     found = search_unstable(3, 1)
     # Evaluated for the first and second directions, not for the third.
     assert calls.count((4, 1, 1, 1)) == 2
@@ -816,8 +840,37 @@ def test_class_with_c4_zero_stays_open(monkeypatch):
     c4, c3 = real(4, 1, 1, 1)
     assert line_scale(first) * c3 + first[1] * c3 == 0
     assert line_scale(second) * c4 + second[1] * c3 != 0
+    # The walk of lines, run with the same forced evaluator, agrees, order included.
+    recorded_evaluator(monkeypatch, forced_first_direction)
+    assert found == p2lab_reference.walk_search(3, 1)
+    point = (131, (75, 14, 14, 14))
     assert sorted((c.m, c.alphas) for c in found) == sorted((c.m, c.alphas) for c in expected)
-    assert (131, (75, 14, 14, 14)) in [(c.m, c.alphas) for c in found]
+    assert [(c.m, c.alphas) for c in found] != [(c.m, c.alphas) for c in expected]
+    # The second direction has v0 = -2, past every first direction
+    # (v0 = -3), so the moved point comes last.
+    assert [(c.m, c.alphas) for c in found][-1] == point
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 5])
+def test_open_classes_resolve_where_the_walk_resolves_them(monkeypatch, bound):
+    """Forced: every class with u2 = u3 answers c4 = c3 = 0, so c4(v) = 0,
+    when first asked, those among them with u4 = 1 the first five times,
+    and then their real values: a class stays open across several of its
+    directions, each evaluated once.  The search must give the walk of
+    lines' candidates, order included."""
+    def forced(u, count, real):
+        if u[1] == u[2] and count < (5 if u[3] == 1 else 1):
+            return 0, 0
+        return real(*u)
+
+    unforced = search_unstable(bound, 2)
+    calls = recorded_evaluator(monkeypatch, forced)
+    found = search_unstable(bound, 2)
+    assert len(calls) > len(set(calls))
+    recorded_evaluator(monkeypatch, forced)
+    assert found == p2lab_reference.walk_search(bound, 2)
+    if bound > 2:
+        assert found != unforced
 
 
 def _signs_can_keep(v):
@@ -833,7 +886,7 @@ def _can_be_ample(v):
 
 @pytest.mark.parametrize("bound, lines", [(1, 1), (2, 26), (3, 197), (4, 802)])
 def test_line_directions_first_box_member(bound, lines):
-    directions = list(_line_directions(bound))
+    directions = list(p2lab_reference.walk_directions(bound))
     assert len(directions) == lines
     rays = [_ray(v) for v in directions]
     assert len(set(rays)) == lines
@@ -850,7 +903,7 @@ def test_line_directions_brute_force(bound):
         if any(v) and _ray(v) not in seen:
             seen.add(_ray(v))
             first.append(v)
-    assert list(_line_directions(bound)) == list(filter(_can_be_ample, first))
+    assert list(p2lab_reference.walk_directions(bound)) == list(filter(_can_be_ample, first))
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 4])
@@ -859,7 +912,7 @@ def test_dropped_lines_give_no_ample_point(bound):
     does (two quartic evaluations), gives no kept ample point."""
     config = PointConfig.four_points_three_aligned()
     psi1 = p2lab._compile_int_poly(psi_reconstruct(config)[0])
-    walked = set(_line_directions(bound))
+    walked = set(p2lab_reference.walk_directions(bound))
     dropped = [v for v in p2lab_reference.line_directions(bound)
                if _signs_can_keep(v) and v not in walked]
     assert len(dropped) == {1: 9, 2: 191, 3: 1305, 4: 4975}[bound] - len(walked)

@@ -43,3 +43,28 @@ class TestRunProjbundleSuite:
     def test_sample_size_must_be_int(self, size):
         with pytest.raises(TypeError, match=f"^sample_size must be an int, got {size!r}$"):
             verification.run_projbundle_suite(sample_size=size)
+
+
+# kmax <= 0 once ran and compared nothing past w(0): run_blowup_suite(kmax=0)
+# reported every case checked and no mismatch.
+@pytest.mark.parametrize("kmax", [0, -3])
+class TestKmaxMustBePositive:
+    def message(self, kmax):
+        return f"^kmax must be >= 1, got {kmax}$"
+
+    def test_check_blowup_case(self, kmax):
+        with pytest.raises(ValueError, match=self.message(kmax)):
+            verification.check_blowup_case(*TestCheckBlowupCase.CASE, kmax=kmax)
+
+    def test_run_blowup_suite(self, kmax):
+        with pytest.raises(ValueError, match=self.message(kmax)):
+            verification.run_blowup_suite(kmax=kmax)
+
+    def test_check_projbundle_spec(self, kmax):
+        spec = next(verification.projbundle_specs(seed=0, sample_size=0))
+        with pytest.raises(ValueError, match=self.message(kmax)):
+            verification.check_projbundle_spec(spec, kmax=kmax)
+
+    def test_run_projbundle_suite(self, kmax):
+        with pytest.raises(ValueError, match=self.message(kmax)):
+            verification.run_projbundle_suite(sample_size=0, kmax=kmax)
