@@ -26,12 +26,11 @@ builds the coefficient tuples a and b only when they are asked for.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .errors import CrossCheckError
-from .exactalg import Poly, RatFn, _as_rat, _require_ints
+from .exactalg import Poly, RatFn, _as_rat, _int_product, _require_ints
 
 __all__ = [
     "HilbertData",
@@ -184,7 +183,13 @@ class InvariantReport:
     b_top: Fraction
 
 
-def _check_dims(h: HilbertData, w: WeightData) -> None:
+def _check_pair(h: HilbertData, w: WeightData) -> None:
+    """Raise TypeError unless h is a HilbertData and then w a WeightData,
+    and ValueError unless their dimensions agree."""
+    if type(h) is not HilbertData:
+        raise TypeError(f"h must be a HilbertData, got {h!r}")
+    if type(w) is not WeightData:
+        raise TypeError(f"w must be a WeightData, got {w!r}")
     if h.n != w.n:
         raise ValueError(f"dimension mismatch: chi has n={h.n}, w has n={w.n}")
 
@@ -196,7 +201,7 @@ def chow_weight_fn(h: HilbertData, w: WeightData) -> RatFn:
     w = sum_i B_i k^i / d_B: b_0/a_0 = B_{n+1} d_A / (d_B A_n), so
     w - (b_0/a_0) k chi = (A_n B - B_{n+1} k A) / (d_B A_n).
     """
-    _check_dims(h, w)
+    _check_pair(h, w)
     chi = h.poly()
     a, _ = chi.numerators(h.n + 1)
     b, d_b = w.poly().numerators(h.n + 2)
@@ -207,7 +212,8 @@ def chow_weight_fn(h: HilbertData, w: WeightData) -> RatFn:
 
 def _futaki_numerators(a, b) -> list:
     """a_0^2 F_l = a_0 b_l - b_0 a_l, l = 1..n, over any ring, from descending
-    coefficients: futaki_invariants runs it on integers, p2lab's psi on MPoly."""
+    coefficients: futaki_invariants and report run it on integers, p2lab's
+    psi on MPoly."""
     a0, b0 = a[0], b[0]
     return [a0 * b[ell] - b0 * a[ell] for ell in range(1, len(a))]
 
@@ -219,7 +225,7 @@ def futaki_invariants(h: HilbertData, w: WeightData) -> list[Fraction]:
     w = sum_i B_i k^i / d_B:
     F_l = (A_n B_{n+1-l} - B_{n+1} A_{n-l}) d_A / (d_B A_n^2).
     """
-    _check_dims(h, w)
+    _check_pair(h, w)
     a, d_a = h.poly().numerators(h.n + 1)
     b, d_b = w.poly().numerators(h.n + 2)
     den = d_b * a[-1] * a[-1]           # a[-1] is the numerator of a_0
@@ -232,32 +238,48 @@ def shift_linearization(w: WeightData, h: HilbertData, c: Fraction | int) -> Wei
     Shifts b_l to b_l + c*a_l for l = 0..n and leaves b_{n+1} alone; the
     Chow weight function and every F_l are unchanged.
     """
-    _check_dims(h, w)
+    _check_pair(h, w)
     return WeightData._of(w.n, w.poly() + Poly((0, _as_rat(c))) * h.poly())
+
+
+def _numerators(p) -> tuple[tuple[int, ...], int]:
+    """The integer numerators of p by ascending power, unpadded, and their denominator."""
+    return p.numerators(0 if p.is_zero else p.degree + 1)
 
 
 def report(h: HilbertData, w: WeightData) -> InvariantReport:
     """Bundle the Chow function, the F_l and b_{n+1}, verifying their relation.
 
     The expansion identity chow == b_{n+1}/chi + (a_0/chi) sum_l F_l k^{n+1-l}
-    is asserted before returning; a failure means the two computation paths
+    is asserted before returning, on integers: chow comes from
+    chow_weight_fn, the F_l from _futaki_numerators on the numerators of
+    chi and w, read once.  A failure means the two computation paths
     disagree and is raised as a cross-check error.
     """
+    _check_pair(h, w)
     chow = chow_weight_fn(h, w)
-    futaki = futaki_invariants(h, w)
-    chi, b_top = h.poly(), w.b_top
-    # The expansion's coefficients b_{n+1} and a_0 F_l = A_n F_l / d_A,
-    # read from the returned F_l, as integers over d_A times the least
-    # common denominator of b_{n+1} and the F_l.
+    chi = h.poly()
     a, d_a = chi.numerators(h.n + 1)
-    den = math.lcm(b_top.denominator, *(f.denominator for f in futaki))
-    expansion = Poly([b_top.numerator * d_a * (den // b_top.denominator),
-                      *(a[-1] * f.numerator * (den // f.denominator) for f in reversed(futaki))]) \
-        / (d_a * den)
-    lhs, rhs = chow.num * chi, expansion * chow.den
-    if lhs != rhs:
+    b, d_b = w.poly().numerators(h.n + 2)
+    lead = a[-1]
+    futaki_nums = _futaki_numerators(a[::-1], b[::-1])
+    den = d_b * lead * lead
+    # With futaki_nums = a_0^2 F_l d_B / d_A, the expansion b_{n+1} +
+    # a_0 sum_l F_l k^{n+1-l} has the integer numerators [B_0 A_n, the
+    # futaki_nums from l = n down to 1] by ascending power, over d_B A_n.
+    # With chow = N / D, N over d_N and D over d_D, the identity
+    # N chi == expansion D holds iff N A d_B A_n d_D == expansion D d_N d_A.
+    expansion = [b[0] * lead, *reversed(futaki_nums)]
+    while expansion and not expansion[-1]:
+        expansion.pop()
+    num, d_num = _numerators(chow.num)
+    den_poly, d_den = _numerators(chow.den)
+    lhs = [c * d_b * lead * d_den for c in _int_product(num, a)]
+    if lhs != [c * d_num * d_a for c in _int_product(expansion, den_poly)]:
+        rhs = Poly(expansion) / (d_b * lead) * chow.den
         raise CrossCheckError(
             f"Chow expansion does not match the invariants F_l at chi = {chi.pretty()}, "
-            f"w = {w.poly().pretty()}: chow.num * chi = {lhs.pretty()}, "
+            f"w = {w.poly().pretty()}: chow.num * chi = {(chow.num * chi).pretty()}, "
             f"expansion * chow.den = {rhs.pretty()}")
-    return InvariantReport(chow=chow, futaki=tuple(futaki), b_top=b_top)
+    return InvariantReport(chow=chow, futaki=tuple(Fraction(x * d_a, den) for x in futaki_nums),
+                           b_top=Fraction(b[0], d_b))

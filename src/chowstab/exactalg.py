@@ -55,8 +55,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Serialize a rational as "p/q", or plain "p" when the denominator is 1."""
-    return str(Fraction(value))
+    """Serialize a rational as "p/q", or plain "p" when the denominator is 1.
+
+    Only an int or a Fraction is accepted (TypeError otherwise): a float or
+    a bool is refused rather than printed as the rational it rounds to.
+    """
+    return str(_as_rat(value))
 
 
 def _as_rat(value) -> Fraction:
@@ -90,6 +94,27 @@ def choose(n: int, k: int) -> int:
     """Binomial coefficient with the usual convention C(n, k) = 0 for k < 0 or k > n."""
     _require_ints(n=n, k=k)
     return math.comb(n, k) if 0 <= k <= n else 0
+
+
+def _exact_point(point) -> None:
+    """Raise TypeError unless point is an exact ring element: an int (not a
+    bool), a Fraction, a Poly or an MPoly."""
+    if isinstance(point, bool) or not isinstance(point, (int, Fraction, Poly, MPoly)):
+        raise TypeError(f"evaluation point must be an int, a Fraction, a Poly or an MPoly, "
+                        f"got {point!r}")
+
+
+def _int_product(a, b) -> list[int]:
+    """The ascending integer coefficients of the product of two integer
+    polynomials, given by ascending coefficients; [] if either is empty."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
 
 
 def _horner(num, point: int) -> int:
@@ -263,23 +288,19 @@ class Poly:
             return _canonical([c.numerator * a for a in self._num], c.denominator * self._den)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._num, other._num
-        if not a or not b:
-            return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return _canonical(out, self._den * other._den)
+        return _canonical(_int_product(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Poly":
-        c = _as_rat(scalar)
-        if c == 0:
+        if type(scalar) is int:
+            num, den = scalar, 1
+        else:
+            c = _as_rat(scalar)
+            num, den = c.numerator, c.denominator
+        if not num:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return _canonical([c.denominator * a for a in self._num], c.numerator * self._den)
+        return _canonical([den * a for a in self._num], num * self._den)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -298,10 +319,12 @@ class Poly:
 
         At an int the Horner runs on the integer numerators and one
         Fraction is built at the end; any other ring element (Fraction,
-        Poly, MPoly) goes through the coefficients.
+        Poly, MPoly) goes through the coefficients.  A float, a bool or any
+        other type raises TypeError.
         """
         if type(point) is int:
             return Fraction(_horner(self._num, point), self._den)
+        _exact_point(point)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * point + c
@@ -446,7 +469,10 @@ class RatFn:
         return hash((self._num, self._den))
 
     def evaluate(self, point) -> Fraction:
-        """Value at a point; at an int, two integer Horner runs and one Fraction."""
+        """Value at a point; at an int, two integer Horner runs and one Fraction.
+
+        Refuses what Poly.evaluate refuses.
+        """
         if type(point) is int:
             den = _horner(self._den._num, point)
             if den == 0:

@@ -318,7 +318,16 @@ def ample_check(config: PointConfig, m: int, alphas) -> bool:
 
 def _is_ample(kind: str, m: int, alphas: tuple[int, ...]) -> bool:
     """ample_check on checked ints.  Every inequality is homogeneous, so
-    the answer at (s*m, s*alphas) is the one at (m, alphas) for every s >= 1."""
+    the answer at (s*m, s*alphas) is the one at (m, alphas) for every s >= 1.
+
+    The four-point family, which the search asks about for every point it
+    keeps, is tested by plain comparisons."""
+    if kind == FOUR_POINTS_THREE_ALIGNED and len(alphas) == 4:
+        a1, a2, a3, a4 = alphas
+        return (m > 0 and a1 > 0 and a2 > 0 and a3 > 0 and a4 > 0
+                and m - a2 - a3 - a4 > 0
+                and m - a1 - a2 > 0 and m - a1 - a3 > 0 and m - a1 - a4 > 0
+                and m * m - a1 * a1 - a2 * a2 - a3 * a3 - a4 * a4 > 0)
     if m <= 0 or any(a <= 0 for a in alphas):
         return False
     if kind == THREE_GENERAL:
@@ -327,14 +336,7 @@ def _is_ample(kind: str, m: int, alphas: tuple[int, ...]) -> bool:
         total = sum(alphas)
         return all(m + a > total for a in alphas)
     if kind == FOUR_POINTS_THREE_ALIGNED:
-        if len(alphas) != 4:
-            raise ValueError("four multiplicities expected")
-        a1, a2, a3, a4 = alphas
-        if m - a2 - a3 - a4 <= 0:
-            return False
-        if any(m - a1 - aj <= 0 for aj in (a2, a3, a4)):
-            return False
-        return m * m - sum(a * a for a in alphas) > 0
+        raise ValueError("four multiplicities expected")
     raise ValueError(f"unknown configuration kind: {kind}")
 
 

@@ -17,9 +17,10 @@ curve gives closed forms for the Hilbert and weight polynomials:
 where n = rank E, mu is degree/rank, c = deg B - r*mu(E), tr = sum lambda_j
 rank(E_j) and S = sum lambda_j rank(E_j) (mu(E_j) - mu(E)); the second
 form of w uses binom(n-1+kr, kr) kr(n+kr)/(n(n+1)) = binom(n+kr, n+1).
-Each spec builds chi's two factors, binom(n-1+kr, kr) and the curve
-factor 1 - g + c*k, once: w reads chi, and the Chow weight reads the
-curve factor.  For every r, with the twisted slope mu~ = -c/r,
+A spec derives chi, w and the F_l at the first use of any of its
+numbers, in one pass on integer numerators (_derive), and keeps them:
+w reads chi's numerators, and the Chow weight reads the curve factor.
+For every r, with the twisted slope mu~ = -c/r,
 chi_det = deg E - n deg B / r + 1 - g and
 prod_{i<n} (k + i/r) = sum_h s_h r^{h-n} k^h (so that C_l = s_{n+1-l}/(n(n+1))),
 
@@ -38,12 +39,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import chowcore
 from .errors import AmplenessWarning, CrossCheckError, DegenerateInputError, ResourceLimitError
-from .exactalg import (GENERATOR_CACHE_SIZE, Poly, RatFn, _require_ints, binom_poly_in_k,
-                       stirling_coeffs)
+from .exactalg import GENERATOR_CACHE_SIZE, Poly, RatFn, _require_ints, _stirling_tuple
 
 __all__ = [
     "Summand",
@@ -88,12 +88,33 @@ class Summand:
             raise ValueError("summand rank must be >= 1")
 
 
+class _Derived:
+    """A derived number of CurveBundleSpec.  Its first read runs _derive,
+    which stores every derived number on the spec as a plain attribute;
+    the instance attribute then shadows this descriptor."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, spec, owner=None):
+        if spec is None:
+            return self
+        _derive(spec)
+        return getattr(spec, self.name)
+
+
 @dataclass(frozen=True)
 class CurveBundleSpec:
     """Decomposition data of P(E_1 + ... + E_s) over a genus-g curve.
 
     The polarization is O_{P(E)}(r) twisted by a degree-b_deg line bundle B
     from the curve; b_weight is the fiberwise weight on B.
+
+    n, the dimension of P(E) and rank of E, is set at construction.  The
+    derived numbers (deg_e; trace_weight, sum lambda_j rank(E_j); the
+    slope_gaps mu(E_j) - mu(E); weighted_slope_sum, the S of the module
+    docstring; chi; w) are set together by _derive at the first read of
+    any of them.  Equality, hash and repr are those of the fields.
     """
 
     genus: int
@@ -114,81 +135,90 @@ class CurveBundleSpec:
             raise ValueError("at least one summand is required")
         if self.r < 1:
             raise ValueError("fiber twist r must be >= 1")
+        object.__setattr__(self, "n", sum(s.rank for s in self.summands))
         if self.n < 2:
             raise ValueError("total rank must be >= 2")
 
-    @cached_property
-    def n(self) -> int:
-        """Dimension of P(E) = rank of E."""
-        return sum(s.rank for s in self.summands)
-
-    @cached_property
-    def deg_e(self) -> int:
-        return sum(s.degree for s in self.summands)
-
-    @cached_property
-    def trace_weight(self) -> int:
-        """Trace of the action on E: sum lambda_j rank(E_j)."""
-        return sum(s.weight * s.rank for s in self.summands)
-
-    @cached_property
-    def slope_gaps(self) -> tuple[Fraction, ...]:
-        """mu(E_j) - mu(E) = (n deg(E_j) - rank(E_j) deg(E)) / (n rank(E_j)) for
-        each summand, in order."""
-        n, deg_e = self.n, self.deg_e
-        return tuple(Fraction(n * s.degree - s.rank * deg_e, n * s.rank) for s in self.summands)
-
-    @cached_property
-    def weighted_slope_sum(self) -> Fraction:
-        """S = sum lambda_j rank(E_j) (mu(E_j) - mu(E)); the common factor of all F_l.
-
-        As one fraction, S = (n sum lambda_j deg(E_j) - deg(E) tr) / n.
-        """
-        n = self.n
-        return Fraction(n * sum(s.weight * s.degree for s in self.summands)
-                        - self.deg_e * self.trace_weight, n)
-
-    @cached_property
-    def _curve(self) -> Poly:
-        """The curve factor 1 - g + c*k of chi(k), c = deg(B) - r*mu(E)."""
-        return Poly((1 - self.genus, Fraction(self.n * self.b_deg - self.r * self.deg_e, self.n)))
-
-    @cached_property
-    def chi(self) -> Poly:
-        """chi(k) of the module docstring, built once per spec."""
-        return _fiber_rank_poly(self.n, self.r) * self._curve
-
-    @cached_property
-    def w(self) -> Poly:
-        """w(k) of the module docstring, built once per spec on chi."""
-        n, r = self.n, self.r
-        shift = Poly((0, n * self.b_weight - r * self.trace_weight)) / n   # k(lambda_0 - (r/n) tr)
-        return binom_poly_in_k(r, n + 1) * self.weighted_slope_sum + shift * self.chi
-
-    @cached_property
-    def futaki(self) -> tuple[Fraction, ...]:
-        """[F_1..F_n] of the module docstring, derived once per spec on integers.
-
-        With the integers X = r chi(det twist) and Z = n r mu~, and S = p/q,
-        F_l = -s_{n+1-l} n X p r^{n-l} / ((n+1) q Z^2 r^{n-2}).  Unchecked:
-        higher_futaki checks them against the generic pipeline.
-        """
-        n, r = self.n, self.r
-        z = r * self.deg_e - n * self.b_deg
-        if z == 0:
-            raise DegenerateInputError("twisted slope is zero; invariants and Chow weight undefined")
-        x = r * (self.deg_e + 1 - self.genus) - n * self.b_deg
-        s_sum = self.weighted_slope_sum
-        scale = -n * x * s_sum.numerator
-        den = (n + 1) * s_sum.denominator * z * z * r ** (n - 2)
-        stirling = stirling_coeffs(n)
-        return tuple(Fraction(scale * stirling[n + 1 - ell] * r ** (n - ell), den)
-                     for ell in range(1, n + 1))
+    deg_e = _Derived()
+    trace_weight = _Derived()
+    slope_gaps = _Derived()
+    weighted_slope_sum = _Derived()
+    chi = _Derived()
+    w = _Derived()
+    _curve = _Derived()
+    _closed = _Derived()
 
     @property
     def satisfies_ampleness_necessary(self) -> bool:
         """Necessary inequality for L to be ample: the twisted slope is negative."""
         return self.r * self.deg_e < self.n * self.b_deg     # n r mu~ < 0
+
+
+def _fiber_rank_numerators(n: int, r: int) -> list[int]:
+    """(n-1)! binom(n-1+kr, kr) = sum_{h>=1} s_h(n) (rk)^{h-1}: the integers
+    s_{h+1}(n) r^h by ascending power h = 0..n-1 of k."""
+    s = _stirling_tuple(n)
+    nums, power = [], 1
+    for h in range(1, n + 1):
+        nums.append(s[h] * power)
+        power *= r
+    return nums
+
+
+def _derive(spec: CurveBundleSpec) -> None:
+    """Every derived number of a spec, in one pass on integers, stored on it.
+
+    With n, deg E, tr = sum lambda_j rank(E_j) and sum lambda_j deg(E_j)
+    summed once, S = p/n for p = n sum lambda_j deg(E_j) - deg(E) tr and
+    the curve factor is 1 - g + c k = (n(1-g) + C k)/n for
+    C = n deg(B) - r deg(E) = n c.  Then, on integer numerators:
+
+    - chi = the fiber-rank numerators times [n(1-g), C], over (n-1)! n;
+    - w = p s_h(n+1) r^h + (n+1) Q chi_{h-1} at k^h, over n (n+1)!, for
+      Q = n lambda_0 - r tr: S binom(n+kr, n+1) + k(lambda_0 - (r/n) tr) chi;
+    - F_l = -X p s_{n+1-l}(n) r^{n-l} / ((n+1) C^2 r^{n-2}), for
+      X = r chi(det twist) = r(deg E + 1 - g) - n deg(B), or None when the
+      twisted slope -C/(n r) is zero;
+    - mu(E_j) - mu(E) = (n deg(E_j) - rank(E_j) deg(E)) / (n rank(E_j)).
+
+    Each Poly is built once, through this module's Poly name.  The F_l
+    are unchecked: higher_futaki checks them against the generic pipeline.
+    """
+    n, r, summands = spec.n, spec.r, spec.summands
+    deg_e = trace = weighted_deg = 0
+    for s in summands:
+        deg_e += s.degree
+        trace += s.weight * s.rank
+        weighted_deg += s.weight * s.degree
+    p = n * weighted_deg - deg_e * trace
+    curve0, curve1 = n * (1 - spec.genus), n * spec.b_deg - r * deg_e   # n(1-g), C
+    fiber = _fiber_rank_numerators(n, r)
+    chi = [curve0 * fiber[0]]
+    chi += [curve0 * f + curve1 * g for f, g in zip(fiber[1:], fiber)]
+    chi.append(curve1 * fiber[-1])
+    shift = (n + 1) * (n * spec.b_weight - r * trace)
+    binom = _stirling_tuple(n + 1)
+    w, power = [0], 1
+    for h in range(1, n + 2):
+        power *= r
+        w.append(p * binom[h] * power + shift * chi[h - 1])
+    if curve1:
+        x = r * (deg_e + 1 - spec.genus) - n * spec.b_deg
+        closed = ([-x * p * fiber[n - ell] for ell in range(1, n + 1)],
+                  (n + 1) * curve1 * curve1 * r ** (n - 2))
+    else:
+        closed = None
+    fact = math.factorial(n)
+    store = object.__setattr__
+    store(spec, "deg_e", deg_e)
+    store(spec, "trace_weight", trace)
+    store(spec, "slope_gaps", tuple(Fraction(n * s.degree - s.rank * deg_e, n * s.rank)
+                                    for s in summands))
+    store(spec, "weighted_slope_sum", Fraction(p, n))
+    store(spec, "chi", Poly(chi) / fact)
+    store(spec, "w", Poly(w) / (n * fact * (n + 1)))
+    store(spec, "_curve", Poly((curve0, curve1)))
+    store(spec, "_closed", closed)
 
 
 @dataclass(frozen=True)
@@ -199,14 +229,14 @@ class SlopeVerdict:
     per_summand: tuple[Fraction, ...] = field(default_factory=tuple)
 
 
-def _fiber_rank_poly(n: int, r: int) -> Poly:
-    """binom(n-1+kr, kr) = sum_{h>=1} s_h(n) (rk)^{h-1} / (n-1)! as a polynomial in k."""
-    return (Poly(tuple(s * r ** (h - 1) for h, s in enumerate(stirling_coeffs(n)) if h))
-            / math.factorial(n - 1))
+def _require_spec(spec) -> None:
+    if type(spec) is not CurveBundleSpec:
+        raise TypeError(f"spec must be a CurveBundleSpec, got {spec!r}")
 
 
 def euler_char_poly(spec: CurveBundleSpec) -> Poly:
     """Hilbert polynomial chi(k) of (P(E), L); degree n in k."""
+    _require_spec(spec)
     return spec.chi
 
 
@@ -218,48 +248,62 @@ def weight_poly(spec: CurveBundleSpec) -> Poly:
     +k*lambda_0.  The convention is calibrated once against the
     block-sum oracle and frozen.
     """
+    _require_spec(spec)
     return spec.w
 
 
-def _closed_futaki(spec: CurveBundleSpec) -> list[Fraction]:
-    """spec.futaki, with the refusal and the warning that every call repeats:
+def _closed_futaki(spec: CurveBundleSpec) -> tuple[list[int], int]:
+    """The integer numerators of the closed [F_1..F_n] and their one
+    denominator, with the refusal and the warning that every call repeats:
     a zero twisted slope raises, a positive one warns."""
-    closed = spec.futaki
+    _require_spec(spec)
+    closed = spec._closed
+    if closed is None:
+        raise DegenerateInputError("twisted slope is zero; invariants and Chow weight undefined")
     if not spec.satisfies_ampleness_necessary:
         warnings.warn(
             "twisted slope is not negative: L cannot be ample, the computed "
             "values are polynomial identities only",
             AmplenessWarning, stacklevel=3)   # the public function's caller
-    return list(closed)
+    return closed
 
 
 def chow_weight(spec: CurveBundleSpec) -> RatFn:
     """Chow weight of (P(E), L^k) as a rational function of k.
 
     c F_1 k / (1 - g + c k) on the curve factor of chi, built from the F_1
-    that higher_futaki checks against the generic pipeline.
+    that higher_futaki checks against the generic pipeline: with the curve
+    factor's integer numerators (n(1-g), n c), that is n c F_1 k / (n(1-g) + n c k).
     """
-    f1 = _closed_futaki(spec)[0]
+    nums, den = _closed_futaki(spec)
     curve = spec._curve
-    return RatFn(Poly((0, curve.coefficient(1) * f1)), curve)
+    (_, curve1), curve_den = curve.numerators(2)
+    return RatFn(Poly((0, curve1 * nums[0])) / (den * curve_den), curve)
 
 
 def higher_futaki(spec: CurveBundleSpec) -> list[Fraction]:
     """The invariants [F_1..F_n] of (P(E), L).
 
     The closed form of the module docstring, checked on every call against
-    the generic pipeline on (chi, w).
+    the generic pipeline on (chi, w): chowcore._futaki_numerators on the
+    integer numerators A of chi (over d_A) and B of w (over d_B), so that
+    F_l = (A_n B_{n+1-l} - B_{n+1} A_{n-l}) d_A / (d_B A_n^2) as in
+    chowcore.futaki_invariants.  The two are compared by
+    cross-multiplication, and Fractions are built only once they agree.
     """
-    closed = _closed_futaki(spec)
-    h = chowcore.HilbertData.from_poly(euler_char_poly(spec), spec.n)
-    w = chowcore.WeightData.from_poly(weight_poly(spec), spec.n)
-    generic = chowcore.futaki_invariants(h, w)
-    if closed != generic:
-        raise CrossCheckError(
-            f"closed-form invariants disagree with the chi/w pipeline at {spec}: "
-            f"closed form {[str(f) for f in closed]}, "
-            f"pipeline {[str(f) for f in generic]}")
-    return closed
+    nums, den = _closed_futaki(spec)
+    n = spec.n
+    a, d_a = spec.chi.numerators(n + 1)
+    b, d_b = spec.w.numerators(n + 2)
+    generic = chowcore._futaki_numerators(a[::-1], b[::-1])
+    generic_den = d_b * a[-1] * a[-1]
+    for closed_num, generic_num in zip(nums, generic):
+        if generic_num * d_a * den != closed_num * generic_den:
+            raise CrossCheckError(
+                f"closed-form invariants disagree with the chi/w pipeline at {spec}: "
+                f"closed form {[str(Fraction(x, den)) for x in nums]}, "
+                f"pipeline {[str(Fraction(x * d_a, generic_den)) for x in generic]}")
+    return [Fraction(x, den) for x in nums]
 
 
 def slope_classify(spec: CurveBundleSpec) -> SlopeVerdict:
@@ -269,6 +313,7 @@ def slope_classify(spec: CurveBundleSpec) -> SlopeVerdict:
     certified stable; a summand of different slope destabilizes relative to
     this decomposition.
     """
+    _require_spec(spec)
     gaps = spec.slope_gaps
     if any(gaps):
         cls = UNSTABLE
@@ -328,6 +373,7 @@ def oracle(spec: CurveBundleSpec, k: int) -> tuple[int, int]:
     throughout, and no use of the closed form; the results must match
     euler_char_poly and weight_poly at k.
     """
+    _require_spec(spec)
     _require_ints(k=k)
     if k < 1:
         raise ValueError("k must be >= 1")

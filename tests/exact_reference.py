@@ -3,9 +3,8 @@
 ``Poly`` and ``RatFn`` here are the Fraction-coefficient kernel that
 ``chowstab.exactalg`` replaced with integer numerators over one
 denominator: every coefficient a Fraction, and RatFn reduced by the monic
-Euclidean gcd over the rationals; ``binom_poly_in_k`` builds its
-polynomial on this kernel.  test_kernel_reference runs the library on
-both kernels and requires equal coefficients.
+Euclidean gcd over the rationals.  test_kernel_reference runs the library
+on both kernels and requires equal coefficients.
 
 The helpers at the end (``compose_linear``, ``hilbert_poly``,
 ``total_degree``, ``is_homogeneous``, ``partial``, ``monomial``,
@@ -218,13 +217,6 @@ class RatFn:
 
     def evaluate(self, point) -> Fraction:
         return self._num.evaluate(point) / self._den.evaluate(point)
-
-
-def binom_poly_in_k(a: int, n: int) -> Poly:
-    """exactalg.binom_poly_in_k on this kernel: binom(n + a*k - 1, a*k - 1)
-    = sum_h s_h (a k)^h / n! from the rising-factorial coefficients s_h."""
-    return Poly(tuple(Fraction(s * a**h, math.factorial(n))
-                      for h, s in enumerate(exactalg.stirling_coeffs(n))))
 
 
 def compose_linear(p, a, b=0):

@@ -344,3 +344,34 @@ class TestHeldAsOnePoly:
                     delattr(data, name)
             copy = pickle.loads(pickle.dumps(data))
             assert copy == data and copy.poly() == data.poly()
+
+
+class TestEntryPointsRefuseMistypedData:
+    """chow_weight_fn, futaki_invariants, report and shift_linearization take
+    a HilbertData and a WeightData, checked in that order (TypeError)."""
+
+    @pytest.mark.parametrize("call, message", [
+        # chow_weight_fn(h, h) once returned RatFn(1), futaki_invariants(h, h) [1].
+        (lambda h, w: chow_weight_fn(h, h), "w must be a WeightData, got HilbertData("),
+        (lambda h, w: futaki_invariants(h, h), "w must be a WeightData, got HilbertData("),
+        (lambda h, w: report(h, h), "w must be a WeightData, got HilbertData("),
+        (lambda h, w: shift_linearization(h, h, 1), "w must be a WeightData, got HilbertData("),
+        # report(1, 2) once raised a bare AttributeError.
+        (lambda h, w: report(1, 2), "h must be a HilbertData, got 1"),
+        (lambda h, w: chow_weight_fn(w, h), "h must be a HilbertData, got WeightData("),
+        (lambda h, w: futaki_invariants(None, w), "h must be a HilbertData, got None"),
+        (lambda h, w: shift_linearization(w, w, 1), "h must be a HilbertData, got WeightData("),
+        (lambda h, w: report(h.poly(), w), "h must be a HilbertData, got Poly("),
+        (lambda h, w: report(h, w.poly()), "w must be a WeightData, got Poly("),
+        (lambda h, w: chow_weight_fn(h, None), "w must be a WeightData, got None"),
+    ])
+    def test_refusals(self, call, message):
+        h, w = hyperplane_curve()
+        with pytest.raises(TypeError) as info:
+            call(h, w)
+        assert str(info.value).startswith(message)
+
+    def test_dimension_mismatch_still_a_value_error(self):
+        h, _ = hyperplane_curve()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            report(h, WeightData.zero(2))

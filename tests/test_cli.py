@@ -51,6 +51,7 @@ class TestGoldenOutput:
         ("search_unstable_grid4_scale1", "search-unstable", None, ("--grid", "4", "--scale", "1")),
         ("search_unstable_grid4_scale3", "search-unstable", None, ("--grid", "4", "--scale", "3")),
         ("search_unstable_grid3_scale8", "search-unstable", None, ("--grid", "3", "--scale", "8")),
+        ("projbundle_three_summands_r2", "projbundle", "projbundle_three_summands_r2", ()),
     ])
     def test_matches_golden(self, capsys, golden, command, config, extra):
         config_args = ("--config", str(CONFIGS / f"{config}.json")) if config else ()
@@ -92,12 +93,13 @@ class TestDerivedOncePerSpec:
         assert calls == {"_scaled_chi_tilde": 1, "_w_tilde_columns": 1}
 
     def test_projbundle_builds_fiber_rank_once(self, monkeypatch, capsys):
-        calls = count_calls(monkeypatch, projbundle, ("_fiber_rank_poly",))
+        # One derivation of the spec's numbers, which forms the fiber rank once.
+        calls = count_calls(monkeypatch, projbundle, ("_derive", "_fiber_rank_numerators"))
         code, _, _ = run_cli(capsys, "projbundle",
                              "--config", str(CONFIGS / "projbundle_split_degree_one.json"),
                              "--k-range", "1:6", "--json")
         assert code == 0
-        assert calls == {"_fiber_rank_poly": 1}
+        assert calls == {"_derive": 1, "_fiber_rank_numerators": 1}
 
 
 class TestProjbundle:

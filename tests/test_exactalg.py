@@ -303,3 +303,44 @@ class TestRationalStrings:
         for bad in ("1.5", "1e3", "3/0", "1/-2", ""):
             with pytest.raises(ValueError):
                 parse_rational(bad)
+
+
+class TestInexactPointsRefused:
+    """Evaluation points and format_rational take exact values only."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: Poly((1, 1)).evaluate(0.5),        # once 1.5
+        lambda: Poly((1, 1)).evaluate(True),       # once Fraction(2)
+        lambda: Poly((1, 1)).evaluate(False),
+        lambda: Poly((1, 1)).evaluate("2"),
+        lambda: RatFn(Poly((1, 2)), Poly((1, 1))).evaluate(0.5),   # once 0.6
+        lambda: RatFn(Poly((1, 2)), Poly((1, 1))).evaluate(True),
+        lambda: Poly().evaluate(0.0),
+    ])
+    def test_evaluation_refuses_floats_and_bools(self, call):
+        with pytest.raises(TypeError, match="^evaluation point must be an int, a Fraction"):
+            call()
+
+    @pytest.mark.parametrize("value", [0.5, True, False, "1/2", None])
+    def test_format_rational_refuses_what_is_not_exact(self, value):
+        # format_rational(0.5) once returned "1/2".
+        with pytest.raises(TypeError, match="^expected an int or a Fraction"):
+            format_rational(value)
+
+    def test_exact_points_still_evaluate(self):
+        p = Poly((1, Fraction(1, 2)))
+        assert p.evaluate(4) == 3 and p.evaluate(Fraction(2, 3)) == Fraction(4, 3)
+        assert p.evaluate(Poly((0, 2))) == Poly((1, 1))
+        x, = MPoly.generators(("x",))
+        assert p.evaluate(x) == MPoly(("x",), {(0,): 1, (1,): Fraction(1, 2)})
+        f = RatFn(Poly((1, 2)), Poly((1, 1)))
+        assert f.evaluate(Fraction(1, 2)) == Fraction(4, 3)
+        assert format_rational(Fraction(-3, 6)) == "-1/2" and format_rational(4) == "4"
+
+    @pytest.mark.parametrize("scalar", [3, -4, 6, -1])
+    def test_division_by_an_int_is_division_by_its_fraction(self, scalar):
+        p = Poly((Fraction(3, 2), 0, -9))
+        got, want = p / scalar, p / Fraction(scalar)
+        assert (got._num, got._den) == (want._num, want._den)
+        with pytest.raises(ZeroDivisionError):
+            p / 0

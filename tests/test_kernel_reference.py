@@ -1,10 +1,9 @@
 """The integer exact kernel against the Fraction-coefficient kernel it replaced.
 
 Each derivation runs twice on fresh specs: once on chowstab.exactalg, and
-once with the Poly and RatFn names of the modules that use them, and
-projbundle's binom_poly_in_k, bound to the reference kernel of
-exact_reference.  The coefficient tuples, read as Fractions, must be
-equal.
+once with the Poly and RatFn names of the modules that use them bound to
+the reference kernel of exact_reference.  The coefficient tuples, read as
+Fractions, must be equal.
 """
 import itertools
 import warnings
@@ -48,7 +47,6 @@ def on_both_kernels(monkeypatch, derive, make_inputs):
         for module in KERNEL_USERS:
             patch.setattr(module, "Poly", ref.Poly)
             patch.setattr(module, "RatFn", ref.RatFn)
-        patch.setattr(projbundle, "binom_poly_in_k", ref.binom_poly_in_k)
         blowup._geometry_for.cache_clear()
         try:
             reference = [derive(x) for x in make_inputs()]

@@ -343,6 +343,29 @@ class TestAmpleCheck:
         assert not ample_check(config, 5, (3, 2, 1, 1))
         assert not ample_check(config, 7, (4, 3, 3, 2))
 
+    def test_four_point_comparisons_are_the_negative_curves(self):
+        """The plain comparisons of the four-point test against each class of
+        negative curve, written out, over a box that crosses every wall."""
+        config = PointConfig.four_points_three_aligned()
+        verdicts = []
+        for m in range(-2, 14):
+            for alphas in itertools.product(range(-1, 8), repeat=4):
+                a1, *aligned = alphas
+                want = (m > 0 and min(alphas) > 0
+                        and m - sum(aligned) > 0                          # line of the aligned points
+                        and all(m - a1 - a > 0 for a in aligned)          # lines through p1
+                        and m * m - sum(a * a for a in alphas) > 0)       # self-intersection
+                assert ample_check(config, m, alphas) == want, (m, alphas)
+                verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_four_point_length_checked_after_positivity(self):
+        config = PointConfig.four_points_three_aligned()
+        assert not ample_check(config, 0, (1, 1, 1))
+        assert not ample_check(config, 5, (1, 0, 1, 1, 1))
+        with pytest.raises(ValueError, match="four multiplicities expected"):
+            ample_check(config, 5, (1, 1, 1))
+
     @pytest.mark.parametrize("config,m,alphas,field", [
         (PointConfig.three_general(), 5.0, (1, 1, 1), "^m must"),
         (PointConfig.three_general(), True, (1, 1, 1), "^m must"),

@@ -1,4 +1,6 @@
 """Projectivized bundles over curves: closed forms, oracle, classification."""
+import hashlib
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -191,15 +193,17 @@ class TestChowWeight:
 
 class TestHigherFutaki:
     def test_forced_pipeline_disagreement(self, monkeypatch):
-        original = chowcore.futaki_invariants
-        monkeypatch.setattr(chowcore, "futaki_invariants",
-                            lambda h, w: [f + 1 for f in original(h, w)])
+        # chi = (3k^2 + k - 2)/2 (A_n = 3, d_A = 2) and w over d_B = 3, so one
+        # more unit in each A_n B_{n+1-l} - B_{n+1} A_{n-l} moves F_l by 2/27.
+        original = chowcore._futaki_numerators
+        monkeypatch.setattr(chowcore, "_futaki_numerators",
+                            lambda a, b: [x + 1 for x in original(a, b)])
         with pytest.raises(CrossCheckError) as info:
             higher_futaki(unstable_pair())
         message = str(info.value)
         assert "closed-form invariants disagree" in message
         assert "genus=2" in message and "b_deg=2" in message
-        assert "closed form ['4/27', '4/27'], pipeline ['31/27', '31/27']" in message
+        assert "closed form ['4/27', '4/27'], pipeline ['2/9', '2/9']" in message
 
     def test_worked_value_both_paths(self):
         spec = unstable_pair()
@@ -258,9 +262,9 @@ class TestHigherFutaki:
         assert got != reference_r1_futaki(spec)
 
     def test_forced_pipeline_disagreement_r2(self, monkeypatch):
-        original = chowcore.futaki_invariants
-        monkeypatch.setattr(chowcore, "futaki_invariants",
-                            lambda h, w: [f + 1 for f in original(h, w)])
+        original = chowcore._futaki_numerators
+        monkeypatch.setattr(chowcore, "_futaki_numerators",
+                            lambda a, b: [x + 1 for x in original(a, b)])
         spec = CurveBundleSpec(genus=2,
                                summands=(Summand(1, 1, 1), Summand(1, 0, 0)),
                                b_deg=2, b_weight=0, r=2)
@@ -315,7 +319,8 @@ class TestOneClosedForm:
                     continue
                 got, want = chow_weight(spec), reference_chow_weight(spec)
                 assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
-                closed = projbundle._closed_futaki(spec)
+                nums, den = projbundle._closed_futaki(spec)
+                closed = [Fraction(x, den) for x in nums]
                 if spec.r == 1:
                     assert closed == reference_r1_futaki(spec)
                 else:
@@ -325,6 +330,53 @@ class TestOneClosedForm:
                     # the public path, which also runs the generic pipeline
                     assert higher_futaki(spec) == closed
         assert checked[1] > 15000 and checked[2] > 15000
+
+
+# Every 31st spec of the criterion-4 covering design (as in
+# test_kernel_reference), 1 087 specs with both twists and every B-degree.
+DIGEST_STRIDE = 31
+# Recorded on the former Fraction derivation, which the integer pass must reproduce.
+DIGEST = "77f74c5f1853d2b9d0bb9da211ac002a2870109ffdbe25e5b1e16e12925c97d7"
+
+
+def public_outputs(spec) -> str:
+    """One line of every public bundle output of a spec, in exact text."""
+    def text(values):
+        return ",".join(str(v) for v in values)
+
+    chi, w = euler_char_poly(spec), weight_poly(spec)
+    verdict = slope_classify(spec)
+    fields = [str(spec), text(chi.coeffs), text(w.coeffs),
+              verdict.classification, text(verdict.per_summand)]
+    try:
+        futaki = higher_futaki(spec)
+        chow = chow_weight(spec)
+    except DegenerateInputError as exc:
+        fields.append(f"refused: {exc}")
+    else:
+        fields += [text(futaki), text(chow.num.coeffs), text(chow.den.coeffs)]
+    try:
+        rep = chowcore.report(chowcore.HilbertData.from_poly(chi, spec.n),
+                              chowcore.WeightData.from_poly(w, spec.n))
+    except ValueError as exc:
+        fields.append(f"report refused: {exc}")
+    else:
+        fields += [text(rep.chow.num.coeffs), text(rep.chow.den.coeffs),
+                   text(rep.futaki), str(rep.b_top)]
+    return "|".join(fields) + "\n"
+
+
+class TestOutputDigest:
+    def test_sample_matches_its_digest(self):
+        """chi, w, the F_l, chow_weight, report and the verdict over a stride
+        sample of the covering design, pinned by one sha256."""
+        digest = hashlib.sha256()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AmplenessWarning)
+            for spec in itertools.islice(verification.projbundle_specs(seed=0),
+                                         0, None, DIGEST_STRIDE):
+                digest.update(public_outputs(spec).encode("utf-8"))
+        assert digest.hexdigest() == DIGEST
 
 
 class TestSlopeClassify:
@@ -406,6 +458,21 @@ class TestValidation:
         with pytest.raises(TypeError, match="^k must"):
             oracle(unstable_pair(), k)
 
+    @pytest.mark.parametrize("fn", [euler_char_poly, weight_poly, higher_futaki, chow_weight,
+                                    slope_classify, lambda spec: oracle(spec, 1)],
+                             ids=["euler_char_poly", "weight_poly", "higher_futaki",
+                                  "chow_weight", "slope_classify", "oracle"])
+    @pytest.mark.parametrize("bad", [None, 1, (2, (Summand(2, 0, 0),), 1)],
+                             ids=["None", "int", "tuple"])
+    def test_public_functions_refuse_a_non_spec(self, fn, bad):
+        # oracle(None, 1) and higher_futaki(None) once raised AttributeError.
+        with pytest.raises(TypeError, match="^spec must be a CurveBundleSpec, got "):
+            fn(bad)
+
+    def test_oracle_checks_the_spec_before_k(self):
+        with pytest.raises(TypeError, match="^spec must"):
+            oracle(None, 0.5)
+
     def test_derived_numbers_cached(self):
         spec = unstable_pair()
         assert spec.weighted_slope_sum is spec.weighted_slope_sum
@@ -415,13 +482,20 @@ class TestValidation:
         assert weight_poly(spec) is weight_poly(spec)
 
     def test_curve_factor_built_once_per_spec(self, monkeypatch):
-        """Every public derivation reads one curve factor 1 - g + c*k per spec.
+        """Every public derivation reads one derivation, and in it one curve
+        factor 1 - g + c*k, per spec.
 
         With n >= 3, the only polynomial that projbundle constructs with
         degree 1 and a nonzero constant term (g >= 2) is the curve factor or
         a multiple of it, so counting those constructions counts its builds.
         """
         built = []
+        derived = []
+        derive = projbundle._derive
+
+        def counting_derive(spec):
+            derived.append(spec)
+            derive(spec)
 
         class CountingPoly(Poly):
             def __init__(self, coeffs=()):
@@ -430,12 +504,15 @@ class TestValidation:
                     built.append(self)
 
         monkeypatch.setattr(projbundle, "Poly", CountingPoly)
+        monkeypatch.setattr(projbundle, "_derive", counting_derive)
         specs = [CurveBundleSpec(genus=2, summands=(Summand(2, 1, 1), Summand(1, 0, 0)),
                                  b_deg=2, b_weight=1, r=r) for r in (1, 2)]
         for spec in specs:
-            for fn in (euler_char_poly, weight_poly, higher_futaki, chow_weight) * 2:
+            for fn in (euler_char_poly, weight_poly, higher_futaki, chow_weight,
+                       slope_classify) * 2:
                 fn(spec)
         assert len(built) == len(specs)
+        assert derived == specs
 
     def test_fiber_rank_poly_is_the_linear_product(self):
         for n in range(1, 9):
@@ -443,7 +520,8 @@ class TestValidation:
                 product = Poly.one()
                 for i in range(1, n):
                     product = product * Poly((i, r))
-                assert projbundle._fiber_rank_poly(n, r) == product / math.factorial(n - 1)
+                # binom(n-1+kr, kr) times (n-1)!
+                assert Poly(projbundle._fiber_rank_numerators(n, r)) == product
 
     def test_genus_bound(self):
         with pytest.raises(ValueError):
