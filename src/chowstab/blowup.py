@@ -86,10 +86,8 @@ __all__ = [
     "BlowupSpec",
     "projective_space_base",
     "chi_tilde",
-    "chi_tilde_coeffs",
     "quotient_weight",
     "w_tilde",
-    "w_tilde_coeffs",
     "d_f_g",
     "futaki_blowup",
     "chow_blowup",
@@ -230,6 +228,11 @@ class BlowupSpec:
         # Pickle the fields alone: loading rebuilds through the constructor,
         # so the copy shares the _geometry_for entry instead of carrying one.
         return BlowupSpec, (self.base, self.points, self.m)
+
+
+def _require_spec(spec) -> None:
+    if type(spec) is not BlowupSpec:
+        raise TypeError(f"spec must be a BlowupSpec, got {spec!r}")
 
 
 def _apply_columns(columns, phis, lams) -> list:
@@ -390,14 +393,9 @@ def _scaled_chi_tilde(n: int, a, m, alphas) -> list:
             for ell in range(n + 1)]
 
 
-def chi_tilde_coeffs(n: int, a, m, alphas) -> list[Fraction]:
-    """Descending coefficients of chi~(k): a_l m^{n-l} - (s_{n-l}/n!) sum alpha_j^{n-l}."""
-    unit = Fraction(1, math.factorial(n))
-    return [unit * c for c in _scaled_chi_tilde(n, a, m, alphas)]
-
-
 def chi_tilde(spec: BlowupSpec) -> Poly:
     """Hilbert polynomial of the blown-up polarization; degree n in k."""
+    _require_spec(spec)
     return spec.chi
 
 
@@ -408,6 +406,7 @@ def quotient_weight(spec: BlowupSpec, k: int) -> Fraction:
     with a = alpha_j; the blowup weight polynomial satisfies
     w~(k) == -quotient_weight(k) for every k >= 1.
     """
+    _require_spec(spec)
     _require_ints(k=k)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -424,7 +423,7 @@ def _w_tilde_columns(n: int, m, alphas) -> tuple[tuple[tuple, tuple], ...]:
     """For each coefficient b_l of w~, l = 0..n, (n+1)! times the coefficients
     of phi_j and of lambda_j, (s_{n-l} / n!) m alpha_j^{n-l} and
     ((s_{n-l} - s_{n+1-l}) / (n+1)!) alpha_j^{n+1-l}: integers for integer
-    m and alpha_j.  Like chi_tilde_coeffs, m and the alpha_j may also be
+    m and alpha_j.  Like _scaled_chi_tilde, m and the alpha_j may also be
     polynomial generators."""
     s = stirling_coeffs(n) + [0]       # s_{n+1} = 0
     return tuple((tuple((n + 1) * s[n - ell] * (m * a ** (n - ell)) for a in alphas),
@@ -432,24 +431,9 @@ def _w_tilde_columns(n: int, m, alphas) -> tuple[tuple[tuple, tuple], ...]:
                  for ell in range(n + 1))
 
 
-def w_tilde_coeffs(n: int, m: int, alphas, phis, lams) -> list[Fraction]:
-    """Descending coefficients [b_0..b_{n+1}] of the blowup weight polynomial.
-
-    Applies _w_tilde_columns over any ring: m and the alpha_j may be ints
-    or polynomial generators; b_{n+1} = 0 (smooth).  ValueError unless
-    alphas, phis and lams have one entry per point each.
-    """
-    alphas, phis, lams = tuple(alphas), tuple(phis), tuple(lams)
-    if not len(alphas) == len(phis) == len(lams):
-        raise ValueError(f"alphas, phis and lams must have one entry per point, "
-                         f"got {len(alphas)}, {len(phis)} and {len(lams)}")
-    unit = Fraction(1, math.factorial(n + 1))
-    return [unit * c for c in _apply_columns(_w_tilde_columns(n, m, alphas),
-                                             [Fraction(phi) for phi in phis], lams)] + [Fraction(0)]
-
-
 def w_tilde(spec: BlowupSpec) -> Poly:
     """Weight polynomial of the blown-up action; zero constant term."""
+    _require_spec(spec)
     return spec.w
 
 
@@ -502,6 +486,7 @@ def _f_g(n: int, level, x):
 def d_f_g(spec: BlowupSpec, ell: int) -> tuple[Fraction, Poly, Poly]:
     """The volume gap D (spec.volume_gap) and the one-variable polynomials
     f_l, g_l from the per-level terms that the spec's geometry holds."""
+    _require_spec(spec)
     _require_ints(ell=ell)
     n = spec.base.n
     if not 1 <= ell <= n:
@@ -526,6 +511,7 @@ def futaki_blowup(spec: BlowupSpec) -> list[Fraction]:
     every call (the geometry's checked_futaki, on the spec's action);
     disagreement raises a cross-check error.
     """
+    _require_spec(spec)
     return spec._geometry.checked_futaki(spec._action)
 
 
@@ -536,6 +522,7 @@ def chow_blowup(spec: BlowupSpec) -> RatFn:
     (leading chi~ coefficient / chi~(k)) * sum_l F_l k^{n+1-l} (b_{n+1} = 0
     here); the F_l of that report must equal the point-sum formula.
     """
+    _require_spec(spec)
     rep = chowcore.report(*spec.hilbert_weight_data)
     _checked_point_sums(spec, rep.futaki)
     return rep.chow
@@ -556,6 +543,7 @@ def adiabatic(spec: BlowupSpec) -> tuple[Fraction, Fraction]:
     the spec holds from its construction, and each is built as one
     Fraction.
     """
+    _require_spec(spec)
     n = spec.base.n
     phi_nums, q, _ = spec._action
     total = sum(p.alpha ** (n - 1) * num for p, num in zip(spec.points, phi_nums))

@@ -46,8 +46,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into an exact rational.
 
     Decimal notation is rejected on purpose: every number entering the
-    pipelines must be exact.
+    pipelines must be exact.  TypeError unless text is a str.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"parse_rational expects a str, got {text!r}")
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not an exact rational (expected 'p' or 'p/q'): {text!r}")

@@ -48,8 +48,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heappop, heappush
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from . import blowup, chowcore
 from .errors import CrossCheckError, ResourceLimitError
@@ -207,16 +206,17 @@ def _psi(config: PointConfig, action: DiagAction):
     variables = ("m",) + tuple(f"a{j}" for j in range(1, len(config.blocks) + 1))
     m, *alphas = MPoly.generators(variables)
     # The point-sum columns give (n+1) F_l deg^2 with deg = m^n D, a
-    # polynomial by the weighted homogeneity of their transcription; and
-    # deg = n! a_0 for the leading coefficient a_0 of chi~, so
-    # F_l * deg^2 = (n!)^2 (a_0 b_l - b_0 a_l).
+    # polynomial by the weighted homogeneity of their transcription.  So
+    # does the pipeline on the integer transcriptions A = n! chi~ and
+    # B = (n+1)! w~: deg = A_0, so A_0 B_l - B_0 A_l = (n+1) F_l deg^2.
     sums = blowup._apply_columns(blowup._f_g_levels(base, m, alphas)[2], phis, lams)
-    pipeline = chowcore._futaki_numerators(blowup.chi_tilde_coeffs(n, base.a, m, alphas),
-                                           blowup.w_tilde_coeffs(n, m, alphas, phis, lams))
+    pipeline = chowcore._futaki_numerators(
+        blowup._scaled_chi_tilde(n, base.a, m, alphas),
+        blowup._apply_columns(blowup._w_tilde_columns(n, m, alphas), phis, lams))
+    unit = Fraction(1, n + 1)
     polys = []
-    for ell, (total, numerator) in enumerate(zip(sums, pipeline), start=1):
+    for ell, (total, expected) in enumerate(zip(sums, pipeline), start=1):
         target = 2 * n + 1 - ell
-        psi, expected = Fraction(1, n + 1) * total, factorial(n) ** 2 * numerator
         # The pipeline's F_l * deg^2 is proved homogeneous of degree target,
         # term by term, so that the search may take
         # psi_l(s*P) = s^target * psi_l(P) for every scale s.
@@ -224,12 +224,14 @@ def _psi(config: PointConfig, action: DiagAction):
             if sum(exps) != target:
                 raise CrossCheckError(
                     f"psi_{ell} of {config.kind} under diag{action.w} from chi~ and w~ is "
-                    f"not homogeneous of degree {target}: term {exps} with coefficient {coeff}")
-        if psi != expected:
+                    f"not homogeneous of degree {target}: term {exps} with coefficient "
+                    f"{unit * coeff}")
+        psi = unit * total
+        if total != expected:
             raise CrossCheckError(
                 f"psi_{ell} of {config.kind} under diag{action.w} disagrees with "
                 f"F_{ell} * deg^2 from chi~ and w~: psi_{ell} = {psi.pretty()}, "
-                f"pipeline {expected.pretty()}")
+                f"pipeline {(unit * expected).pretty()}")
         polys.append(psi)
     return tuple(polys), tuple(_compile_int_poly(p) for p in polys)
 
@@ -267,8 +269,10 @@ def triple_point_check(psi1: MPoly) -> bool:
     psi1 must be a polynomial in PSI_VARIABLES, the coordinates of that
     point.  The multiplicity is the lowest total degree of psi1(B + y),
     read off its expansion by degree (_base_point_parts); the zero
-    polynomial has no triple point.
+    polynomial has no triple point.  TypeError unless psi1 is an MPoly.
     """
+    if not isinstance(psi1, MPoly):
+        raise TypeError(f"psi1 must be an MPoly, got {psi1!r}")
     parts = _base_point_parts(psi1)
     return bool(parts) and min(parts) == 3
 
@@ -461,51 +465,18 @@ def _line_coefficients(config: PointConfig, action: DiagAction):
     return _compile(variables, f"({on_a1_zero(quartic)}, {on_a1_zero(cubic)})")
 
 
-def _resolved_classes(bound: int, line_coefficients):
-    """(u, c4, c3) of each primitive u with 1 <= u2, u3, u4 <= bound and
-    max(u2, u3, u4) < u0 <= 2 * bound, evaluated at the class's first
-    direction with c4(v) != 0, in the order of those directions: its first,
-    (-bound, u0 - bound, -u2, -u3, -u4), unless c4(v) = 0 there."""
-    late = []   # (direction, u, c4, c3) of classes resolved later, a heap
+def _classes(bound: int):
+    """Each primitive u = (u0, u2, u3, u4) with 1 <= u2, u3, u4 <= bound and
+    max(u2, u3, u4) < u0 <= 2 * bound, in class order: u0 ascending, then
+    u2, u3 and u4 descending."""
     for u0 in range(2, 2 * bound + 1):
-        v1 = u0 - bound
         tails = range(min(u0 - 1, bound), 0, -1)
         for u2 in tails:
             for u3 in tails:
                 g3 = gcd(u0, u2, u3)
                 for u4 in tails:
-                    if g3 > 1 and gcd(g3, u4) > 1:
-                        continue
-                    u = (u0, u2, u3, u4)
-                    c4, c3 = line_coefficients(*u)
-                    # c4(v) = v1*c3 - c4 on the first direction -(u0, 0, u2, u3, u4) + v1*B.
-                    if c4 != v1 * c3:
-                        while late and late[0][0] < (-bound, v1, -u2, -u3, -u4):
-                            yield heappop(late)[1:]
-                        yield u, c4, c3
-                    elif resolved := _later_resolution(bound, u, line_coefficients):
-                        heappush(late, (resolved[0], u, *resolved[1:]))
-    while late:
-        yield heappop(late)[1:]
-
-
-def _later_resolution(bound: int, u: tuple[int, int, int, int], line_coefficients):
-    """(v, c4, c3) at the first direction v of class u after its first with
-    c4(v) != 0, or None.  The directions are the box's lines through the
-    origin with v - v1*B = g*(u0, 0, u2, u3, u4), g != 0, each at its first
-    member in lexicographic order (first nonzero entry negative, and
-    (t + 1) * max|v| / t > bound for t = gcd(v)), taken in that order."""
-    u0, u2, u3, u4 = u
-    reach = bound // max(u2, u3, u4)
-    for v in sorted((g * u0 + v1, v1, g * u2, g * u3, g * u4)
-                    for g in range(-reach, reach + 1) if g
-                    for v1 in range(-bound, bound + 1) if abs(g * u0 + v1) <= bound)[1:]:
-        top = max(map(abs, v))
-        if v < (0, 0) and top + top // gcd(*v) > bound:
-            c4, c3 = line_coefficients(*u)
-            if (v[2] // u2) * c4 + v[1] * c3:
-                return v, c4, c3
-    return None
+                    if g3 == 1 or gcd(g3, u4) == 1:
+                        yield u0, u2, u3, u4
 
 
 def _verify_candidate(m: int, alphas: tuple[int, ...], action) -> Fraction:
@@ -544,13 +515,17 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     A kept point has -c3 > 0 and m - a1 - a_j = -c3 (u0 - u_j), so it can
     be ample only if u2, u3, u4 > 0 and u0 > max(u2, u3, u4).  For the
     directions of the box [-b, b]^5 (b = grid_bound), where |g*u_j| <= b
-    and |g*u0| = |v0 - v1| <= 2b, those are the classes of
-    _resolved_classes, and their least directions in lexicographic order
-    are (-b, u0 - b, -u2, -u3, -u4): v0 = g*u0 + v1 = -b needs g < 0, and
-    v1 = -b - g*u0 is then least at g = -1.  So candidates come in the
-    order of a scan of every direction of the box, each point once, since
-    a point other than B fixes its line through B.  The ampleness bound is
-    necessary, not sufficient: every kept point is still tested.
+    and |g*u0| = |v0 - v1| <= 2b, those are the classes of _classes.  Each
+    is evaluated once, at u, and candidates come in class order: u0
+    ascending, then u2, u3 and u4 descending, each point once, since a
+    point other than B fixes its line through B.  For every accepted bound
+    this is the order of a scan of every direction of the box: a class's
+    least direction in lexicographic order is (-b, u0 - b, -u2, -u3, -u4)
+    (v0 = g*u0 + v1 = -b needs g < 0, and v1 = -b - g*u0 is then least at
+    g = -1), and no class up to SEARCH_MAX_GRID_BOUND has c4 = 0 there,
+    c4(u) = (u0 - b) c3(u), which the tests check class by class.  The
+    ampleness bound is necessary, not sufficient: every kept point is
+    still tested.
 
     A kept primitive point P that is ample and has psi_2(P) != 0 is
     verified once through the invariant pipeline (F_1 = 0 and
@@ -576,7 +551,8 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     line_coefficients = _line_coefficients(_FOUR_POINTS, _FOUR_POINT_ACTION)
     psi2 = _psi(_FOUR_POINTS, _FOUR_POINT_ACTION)[1][1]
     candidates: list[Candidate] = []
-    for (u0, u2, u3, u4), c4, c3 in _resolved_classes(grid_bound, line_coefficients):
+    for u0, u2, u3, u4 in _classes(grid_bound):
+        c4, c3 = line_coefficients(u0, u2, u3, u4)
         # c4(v)*B - c3(v)*v, divided by g^4 > 0.
         point = (c4 - c3 * u0, c4, -c3 * u2, -c3 * u3, -c3 * u4)
         # Keep only points whose entries share one strict sign.

@@ -148,6 +148,11 @@ class CurveBundleSpec:
     _curve = _Derived()
     _closed = _Derived()
 
+    def __reduce__(self):
+        # Pickle the fields alone: loading rebuilds through the constructor,
+        # which validates them, and the copy derives its numbers afresh.
+        return CurveBundleSpec, (self.genus, self.summands, self.b_deg, self.b_weight, self.r)
+
     @property
     def satisfies_ampleness_necessary(self) -> bool:
         """Necessary inequality for L to be ample: the twisted slope is negative."""

@@ -8,13 +8,10 @@ the sign test drops the points it cannot keep.  It leaves out the
 pipeline verification, which never changes the output.  test_p2lab
 requires the library's candidates to equal its own, order included.
 
-``walk_directions(bound)`` and ``walk_search(bound, scale)`` are the search
-as it stood before it enumerated its line classes directly: a walk of the
-first box member of every line whose point can be ample, one evaluation of
-the class evaluator per line of a class not yet resolved, the point
-emitted where its class resolves.  walk_search reads the library's
-_line_coefficients and _psi, so a test that forces those evaluators forces
-both sides alike; it leaves out the pipeline verification.
+``walk_directions(bound)`` is the walk of lines as it stood before the
+search enumerated its line classes directly: the first box member of
+every line whose point can be ample.  test_p2lab requires the search's
+classes to come in the order in which this walk first reaches them.
 
 ``recheck_every_scale(candidates)`` is the verification as it stood before
 the search verified each primitive point once: every candidate, at its own
@@ -124,45 +121,6 @@ def walk_directions(bound):
             top = max(head_top, tail_top)
             if top + top // g > bound:
                 yield head + tail
-
-
-def walk_search(bound, scale):
-    """The walk of walk_directions: a class (v0 - v1, v2, v3, v4) made
-    primitive with v2 > 0 is evaluated at each of its lines until one gives
-    c4(v) = g^3 (g*c4 + v1*c3) != 0, and then yields its point there."""
-    config, action = PointConfig.four_points_three_aligned(), DiagAction((2, -1, -1))
-    line_coefficients = p2lab._line_coefficients(config, action)
-    psi2 = p2lab._psi(config, action)[1][1]
-    out, done = [], set()
-    for v0, v1, v2, v3, v4 in walk_directions(bound):
-        d = v0 - v1
-        g = gcd(d, v2, v3, v4)
-        if v2 < 0:
-            g = -g
-        line = (d // g, v2 // g, v3 // g, v4 // g)
-        if line in done:
-            continue
-        c4, c3 = line_coefficients(*line)
-        if g * c4 + v1 * c3 == 0:
-            continue
-        done.add(line)
-        u0, u2, u3, u4 = line
-        point = (c4 - c3 * u0, c4, -c3 * u2, -c3 * u3, -c3 * u4)
-        if min(point) < 1 and max(point) > -1:
-            continue
-        g = gcd(*point)
-        if point[0] < 0:
-            g = -g
-        m, *alphas = (c // g for c in point)
-        if not ample_check(config, m, alphas):
-            continue
-        psi2_value = psi2(m, *alphas)
-        if psi2_value:
-            out.extend(Candidate(m=k * m, alphas=tuple(k * c for c in alphas),
-                                 psi1_value=Fraction(0), psi2_value=Fraction(k**3 * psi2_value),
-                                 ample=True, verified=True)
-                       for k in range(1, scale + 1))
-    return out
 
 
 def recheck_every_scale(candidates):

@@ -19,7 +19,6 @@ from chowstab.blowup import (
     BlowupSpec,
     adiabatic,
     chi_tilde,
-    chi_tilde_coeffs,
     chow_blowup,
     d_f_g,
     futaki_blowup,
@@ -27,7 +26,6 @@ from chowstab.blowup import (
     projective_space_base,
     quotient_weight,
     w_tilde,
-    w_tilde_coeffs,
 )
 from chowstab.errors import CrossCheckError, DegenerateInputError, ResourceLimitError
 from chowstab.exactalg import GENERATOR_CACHE_SIZE, Poly, RatFn, binom_poly_in_k, stirling_coeffs
@@ -531,6 +529,24 @@ class TestInexactInputRefused:
         with pytest.raises(TypeError, match="^ell must"):
             d_f_g(aligned_four_point_spec(3), ell)
 
+    @pytest.mark.parametrize("fn", [chi_tilde, w_tilde, futaki_blowup, chow_blowup, adiabatic,
+                                    lambda spec: d_f_g(spec, 1),
+                                    lambda spec: quotient_weight(spec, 1)],
+                             ids=["chi_tilde", "w_tilde", "futaki_blowup", "chow_blowup",
+                                  "adiabatic", "d_f_g", "quotient_weight"])
+    @pytest.mark.parametrize("bad", [None, "x", (P2, (BlownPoint(1, 0, 0),), 2)],
+                             ids=["None", "str", "tuple"])
+    def test_public_functions_refuse_a_non_spec(self, fn, bad):
+        # chi_tilde(None), futaki_blowup('x') and the rest once raised AttributeError.
+        with pytest.raises(TypeError, match="^spec must be a BlowupSpec, got "):
+            fn(bad)
+
+    def test_spec_is_checked_before_the_level(self):
+        with pytest.raises(TypeError, match="^spec must"):
+            quotient_weight(None, 0.5)
+        with pytest.raises(TypeError, match="^spec must"):
+            d_f_g(None, 0.5)
+
     @pytest.mark.parametrize("args,field", [
         (((1.5, -1.5, 0), ((0, 1),), 3, 2), "weights"),
         (((True, -1, 0), ((0, 1),), 3, 2), "weights"),
@@ -623,8 +639,7 @@ class TestChiTilde:
     def test_degenerate_identity_still_holds(self):
         # m = 1, alpha = 1 exhausts the volume (D = 0): not a polarization,
         # but the counting identity is still exact.
-        coeffs = chi_tilde_coeffs(2, P2.a, 1, [1])
-        assert Poly.from_descending(coeffs) == Poly((1, 1))
+        assert blowup._geometry_for(P2, 1, (1,)).chi == Poly((1, 1))
 
     def test_three_points_m3(self):
         spec = BlowupSpec(base=P2,
@@ -641,7 +656,7 @@ class TestChiTilde:
             count = rng.randint(1, 3)
             alphas = [rng.randint(1, 3) for _ in range(count)]
             m = rng.randint(sum(alphas), sum(alphas) + 4)
-            got = Poly.from_descending(chi_tilde_coeffs(n, base.a, m, alphas))
+            got = blowup._geometry_for(base, m, tuple(alphas)).chi
             want = compose_linear(hilbert_poly(base), m)
             for a in alphas:
                 want = want - binom_poly_in_k(a, n)
@@ -693,22 +708,6 @@ class TestWTilde:
     def test_aligned_four_point_m3(self):
         spec = aligned_four_point_spec(3)
         assert w_tilde(spec) == Poly((0, Fraction(-1, 2), Fraction(-3, 2), -1))
-
-    # zip once truncated these to the shortest: (2, 3, (1, 2), (0,), (0,)) gave zeros.
-    @pytest.mark.parametrize("alphas,phis,lams,counts", [
-        ((1, 2), (0,), (0,), "2, 1 and 1"),
-        ((1,), (0, 1), (0,), "1, 2 and 1"),
-        ((1,), (0,), (0, 3), "1, 1 and 2"),
-        ((), (0,), (), "0, 1 and 0"),
-    ])
-    def test_coeffs_need_one_entry_per_point(self, alphas, phis, lams, counts):
-        with pytest.raises(ValueError, match=(
-                f"^alphas, phis and lams must have one entry per point, got {counts}$")):
-            w_tilde_coeffs(2, 3, alphas, phis, lams)
-
-    def test_coeffs_accept_any_iterables(self):
-        want = w_tilde_coeffs(2, 4, (1, 2), (Fraction(2), Fraction(-1)), (-6, 3))
-        assert w_tilde_coeffs(2, 4, iter([1, 2]), (p for p in (2, -1)), iter((-6, 3))) == want
 
 
 class TestDFG:
@@ -917,8 +916,8 @@ class TestOracleP2:
         alphas = [1, 2]
         phis = [Fraction(2), Fraction(-1)]
         lams = [-6, 3]
-        chi = Poly.from_descending(chi_tilde_coeffs(2, P2.a, m, alphas))
-        w = Poly.from_descending(w_tilde_coeffs(2, m, alphas, phis, lams))
+        geometry = blowup._geometry_for(P2, m, tuple(alphas))
+        chi, w = geometry.chi, geometry.w_poly(geometry._integer_action(phis, lams))
         for k in range(1, 9):
             assert oracle_p2(weights, points, m, k) == (chi.evaluate(k), w.evaluate(k))
 

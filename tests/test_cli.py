@@ -36,23 +36,49 @@ def count_calls(monkeypatch, module, names):
     return calls
 
 
+# (golden, command, config, extra) of each JSON golden; the golden's name is its test id.
+JSON_GOLDENS = [
+    ("projbundle_split_degree_one", "projbundle", "projbundle_split_degree_one", ()),
+    ("projbundle_split_degree_one_k1-6", "projbundle", "projbundle_split_degree_one",
+     ("--k-range", "1:6")),
+    ("blowup_p2_four_aligned", "blowup", "blowup_p2_four_aligned", ()),
+    ("blowup_p2_three_points", "blowup", "blowup_p2_three_points", ()),
+    ("loci_3pt_m5_alphas_2-1-1", "loci-3pt", None, ("--m", "5", "--alphas", "2,1,1")),
+    ("search_unstable_grid2_scale3", "search-unstable", None, ("--grid", "2", "--scale", "3")),
+    ("blowup_rational_phi", "blowup", "blowup_rational_phi", ()),
+    ("search_unstable_grid4_scale1", "search-unstable", None, ("--grid", "4", "--scale", "1")),
+    ("search_unstable_grid4_scale3", "search-unstable", None, ("--grid", "4", "--scale", "3")),
+    ("search_unstable_grid3_scale8", "search-unstable", None, ("--grid", "3", "--scale", "8")),
+    ("projbundle_three_summands_r2", "projbundle", "projbundle_three_summands_r2", ()),
+]
+
+# The searches pinned by the sha256 of their output, as (grid, scale).
+DIGEST_SEARCHES = [(8, 8), (6, 2)]
+
+DEMO_NAMES = sorted(path.name for path in DEMOS.glob("0*.py"))
+
+
+def digest_path(grid, scale):
+    return GOLDEN / f"search_unstable_grid{grid}_scale{scale}.sha256"
+
+
+def demo_golden(demo):
+    return GOLDEN / f"demo_{demo[:2]}.txt"
+
+
+def test_every_golden_file_is_read():
+    """Each file in tests/golden is compared by one of the tests below."""
+    read = ({GOLDEN / f"{row[0]}.json" for row in JSON_GOLDENS}
+            | {digest_path(grid, scale) for grid, scale in DIGEST_SEARCHES}
+            | {demo_golden(demo) for demo in DEMO_NAMES})
+    assert set(GOLDEN.iterdir()) == read
+
+
 class TestGoldenOutput:
     """JSON output of the shipped configs, byte for byte as recorded in tests/golden."""
 
-    @pytest.mark.parametrize("golden,command,config,extra", [
-        ("projbundle_split_degree_one", "projbundle", "projbundle_split_degree_one", ()),
-        ("projbundle_split_degree_one_k1-6", "projbundle", "projbundle_split_degree_one",
-         ("--k-range", "1:6")),
-        ("blowup_p2_four_aligned", "blowup", "blowup_p2_four_aligned", ()),
-        ("blowup_p2_three_points", "blowup", "blowup_p2_three_points", ()),
-        ("loci_3pt_m5_alphas_2-1-1", "loci-3pt", None, ("--m", "5", "--alphas", "2,1,1")),
-        ("search_unstable_grid2_scale3", "search-unstable", None, ("--grid", "2", "--scale", "3")),
-        ("blowup_rational_phi", "blowup", "blowup_rational_phi", ()),
-        ("search_unstable_grid4_scale1", "search-unstable", None, ("--grid", "4", "--scale", "1")),
-        ("search_unstable_grid4_scale3", "search-unstable", None, ("--grid", "4", "--scale", "3")),
-        ("search_unstable_grid3_scale8", "search-unstable", None, ("--grid", "3", "--scale", "8")),
-        ("projbundle_three_summands_r2", "projbundle", "projbundle_three_summands_r2", ()),
-    ])
+    @pytest.mark.parametrize("golden,command,config,extra", JSON_GOLDENS,
+                             ids=[row[0] for row in JSON_GOLDENS])
     def test_matches_golden(self, capsys, golden, command, config, extra):
         config_args = ("--config", str(CONFIGS / f"{config}.json")) if config else ()
         code, out, err = run_cli(capsys, command, *config_args, *extra, "--json")
@@ -64,19 +90,19 @@ class TestGoldenOutput:
         code, out, err = run_cli(capsys, "search-unstable", "--grid", str(grid),
                                  "--scale", str(scale), "--json")
         assert (code, err) == (0, "")
-        digest = (GOLDEN / f"search_unstable_grid{grid}_scale{scale}.sha256").read_text().split()[0]
+        digest = digest_path(grid, scale).read_text().split()[0]
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_search_at_the_guard_limit_matches_its_digest(self, capsys):
         # 11 080 candidates.
-        assert (SEARCH_MAX_GRID_BOUND, SEARCH_MAX_SCALE_BOUND) == (8, 8)
-        self.search_matches_its_digest(capsys, 8, 8)
+        assert (SEARCH_MAX_GRID_BOUND, SEARCH_MAX_SCALE_BOUND) == DIGEST_SEARCHES[0]
+        self.search_matches_its_digest(capsys, *DIGEST_SEARCHES[0])
 
     def test_search_past_the_geometry_cache_matches_its_digest(self, capsys):
         # 782 candidates: grid 6 is the first whose primitive points, 391,
         # outnumber the geometry cache, so verification misses it.
         assert blowup.GEOMETRY_CACHE_SIZE < 391
-        self.search_matches_its_digest(capsys, 6, 2)
+        self.search_matches_its_digest(capsys, *DIGEST_SEARCHES[1])
 
 
 class TestDerivedOncePerSpec:
@@ -360,7 +386,7 @@ class TestProcessEntry:
 class TestDemos:
     """Each demo's standard output, byte for byte as recorded in tests/golden."""
 
-    @pytest.mark.parametrize("demo", sorted(path.name for path in DEMOS.glob("0*.py")))
+    @pytest.mark.parametrize("demo", DEMO_NAMES)
     def test_stdout_matches_golden(self, demo):
         # The demo imports the chowstab these tests import, installed or not.
         src = str(Path(chowstab.__file__).resolve().parent.parent)
@@ -368,4 +394,4 @@ class TestDemos:
         proc = subprocess.run([sys.executable, str(DEMOS / demo)], capture_output=True,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stdout == (GOLDEN / f"demo_{demo[:2]}.txt").read_bytes()
+        assert proc.stdout == demo_golden(demo).read_bytes()

@@ -304,6 +304,12 @@ class TestRationalStrings:
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
+    @pytest.mark.parametrize("bad", [5, None, Fraction(1, 2), 0.5, b"1/2"])
+    def test_only_text_is_parsed(self, bad):
+        # parse_rational(5) once raised AttributeError.
+        with pytest.raises(TypeError, match="^parse_rational expects a str, got "):
+            parse_rational(bad)
+
 
 class TestInexactPointsRefused:
     """Evaluation points and format_rational take exact values only."""

@@ -242,6 +242,12 @@ class TestTriplePoint:
         assert not triple_point_check((m - a1) ** 2 * m ** 2)
         assert not triple_point_check(MPoly.zeros(PSI_VARIABLES))
 
+    @pytest.mark.parametrize("bad", [1, None, "m**4", (1, 1, 0, 0, 0)])
+    def test_refuses_what_is_not_a_polynomial(self, bad):
+        # triple_point_check(1) once raised AttributeError.
+        with pytest.raises(TypeError, match="^psi1 must be an MPoly, got "):
+            triple_point_check(bad)
+
     def test_refuses_a_psi_in_other_variables(self):
         # The three-point psi_1 lives in (m, a1, a2, a3); zipped with the five
         # coordinates of B it would be tested at a truncated point.
@@ -513,7 +519,7 @@ class TestThreePointProof:
                 psi_reconstruct(PointConfig.four_points_three_aligned())
             assert str(info.value) == (
                 "psi_2 of four_points_three_aligned under diag(2, -1, -1) from chi~ and w~ "
-                "is not homogeneous of degree 3: term (1, 0, 0, 0, 0) with coefficient 4")
+                "is not homogeneous of degree 3: term (1, 0, 0, 0, 0) with coefficient 1/3")
             assert p2lab._psi.cache_info().currsize == 0
 
     def test_non_integral_polynomial_is_named(self):
@@ -799,14 +805,13 @@ def line_evaluator():
 
 def recorded_evaluator(monkeypatch, forced=None):
     """Patch the search's class evaluator with one that records each class
-    it is asked for, in order, and answers forced(u, count, real) when
-    given (count: how often u was asked before), else the real values."""
+    it is asked for, in order, and answers forced(u, real) when given, else
+    the real values."""
     real, calls = line_evaluator(), []
 
     def recorded(*u):
-        count = calls.count(u) if forced else 0
         calls.append(u)
-        return forced(u, count, real) if forced else real(*u)
+        return forced(u, real) if forced else real(*u)
 
     monkeypatch.setattr(p2lab, "_line_coefficients", lambda *key: recorded)
     return calls
@@ -837,63 +842,47 @@ def test_classes_are_the_walks_at_first_appearance(monkeypatch, bound, classes):
     assert calls == list(first)
 
 
-def forced_first_direction(u, count, real):
-    """(4, 1, 1, 1) answers (c3, c3) when first asked, which gives
-    c4(v) = -(-c3 + 1*c3) = 0 on its first direction at bound 3, and its
-    real values afterwards; every other class its real values."""
-    c4, c3 = real(*u)
-    return (c3, c3) if u == (4, 1, 1, 1) and count == 0 else (c4, c3)
+@pytest.mark.parametrize("bound", range(1, SEARCH_MAX_GRID_BOUND + 1))
+def test_no_class_has_c4_zero_on_its_first_direction(bound):
+    """On the first direction (-b, u0 - b, -u2, -u3, -u4) of a class,
+    c4(v) = (u0 - b) c3(u) - c4(u).  On the real psi_1 that is nonzero for
+    every class of every accepted bound (9 757 in all), c3 = c4 = 0
+    included, so each class resolves on its first direction; with
+    test_classes_are_the_walks_at_first_appearance, class order is the
+    order of a scan of the box."""
+    evaluate = line_evaluator()
+    for u in p2lab._classes(bound):
+        c4, c3 = evaluate(*u)
+        assert c4 != (u[0] - bound) * c3, u
 
 
-def test_class_with_c4_zero_stays_open(monkeypatch):
-    """Forced: the first direction of the class of (131; 75, 14, 14, 14)
-    gives c4 = 0, so the class resolves at its second direction and its
-    point moves there in the order, exactly as in the walk of lines."""
-    real = line_evaluator()
-    first, second = (-3, 1, -1, -1, -1), (-2, 2, -1, -1, -1)
-    directions = list(p2lab_reference.walk_directions(3))
-    assert [v for v in directions if line_class(v) == (4, 1, 1, 1)] == [first, second, (-1, 3, -1, -1, -1)]
+def candidate_class(candidate):
+    return line_class((candidate.m,) + candidate.alphas)
+
+
+def test_forced_open_class_is_evaluated_once_in_class_order(monkeypatch):
+    """Forced: at bound 3 the class (4, 1, 1, 1) of (131; 75, 14, 14, 14)
+    answers c4 = c3, so c4(v) = (u0 - b) c3 - c4 = 0 on its first direction
+    (-3, 1, -1, -1, -1).  The search still evaluates it once, in class
+    order, and tries no later direction: its point there is -c3*v, whose
+    signs are mixed, so it is dropped, and every other candidate keeps its
+    place."""
+    classes = list(p2lab._classes(3))
     expected = search_unstable(3, 1)
-    calls = recorded_evaluator(monkeypatch, forced_first_direction)
-    found = search_unstable(3, 1)
-    # Evaluated for the first and second directions, not for the third.
-    assert calls.count((4, 1, 1, 1)) == 2
-    # c4(v) = g^3 (g c4 + v1 c3): zero on the first direction with the forced
-    # values, nonzero on the second with the real ones.
-    c4, c3 = real(4, 1, 1, 1)
-    assert line_scale(first) * c3 + first[1] * c3 == 0
-    assert line_scale(second) * c4 + second[1] * c3 != 0
-    # The walk of lines, run with the same forced evaluator, agrees, order included.
-    recorded_evaluator(monkeypatch, forced_first_direction)
-    assert found == p2lab_reference.walk_search(3, 1)
+    order = [classes.index(candidate_class(c)) for c in expected]
+    assert order == sorted(order)
     point = (131, (75, 14, 14, 14))
-    assert sorted((c.m, c.alphas) for c in found) == sorted((c.m, c.alphas) for c in expected)
-    assert [(c.m, c.alphas) for c in found] != [(c.m, c.alphas) for c in expected]
-    # The second direction has v0 = -2, past every first direction
-    # (v0 = -3), so the moved point comes last.
-    assert [(c.m, c.alphas) for c in found][-1] == point
+    assert [(c.m, c.alphas) for c in expected if candidate_class(c) == (4, 1, 1, 1)] == [point]
+    assert (expected[0].m, expected[0].alphas) == point and len(expected) > 1
 
+    def forced(u, real):
+        c4, c3 = real(*u)
+        return (c3, c3) if u == (4, 1, 1, 1) else (c4, c3)
 
-@pytest.mark.parametrize("bound", [2, 3, 4, 5])
-def test_open_classes_resolve_where_the_walk_resolves_them(monkeypatch, bound):
-    """Forced: every class with u2 = u3 answers c4 = c3 = 0, so c4(v) = 0,
-    when first asked, those among them with u4 = 1 the first five times,
-    and then their real values: a class stays open across several of its
-    directions, each evaluated once.  The search must give the walk of
-    lines' candidates, order included."""
-    def forced(u, count, real):
-        if u[1] == u[2] and count < (5 if u[3] == 1 else 1):
-            return 0, 0
-        return real(*u)
-
-    unforced = search_unstable(bound, 2)
     calls = recorded_evaluator(monkeypatch, forced)
-    found = search_unstable(bound, 2)
-    assert len(calls) > len(set(calls))
-    recorded_evaluator(monkeypatch, forced)
-    assert found == p2lab_reference.walk_search(bound, 2)
-    if bound > 2:
-        assert found != unforced
+    found = search_unstable(3, 1)
+    assert calls == classes
+    assert found == [c for c in expected if (c.m, c.alphas) != point]
 
 
 def _signs_can_keep(v):

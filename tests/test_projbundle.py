@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -480,6 +481,27 @@ class TestValidation:
         assert spec == unstable_pair() and hash(spec) == hash(unstable_pair())
         assert euler_char_poly(spec) is euler_char_poly(spec)
         assert weight_poly(spec) is weight_poly(spec)
+
+    def test_pickles_as_its_fields(self):
+        """A spec pickles to the same bytes before and after its numbers are
+        derived, and loads through the constructor: the copy is equal and
+        derives the same chi and w."""
+        spec = unstable_pair()
+        before = pickle.dumps(spec)
+        chi, w = euler_char_poly(spec), weight_poly(spec)
+        after = pickle.dumps(spec)
+        assert after == before
+        loaded = pickle.loads(after)
+        assert loaded == spec and "chi" not in vars(loaded)
+        assert (euler_char_poly(loaded), weight_poly(loaded)) == (chi, w)
+
+    def test_loading_validates(self):
+        # A spec forged past its constructor once loaded without a check.
+        spec = unstable_pair()
+        object.__setattr__(spec, "genus", 1)
+        data = pickle.dumps(spec)
+        with pytest.raises(ValueError, match="^genus must be >= 2$"):
+            pickle.loads(data)
 
     def test_curve_factor_built_once_per_spec(self, monkeypatch):
         """Every public derivation reads one derivation, and in it one curve
