@@ -40,19 +40,19 @@ held in a bounded cache (GEOMETRY_CACHE_SIZE entries), the coefficients
 as integer numerators over one denominator for w~ and one for the F_l.
 An action, its phi brought to their least common denominator once, then
 costs one integer dot product per coefficient of w~ and per F_l, and one
-normalisation for each.  A BlowupSpec derives all of its data at
-construction, once: the geometry, the action over one denominator, w~
-and its WeightData, and the point-sum F_l, held as plain attributes that
-every consumer reads.  Every call of futaki_blowup still derives the
-invariants twice and insists on exact agreement: the geometry's
-checked_futaki runs the generic pipeline's formula
-(chowcore._futaki_numerators) on the integer numerators of chi~ and w~
-and the point-sum columns on the same action, and compares the two by
-integer cross-multiplication before it builds a Fraction; p2lab's search
-verifies its candidates through the same method, without a BlowupSpec.
-chow_blowup goes through chowcore.report on (chi~, w~), which asserts the
-Chow function's expansion in the F_l, and checks those F_l against the
-point sums; both checks raise the same CrossCheckError message.
+normalisation for each.  A BlowupSpec derives its data at construction,
+once: the geometry, the action over one denominator, w~ and its
+WeightData, held as plain attributes that every consumer reads.  The
+point sums are derived per call, where they are checked: every call of
+futaki_blowup derives the invariants twice and insists on exact
+agreement, the geometry's checked_futaki running the generic pipeline
+(chowcore._futaki_parts) on the integer numerators of chi~ and w~ and
+the point-sum columns on the same action; p2lab's search verifies its
+candidates through the same method, without a BlowupSpec.  chow_blowup
+goes through chowcore.report on (chi~, w~), which asserts the Chow
+function's expansion in the F_l.  Both compare their pipeline F_l with
+the point sums in one place (_check_point_sums), by integer
+cross-multiplication, and raise the same CrossCheckError message.
 
 For blowups of the projective plane at coordinate points the space of
 sections is a span of monomials, and oracle_p2 checks both polynomials by
@@ -148,12 +148,22 @@ class BaseSummary:
         return math.factorial(self.n) * self.a[0]
 
 
-@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def projective_space_base(n: int) -> BaseSummary:
     """Projective n-space with the hyperplane polarization: chi(k) = binom(k+n, n).
 
     prod_{i=1}^{n} (k+i) = sum_{h>=1} s_h(n+1) k^{h-1}, so a_l = s_{n+1-l}(n+1) / n!.
+    n must be an int (TypeError; bools are refused) and >= 2 (ValueError),
+    checked before the bounded cache is consulted.
     """
+    if type(n) is not int:      # the named check runs only on a miss
+        _require_ints(n=n)
+    if n < 2:
+        raise ValueError("base dimension must be >= 2")
+    return _projective_space_base(n)
+
+
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
+def _projective_space_base(n: int) -> BaseSummary:
     s = stirling_coeffs(n + 1)
     fact = math.factorial(n)
     return BaseSummary(n=n, a=tuple(Fraction(s[n + 1 - ell], fact) for ell in range(n + 1)),
@@ -187,8 +197,8 @@ class BlowupSpec:
     volume gap D (``volume_gap``), chi~ (``chi``, the geometry's), w~
     (``w``) and ``hilbert_weight_data``, the generic pipeline's input (the
     geometry's HilbertData, the WeightData of w~).  The phi are brought to
-    their least common denominator once, for w~, the point sums and
-    adiabatic.
+    their least common denominator once, for w~, the point sums that
+    futaki_blowup and chow_blowup derive per call, and adiabatic.
     """
 
     base: BaseSummary
@@ -222,7 +232,7 @@ class BlowupSpec:
             _geometry=geometry, alphas=alphas, volume_gap=geometry.volume_gap,
             chi=geometry.chi, w=w,
             hilbert_weight_data=(geometry.hilbert, chowcore.WeightData.from_poly(w, self.base.n)),
-            _point_sum_futaki=geometry.point_sum_futaki(action), _action=action)
+            _action=action)
 
     def __reduce__(self):
         # Pickle the fields alone: loading rebuilds through the constructor,
@@ -276,7 +286,8 @@ class _Geometry:
     divided by (n+1) (m^n D)^2, over another.  An action (phi, lambda), its
     phi brought to their least common denominator once (_integer_action),
     then costs one integer dot product per coefficient; checked_futaki
-    runs both derivations of the F_l that way and compares them.
+    runs both derivations of the F_l that way and compares them
+    (_check_point_sums, which chow_blowup also uses).
     """
 
     __slots__ = ("base", "m", "alphas", "volume_gap", "levels", "chi", "hilbert",
@@ -306,12 +317,18 @@ class _Geometry:
         q = math.lcm(*(phi.denominator for phi in phis))
         return tuple(phi.numerator * (q // phi.denominator) for phi in phis), q, tuple(lams)
 
-    def w_poly(self, action) -> Poly:
-        """w~ under an action (P, q, lams) of _integer_action; b_{n+1} = 0: smooth."""
+    def _w_numerators(self, action) -> tuple[list[int], int]:
+        """The integer numerators of w~ by ascending power under an action
+        (P, q, lams) of _integer_action, and their one denominator;
+        b_{n+1} = 0: smooth."""
         phi_nums, q, lams = action
         pairs, den = self._w_columns
-        return Poly([0] + [_integer_dot(pair, phi_nums, q, lams) for pair in reversed(pairs)]) \
-            / (q * den)
+        return [0] + [_integer_dot(pair, phi_nums, q, lams) for pair in reversed(pairs)], q * den
+
+    def w_poly(self, action) -> Poly:
+        """w~ under an action (P, q, lams) of _integer_action."""
+        nums, den = self._w_numerators(action)
+        return Poly(nums) / den
 
     def _point_sums(self, action) -> tuple[list[int], int]:
         """The integer numerators of the point-sum [F_1..F_n] under an
@@ -320,49 +337,34 @@ class _Geometry:
         pairs, den = self._futaki_columns
         return [_integer_dot(pair, phi_nums, q, lams) for pair in pairs], q * den
 
-    def point_sum_futaki(self, action) -> tuple[Fraction, ...]:
-        """[F_1..F_n] from the point-sum formula under an action (P, q, lams) of _integer_action."""
+    def _check_point_sums(self, action, pipeline, pipeline_den) -> tuple[list[int], int]:
+        """The integer point sums of _point_sums under an action (P, q, lams)
+        of _integer_action, compared with the pipeline's [F_1..F_n], given
+        as integer numerators over pipeline_den, by cross-multiplication; a
+        disagreement raises CrossCheckError naming the input and both sets
+        of values."""
         sums, den = self._point_sums(action)
-        return tuple(Fraction(total, den) for total in sums)
+        if any(num * den != total * pipeline_den for num, total in zip(pipeline, sums)):
+            phi_nums, q, lams = action
+            points = [(alpha, str(Fraction(num, q)), lam)
+                      for alpha, num, lam in zip(self.alphas, phi_nums, lams)]
+            raise CrossCheckError(
+                f"point-sum invariants disagree with the chi/w pipeline at "
+                f"a = {[str(c) for c in self.base.a]}, m = {self.m}, (alpha, phi, lambda) = "
+                f"{points}: point sums {[str(Fraction(total, den)) for total in sums]}, "
+                f"pipeline {[str(Fraction(num, pipeline_den)) for num in pipeline]}")
+        return sums, den
 
     def checked_futaki(self, action) -> list[Fraction]:
         """[F_1..F_n] of a polarization (D > 0) under an action (P, q, lams)
-        of _integer_action, derived twice on integers and compared.
-
-        The pipeline: chowcore._futaki_numerators on the integer numerators
-        A of chi~ (the HilbertData's Poly, over d_A) and B of w~ (dot
-        products on the w~ columns, over q times their denominator), so
-        F_l = (A_0 B_l - B_0 A_l) d_A / (d_B A_0^2) as in
-        chowcore.futaki_invariants.  The point sums: dot products on the
-        F_l columns.  The two are compared by cross-multiplication, and
-        Fractions are built only once they agree; a disagreement raises
-        CrossCheckError with both sets of values.
-        """
-        phi_nums, q, lams = action
-        h = self.hilbert
-        a, d_a = h.poly().numerators(h.n + 1)
-        a = a[::-1]
-        w_pairs, w_den = self._w_columns
-        pipeline = chowcore._futaki_numerators(
-            a, [_integer_dot(pair, phi_nums, q, lams) for pair in w_pairs])
-        pipeline_den = q * w_den * a[0] * a[0]
-        sums, den = self._point_sums(action)
-        if any(num * d_a * den != total * pipeline_den for num, total in zip(pipeline, sums)):
-            raise self._disagreement(action, [Fraction(total, den) for total in sums],
-                                     [Fraction(num * d_a, pipeline_den) for num in pipeline])
+        of _integer_action, derived twice on integers and compared: by the
+        generic pipeline (chowcore._futaki_parts) on chi~ and the integer
+        numerators of w~, and by the point sums (_check_point_sums).
+        Fractions are built only once the two agree."""
+        b, d_b = self._w_numerators(action)
+        pipeline, pipeline_den = chowcore._futaki_parts(self.chi, b, d_b)
+        sums, den = self._check_point_sums(action, pipeline, pipeline_den)
         return [Fraction(total, den) for total in sums]
-
-    def _disagreement(self, action, direct, pipeline) -> CrossCheckError:
-        """The error for point-sum invariants ``direct`` that differ from the
-        pipeline's under an action (P, q, lams) of _integer_action."""
-        phi_nums, q, lams = action
-        points = [(alpha, str(Fraction(num, q)), lam)
-                  for alpha, num, lam in zip(self.alphas, phi_nums, lams)]
-        return CrossCheckError(
-            f"point-sum invariants disagree with the chi/w pipeline at "
-            f"a = {[str(c) for c in self.base.a]}, m = {self.m}, (alpha, phi, lambda) = "
-            f"{points}: point sums "
-            f"{[str(f) for f in direct]}, pipeline {[str(f) for f in pipeline]}")
 
 
 @lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
@@ -495,21 +497,13 @@ def d_f_g(spec: BlowupSpec, ell: int) -> tuple[Fraction, Poly, Poly]:
     return spec.volume_gap, f, g / (n + 1)
 
 
-def _checked_point_sums(spec: BlowupSpec, pipeline) -> list[Fraction]:
-    """The point-sum invariants F_l, which must equal the pipeline's values."""
-    direct = list(spec._point_sum_futaki)
-    if direct != list(pipeline):
-        raise spec._geometry._disagreement(spec._action, direct, pipeline)
-    return direct
-
-
 def futaki_blowup(spec: BlowupSpec) -> list[Fraction]:
     """The invariants [F_1..F_n] of the blown-up polarization.
 
     Computed from the explicit point-sum formula and re-derived through the
-    generic pipeline's formula on the integer numerators of chi~ and w~ on
-    every call (the geometry's checked_futaki, on the spec's action);
-    disagreement raises a cross-check error.
+    generic pipeline on the integer numerators of chi~ and w~ on every call
+    (the geometry's checked_futaki, on the spec's action); disagreement
+    raises a cross-check error.
     """
     _require_spec(spec)
     return spec._geometry.checked_futaki(spec._action)
@@ -520,11 +514,14 @@ def chow_blowup(spec: BlowupSpec) -> RatFn:
 
     Taken from chowcore.report on (chi~, w~), which asserts that it equals
     (leading chi~ coefficient / chi~(k)) * sum_l F_l k^{n+1-l} (b_{n+1} = 0
-    here); the F_l of that report must equal the point-sum formula.
+    here); the F_l of that report must equal the point-sum formula, compared
+    on integers as in futaki_blowup.
     """
     _require_spec(spec)
     rep = chowcore.report(*spec.hilbert_weight_data)
-    _checked_point_sums(spec, rep.futaki)
+    den = math.lcm(*(f.denominator for f in rep.futaki))
+    spec._geometry._check_point_sums(
+        spec._action, [f.numerator * (den // f.denominator) for f in rep.futaki], den)
     return rep.chow
 
 

@@ -22,7 +22,10 @@ package.  This module works purely with the two polynomials; geometric
 families enter through the modules that produce their chi and w.
 HilbertData and WeightData each hold n and one Poly, so the pipeline reads
 integer numerators and the leading and constant coefficients from it, and
-builds the coefficient tuples a and b only when they are asked for.
+builds the coefficient tuples a and b only when they are asked for.  One
+function, _futaki_parts, turns those numerators into the F_l over one
+denominator: futaki_invariants, report and each family's cross-check
+(projbundle.higher_futaki, blowup's checked_futaki) read it.
 """
 from __future__ import annotations
 
@@ -212,24 +215,29 @@ def chow_weight_fn(h: HilbertData, w: WeightData) -> RatFn:
 
 def _futaki_numerators(a, b) -> list:
     """a_0^2 F_l = a_0 b_l - b_0 a_l, l = 1..n, over any ring, from descending
-    coefficients: futaki_invariants and report run it on integers, p2lab's
-    psi on MPoly."""
+    coefficients: _futaki_parts runs it on integers, p2lab's psi on MPoly."""
     a0, b0 = a[0], b[0]
     return [a0 * b[ell] - b0 * a[ell] for ell in range(1, len(a))]
 
 
-def futaki_invariants(h: HilbertData, w: WeightData) -> list[Fraction]:
-    """The invariants F_l = (a_0 b_l - b_0 a_l)/a_0^2 for l = 1..n.
+def _futaki_parts(chi: Poly, b, d_b: int) -> tuple[list[int], int]:
+    """The integer numerators of [F_1..F_n] and their one denominator, from
+    chi (of degree n) and the integer numerators b of w by ascending power
+    over d_b: with chi = sum_i A_i k^i / d_A,
+    F_l = (A_n B_{n+1-l} - B_{n+1} A_{n-l}) d_A / (d_B A_n^2).  Every reader
+    of the generic pipeline takes its F_l from here."""
+    a, d_a = chi.numerators(chi.degree + 1)
+    lead = a[-1]                        # the numerator of a_0
+    return ([num * d_a for num in _futaki_numerators(a[::-1], b[::-1])],
+            d_b * lead * lead)
 
-    Computed on the integer numerators of chi = sum_i A_i k^i / d_A and
-    w = sum_i B_i k^i / d_B:
-    F_l = (A_n B_{n+1-l} - B_{n+1} A_{n-l}) d_A / (d_B A_n^2).
-    """
+
+def futaki_invariants(h: HilbertData, w: WeightData) -> list[Fraction]:
+    """The invariants F_l = (a_0 b_l - b_0 a_l)/a_0^2 for l = 1..n, on the
+    integer numerators of chi and w (_futaki_parts)."""
     _check_pair(h, w)
-    a, d_a = h.poly().numerators(h.n + 1)
-    b, d_b = w.poly().numerators(h.n + 2)
-    den = d_b * a[-1] * a[-1]           # a[-1] is the numerator of a_0
-    return [Fraction(num * d_a, den) for num in _futaki_numerators(a[::-1], b[::-1])]
+    nums, den = _futaki_parts(h.poly(), *w.poly().numerators(h.n + 2))
+    return [Fraction(num, den) for num in nums]
 
 
 def shift_linearization(w: WeightData, h: HilbertData, c: Fraction | int) -> WeightData:
@@ -252,34 +260,33 @@ def report(h: HilbertData, w: WeightData) -> InvariantReport:
 
     The expansion identity chow == b_{n+1}/chi + (a_0/chi) sum_l F_l k^{n+1-l}
     is asserted before returning, on integers: chow comes from
-    chow_weight_fn, the F_l from _futaki_numerators on the numerators of
-    chi and w, read once.  A failure means the two computation paths
-    disagree and is raised as a cross-check error.
+    chow_weight_fn, the F_l from _futaki_parts.  A failure means the two
+    computation paths disagree and is raised as a cross-check error.
     """
     _check_pair(h, w)
     chow = chow_weight_fn(h, w)
     chi = h.poly()
     a, d_a = chi.numerators(h.n + 1)
     b, d_b = w.poly().numerators(h.n + 2)
-    lead = a[-1]
-    futaki_nums = _futaki_numerators(a[::-1], b[::-1])
-    den = d_b * lead * lead
-    # With futaki_nums = a_0^2 F_l d_B / d_A, the expansion b_{n+1} +
-    # a_0 sum_l F_l k^{n+1-l} has the integer numerators [B_0 A_n, the
-    # futaki_nums from l = n down to 1] by ascending power, over d_B A_n.
-    # With chow = N / D, N over d_N and D over d_D, the identity
-    # N chi == expansion D holds iff N A d_B A_n d_D == expansion D d_N d_A.
-    expansion = [b[0] * lead, *reversed(futaki_nums)]
+    futaki, den = _futaki_parts(chi, b, d_b)
+    # With F_l = futaki_l / den, the expansion b_{n+1} + a_0 sum_l F_l k^{n+1-l}
+    # has the integer numerators [B_0 d_A den, A_n d_B futaki_l from l = n
+    # down to 1] by ascending power, over d_B d_A den.  With chow = N / D,
+    # N over d_N and D over d_D, the identity N chi == expansion D holds iff
+    # N A d_B den d_D == expansion D d_N (d_A cancels).
+    lead_b = a[-1] * d_b
+    expansion = [b[0] * d_a * den, *(lead_b * x for x in reversed(futaki))]
     while expansion and not expansion[-1]:
         expansion.pop()
     num, d_num = _numerators(chow.num)
     den_poly, d_den = _numerators(chow.den)
-    lhs = [c * d_b * lead * d_den for c in _int_product(num, a)]
-    if lhs != [c * d_num * d_a for c in _int_product(expansion, den_poly)]:
-        rhs = Poly(expansion) / (d_b * lead) * chow.den
+    lhs_scale = d_b * den * d_den
+    lhs = [c * lhs_scale for c in _int_product(num, a)]
+    if lhs != [c * d_num for c in _int_product(expansion, den_poly)]:
+        rhs = Poly(expansion) / (d_b * d_a * den) * chow.den
         raise CrossCheckError(
             f"Chow expansion does not match the invariants F_l at chi = {chi.pretty()}, "
             f"w = {w.poly().pretty()}: chow.num * chi = {(chow.num * chi).pretty()}, "
             f"expansion * chow.den = {rhs.pretty()}")
-    return InvariantReport(chow=chow, futaki=tuple(Fraction(x * d_a, den) for x in futaki_nums),
+    return InvariantReport(chow=chow, futaki=tuple(Fraction(x, den) for x in futaki),
                            b_top=Fraction(b[0], d_b))

@@ -659,7 +659,7 @@ class MPoly:
         return f"MPoly({self.pretty()})"
 
 
-# Distinct n kept by each generator cache (and by blowup.projective_space_base),
+# Distinct n kept by each generator cache (and by blowup._projective_space_base),
 # and distinct summand ranks kept by projbundle's oracle tables.  The
 # verified universes use n <= 6; larger n stay correct, and a caller
 # cycling through more distinct n than this recomputes O(n^2) small tables.

@@ -120,13 +120,15 @@ _NAMED_BLOCKS = {FOUR_POINTS_THREE_ALIGNED: tuple(map(frozenset, ({0}, {1}, {1, 
 class PointConfig:
     """A configuration of blown points, each known by its coordinate block
     (the set of indices where its coordinates are nonzero).  At least one
-    block is required.  A named kind must carry its classmethod's blocks;
-    any other kind is accepted."""
+    block is required.  The kind must be a str (TypeError); a named kind
+    must carry its classmethod's blocks, and any other str is accepted."""
 
     kind: str
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise TypeError(f"kind must be a str, got {self.kind!r}")
         object.__setattr__(self, "blocks", tuple(_coordinate_block(b) for b in self.blocks))
         if not self.blocks:
             raise ValueError("a point configuration needs at least one blown point (block)")
@@ -201,7 +203,7 @@ def _psi(config: PointConfig, action: DiagAction):
     integer evaluators."""
     data = [fixed_point_data(action, b) for b in config.blocks]
     phis, lams = zip(*data)
-    base = projective_space_base(2)
+    base = _PLANE
     n = base.n
     variables = ("m",) + tuple(f"a{j}" for j in range(1, len(config.blocks) + 1))
     m, *alphas = MPoly.generators(variables)
@@ -347,6 +349,9 @@ def _is_ample(kind: str, m: int, alphas: tuple[int, ...]) -> bool:
 _THREE_POINTS = PointConfig.three_general()
 _THREE_POINT_ACTIONS = (DiagAction((1, -1, 0)), DiagAction((0, 1, -1)))
 
+# The base of every blowup here.
+_PLANE = projective_space_base(2)
+
 # The search's configuration and action, and the action as (P, q, lams).
 _FOUR_POINTS = PointConfig.four_points_three_aligned()
 _FOUR_POINT_ACTION = DiagAction((2, -1, -1))
@@ -490,7 +495,7 @@ def _verify_candidate(m: int, alphas: tuple[int, ...], action) -> Fraction:
     candidate fails recomputation, which by construction should never
     happen.
     """
-    geometry = blowup._geometry_for(projective_space_base(2), m, alphas)
+    geometry = blowup._geometry_for(_PLANE, m, alphas)
     f1, f2 = geometry.checked_futaki(action)
     if f1 != 0 or f2 == 0:
         raise CrossCheckError(

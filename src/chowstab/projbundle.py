@@ -290,24 +290,18 @@ def higher_futaki(spec: CurveBundleSpec) -> list[Fraction]:
     """The invariants [F_1..F_n] of (P(E), L).
 
     The closed form of the module docstring, checked on every call against
-    the generic pipeline on (chi, w): chowcore._futaki_numerators on the
-    integer numerators A of chi (over d_A) and B of w (over d_B), so that
-    F_l = (A_n B_{n+1-l} - B_{n+1} A_{n-l}) d_A / (d_B A_n^2) as in
-    chowcore.futaki_invariants.  The two are compared by
-    cross-multiplication, and Fractions are built only once they agree.
+    the generic pipeline on the integer numerators of (chi, w)
+    (chowcore._futaki_parts).  The two are compared by cross-multiplication,
+    and Fractions are built only once they agree.
     """
     nums, den = _closed_futaki(spec)
-    n = spec.n
-    a, d_a = spec.chi.numerators(n + 1)
-    b, d_b = spec.w.numerators(n + 2)
-    generic = chowcore._futaki_numerators(a[::-1], b[::-1])
-    generic_den = d_b * a[-1] * a[-1]
+    generic, generic_den = chowcore._futaki_parts(spec.chi, *spec.w.numerators(spec.n + 2))
     for closed_num, generic_num in zip(nums, generic):
-        if generic_num * d_a * den != closed_num * generic_den:
+        if generic_num * den != closed_num * generic_den:
             raise CrossCheckError(
                 f"closed-form invariants disagree with the chi/w pipeline at {spec}: "
                 f"closed form {[str(Fraction(x, den)) for x in nums]}, "
-                f"pipeline {[str(Fraction(x * d_a, generic_den)) for x in generic]}")
+                f"pipeline {[str(Fraction(x, generic_den)) for x in generic]}")
     return [Fraction(x, den) for x in nums]
 
 

@@ -100,10 +100,7 @@ def projbundle_specs(seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE):
 
 def _compare(case, chi: Poly, w: Poly, brute, kmax: int) -> Mismatch | None:
     """The first disagreement of a closed form with its oracle, or None: w(0)
-    must vanish, then (chi(k), w(k)) must equal brute(k) for k = 1..kmax.
-    ValueError unless kmax >= 1: a smaller kmax would compare w(0) alone."""
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    must vanish, then (chi(k), w(k)) must equal brute(k) for k = 1..kmax."""
     if w.coefficient(0) != 0:
         return Mismatch(case, 0, ("constant-term", w.coefficient(0)), ("expected", 0))
     for k in range(1, kmax + 1):
@@ -123,14 +120,13 @@ def _run_suite(cases, check):
     return count, mismatches
 
 
-def check_projbundle_spec(spec, kmax: int = PROJBUNDLE_KMAX) -> Mismatch | None:
-    """Compare (chi(k), w(k)) against the block-sum oracle for k = 1..kmax."""
+def check_projbundle_spec(spec) -> Mismatch | None:
+    """Compare (chi(k), w(k)) against the block-sum oracle for k = 1..PROJBUNDLE_KMAX."""
     return _compare(spec, projbundle.euler_char_poly(spec), projbundle.weight_poly(spec),
-                    lambda k: projbundle.oracle(spec, k), kmax)
+                    lambda k: projbundle.oracle(spec, k), PROJBUNDLE_KMAX)
 
 
-def run_projbundle_suite(seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE,
-                         kmax: int = PROJBUNDLE_KMAX):
+def run_projbundle_suite(seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE):
     """Run the bundle sweep; returns (spec count, mismatches).
 
     sample_size must be an int (TypeError) and >= 0 (ValueError).
@@ -139,7 +135,7 @@ def run_projbundle_suite(seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE,
     if sample_size < 0:
         raise ValueError(f"sample_size must be >= 0, got {sample_size}")
     return _run_suite(projbundle_specs(seed=seed, sample_size=sample_size),
-                      lambda spec: check_projbundle_spec(spec, kmax=kmax))
+                      check_projbundle_spec)
 
 
 def blowup_cases():
@@ -159,26 +155,25 @@ def blowup_cases():
             yield weights, points, m
 
 
-def check_blowup_case(weights, points, m, kmax: int = BLOWUP_KMAX) -> Mismatch | None:
-    """Compare (chi~(k), w~(k)) against the monomial oracle for k = 1..kmax.
+def check_blowup_case(weights, points, m) -> Mismatch | None:
+    """Compare (chi~(k), w~(k)) against the monomial oracle for k = 1..BLOWUP_KMAX.
 
     Reads chi~ and the w~ columns from the blowup geometry rather than a
     BlowupSpec, so that boundary inputs with D = deg - sum(alpha/m)^n <= 0
     (legal for the counting identity, not for the invariants) are covered
     as well; each geometry is derived once for all its weight vectors.
-    m and kmax must be ints (TypeError naming them), kmax >= 1
-    (ValueError); the oracle checks the rest.
+    m must be an int (TypeError naming it); the oracle checks the rest.
     """
-    _require_ints(m=m, kmax=kmax)
+    _require_ints(m=m)
     geometry = blowup._geometry_for(blowup.projective_space_base(2), m,
                                     tuple(alpha for _, alpha in points))
     data = [p2lab.fixed_point_data(p2lab.DiagAction(weights), {axis})
             for axis, _ in points]
     w = geometry.w_poly(geometry._integer_action(*zip(*data)))
     return _compare((weights, points, m), geometry.chi, w,
-                    lambda k: blowup.oracle_p2(weights, points, m, k), kmax)
+                    lambda k: blowup.oracle_p2(weights, points, m, k), BLOWUP_KMAX)
 
 
-def run_blowup_suite(kmax: int = BLOWUP_KMAX):
+def run_blowup_suite():
     """Run the full blowup sweep; returns (case count, mismatches)."""
-    return _run_suite(blowup_cases(), lambda case: check_blowup_case(*case, kmax=kmax))
+    return _run_suite(blowup_cases(), lambda case: check_blowup_case(*case))

@@ -127,10 +127,17 @@ def derive(spec) -> dict:
             "chow": (rep.chow.num, rep.chow.den)}
 
 
+def point_sum_futaki(geometry, action):
+    """The point-sum [F_1..F_n] of a geometry's integer columns under an
+    action (P, q, lams), as Fractions."""
+    sums, den = geometry._point_sums(action)
+    return [Fraction(total, den) for total in sums]
+
+
 def futaki_by_pipeline(spec):
     """The spec's point-sum [F_1..F_n], asserted equal to the generic
     pipeline's F_l on (chi~, w~) as Poly-backed HilbertData and WeightData."""
-    direct = list(spec._point_sum_futaki)
+    direct = point_sum_futaki(spec._geometry, spec._action)
     assert direct == chowcore.futaki_invariants(*spec.hilbert_weight_data), spec
     return direct
 

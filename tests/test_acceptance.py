@@ -91,7 +91,7 @@ def test_criterion_04_projbundle_oracle_equivalence():
     started = time.perf_counter()
     count, mismatches = verification.run_projbundle_suite(seed=0)
     assert mismatches == [], mismatches[:3]
-    assert count > 30000
+    assert count == 33680
     _report(4, f"bundle oracle equivalence ({count} specs, covering design)",
             started, 60.0)
 

@@ -5,6 +5,7 @@ import functools
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -232,7 +233,7 @@ class TestGeometryCache:
         geometries = {(m, tuple(alpha for _, alpha in points)) for _, points, m in cases}
         assert (len({(points, m) for _, points, m in cases}), len(geometries)) == (105, 45)
         assert GEOMETRY_CACHE_SIZE >= 105
-        count, mismatches = verification.run_blowup_suite(kmax=1)
+        count, mismatches = verification.run_blowup_suite()
         assert (count, mismatches) == (3885, [])
         info = cold_geometry_cache.cache_info()
         assert (info.misses, info.hits) == (45, 3885 - 45)
@@ -274,10 +275,10 @@ class TestIntegerColumns:
         for spec in REFERENCE_SPECS + rational_phi_specs():
             reference = blowup_reference.FractionGeometry(spec.base, spec.m, spec.alphas)
             phis, lams = [p.phi for p in spec.points], [p.lam for p in spec.points]
-            futaki = reference.point_sum_futaki(phis, lams)
+            futaki = list(reference.point_sum_futaki(phis, lams))
             assert w_tilde(spec) == reference.w_poly(phis, lams), spec
-            assert spec._point_sum_futaki == futaki, spec
-            assert futaki_blowup(spec) == list(futaki), spec
+            assert blowup_reference.point_sum_futaki(spec._geometry, spec._action) == futaki, spec
+            assert futaki_blowup(spec) == futaki, spec
 
     def test_universe_reaches_every_branch(self):
         geometries = [blowup._Geometry(*key) for key in geometry_universe()]
@@ -300,7 +301,8 @@ class TestIntegerColumns:
                 action = got._integer_action(phis, lams)
                 assert got.w_poly(action) == want.w_poly(phis, lams), (base, m, alphas)
                 if want.volume_gap > 0:
-                    assert got.point_sum_futaki(action) == want.point_sum_futaki(phis, lams)
+                    assert blowup_reference.point_sum_futaki(got, action) \
+                        == list(want.point_sum_futaki(phis, lams))
 
     def test_int_columns_over_one_denominator(self):
         # Int columns over an int scale are returned as they are, den = scale:
@@ -320,9 +322,8 @@ class TestIntegerColumns:
 
 class TestForcedCrossCheckFailures:
     def test_point_sums_disagree(self, monkeypatch):
-        # The spec derives its point sums at construction (chow_blowup reads
-        # them) and futaki_blowup re-derives them on every call: both go
-        # through the integer point sums, so patch those first.
+        # futaki_blowup and chow_blowup both derive the integer point sums
+        # per call and compare them with the pipeline's F_l in one place.
         original = blowup._Geometry._point_sums
 
         def skewed(self, action):          # the level-1 point sum + 1/D^2
@@ -333,13 +334,17 @@ class TestForcedCrossCheckFailures:
 
         monkeypatch.setattr(blowup._Geometry, "_point_sums", skewed)
         spec = aligned_four_point_spec(3)
+        messages = []
         for fn in (futaki_blowup, chow_blowup):
             with pytest.raises(CrossCheckError) as info:
                 fn(spec)
-            message = str(info.value)
-            assert "point-sum" in message and "m = 3" in message
-            # point-sum F_1 = -1/5 + 1/D^2 with D = 5/9; pipeline F_1 = -1/5
-            assert "point sums ['76/25', '-1/25'], pipeline ['-1/5', '-1/25']" in message
+            messages.append(str(info.value))
+        # point-sum F_1 = -1/5 + 1/D^2 with D = 5/9; pipeline F_1 = -1/5
+        assert messages == [
+            "point-sum invariants disagree with the chi/w pipeline at "
+            "a = ['1/2', '3/2', '1'], m = 3, (alpha, phi, lambda) = [(1, '2', -6), "
+            "(1, '-1', 3), (1, '-1', 3), (1, '-1', 3)]: point sums ['76/25', '-1/25'], "
+            "pipeline ['-1/5', '-1/25']"] * 2
 
     def test_chow_identity_enforced_through_report(self, monkeypatch):
         original = chowcore.chow_weight_fn
@@ -372,13 +377,17 @@ def geometry_calls(monkeypatch):
                                 staticmethod(counted(name, value.__func__)))
         elif callable(value):
             monkeypatch.setattr(blowup._Geometry, name, counted(name, value))
-    assert {"_geometry_for", "__init__", "w_poly", "point_sum_futaki"} <= set(calls)
+    assert {"_geometry_for", "__init__", "w_poly", "_point_sums"} <= set(calls)
     return calls
 
 
-# Reading everything twice calls futaki_blowup twice, and each call re-runs
-# the geometry's checked derivation of the F_l: nothing else is derived.
-CHECKS_OF_TWO_READS = {"checked_futaki": 2, "_point_sums": 2}
+# Two calls of futaki_blowup each re-run the geometry's checked derivation
+# of the F_l: the pipeline on w~'s numerators against the point sums.
+FUTAKI_CHECKS_OF_TWO_CALLS = {"checked_futaki": 2, "_w_numerators": 2,
+                              "_check_point_sums": 2, "_point_sums": 2}
+# Reading everything twice adds chow_blowup's comparison of its report's
+# F_l with the point sums: nothing else is derived.
+CHECKS_OF_TWO_READS = {**FUTAKI_CHECKS_OF_TWO_CALLS, "_check_point_sums": 4, "_point_sums": 4}
 
 
 def calls_made(geometry_calls) -> dict:
@@ -396,8 +405,8 @@ def read_everything_twice(spec) -> list:
 
 class TestDerivedAtConstruction:
     """A BlowupSpec derives its data in its constructor; reading it calls
-    into no geometry but futaki_blowup's check, and the dataclass fields
-    alone define the spec."""
+    into no geometry but the point-sum checks of futaki_blowup and
+    chow_blowup, and the dataclass fields alone define the spec."""
 
     SPECS = (lambda: aligned_four_point_spec(3),
              lambda: BlowupSpec(base=projective_space_base(3), m=4, points=(
@@ -406,7 +415,7 @@ class TestDerivedAtConstruction:
     @pytest.mark.parametrize("make_spec", SPECS)
     def test_reads_call_no_geometry(self, geometry_calls, make_spec):
         spec = make_spec()
-        assert geometry_calls["_geometry_for"] == 1 and geometry_calls["point_sum_futaki"] == 1
+        assert geometry_calls["_geometry_for"] == 1 and geometry_calls["_point_sums"] == 0
         geometry_calls.update(dict.fromkeys(geometry_calls, 0))
         first, second = read_everything_twice(spec)
         assert first == second
@@ -417,8 +426,8 @@ class TestDerivedAtConstruction:
         """The phi are brought to one denominator once, in the constructor;
         w~, the point sums and adiabatic all read that action."""
         spec = make_spec()
-        assert geometry_calls["_integer_action"] == 1
-        assert geometry_calls["w_poly"] == geometry_calls["point_sum_futaki"] == 1
+        assert geometry_calls["_integer_action"] == geometry_calls["w_poly"] == 1
+        assert geometry_calls["_point_sums"] == 0
         assert adiabatic(spec) == blowup_reference.adiabatic(spec)
         read_everything_twice(spec)
         assert geometry_calls["_integer_action"] == 1
@@ -463,10 +472,10 @@ class TestDerivedAtConstruction:
         replaced, fresh = dataclasses.replace(spec, m=4), aligned_four_point_spec(4)
         geometry_calls.update(dict.fromkeys(geometry_calls, 0))
         assert w_tilde(replaced) == w_tilde(fresh) != w_tilde(spec)
-        assert replaced._point_sum_futaki == fresh._point_sum_futaki != spec._point_sum_futaki
+        assert replaced._geometry is fresh._geometry is not spec._geometry
         assert futaki_blowup(replaced) == futaki_blowup(fresh)
         assert (replaced.volume_gap, replaced.alphas) == (fresh.volume_gap, fresh.alphas)
-        assert calls_made(geometry_calls) == CHECKS_OF_TWO_READS
+        assert calls_made(geometry_calls) == FUTAKI_CHECKS_OF_TWO_CALLS
 
 
 class TestInexactInputRefused:
@@ -587,10 +596,24 @@ class TestBase:
     def test_base_cache_is_bounded(self):
         for n in range(2, GENERATOR_CACHE_SIZE + 10):
             projective_space_base(n)
-        info = projective_space_base.cache_info()
+        info = blowup._projective_space_base.cache_info()
         assert info.maxsize == GENERATOR_CACHE_SIZE
         assert info.currsize <= GENERATOR_CACHE_SIZE
         assert projective_space_base(2) == P2
+
+    # 2.0 once failed naming "3.0", a value never passed, and -1 failed with
+    # a message of its own.
+    @pytest.mark.parametrize("n, error, message", [
+        (2.0, TypeError, "n must be an int, got 2.0"),
+        (True, TypeError, "n must be an int, got True"),
+        ("2", TypeError, "n must be an int, got '2'"),
+        (0, ValueError, "base dimension must be >= 2"),
+        (1, ValueError, "base dimension must be >= 2"),
+        (-1, ValueError, "base dimension must be >= 2"),
+    ], ids=["float", "bool", "str", "zero", "one", "negative"])
+    def test_projective_space_refusals(self, n, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            projective_space_base(n)
 
     @pytest.mark.parametrize("base", [
         P2, NON_INTEGRAL_BASE, BaseSummary(n=3, a=(1, 2, 3, 4), polystable_certified=False)])

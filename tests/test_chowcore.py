@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from chowstab import chowcore
+from chowstab import blowup, chowcore, p2lab, projbundle
 from chowstab.chowcore import (
     HilbertData,
     WeightData,
@@ -375,3 +375,47 @@ class TestEntryPointsRefuseMistypedData:
         h, _ = hyperplane_curve()
         with pytest.raises(ValueError, match="dimension mismatch"):
             report(h, WeightData.zero(2))
+
+
+@pytest.fixture
+def futaki_parts_calls(monkeypatch):
+    """The chi passed to chowcore._futaki_parts, one entry per call."""
+    calls = []
+    real = chowcore._futaki_parts
+
+    def counted(chi, b, d_b):
+        calls.append(chi)
+        return real(chi, b, d_b)
+
+    monkeypatch.setattr(chowcore, "_futaki_parts", counted)
+    return calls
+
+
+class TestOneFutakiPath:
+    """Every reader of the generic pipeline takes its F_l from
+    chowcore._futaki_parts, once per call."""
+
+    def test_one_call_per_reader(self, futaki_parts_calls):
+        h, w = hyperplane_curve()
+        bundle = projbundle.CurveBundleSpec(
+            genus=2, summands=(projbundle.Summand(1, 1, 1), projbundle.Summand(1, 0, 0)),
+            b_deg=2, b_weight=0, r=1)
+        blown = blowup.BlowupSpec(base=blowup.projective_space_base(2), m=3, points=tuple(
+            blowup.BlownPoint(1, phi, lam)
+            for phi, lam in ((2, -6), (-1, 3), (-1, 3), (-1, 3))))
+        for fn, arg, chi in [(futaki_invariants, (h, w), h.poly()),
+                             (report, (h, w), h.poly()),
+                             (projbundle.higher_futaki, (bundle,), bundle.chi),
+                             (blowup.futaki_blowup, (blown,), blown.chi),
+                             (blowup.chow_blowup, (blown,), blown.chi)]:
+            futaki_parts_calls.clear()
+            fn(*arg)
+            assert futaki_parts_calls == [chi], fn.__name__
+
+    def test_one_call_per_verified_point(self, futaki_parts_calls):
+        candidates = p2lab.search_unstable(2, 1)
+        # scale 1: every candidate is a primitive point, verified once
+        assert candidates
+        assert futaki_parts_calls == [
+            blowup._geometry_for(blowup.projective_space_base(2), c.m, c.alphas).chi
+            for c in candidates]

@@ -273,9 +273,13 @@ class TestBlowup:
         assert "base.polystable" in err
 
     def test_forced_cross_check_failure_exits_2(self, monkeypatch, capsys):
-        original = blowup._Geometry.point_sum_futaki
-        monkeypatch.setattr(blowup._Geometry, "point_sum_futaki",
-                            lambda *args: tuple(f + 1 for f in original(*args)))
+        original = blowup._Geometry._point_sums
+
+        def skewed(self, action):          # every point-sum F_l one unit off
+            sums, den = original(self, action)
+            return [total + den for total in sums], den
+
+        monkeypatch.setattr(blowup._Geometry, "_point_sums", skewed)
         code, out, err = run_cli(capsys, "blowup",
                                  "--config", str(CONFIGS / "blowup_p2_four_aligned.json"))
         assert code == 2 and out == ""
@@ -351,7 +355,7 @@ class TestOracleCheck:
             count, mismatches = 0, []
             for weights, points, m in list(verification.blowup_cases())[:40]:
                 count += 1
-                bad = verification.check_blowup_case(weights, points, m, kmax=3)
+                bad = verification.check_blowup_case(weights, points, m)
                 if bad is not None:
                     mismatches.append(bad)
             return count, mismatches

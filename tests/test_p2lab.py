@@ -1,6 +1,7 @@
 """Plane blowups: fixed-point data, vanishing loci, ampleness, search."""
 import functools
 import itertools
+import re
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
@@ -99,6 +100,13 @@ class TestPointConfig:
     def test_named_kind_must_carry_its_blocks(self, kind, blocks):
         with pytest.raises(ValueError, match=f"^a {kind} configuration needs the blocks of its classmethod"):
             PointConfig(kind, blocks)
+
+    # A non-str kind was once accepted and failed later, in ample_check, as
+    # "unknown configuration kind: 5".
+    @pytest.mark.parametrize("kind", [5, None, ("three_general",)])
+    def test_kind_must_be_a_str(self, kind):
+        with pytest.raises(TypeError, match=f"^kind must be a str, got {re.escape(repr(kind))}$"):
+            PointConfig(kind, ({0},))
 
     def test_no_blocks_refused(self):
         # once accepted, failing later inside psi_reconstruct with
