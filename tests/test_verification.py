@@ -38,3 +38,33 @@ class TestRunProjbundleSuite:
         with pytest.raises(TypeError, match=f"^sample_size must be an int, got {size!r}$"):
             verification.run_projbundle_suite(sample_size=size)
 
+
+
+# The checked range of k is fixed: kmax is no longer an argument.
+class TestFixedKRange:
+    def test_blowup_case_checks_k_up_to_blowup_kmax(self, monkeypatch):
+        ks, oracle = [], verification.blowup.oracle_p2
+        monkeypatch.setattr(verification.blowup, "oracle_p2",
+                            lambda *args: ks.append(args[-1]) or oracle(*args))
+        assert verification.check_blowup_case(*TestCheckBlowupCase.CASE) is None
+        assert ks == list(range(1, verification.BLOWUP_KMAX + 1))
+
+    def test_projbundle_spec_checks_k_up_to_projbundle_kmax(self, monkeypatch):
+        ks, oracle = [], verification.projbundle.oracle
+        monkeypatch.setattr(verification.projbundle, "oracle",
+                            lambda spec, k: ks.append(k) or oracle(spec, k))
+        spec = next(verification.projbundle_specs(seed=0, sample_size=0))
+        assert verification.check_projbundle_spec(spec) is None
+        assert ks == list(range(1, verification.PROJBUNDLE_KMAX + 1))
+
+    @pytest.mark.parametrize("call", [
+        lambda: verification.check_blowup_case(*TestCheckBlowupCase.CASE, kmax=3),
+        lambda: verification.run_blowup_suite(kmax=3),
+        lambda: verification.check_projbundle_spec(
+            next(verification.projbundle_specs(seed=0, sample_size=0)), kmax=3),
+        lambda: verification.run_projbundle_suite(sample_size=0, kmax=3),
+    ], ids=["check_blowup_case", "run_blowup_suite",
+            "check_projbundle_spec", "run_projbundle_suite"])
+    def test_kmax_is_not_an_argument(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'kmax'"):
+            call()
