@@ -48,9 +48,10 @@ futaki_blowup derives the invariants twice and insists on exact
 agreement, the geometry's checked_futaki running the generic pipeline
 (chowcore._futaki_parts) on the integer numerators of chi~ and w~ and
 the point-sum columns on the same action; p2lab's search verifies its
-candidates through the same method, without a BlowupSpec.  chow_blowup
-goes through chowcore.report on (chi~, w~), which asserts the Chow
-function's expansion in the F_l.  Both compare their pipeline F_l with
+candidates through the same derivation, without a BlowupSpec, and reads
+its integer numerators (checked_futaki_parts) instead of Fractions.
+chow_blowup goes through chowcore.report on (chi~, w~), which asserts
+the Chow function's expansion in the F_l.  Both compare their pipeline F_l with
 the point sums in one place (_check_point_sums), by integer
 cross-multiplication, and raise the same CrossCheckError message.
 
@@ -285,9 +286,9 @@ class _Geometry:
     pair per F_l, the columns of (n+1) F_l (m^n D)^2 from _f_g_levels
     divided by (n+1) (m^n D)^2, over another.  An action (phi, lambda), its
     phi brought to their least common denominator once (_integer_action),
-    then costs one integer dot product per coefficient; checked_futaki
-    runs both derivations of the F_l that way and compares them
-    (_check_point_sums, which chow_blowup also uses).
+    then costs one integer dot product per coefficient;
+    checked_futaki_parts runs both derivations of the F_l that way and
+    compares them (_check_point_sums, which chow_blowup also uses).
     """
 
     __slots__ = ("base", "m", "alphas", "volume_gap", "levels", "chi", "hilbert",
@@ -355,15 +356,20 @@ class _Geometry:
                 f"pipeline {[str(Fraction(num, pipeline_den)) for num in pipeline]}")
         return sums, den
 
-    def checked_futaki(self, action) -> list[Fraction]:
-        """[F_1..F_n] of a polarization (D > 0) under an action (P, q, lams)
-        of _integer_action, derived twice on integers and compared: by the
-        generic pipeline (chowcore._futaki_parts) on chi~ and the integer
-        numerators of w~, and by the point sums (_check_point_sums).
-        Fractions are built only once the two agree."""
+    def checked_futaki_parts(self, action) -> tuple[list[int], int]:
+        """The integer numerators of [F_1..F_n] of a polarization (D > 0)
+        under an action (P, q, lams) of _integer_action, and their one
+        denominator, derived twice on integers and compared: by the generic
+        pipeline (chowcore._futaki_parts) on chi~ and the integer numerators
+        of w~, and by the point sums (_check_point_sums)."""
         b, d_b = self._w_numerators(action)
         pipeline, pipeline_den = chowcore._futaki_parts(self.chi, b, d_b)
-        sums, den = self._check_point_sums(action, pipeline, pipeline_den)
+        return self._check_point_sums(action, pipeline, pipeline_den)
+
+    def checked_futaki(self, action) -> list[Fraction]:
+        """[F_1..F_n] of checked_futaki_parts, as Fractions built once the
+        two derivations agree."""
+        sums, den = self.checked_futaki_parts(action)
         return [Fraction(total, den) for total in sums]
 
 
@@ -601,6 +607,22 @@ def oracle_p2(weights: tuple[int, int, int],
     {0, 1, 2}, a repeated axis, alpha < 1, m < sum(alpha), k < 1
     (ValueError), and mk > ORACLE_MAX_MK (ResourceLimitError).
     """
+    if type(k) is not int:      # k's TypeError follows m's, as documented
+        _require_ints(m=m, k=k)
+    (w0, w1, w2), pts = _oracle_arguments(weights, points, m)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if m * k > ORACLE_MAX_MK:
+        raise ResourceLimitError(f"oracle guard exceeded: mk = {m * k} > {ORACLE_MAX_MK}")
+    count, (s0, s1, s2) = _admissible_monomial_stats(pts, m, k)
+    return count, -(s0 * w0 + s1 * w1 + s2 * w2)
+
+
+def _oracle_arguments(weights, points, m):
+    """oracle_p2's checks of every argument but k, in its order: the
+    weights as a tuple and the points as a sorted tuple of pairs once they
+    pass.  verification.check_blowup_case runs them before it derives a
+    geometry."""
     # One pass over the types of plain ints; on a miss the named checks
     # run in order and raise, or pass an int subclass such as an IntEnum.
     # The sequences are held as tuples first, so that those checks see
@@ -608,11 +630,11 @@ def oracle_p2(weights: tuple[int, int, int],
     try:
         weights, points = tuple(weights), tuple(points)
         points = tuple(map(tuple, points))
-        plain = {type(m), type(k), *map(type, chain(weights, *points))} == {int}
+        plain = {type(m), *map(type, chain(weights, *points))} == {int}
     except TypeError:
         plain = False
     if not plain:
-        _require_ints(m=m, k=k)
+        _require_ints(m=m)
         _require_int_seq("weights", weights)
         for i, point in enumerate(points):
             _require_int_seq(f"points[{i}]", point)
@@ -637,9 +659,4 @@ def oracle_p2(weights: tuple[int, int, int],
         total += alpha
     if m < total:
         raise ValueError(f"exactness regime requires m >= sum(alpha) = {total}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m * k > ORACLE_MAX_MK:
-        raise ResourceLimitError(f"oracle guard exceeded: mk = {m * k} > {ORACLE_MAX_MK}")
-    count, (s0, s1, s2) = _admissible_monomial_stats(pts, m, k)
-    return count, -(s0 * w0 + s1 * w1 + s2 * w2)
+    return weights, pts

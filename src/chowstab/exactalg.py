@@ -305,6 +305,8 @@ class Poly:
         return _canonical([den * a for a in self._num], num * self._den)
 
     def __pow__(self, n: int) -> "Poly":
+        if type(n) is not int:      # bools and floats refused by name
+            _require_ints(exponent=n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = Poly.one()
@@ -619,6 +621,8 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
+        if type(n) is not int:      # bools and floats refused by name
+            _require_ints(exponent=n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = MPoly.constant(self._vars, 1)

@@ -27,10 +27,12 @@ cache holds each (config, action)'s polynomials with their compiled
 integer evaluators, and another the quartic and cubic parts of
 psi_1(B + y) at the triple point B, restricted to a1 = 0 and compiled
 into one evaluator.  Every compiled evaluator is in nested Horner form.  The
-search evaluates those of the four-point family once per class of lines
-through B and verifies each primitive point it keeps once, through its
-cached blowup geometry (blowup._Geometry.checked_futaki: F_1 and F_2 from
-chi~ and w~ and from the point sums, on integers, compared), with no
+search evaluates those of the four-point family once per orbit of the
+classes of lines through B under permuting the aligned points'
+multiplicities, a symmetry proved where the evaluators are built, and
+verifies each primitive point it keeps once, through its cached blowup
+geometry (blowup._Geometry.checked_futaki_parts: F_1 and F_2 from chi~
+and w~ and from the point sums, on integers, compared), with no
 BlowupSpec built; three_point_loci evaluates those of the two three-point
 generators.
 
@@ -81,13 +83,14 @@ PSI_VARIABLES = ("m", "a1", "a2", "a3", "a4")
 _BASE_POINT = (1, 1, 0, 0, 0)
 
 # Largest accepted grid_bound and scale_bound.  At b = 8 the search
-# evaluates 4 561 line classes, those of the box's 678 721 lines through
-# the origin whose point can be ample.  Each primitive point is verified
-# once and its scaled copies follow by homogeneity, so the scale bound
-# limits output size: search_unstable(8, 1) gives 1 385 candidates in
-# about 0.18 s and search_unstable(8, 8) 11 080 in about 0.22 s (medians
-# of five fresh processes, spreads 0.18-0.21 s and 0.21-0.23 s, on one
-# core of a 2-vCPU Intel Xeon host under CPython 3.11).
+# walks 4 561 line classes, those of the box's 678 721 lines through the
+# origin whose point can be ample, and evaluates their 1 060 orbits.
+# Each primitive point is verified once and its scaled copies follow by
+# homogeneity, so the scale bound limits output size:
+# search_unstable(8, 1) gives 1 385 candidates in about 0.14 s and
+# search_unstable(8, 8) 11 080 in about 0.17 s (medians of seven fresh
+# processes, spreads 0.137-0.199 s and 0.168-0.185 s, on one core of a
+# 2-vCPU Intel Xeon host under CPython 3.11).
 SEARCH_MAX_GRID_BOUND = 8
 SEARCH_MAX_SCALE_BOUND = 8
 
@@ -150,10 +153,15 @@ class Candidate:
     F_2 != 0, i.e. asymptotically Chow unstable; ``verified`` records that
     the invariant pipeline confirmed both values: F_1 and F_2 derived from
     chi~ and w~ and from the point sums of the point's cached blowup
-    geometry, on integers, and found equal, with F_2 * deg^2 = psi_2.  It
-    is run once, on the primitive point; a scaled copy s*P is verified
-    through P, since F_1 = 0 and ampleness are invariant under scaling and
-    psi_2, proved homogeneous of degree 3, gives psi_2(s*P) = s^3 * psi_2(P)."""
+    geometry, on integers, and found equal, with F_1 = 0, F_2 != 0 and
+    F_2 * deg^2 = psi_2 compared on integers.  It is run once, on the
+    primitive point; a scaled copy s*P is verified through P, since F_1 = 0
+    and ampleness are invariant under scaling and psi_2, proved homogeneous
+    of degree 3, gives psi_2(s*P) = s^3 * psi_2(P).  Every primitive point
+    is verified, also where the search took its psi_2 value and ampleness
+    from the point of another class in its orbit under permuting
+    (alpha_2, alpha_3, alpha_4): symmetries proved once per process where
+    the search's (c4, c3) evaluator is built (_line_coefficients)."""
 
     m: int
     alphas: tuple[int, int, int, int]
@@ -355,8 +363,16 @@ _PLANE = projective_space_base(2)
 # The search's configuration and action, and the action as (P, q, lams).
 _FOUR_POINTS = PointConfig.four_points_three_aligned()
 _FOUR_POINT_ACTION = DiagAction((2, -1, -1))
-_FOUR_POINT_INTEGER_ACTION = blowup._Geometry._integer_action(
-    *zip(*(fixed_point_data(_FOUR_POINT_ACTION, block) for block in _FOUR_POINTS.blocks)))
+
+
+def _integer_action(config: PointConfig, action: DiagAction):
+    """The fixed-point data of (config, action) as one integer action
+    (P, q, lams), as blowup._Geometry._integer_action gives it."""
+    return blowup._Geometry._integer_action(
+        *zip(*(fixed_point_data(action, block) for block in config.blocks)))
+
+
+_FOUR_POINT_INTEGER_ACTION = _integer_action(_FOUR_POINTS, _FOUR_POINT_ACTION)
 
 
 def three_point_loci(m: int, alphas) -> tuple[bool, bool]:
@@ -444,10 +460,17 @@ def _line_coefficients(config: PointConfig, action: DiagAction):
     so that psi_1(B + t*v) = c3 t^3 + c4 t^4 on every line.  They are
     then restricted to a1 = 0, which every line through B meets: with
     v = g*u + c*B, psi_1(B + t*v) = g^3 c3(u) t^3 + g^3 (g c4(u) + c c3(u)) t^4.
+    As the search's first call, it also proves, once per (config, action),
+    what lets the search work once per orbit of the tail (u2, u3, u4)
+    under permutation (CrossCheckError otherwise): both restrictions and
+    psi_2 are invariant under permuting (a2, a3, a4), and the integer
+    action of (config, action) (_integer_action) gives the three aligned
+    points one fixed-point datum.
     """
-    psi1 = _psi(config, action)[0][0]
+    psi1, psi2 = _psi(config, action)[0]
     parts = _base_point_parts(psi1)
-    where = f"psi_1 of {config.kind} under diag{action.w}"
+    of = f"of {config.kind} under diag{action.w}"
+    where = f"psi_1 {of}"
     for degree in range(3):
         if degree in parts:
             raise CrossCheckError(
@@ -462,12 +485,46 @@ def _line_coefficients(config: PointConfig, action: DiagAction):
     drop = psi1.variables.index("a1")
     variables = psi1.variables[:drop] + psi1.variables[drop + 1:]
 
-    def on_a1_zero(part: MPoly) -> str:
-        terms = {exps[:drop] + exps[drop + 1:]: coeff
-                 for exps, coeff in part.terms() if not exps[drop]}
-        return _int_poly_source(MPoly(variables, terms))
+    sources = []
+    for name, part in (("c4", quartic), ("c3", cubic)):
+        restricted = MPoly(variables, {exps[:drop] + exps[drop + 1:]: coeff
+                                       for exps, coeff in part.terms() if not exps[drop]})
+        _require_tail_symmetric(f"{name} of {where}", restricted)
+        sources.append(_int_poly_source(restricted))
+    _require_tail_symmetric(f"psi_2 {of}", psi2)
+    integer_action = _integer_action(config, action)
+    phi_nums, _, lams = integer_action
+    aligned = set(zip(phi_nums[1:], lams[1:]))
+    if len(aligned) != 1:
+        raise CrossCheckError(
+            f"the integer action (P, q, lams) = {integer_action} {of} gives the aligned "
+            f"points {len(aligned)} fixed-point data, not one")
+    return _compile(variables, f"({sources[0]}, {sources[1]})")
 
-    return _compile(variables, f"({on_a1_zero(quartic)}, {on_a1_zero(cubic)})")
+
+# The multiplicities of the three aligned points, which share one fixed-point datum.
+_TAIL = ("a2", "a3", "a4")
+
+
+def _require_tail_symmetric(name: str, poly: MPoly) -> None:
+    """CrossCheckError, naming the polynomial ``name`` and the first
+    permutation that moves it, unless poly is invariant under every
+    permutation of (a2, a3, a4)."""
+    at = [poly.variables.index(v) for v in _TAIL]
+    terms = dict(poly.terms())
+    for order in itertools.permutations(at):
+        moved = {}
+        for exps, coeff in terms.items():
+            image = list(exps)
+            for source, target in zip(at, order):
+                image[target] = exps[source]
+            moved[tuple(image)] = coeff
+        if moved != terms:
+            names = ", ".join(poly.variables[i] for i in order)
+            raise CrossCheckError(
+                f"{name} is not invariant under permuting (a2, a3, a4): under "
+                f"(a2, a3, a4) -> ({names}) it is {MPoly(poly.variables, moved).pretty()}, "
+                f"not {poly.pretty()}")
 
 
 def _classes(bound: int):
@@ -484,25 +541,63 @@ def _classes(bound: int):
                         yield u0, u2, u3, u4
 
 
-def _verify_candidate(m: int, alphas: tuple[int, ...], action) -> Fraction:
-    """Recompute F_1 and F_2 through the blowup pipeline; returns F_2 * deg^2.
+def _class_point(u, line_coefficients, psi2):
+    """(m, a1, f, psi_2(P)) of the primitive point
+    P = (m, a1, f*u2, f*u3, f*u4) of class u = (u0, u2, u3, u4), or None
+    when the search drops P: its entries do not share one strict sign, it
+    is not ample, or psi_2(P) = 0.
+
+    The line's point, up to g^4 > 0, is (c4 - c3*u0, c4, -c3*u2, -c3*u3,
+    -c3*u4); its gcd divides c3, since u is primitive, so f = -c3 / g for
+    the signed gcd g that makes m > 0.  With (c4, c3) and psi_2 proved
+    invariant under permuting (a2, a3, a4), and ampleness a test symmetric
+    in them, every class of u's orbit under permuting (u2, u3, u4) gets the
+    same (m, a1, f, psi_2(P)), or None."""
+    u0, u2, u3, u4 = u
+    c4, c3 = line_coefficients(u0, u2, u3, u4)
+    # c4(v)*B - c3(v)*v, divided by g^4 > 0.
+    point = (c4 - c3 * u0, c4, -c3 * u2, -c3 * u3, -c3 * u4)
+    # Keep only points whose entries share one strict sign.
+    if min(point) < 1 and max(point) > -1:
+        return None
+    g = gcd(*point)
+    if point[0] < 0:
+        g = -g
+    m, *alphas = (c // g for c in point)
+    if not _is_ample(FOUR_POINTS_THREE_ALIGNED, m, alphas):
+        return None
+    psi2_value = psi2(m, *alphas)
+    if psi2_value == 0:
+        return None
+    return m, alphas[0], -c3 // g, psi2_value
+
+
+def _verify_candidate(m: int, alphas: tuple[int, ...], action) -> tuple[int, int]:
+    """Recompute F_1 and F_2 through the blowup pipeline; returns F_2 * deg^2
+    as an integer numerator over one denominator.
 
     ``action`` is the blown points' fixed-point data as the integer action
     (P, q, lams) of blowup._Geometry._integer_action.  The cached geometry
     of (m, alphas) derives the F_l twice on integers, through chi~ and w~
-    and through the point sums, and compares them (checked_futaki): no
-    BlowupSpec, BlownPoint, Poly or WeightData is built.  Raises if the
-    candidate fails recomputation, which by construction should never
-    happen.
+    and through the point sums, and compares them (checked_futaki_parts):
+    no BlowupSpec, BlownPoint, Poly, WeightData or Fraction is built.
+    Raises if the candidate fails recomputation, F_1 != 0 or F_2 = 0,
+    which by construction should never happen; only then are the values
+    written as Fractions.
     """
     geometry = blowup._geometry_for(_PLANE, m, alphas)
-    f1, f2 = geometry.checked_futaki(action)
+    (f1, f2), den = geometry.checked_futaki_parts(action)
     if f1 != 0 or f2 == 0:
         raise CrossCheckError(
-            f"candidate (m={m}, alphas={alphas}) failed recomputation: F1={f1}, F2={f2}")
+            f"candidate (m={m}, alphas={alphas}) failed recomputation: "
+            f"F1={Fraction(f1, den)}, F2={Fraction(f2, den)}")
     gap = geometry.volume_gap
     deg = gap.numerator * m**2 // gap.denominator   # deg = m^2 D on the plane, an integer
-    return f2 * (deg * deg)
+    return f2 * deg * deg, den
+
+
+# psi_1 of every candidate, one shared immutable Fraction.
+_ZERO = Fraction(0)
 
 
 def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
@@ -520,25 +615,35 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     A kept point has -c3 > 0 and m - a1 - a_j = -c3 (u0 - u_j), so it can
     be ample only if u2, u3, u4 > 0 and u0 > max(u2, u3, u4).  For the
     directions of the box [-b, b]^5 (b = grid_bound), where |g*u_j| <= b
-    and |g*u0| = |v0 - v1| <= 2b, those are the classes of _classes.  Each
-    is evaluated once, at u, and candidates come in class order: u0
-    ascending, then u2, u3 and u4 descending, each point once, since a
-    point other than B fixes its line through B.  For every accepted bound
-    this is the order of a scan of every direction of the box: a class's
-    least direction in lexicographic order is (-b, u0 - b, -u2, -u3, -u4)
-    (v0 = g*u0 + v1 = -b needs g < 0, and v1 = -b - g*u0 is then least at
-    g = -1), and no class up to SEARCH_MAX_GRID_BOUND has c4 = 0 there,
-    c4(u) = (u0 - b) c3(u), which the tests check class by class.  The
-    ampleness bound is necessary, not sufficient: every kept point is
-    still tested.
+    and |g*u0| = |v0 - v1| <= 2b, those are the classes of _classes, and
+    candidates come in class order: u0 ascending, then u2, u3 and u4
+    descending, each point once, since a point other than B fixes its line
+    through B.  For every accepted bound this is the order of a scan of
+    every direction of the box: a class's least direction in
+    lexicographic order is (-b, u0 - b, -u2, -u3, -u4) (v0 = g*u0 + v1 = -b
+    needs g < 0, and v1 = -b - g*u0 is then least at g = -1), and no class
+    up to SEARCH_MAX_GRID_BOUND has c4 = 0 there, c4(u) = (u0 - b) c3(u),
+    which the tests check class by class.  The ampleness bound is
+    necessary, not sufficient: every kept point is still tested.
+
+    The class work is done once per orbit of the tail (u2, u3, u4) under
+    permutation, at its descending tail u2 >= u3 >= u4, which class order
+    reaches first: (c4, c3), the sign test, the gcd, ampleness and psi_2
+    (_class_point).  A table that lives for one query serves the orbit's
+    later classes, each of which builds its point from its own u.  This
+    rests on symmetries proved once per process, where the cached (c4, c3)
+    evaluator is built (_line_coefficients): the (c4, c3) parts and psi_2
+    are invariant under permuting (a2, a3, a4), and the integer action
+    gives the three aligned points one fixed-point datum; ampleness is a
+    test symmetric in (a2, a3, a4).
 
     A kept primitive point P that is ample and has psi_2(P) != 0 is
-    verified once through the invariant pipeline (F_1 = 0 and
-    F_2 * deg^2 = psi_2(P)), on the blown points' fixed-point data as one
-    integer action, and gives its multiples by 1..scale_bound, scales
-    increasing, with psi_2(s*P) = s^3 * psi_2(P): ampleness and F_1 = 0
-    are invariant under scaling, and psi_2 is proved homogeneous of
-    degree 3 where it is built.
+    verified once through the invariant pipeline on the blown points'
+    fixed-point data as one integer action: F_1 = 0, F_2 != 0 and
+    F_2 * deg^2 = psi_2(P), compared on integers by cross-multiplication.
+    It gives its multiples by 1..scale_bound, scales increasing, with
+    psi_2(s*P) = s^3 * psi_2(P): ampleness and F_1 = 0 are invariant under
+    scaling, and psi_2 is proved homogeneous of degree 3 where it is built.
 
     Bounds must be ints >= 1 (TypeError, ValueError otherwise), grid_bound
     at most SEARCH_MAX_GRID_BOUND and scale_bound at most
@@ -555,32 +660,25 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
             f"search guard exceeded: scale_bound = {scale_bound} > {SEARCH_MAX_SCALE_BOUND}")
     line_coefficients = _line_coefficients(_FOUR_POINTS, _FOUR_POINT_ACTION)
     psi2 = _psi(_FOUR_POINTS, _FOUR_POINT_ACTION)[1][1]
+    orbits = {}     # descending tail (u0, u2, u3, u4) -> its _class_point
     candidates: list[Candidate] = []
     for u0, u2, u3, u4 in _classes(grid_bound):
-        c4, c3 = line_coefficients(u0, u2, u3, u4)
-        # c4(v)*B - c3(v)*v, divided by g^4 > 0.
-        point = (c4 - c3 * u0, c4, -c3 * u2, -c3 * u3, -c3 * u4)
-        # Keep only points whose entries share one strict sign.
-        if min(point) < 1 and max(point) > -1:
+        orbit = (u0, *sorted((u2, u3, u4), reverse=True))
+        if orbit not in orbits:
+            orbits[orbit] = _class_point(orbit, line_coefficients, psi2)
+        kept = orbits[orbit]
+        if kept is None:
             continue
-        g = gcd(*point)
-        if point[0] < 0:
-            g = -g
-        point = tuple(c // g for c in point)
-        m, alphas = point[0], point[1:]
-        if not _is_ample(FOUR_POINTS_THREE_ALIGNED, m, alphas):
-            continue
-        psi2_value = psi2(m, *alphas)
-        if psi2_value == 0:
-            continue
-        f2_scaled = _verify_candidate(m, alphas, _FOUR_POINT_INTEGER_ACTION)
-        if f2_scaled != psi2_value:
+        m, a1, f, psi2_value = kept
+        alphas = (a1, f * u2, f * u3, f * u4)
+        f2_scaled, den = _verify_candidate(m, alphas, _FOUR_POINT_INTEGER_ACTION)
+        if f2_scaled != psi2_value * den:
             raise CrossCheckError(
                 f"psi_2 disagrees with F_2 * deg^2 recomputed through the blowup "
                 f"pipeline at m = {m}, alphas = {alphas}: psi_2 = {psi2_value}, "
-                f"F_2 * deg^2 = {f2_scaled}")
+                f"F_2 * deg^2 = {Fraction(f2_scaled, den)}")
         for scale in range(1, scale_bound + 1):
             candidates.append(Candidate(
-                m=scale * m, alphas=tuple(scale * c for c in alphas), psi1_value=Fraction(0),
+                m=scale * m, alphas=tuple(scale * c for c in alphas), psi1_value=_ZERO,
                 psi2_value=Fraction(scale**3 * psi2_value), ample=True, verified=True))
     return candidates

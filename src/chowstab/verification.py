@@ -162,16 +162,19 @@ def check_blowup_case(weights, points, m) -> Mismatch | None:
     BlowupSpec, so that boundary inputs with D = deg - sum(alpha/m)^n <= 0
     (legal for the counting identity, not for the invariants) are covered
     as well; each geometry is derived once for all its weight vectors.
-    m must be an int (TypeError naming it); the oracle checks the rest.
+    The arguments are refused as oracle_p2 refuses them, in its order and
+    before any geometry is derived (TypeError naming the entry, or
+    ValueError), and so is a case with no blown point.
     """
-    _require_ints(m=m)
+    weights, pts = blowup._oracle_arguments(weights, points, m)
+    if not pts:
+        raise ValueError("at least one blown point is required")
     geometry = blowup._geometry_for(blowup.projective_space_base(2), m,
-                                    tuple(alpha for _, alpha in points))
-    data = [p2lab.fixed_point_data(p2lab.DiagAction(weights), {axis})
-            for axis, _ in points]
+                                    tuple(alpha for _, alpha in pts))
+    data = [p2lab.fixed_point_data(p2lab.DiagAction(weights), {axis}) for axis, _ in pts]
     w = geometry.w_poly(geometry._integer_action(*zip(*data)))
-    return _compare((weights, points, m), geometry.chi, w,
-                    lambda k: blowup.oracle_p2(weights, points, m, k), BLOWUP_KMAX)
+    return _compare((weights, pts, m), geometry.chi, w,
+                    lambda k: blowup.oracle_p2(weights, pts, m, k), BLOWUP_KMAX)
 
 
 def run_blowup_suite():

@@ -383,8 +383,8 @@ def geometry_calls(monkeypatch):
 
 # Two calls of futaki_blowup each re-run the geometry's checked derivation
 # of the F_l: the pipeline on w~'s numerators against the point sums.
-FUTAKI_CHECKS_OF_TWO_CALLS = {"checked_futaki": 2, "_w_numerators": 2,
-                              "_check_point_sums": 2, "_point_sums": 2}
+FUTAKI_CHECKS_OF_TWO_CALLS = {"checked_futaki": 2, "checked_futaki_parts": 2,
+                              "_w_numerators": 2, "_check_point_sums": 2, "_point_sums": 2}
 # Reading everything twice adds chow_blowup's comparison of its report's
 # F_l with the point sums: nothing else is derived.
 CHECKS_OF_TWO_READS = {**FUTAKI_CHECKS_OF_TWO_CALLS, "_check_point_sums": 4, "_point_sums": 4}

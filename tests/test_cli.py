@@ -53,7 +53,9 @@ JSON_GOLDENS = [
 ]
 
 # The searches pinned by the sha256 of their output, as (grid, scale).
-DIGEST_SEARCHES = [(8, 8), (6, 2)]
+# Grids 5 and 7 pin the search's reuse of its work across each orbit of
+# line classes on bounds that no other golden covers.
+DIGEST_SEARCHES = [(8, 8), (6, 2), (5, 3), (7, 1)]
 
 DEMO_NAMES = sorted(path.name for path in DEMOS.glob("0*.py"))
 
@@ -103,6 +105,12 @@ class TestGoldenOutput:
         # outnumber the geometry cache, so verification misses it.
         assert blowup.GEOMETRY_CACHE_SIZE < 391
         self.search_matches_its_digest(capsys, *DIGEST_SEARCHES[1])
+
+    @pytest.mark.parametrize("grid, scale", DIGEST_SEARCHES[2:],
+                             ids=[f"grid{g}_scale{s}" for g, s in DIGEST_SEARCHES[2:]])
+    def test_search_on_an_odd_grid_matches_its_digest(self, capsys, grid, scale):
+        # 540 and 765 candidates.
+        self.search_matches_its_digest(capsys, grid, scale)
 
 
 class TestDerivedOncePerSpec:

@@ -333,6 +333,16 @@ class TestInexactPointsRefused:
         with pytest.raises(TypeError, match="^expected an int or a Fraction"):
             format_rational(value)
 
+    # Poly((1, 2)) ** True once returned the polynomial, and ** 2.0 failed
+    # with "unsupported operand type(s) for &".
+    @pytest.mark.parametrize("base", [Poly((1, 2)), MPoly.generators(("x",))[0]],
+                             ids=["Poly", "MPoly"])
+    @pytest.mark.parametrize("exponent", [True, False, 2.0, "2", Fraction(2)])
+    def test_power_refuses_what_is_not_an_int(self, base, exponent):
+        with pytest.raises(TypeError) as info:
+            base ** exponent
+        assert str(info.value) == f"exponent must be an int, got {exponent!r}"
+
     def test_exact_points_still_evaluate(self):
         p = Poly((1, Fraction(1, 2)))
         assert p.evaluate(4) == 3 and p.evaluate(Fraction(2, 3)) == Fraction(4, 3)

@@ -581,20 +581,33 @@ class TestSearch:
 
     @pytest.mark.parametrize("bounds", [(3, 3), (4, 3)])
     def test_each_primitive_point_is_verified_once(self, monkeypatch, bounds):
-        verified = []
-        real = blowup._Geometry.checked_futaki
+        """Every primitive point, those of an orbit's later classes included,
+        goes once through each step of the pipeline: w~'s numerators, the
+        generic F_l and their comparison with the point sums."""
+        steps = {}
 
-        def counted(geometry, action):
-            verified.append((geometry.m, geometry.alphas))
-            return real(geometry, action)
+        def recorded(owner, name, key):
+            real = getattr(owner, name)
 
-        monkeypatch.setattr(blowup._Geometry, "checked_futaki", counted)
+            def step(*args):
+                steps.setdefault(name, []).append(key(*args))
+                return real(*args)
+            monkeypatch.setattr(owner, name, step)
+
+        for name in ("_w_numerators", "_check_point_sums"):
+            recorded(blowup._Geometry, name, lambda geometry, *_: (geometry.m, geometry.alphas))
+        # The generic F_l run on the verified point's chi~.
+        recorded(chowcore, "_futaki_parts", lambda chi, *_: chi)
         candidates = search_unstable(*bounds)
         # Each verified primitive point heads its scale_bound copies.
         scale = bounds[1]
-        assert verified == [(c.m, c.alphas) for c in candidates[::scale]]
-        primitive = {(3, 3): 15, (4, 3): 66}[bounds]
-        assert len(verified) == primitive and len(candidates) == scale * primitive
+        primitive = [(c.m, c.alphas) for c in candidates[::scale]]
+        assert steps["_w_numerators"] == steps["_check_point_sums"] == primitive
+        assert steps["_futaki_parts"] == [
+            blowup._geometry_for(blowup.projective_space_base(2), m, alphas).chi
+            for m, alphas in primitive]
+        assert len(primitive) == {(3, 3): 15, (4, 3): 66}[bounds]
+        assert len(candidates) == scale * len(primitive)
 
     @pytest.mark.parametrize("bound", [1, 2, 3])
     @pytest.mark.parametrize("scale", [1, 2, 3])
@@ -612,23 +625,28 @@ class TestSearch:
         assert (info.misses, info.hits) == (66, 66)
 
     @pytest.mark.parametrize("skew, shown", [
-        (lambda f1, f2: [f1 + 1, f2], "F1=1, F2={f2}"),
-        (lambda f1, f2: [f1, 0], "F1=0, F2=0"),
+        (lambda f1, f2, den: [f1 + den, f2], "F1=1, F2={f2}"),
+        (lambda f1, f2, den: [f1, 0], "F1=0, F2=0"),
     ])
     def test_recomputed_f1_or_f2_failure_is_named(self, monkeypatch, skew, shown):
-        real = blowup._Geometry.checked_futaki
-        monkeypatch.setattr(blowup._Geometry, "checked_futaki",
-                            lambda geometry, action: skew(*real(geometry, action)))
+        # The integer numerators are skewed; the message shows the F_l as Fractions.
+        real = blowup._Geometry.checked_futaki_parts
+
+        def skewed(geometry, action):
+            (f1, f2), den = real(geometry, action)
+            return skew(f1, f2, den), den
+
+        monkeypatch.setattr(blowup._Geometry, "checked_futaki_parts", skewed)
         with pytest.raises(CrossCheckError) as info:
             search_unstable(2, 1)
         points = tuple(blowup.BlownPoint(alpha, *fixed_point_data(DiagAction((2, -1, -1)), block))
                        for alpha, block in zip((75, 14, 14, 14),
                                                PointConfig.four_points_three_aligned().blocks))
         spec = blowup.BlowupSpec(base=blowup.projective_space_base(2), points=points, m=131)
-        f1, f2 = real(spec._geometry, spec._action)
+        (f1, f2), den = real(spec._geometry, spec._action)
         assert f1 == 0
         assert str(info.value) == ("candidate (m=131, alphas=(75, 14, 14, 14)) failed "
-                                   f"recomputation: {shown.format(f2=f2)}")
+                                   f"recomputation: {shown.format(f2=Fraction(f2, den))}")
 
     def test_verification_matches_the_pipeline_route(self):
         # Every primitive point of search_unstable(6, 1): the geometry's
@@ -647,7 +665,7 @@ class TestSearch:
             geometry = blowup._geometry_for(blowup.projective_space_base(2), c.m, c.alphas)
             assert geometry.checked_futaki(integer_action) == want, (c.m, c.alphas)
             deg = c.m**2 - sum(a * a for a in c.alphas)
-            assert p2lab._verify_candidate(c.m, c.alphas, integer_action) \
+            assert Fraction(*p2lab._verify_candidate(c.m, c.alphas, integer_action)) \
                 == want[1] * deg**2 == c.psi2_value
 
     def test_search_builds_no_spec(self, monkeypatch):
@@ -669,8 +687,12 @@ class TestSearch:
 
     def test_recomputed_f2_disagreement_is_named(self, monkeypatch):
         real = p2lab._verify_candidate
-        monkeypatch.setattr(p2lab, "_verify_candidate",
-                            lambda m, alphas, action: real(m, alphas, action) + 1)
+
+        def plus_one(m, alphas, action):
+            num, den = real(m, alphas, action)
+            return num + den, den
+
+        monkeypatch.setattr(p2lab, "_verify_candidate", plus_one)
         with pytest.raises(CrossCheckError) as info:
             search_unstable(2, 1)
         # The first candidate of search_unstable(2, 1).
@@ -825,18 +847,30 @@ def recorded_evaluator(monkeypatch, forced=None):
     return calls
 
 
-@pytest.mark.parametrize("bound, evaluations", [(2, 16), (3, 87), (4, 274)])
-def test_one_evaluation_per_class(monkeypatch, bound, evaluations):
-    """Each class the walk reaches is evaluated once, at its primitive u."""
+def descending(u):
+    """Whether the tail (u2, u3, u4) of a class is descending: the class that
+    stands for its orbit under permuting the tail."""
+    return u[1] >= u[2] >= u[3]
+
+
+def orbit_of(u):
+    return (u[0],) + tuple(sorted(u[1:], reverse=True))
+
+
+@pytest.mark.parametrize("bound, evaluations", [(2, 8), (3, 32), (4, 85)])
+def test_one_evaluation_per_orbit(monkeypatch, bound, evaluations):
+    """Each orbit of the classes the walk reaches is evaluated once, at its
+    descending tail, in class order."""
     calls = recorded_evaluator(monkeypatch)
     search_unstable(bound, 1)
-    assert len(calls) == len(set(calls)) == evaluations
-    assert set(calls) == {line_class(v) for v in p2lab_reference.walk_directions(bound)}
+    assert calls == [u for u in p2lab._classes(bound) if descending(u)]
+    assert len(calls) == evaluations
+    assert set(calls) == {orbit_of(line_class(v)) for v in p2lab_reference.walk_directions(bound)}
 
 
 @pytest.mark.parametrize("bound, classes", zip(range(1, SEARCH_MAX_GRID_BOUND + 1),
                                                (1, 16, 87, 274, 697, 1414, 2707, 4561)))
-def test_classes_are_the_walks_at_first_appearance(monkeypatch, bound, classes):
+def test_classes_are_the_walks_at_first_appearance(bound, classes):
     """The search's classes are, in order, those the walk of lines meets, each
     at its first appearance, which is the direction (-b, u0 - b, -u2, -u3, -u4)."""
     first = {}
@@ -845,9 +879,102 @@ def test_classes_are_the_walks_at_first_appearance(monkeypatch, bound, classes):
     assert len(first) == classes
     for (u0, u2, u3, u4), v in first.items():
         assert v == (-bound, u0 - bound, -u2, -u3, -u4)
-    calls = recorded_evaluator(monkeypatch)
-    search_unstable(bound, 1)
-    assert calls == list(first)
+    assert list(p2lab._classes(bound)) == list(first)
+
+
+def test_class_order_meets_each_orbit_first_at_its_descending_tail():
+    # The classes of every accepted bound are among those of the largest.
+    seen = set()
+    for u in p2lab._classes(SEARCH_MAX_GRID_BOUND):
+        assert (orbit_of(u) not in seen) == descending(u), u
+        seen.add(orbit_of(u))
+
+
+def test_line_coefficients_are_invariant_on_every_orbit():
+    """(c4, c3) is the same at every permutation of the tail, for every class
+    of every accepted bound (the classes of the largest)."""
+    evaluate = line_evaluator()
+    classes = list(p2lab._classes(SEARCH_MAX_GRID_BOUND))
+    assert len(classes) == 4561
+    for u0, *tail in classes:
+        values = {evaluate(u0, *order) for order in itertools.permutations(tail)}
+        assert values == {evaluate(u0, *tail)}, (u0, tail)
+
+
+def test_ampleness_is_invariant_under_permuting_the_aligned_points():
+    config = PointConfig.four_points_three_aligned()
+    verdicts = []
+    for m in range(0, 14):
+        for a1 in range(0, 7):
+            for tail in itertools.combinations_with_replacement(range(0, 7), 3):
+                ample = p2lab._is_ample(p2lab.FOUR_POINTS_THREE_ALIGNED, m, (a1, *tail))
+                for order in itertools.permutations(tail):
+                    assert ample_check(config, m, (a1, *order)) == ample, (m, a1, order)
+                verdicts.append((ample, len(set(tail))))
+    # Ample and non-ample points, and ample ones with three distinct aligned multiplicities.
+    assert (True, 3) in verdicts and (False, 3) in verdicts and (False, 1) in verdicts
+
+
+def forced_psi(monkeypatch, psi1_extra=None, psi2_extra=None):
+    """Patch _psi so that psi_1 and psi_2 gain the given terms, each a
+    function of the generators; the evaluators are compiled from the result."""
+    config, action = PointConfig.four_points_three_aligned(), DiagAction((2, -1, -1))
+    psi1, psi2 = p2lab._psi(config, action)[0]
+    gens = MPoly.generators(PSI_VARIABLES)
+    if psi1_extra:
+        psi1 = psi1 + psi1_extra(*gens)
+    if psi2_extra:
+        psi2 = psi2 + psi2_extra(*gens)
+    polys = (psi1, psi2)
+    evaluators = tuple(p2lab._compile_int_poly(p) for p in polys)
+    monkeypatch.setattr(p2lab, "_psi", lambda *key: (polys, evaluators))
+
+
+class TestOrbitProofs:
+    """The search reuses an orbit's class work only on symmetries proved
+    where its (c4, c3) evaluator is built, once per process."""
+
+    WHERE = "of four_points_three_aligned under diag(2, -1, -1)"
+
+    def test_proved_once_per_process(self, monkeypatch, cold_line_coefficients):
+        proved = []
+        real = p2lab._require_tail_symmetric
+        monkeypatch.setattr(p2lab, "_require_tail_symmetric",
+                            lambda name, poly: proved.append(name) or real(name, poly))
+        search_unstable(2, 1)
+        assert proved == [f"c4 of psi_1 {self.WHERE}", f"c3 of psi_1 {self.WHERE}",
+                          f"psi_2 {self.WHERE}"]
+        search_unstable(3, 1)
+        assert len(proved) == 3
+
+    def test_asymmetric_line_coefficients_refused(self, monkeypatch, cold_line_coefficients):
+        # (a2 - a3) a2^3 keeps the triple point at B and the quartic form,
+        # and gives c4 a term a2^4 - a2^3 a3 that moves when a2, a3 swap.
+        forced_psi(monkeypatch, psi1_extra=lambda m, a1, a2, a3, a4: (a2 - a3) * a2**3)
+        with pytest.raises(CrossCheckError) as info:
+            search_unstable(1, 1)
+        assert str(info.value).startswith(
+            f"c4 of psi_1 {self.WHERE} is not invariant under permuting (a2, a3, a4): "
+            "under (a2, a3, a4) -> (a2, a4, a3) it is ")
+
+    def test_asymmetric_psi2_refused(self, monkeypatch, cold_line_coefficients):
+        forced_psi(monkeypatch, psi2_extra=lambda m, a1, a2, a3, a4: (a2 - a4) * m**2)
+        with pytest.raises(CrossCheckError) as info:
+            search_unstable(1, 1)
+        assert str(info.value).startswith(
+            f"psi_2 {self.WHERE} is not invariant under permuting (a2, a3, a4): ")
+
+    def test_action_with_two_aligned_data_refused(self, monkeypatch, cold_line_coefficients):
+        phi_nums, q, lams = p2lab._FOUR_POINT_INTEGER_ACTION
+        assert p2lab._integer_action(PointConfig.four_points_three_aligned(),
+                                     DiagAction((2, -1, -1))) == (phi_nums, q, lams)
+        skewed = (phi_nums, q, lams[:3] + (lams[3] + 1,))
+        monkeypatch.setattr(p2lab, "_integer_action", lambda config, action: skewed)
+        with pytest.raises(CrossCheckError) as info:
+            search_unstable(1, 1)
+        assert str(info.value) == (
+            f"the integer action (P, q, lams) = {skewed} {self.WHERE} gives the aligned "
+            "points 2 fixed-point data, not one")
 
 
 @pytest.mark.parametrize("bound", range(1, SEARCH_MAX_GRID_BOUND + 1))
@@ -871,8 +998,8 @@ def candidate_class(candidate):
 def test_forced_open_class_is_evaluated_once_in_class_order(monkeypatch):
     """Forced: at bound 3 the class (4, 1, 1, 1) of (131; 75, 14, 14, 14)
     answers c4 = c3, so c4(v) = (u0 - b) c3 - c4 = 0 on its first direction
-    (-3, 1, -1, -1, -1).  The search still evaluates it once, in class
-    order, and tries no later direction: its point there is -c3*v, whose
+    (-3, 1, -1, -1, -1).  The search still evaluates its orbit, the class
+    alone, once, in class order, and tries no later direction: its point there is -c3*v, whose
     signs are mixed, so it is dropped, and every other candidate keeps its
     place."""
     classes = list(p2lab._classes(3))
@@ -889,7 +1016,7 @@ def test_forced_open_class_is_evaluated_once_in_class_order(monkeypatch):
 
     calls = recorded_evaluator(monkeypatch, forced)
     found = search_unstable(3, 1)
-    assert calls == classes
+    assert calls == [u for u in classes if descending(u)]
     assert found == [c for c in expected if (c.m, c.alphas) != point]
 
 

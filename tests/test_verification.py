@@ -1,7 +1,7 @@
 """The oracle-equivalence sweeps refuse mistyped and negative arguments."""
 import pytest
 
-from chowstab import verification
+from chowstab import blowup, verification
 
 
 class TestCheckBlowupCase:
@@ -16,6 +16,43 @@ class TestCheckBlowupCase:
         weights, points, _ = self.CASE
         with pytest.raises(TypeError, match=f"^m must be an int, got {m!r}$"):
             verification.check_blowup_case(weights, points, m)
+
+    # Bad points were once refused only after a geometry was derived from
+    # them, if at all: a float alpha failed inside fractions.
+    @pytest.mark.parametrize("points, error, message", [
+        (((0, 1.0),), TypeError, r"^points\[0\]\[1\] must be an int, got 1\.0$"),
+        (((True, 1),), TypeError, r"^points\[0\]\[0\] must be an int, got True$"),
+        (((0, 1, 1),), ValueError, r"^points\[0\] must be an \(axis, alpha\) pair"),
+        (((5, 1),), ValueError, "^only the three coordinate points of the plane"),
+        (((0, 1), (0, 1)), ValueError, "^blown points must be distinct$"),
+        (((0, 0),), ValueError, "^multiplicities must be >= 1$"),
+        (((0, -2),), ValueError, "^multiplicities must be >= 1$"),
+        (((0, 2), (1, 1)), ValueError, r"^exactness regime requires m >= sum\(alpha\) = 3$"),
+        ((), ValueError, "^at least one blown point is required$"),
+    ], ids=["float-alpha", "bool-axis", "triple", "axis-5", "repeated-axis", "alpha-0",
+            "alpha-negative", "m-below-sum", "no-point"])
+    def test_points_refused_before_any_geometry(self, points, error, message):
+        weights, _, m = self.CASE
+        before = blowup._geometry_for.cache_info()
+        with pytest.raises(error, match=message):
+            verification.check_blowup_case(weights, points, m)
+        assert blowup._geometry_for.cache_info() == before
+
+    @pytest.mark.parametrize("weights, error, message", [
+        ((1, 0, 0), ValueError, "^weight vector must have trace zero$"),
+        ((1, -1), ValueError, "^weights must have three entries, got 2$"),
+        ((1, -1.0, 0), TypeError, r"^weights\[1\] must be an int, got -1\.0$"),
+    ], ids=["nonzero-trace", "two-entries", "float-weight"])
+    def test_weights_refused_before_any_geometry(self, weights, error, message):
+        _, points, m = self.CASE
+        before = blowup._geometry_for.cache_info()
+        with pytest.raises(error, match=message):
+            verification.check_blowup_case(weights, points, m)
+        assert blowup._geometry_for.cache_info() == before
+
+    def test_points_of_any_sequence_kind(self):
+        weights, _, m = self.CASE
+        assert verification.check_blowup_case(weights, iter([[1, 1], [0, 1]]), 3) is None
 
 
 class TestRunProjbundleSuite:
