@@ -31,11 +31,16 @@ The F_l are all proportional to S, so they vanish simultaneously: exactly
 when every summand has the slope of E.  The generic chi/w pipeline checks
 the closed form on every higher_futaki call.  An independent oracle for
 both polynomials sums the blocks of the symmetric power block by block:
-the coefficient of t^{kr} in the product of one series per summand.
+the coefficient of t^{kr} in the product of one series per summand.  Those
+totals are multilinear in the summands' degrees and weights, so the product
+runs once per (summand ranks in spec order, kr), on unit data, into a
+bounded table (ORACLE_TABLE_CACHE_SIZE keys) that each call contracts with
+its spec's degrees and weights.
 """
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,6 +72,10 @@ UNSTABLE = "unstable_relative"
 # Feasibility guard of the oracle.
 ORACLE_MAX_KR = 60
 ORACLE_MAX_SUMMANDS = 4
+# Block-sum tables of the oracle, one per (summand ranks, kr): the 13 rank
+# tuples of the verification universe and of bundle_sweep, times kr = 1..12,
+# bound the keys they use at 156 (117 occur: kr = 7, 9, 11 never do).
+ORACLE_TABLE_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -331,19 +340,19 @@ def _symmetric_power_table(rank: int) -> tuple[tuple[int, int], ...]:
                  for mu in range(ORACLE_MAX_KR + 1))
 
 
-def _summand_series(summand: Summand, kr: int) -> list[tuple[int, int, int, int]]:
-    """sum_mu [S^mu E_j*] t^mu for mu = 0..kr, over Z[eps, delta]/(eps^2, delta^2).
+def _summand_series(rank: int, degree: int, weight: int, kr: int) -> list[tuple[int, int, int, int]]:
+    """sum_mu [S^mu F*] t^mu for mu = 0..kr, over Z[eps, delta]/(eps^2, delta^2),
+    for a summand F of the given rank, degree and fiberwise weight.
 
-    The coefficient of t^mu is (rank + deg*eps)(1 + mu*lambda_j*delta) for
-    the rank and degree of S^mu E_j*, stored by the basis 1, eps, delta,
+    The coefficient of t^mu is (rank + deg*eps)(1 + mu*weight*delta) for
+    the rank and degree of S^mu F*, stored by the basis 1, eps, delta,
     eps*delta.
     """
-    degree, weight = summand.degree, summand.weight
     series = []
-    for mu, (rank, unit) in enumerate(_symmetric_power_table(summand.rank)[:kr + 1]):
+    for mu, (sym_rank, unit) in enumerate(_symmetric_power_table(rank)[:kr + 1]):
         deg = -unit * degree
         lam = mu * weight
-        series.append((rank, deg, lam * rank, lam * deg))
+        series.append((sym_rank, deg, lam * sym_rank, lam * deg))
     return series
 
 
@@ -358,6 +367,39 @@ def _product_coefficient(a, b, t: int) -> tuple[int, int, int, int]:
     return c0, c1, c2, c3
 
 
+def _top_coefficient(series: list, kr: int) -> tuple[int, int, int, int]:
+    """The t^kr coefficient of the product of the given series."""
+    product = series[0]
+    for factor in series[1:-1]:
+        product = [_product_coefficient(product, factor, t) for t in range(kr + 1)]
+    return product[kr] if len(series) == 1 else _product_coefficient(product, series[-1], kr)
+
+
+@lru_cache(maxsize=ORACLE_TABLE_CACHE_SIZE)
+def _block_sums(ranks: tuple[int, ...], kr: int):
+    """The blocks' totals of S^{kr}(E_1 + ... + E_s)* for summands of these
+    ranks, in this order, as (R, A, B, X) with A, B indexed by summand and X
+    by pairs: for degrees d_i and weights lambda_j the totals are the rank R,
+    the degree sum_i d_i A_i, the weighted rank sum_j lambda_j B_j and the
+    weighted degree sum_{i,j} d_i lambda_j X_ij.
+
+    The rank of a block is free of the degrees and weights, its degree is
+    linear in the d_i, its weight factor sum mu_j lambda_j is linear in the
+    lambda_j, and their product is bilinear; so the series product run on
+    unit data, degree 1 on E_i and weight 1 on E_j alone, gives R, A_i, B_j
+    and X_ij at once, over the s^2 pairs (i, j).
+    """
+    s = len(ranks)
+    degree_part, weight_part = [0] * s, [0] * s
+    cross = [[0] * s for _ in range(s)]
+    for i in range(s):
+        for j in range(s):
+            series = [_summand_series(rank, int(h == i), int(h == j), kr)
+                      for h, rank in enumerate(ranks)]
+            rank, degree_part[i], weight_part[j], cross[i][j] = _top_coefficient(series, kr)
+    return rank, tuple(degree_part), tuple(weight_part), tuple(map(tuple, cross))
+
+
 def oracle(spec: CurveBundleSpec, k: int) -> tuple[int, int]:
     """Brute-force (dim, weight) of the space of sections at tensor power k.
 
@@ -367,27 +409,33 @@ def oracle(spec: CurveBundleSpec, k: int) -> tuple[int, int]:
     t^{kr} in the product of the per-summand series of _summand_series is
     the blocks' total rank, total degree, and both weighted by
     sum mu_j lambda_j: eps carries the degree of a tensor product and delta
-    its weight.  Riemann-Roch on the curve and the weight are linear in the
-    blocks, so they apply once to these totals.  Exact integer arithmetic
-    throughout, and no use of the closed form; the results must match
-    euler_char_poly and weight_poly at k.
+    its weight.  Those totals are multilinear in the summands' degrees and
+    weights, so _block_sums computes their coefficients once per (ranks in
+    spec order, kr), on unit data, and this call contracts them with the
+    spec's degrees and weights.  Riemann-Roch on the curve and the weight
+    are linear in the blocks, so they apply once to the totals.  Exact
+    integer arithmetic throughout, and no use of the closed form nor of any
+    derived number of the spec; the results must match euler_char_poly and
+    weight_poly at k.
     """
     _require_spec(spec)
     _require_ints(k=k)
     if k < 1:
         raise ValueError("k must be >= 1")
     kr = k * spec.r
-    s = len(spec.summands)
+    summands = spec.summands
+    s = len(summands)
     if kr > ORACLE_MAX_KR or s > ORACLE_MAX_SUMMANDS:
         raise ResourceLimitError(
             f"oracle guard exceeded: kr={kr} (max {ORACLE_MAX_KR}), "
             f"s={s} (max {ORACLE_MAX_SUMMANDS})")
-    series = [_summand_series(summand, kr) for summand in spec.summands]
-    product = series[0]
-    for factor in series[1:-1]:
-        product = [_product_coefficient(product, factor, t) for t in range(kr + 1)]
-    rank, deg, weighted_rank, weighted_deg = (
-        product[kr] if s == 1 else _product_coefficient(product, series[-1], kr))
+    rank, degree_part, weight_part, cross = _block_sums(tuple([x.rank for x in summands]), kr)
+    weights = [x.weight for x in summands]
+    deg = weighted_rank = weighted_deg = 0
+    for summand, a, b, row in zip(summands, degree_part, weight_part, cross):
+        deg += summand.degree * a
+        weighted_rank += summand.weight * b
+        weighted_deg += summand.degree * sum(map(operator.mul, weights, row))
     curve = k * spec.b_deg + 1 - spec.genus      # chi(V x B^k) = deg V + rank V * curve
     dim = rank * curve + deg
     return dim, k * spec.b_weight * dim - (weighted_rank * curve + weighted_deg)

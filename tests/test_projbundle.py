@@ -156,6 +156,32 @@ class TestOracle:
             oracle(CurveBundleSpec(genus=2, summands=(Summand(rank, 1, 1),), b_deg=1), 1)
         assert projbundle._symmetric_power_table.cache_info().currsize == size
 
+    def test_block_sum_cache_is_bounded(self):
+        size = projbundle._block_sums.cache_info().maxsize
+        assert size == projbundle.ORACLE_TABLE_CACHE_SIZE
+        # 17 x 17 rank pairs at kr = 1: more keys than the bound, each cheap.
+        for ranks in itertools.product(range(1, 18), repeat=2):
+            summands = tuple(Summand(rank, 1, -1) for rank in ranks)
+            oracle(CurveBundleSpec(genus=2, summands=summands, b_deg=1), 1)
+        assert projbundle._block_sums.cache_info().currsize == size
+
+    @pytest.mark.parametrize("error, call", [
+        (TypeError, lambda: oracle(None, 1)),
+        (ValueError, lambda: oracle(trivial_rank2(), 0)),
+        (TypeError, lambda: oracle(trivial_rank2(), 1.0)),
+        (ResourceLimitError, lambda: oracle(
+            CurveBundleSpec(genus=2, summands=(Summand(2, 0, 0),), b_deg=1, r=7), 9)),
+        (ResourceLimitError, lambda: oracle(
+            CurveBundleSpec(genus=2, summands=(Summand(1, 0, 0),) * 5, b_deg=1), 1)),
+    ], ids=["non-spec", "k=0", "k=1.0", "kr>60", "5 summands"])
+    def test_refusals_leave_the_table_caches_unchanged(self, error, call):
+        before = (projbundle._block_sums.cache_info(),
+                  projbundle._symmetric_power_table.cache_info())
+        with pytest.raises(error):
+            call()
+        assert (projbundle._block_sums.cache_info(),
+                projbundle._symmetric_power_table.cache_info()) == before
+
 
 class TestChowWeight:
     def test_single_summand_is_zero(self):

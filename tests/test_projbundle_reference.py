@@ -1,10 +1,11 @@
-"""The bundle oracle, a product of per-summand series, against the
-composition walk that it replaced (tests/projbundle_reference.py)."""
+"""The bundle oracle, its block sums tabled per (ranks, kr) and contracted
+with each spec's degrees and weights, against the composition walk that it
+replaced (tests/projbundle_reference.py)."""
 import itertools
 
 import pytest
 
-from chowstab import verification
+from chowstab import projbundle, verification
 from chowstab.errors import ResourceLimitError
 from chowstab.projbundle import ORACLE_MAX_KR, ORACLE_MAX_SUMMANDS, CurveBundleSpec, Summand, oracle
 from projbundle_reference import composition_oracle
@@ -40,3 +41,38 @@ def test_matches_the_walk_at_the_guard_edge():
     assert oracle(spec, k) == composition_oracle(spec, k)
     with pytest.raises(ResourceLimitError):
         oracle(spec, k + 1)
+
+
+@pytest.mark.parametrize("s", range(2, ORACLE_MAX_SUMMANDS + 1))
+def test_matches_the_walk_in_every_summand_order(s):
+    # The tables are keyed by the ranks in spec order; a table keyed by
+    # sorted ranks but contracted in spec order fails here.
+    for summands in itertools.permutations(SUMMANDS, s):
+        for r in (1, 2, 3):
+            spec = CurveBundleSpec(genus=2, summands=summands, b_deg=3, b_weight=2, r=r)
+            for k in (1, 2, 5):
+                assert oracle(spec, k) == composition_oracle(spec, k), (spec, k)
+
+
+def test_specs_with_the_same_ranks_share_the_tables():
+    projbundle._block_sums.cache_clear()
+    first = CurveBundleSpec(genus=2, summands=SUMMANDS[:3], b_deg=4, b_weight=1)
+    second = CurveBundleSpec(genus=3, summands=(Summand(2, -5, 4), Summand(1, 2, -3),
+                                                Summand(3, 0, 1)), b_deg=-1, b_weight=-2)
+    for spec, misses, hits in ((first, 6, 0), (second, 6, 6)):
+        for k in range(1, 7):
+            assert oracle(spec, k) == composition_oracle(spec, k), (spec, k)
+        info = projbundle._block_sums.cache_info()
+        assert (info.misses, info.hits) == (misses, hits)
+
+
+def test_reads_no_derived_number_of_the_spec(monkeypatch):
+    def refuse(spec):
+        raise AssertionError(f"the oracle derived the numbers of {spec}")
+
+    monkeypatch.setattr(projbundle, "_derive", refuse)
+    spec = CurveBundleSpec(genus=4, summands=SUMMANDS, b_deg=2, b_weight=-1, r=2)
+    for k in range(1, 7):
+        assert oracle(spec, k) == composition_oracle(spec, k), (spec, k)
+    with pytest.raises(AssertionError, match="derived the numbers"):
+        spec.chi
