@@ -30,6 +30,8 @@ _f_g_levels, runs them at x_j = alpha_j with the base coefficients scaled
 by powers of m, which clears the denominator D^2 m^{l-1}: on integers for
 a geometry, on polynomial generators (m, alpha_j) for p2lab's vanishing
 loci; d_f_g evaluates the same per-level terms at the polynomial variable.
+The base's chi is integer-valued (BaseSummary refuses any other), so its
+n! a_l are integers and every geometry is derived on integers alone.
 
 Everything but the action data (phi, lambda) is fixed by the geometry
 (base, m, alphas): chi~ and its HilbertData, D, and, since w~ and the
@@ -113,7 +115,10 @@ class BaseSummary:
     """Hilbert coefficients of the base polarization, plus the certification
     that the base is asymptotically Chow polystable (which this module
     cannot verify and does not try to).  Its hash, the dataclass's, is taken
-    once, at construction, for the _geometry_for lookups, and not pickled."""
+    once, at construction, for the _geometry_for lookups, and not pickled.
+    chi(k) = sum_l a_l k^{n-l} must be integer-valued, as a Hilbert
+    polynomial is, so that every n! a_l is an integer: after the other
+    checks, ValueError names the first j in 0..n with chi(j) no integer."""
 
     n: int
     a: tuple[Fraction, ...]
@@ -131,6 +136,12 @@ class BaseSummary:
             raise ValueError(f"expected {self.n + 1} Hilbert coefficients")
         if self.a[0] <= 0:
             raise ValueError("leading Hilbert coefficient must be positive")
+        # Integer at n + 1 consecutive integers means integer-valued.
+        for j in range(self.n + 1):
+            value = sum(c * j ** (self.n - ell) for ell, c in enumerate(self.a))
+            if value.denominator != 1:
+                raise ValueError(
+                    f"the Hilbert polynomial must be integer-valued: chi({j}) = {value}")
         self.__dict__["_hash"] = hash((self.n, self.a, self.polystable_certified))
 
     def __hash__(self):
@@ -246,30 +257,10 @@ def _require_spec(spec) -> None:
         raise TypeError(f"spec must be a BlowupSpec, got {spec!r}")
 
 
-def _apply_columns(columns, phis, lams) -> list:
-    """sum_j (c_j phi_j + d_j lam_j) for each column pair (c, d) of a linear map, over any ring."""
-    return [sum(map(operator.mul, phi_col, phis), Fraction(0))
-            + sum(map(operator.mul, lam_col, lams), Fraction(0))
-            for phi_col, lam_col in columns]
-
-
-def _over_one_denominator(columns, scale) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], int]:
-    """Column pairs (c, d) of ints or Fractions, each divided by the positive
-    rational ``scale``, as integer pairs (c * den / scale, d * den / scale)
-    and den: the least common denominator of the entries times the
-    numerator of scale; int entries over an int scale come back as they are."""
-    if type(scale) is int and all(type(v) is int for pair in columns for col in pair for v in col):
-        return tuple(tuple(map(tuple, pair)) for pair in columns), scale
-    scale = Fraction(scale)
-    den = math.lcm(*(v.denominator for pair in columns for column in pair for v in column))
-    top = scale.denominator
-    return tuple(tuple(tuple(v.numerator * (den // v.denominator) * top for v in column)
-                       for column in pair) for pair in columns), den * scale.numerator
-
-
-def _integer_dot(pair, phi_nums, q, lams) -> int:
-    """q * (c . phi + d . lam) for an integer column pair (c, d) and
-    phi = phi_nums / q: over q * den, the value of the Fraction pair (c, d) / den."""
+def _integer_dot(pair, phi_nums, q, lams):
+    """q * (c . phi + d . lam) for a column pair (c, d) and phi = phi_nums / q:
+    over q * den, the value of the pair (c, d) / den.  Integer columns give
+    an int; p2lab's psi runs it on polynomial columns at q = 1."""
     phi_col, lam_col = pair
     return sum(map(operator.mul, phi_col, phi_nums)) + q * sum(map(operator.mul, lam_col, lams))
 
@@ -277,40 +268,36 @@ def _integer_dot(pair, phi_nums, q, lams) -> int:
 class _Geometry:
     """What a blowup's action does not change, derived once per (base, m, alphas).
 
-    Holds the key (base, m, alphas), D, the per-level terms of f_l, g_l,
-    chi~ and, for a polarization (D > 0), its HilbertData, whose Poly is
-    chi~, formed as integer numerators n! chi~ over n! (_scaled_chi_tilde).
-    w~ and the point sums F_l are linear in the action data (phi, lambda).
-    Their coefficient columns are kept as integer numerators: one pair per
-    coefficient of w~, from _w_tilde_columns, over one denominator, and one
-    pair per F_l, the columns of (n+1) F_l (m^n D)^2 from _f_g_levels
-    divided by (n+1) (m^n D)^2, over another.  An action (phi, lambda), its
-    phi brought to their least common denominator once (_integer_action),
-    then costs one integer dot product per coefficient;
-    checked_futaki_parts runs both derivations of the F_l that way and
-    compares them (_check_point_sums, which chow_blowup also uses).
+    Holds the key (base, m, alphas), D, chi~ and, for a polarization
+    (D > 0), its HilbertData, whose Poly is chi~, formed as integer
+    numerators n! chi~ over n! (_scaled_chi_tilde).  w~ and the point sums
+    F_l are linear in the action data (phi, lambda).  Their coefficient
+    columns are kept as integer numerators: one pair per coefficient of w~,
+    from _w_tilde_columns, over (n+1)!, and one pair per F_l, the columns
+    of (n+1) F_l (m^n D)^2 from _f_g_levels, over (n+1) (m^n D)^2.  An
+    action (phi, lambda), its phi brought to their least common denominator
+    once (_integer_action), then costs one integer dot product per
+    coefficient; checked_futaki_parts runs both derivations of the F_l that
+    way and compares them (_check_point_sums, which chow_blowup also uses).
     """
 
-    __slots__ = ("base", "m", "alphas", "volume_gap", "levels", "chi", "hilbert",
+    __slots__ = ("base", "m", "alphas", "volume_gap", "chi", "hilbert",
                  "_w_columns", "_futaki_columns")
 
     def __init__(self, base: BaseSummary, m: int, alphas: tuple[int, ...]):
         n = base.n
         self.base, self.m, self.alphas = base, m, alphas
-        d_int, levels, columns = _f_g_levels(base, m, alphas)
+        d_int, _, columns = _f_g_levels(base, m, alphas)
         self.volume_gap = Fraction(d_int, m**n)
-        self.levels = [(ell, Fraction(d_lo, m**n), Fraction(d_hi, m**n),
-                        Fraction(second, m ** (n - ell))) for ell, d_lo, d_hi, second in levels]
         self.chi = Poly(_scaled_chi_tilde(n, base.a, m, alphas)[::-1]) / math.factorial(n)
-        self._w_columns = _over_one_denominator(_w_tilde_columns(n, m, alphas),
-                                                math.factorial(n + 1))
+        self._w_columns = _w_tilde_columns(n, m, alphas), math.factorial(n + 1)
         # D <= 0 is no polarization (BlowupSpec refuses it); only the
         # counting identity, chi~ and w~, is defined there.
         if self.volume_gap <= 0:
             self.hilbert = self._futaki_columns = None
         else:
             self.hilbert = chowcore.HilbertData.from_poly(self.chi, n)
-            self._futaki_columns = _over_one_denominator(columns, (n + 1) * d_int**2)
+            self._futaki_columns = columns, (n + 1) * d_int**2
 
     @staticmethod
     def _integer_action(phis, lams) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
@@ -378,25 +365,20 @@ def _geometry_for(base: BaseSummary, m: int, alphas: tuple[int, ...]) -> _Geomet
     return _Geometry(base, m, alphas)
 
 
-def _whole(value: Fraction):
-    """value as an int when it is one, else the Fraction itself."""
-    return value.numerator if value.denominator == 1 else value
-
-
 def _alpha_power_sum(alphas, power: int) -> int:
     return sum(a**power for a in alphas)
 
 
 def _scaled_chi_tilde(n: int, a, m, alphas) -> list:
     """n! times the descending coefficients of chi~(k),
-    n! a_l m^{n-l} - s_{n-l} sum_j alpha_j^{n-l}: integers whenever the
-    base's n! a_l are (otherwise Fractions), and polynomials when m and the
-    alpha_j are polynomial generators.  The same n! a_l m^{n-l} enter
+    n! a_l m^{n-l} - s_{n-l} sum_j alpha_j^{n-l}: integers, since the
+    base's n! a_l are, and polynomials when m and the alpha_j are
+    polynomial generators.  The same n! a_l m^{n-l} enter
     _f_g_levels, but this transcription stays apart from it, since
     futaki_blowup compares the two."""
     s = stirling_coeffs(n)
     fact = math.factorial(n)
-    return [_whole(fact * Fraction(a[ell])) * m ** (n - ell)
+    return [(fact * a[ell]).numerator * m ** (n - ell)
             - s[n - ell] * _alpha_power_sum(alphas, n - ell)
             for ell in range(n + 1)]
 
@@ -460,14 +442,13 @@ def _f_g_levels(base: BaseSummary, m, alphas):
     n - l).  Run at x_j = alpha_j and n! a_l m^{n-l}, it gives m^n D, the
     level terms (l, D s_{n-l}, D s_{n+1-l}, n! a_l - s_{n-l} sum_i x_i^{n-l})
     scaled by m^n, m^n and m^{n-l}, and f_l and (n+1) g_l scaled by
-    m^{2n-l} and m^{2n+1-l}, which clears D^2 m^{l-1}: integers whenever
-    the base's n! a_l are, as on projective space (otherwise Fractions),
-    and polynomials on generators.
+    m^{2n-l} and m^{2n+1-l}, which clears D^2 m^{l-1}: integers, since
+    the base's n! a_l are, and polynomials on generators.
     """
     n = base.n
     s = stirling_coeffs(n) + [0]       # s_{n+1} = 0
     fact = math.factorial(n)
-    fact_a = [_whole(fact * c) * m ** (n - ell) for ell, c in enumerate(base.a)]
+    fact_a = [(fact * c).numerator * m ** (n - ell) for ell, c in enumerate(base.a)]
 
     def power_sum(p):
         return sum((x**p for x in alphas[1:]), alphas[0] ** p)
@@ -493,13 +474,17 @@ def _f_g(n: int, level, x):
 
 def d_f_g(spec: BlowupSpec, ell: int) -> tuple[Fraction, Poly, Poly]:
     """The volume gap D (spec.volume_gap) and the one-variable polynomials
-    f_l, g_l from the per-level terms that the spec's geometry holds."""
+    f_l, g_l, from the per-level terms of _f_g_levels, rerun on demand on
+    integers and divided by their powers of m."""
     _require_spec(spec)
     _require_ints(ell=ell)
     n = spec.base.n
     if not 1 <= ell <= n:
         raise ValueError(f"l must be in 1..{n}")
-    f, g = _f_g(n, spec._geometry.levels[ell - 1], Poly((0, 1)))
+    m = spec.m
+    _, d_lo, d_hi, second = _f_g_levels(spec.base, m, spec.alphas)[1][ell - 1]
+    level = (ell, Fraction(d_lo, m**n), Fraction(d_hi, m**n), Fraction(second, m ** (n - ell)))
+    f, g = _f_g(n, level, Poly((0, 1)))
     return spec.volume_gap, f, g / (n + 1)
 
 

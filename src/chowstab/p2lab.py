@@ -209,8 +209,9 @@ def _psi(config: PointConfig, action: DiagAction):
     """(psi_1, psi_2) of (config, action), each proved homogeneous of degree
     2n + 1 - l and equal to F_l * deg^2 as a polynomial, and their compiled
     integer evaluators."""
-    data = [fixed_point_data(action, b) for b in config.blocks]
-    phis, lams = zip(*data)
+    # fixed_point_data gives integer phi, so q = 1.
+    phi_nums, q, lams = blowup._Geometry._integer_action(
+        *zip(*(fixed_point_data(action, block) for block in config.blocks)))
     base = _PLANE
     n = base.n
     variables = ("m",) + tuple(f"a{j}" for j in range(1, len(config.blocks) + 1))
@@ -219,10 +220,12 @@ def _psi(config: PointConfig, action: DiagAction):
     # polynomial by the weighted homogeneity of their transcription.  So
     # does the pipeline on the integer transcriptions A = n! chi~ and
     # B = (n+1)! w~: deg = A_0, so A_0 B_l - B_0 A_l = (n+1) F_l deg^2.
-    sums = blowup._apply_columns(blowup._f_g_levels(base, m, alphas)[2], phis, lams)
+    sums = [blowup._integer_dot(pair, phi_nums, q, lams)
+            for pair in blowup._f_g_levels(base, m, alphas)[2]]
     pipeline = chowcore._futaki_numerators(
         blowup._scaled_chi_tilde(n, base.a, m, alphas),
-        blowup._apply_columns(blowup._w_tilde_columns(n, m, alphas), phis, lams))
+        [blowup._integer_dot(pair, phi_nums, q, lams)
+         for pair in blowup._w_tilde_columns(n, m, alphas)])
     unit = Fraction(1, n + 1)
     polys = []
     for ell, (total, expected) in enumerate(zip(sums, pipeline), start=1):

@@ -96,7 +96,7 @@ class FractionGeometry:
         n = base.n
         self.n, self.a, self.m, self.alphas = n, base.a, m, tuple(alphas)
         self.ratios = tuple(Fraction(alpha, m) for alpha in alphas)
-        self.volume_gap, self.levels = levels(n, base.a, self.ratios)
+        self.volume_gap = levels(n, base.a, self.ratios)[0]
         chi = chi_tilde_coeffs(n, base.a, m, alphas)
         self.chi = Poly.from_descending(chi)
         self.hilbert = chowcore.HilbertData(n, chi) if self.volume_gap > 0 else None

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowstab import blowup, chowcore, cli, p2lab, verification
 from chowstab.blowup import (
@@ -186,11 +188,14 @@ def library_derivation(spec) -> dict:
             "futaki": futaki_blowup(spec), "chow": (chow.num, chow.den)}
 
 
+# chi(k) = k^2 + k + 3: integer-valued, of degree 2.
+DEGREE_TWO_BASE = BaseSummary(n=2, a=(1, 1, 3))
+
+
 def two_bases_one_geometry():
     """One geometry and action over P^2 and over a degree-2 base."""
     points = (BlownPoint(1, Fraction(2), -6), BlownPoint(2, Fraction(-1, 3), 3))
-    degree_two = BaseSummary(n=2, a=(1, Fraction(1, 2), 3))
-    return [BlowupSpec(base=base, points=points, m=3) for base in (P2, degree_two)]
+    return [BlowupSpec(base=base, points=points, m=3) for base in (P2, DEGREE_TWO_BASE)]
 
 
 class TestGeometryCache:
@@ -239,17 +244,15 @@ class TestGeometryCache:
         assert (info.misses, info.hits) == (45, 3885 - 45)
 
 
-# n! a_l = 2/3, 2/5, 4/7: the geometry's integer run falls back to Fractions.
-NON_INTEGRAL_BASE = BaseSummary(n=2, a=(Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)))
-
-
 def geometry_universe():
     """(base, m, alphas) of every REFERENCE_SPECS geometry, of every
-    candidate of search_unstable(4, 3), of a base whose n! a_l are not
-    integers, and of geometries with D <= 0."""
+    candidate of search_unstable(4, 3), of two more plane bases, of
+    degrees 2 and 1, and of geometries with D <= 0."""
     keys = {(spec.base, spec.m, spec.alphas): None for spec in REFERENCE_SPECS}
     keys.update(((P2, c.m, c.alphas), None) for c in p2lab.search_unstable(4, 3))
-    for base in (P2, projective_space_base(3), NON_INTEGRAL_BASE):
+    # chi(k) = binom(k + 1, 2) + 1: degree 1, as on P^2, so D <= 0 as often.
+    degree_one = BaseSummary(n=2, a=(Fraction(1, 2), Fraction(1, 2), 1))
+    for base in (P2, projective_space_base(3), DEGREE_TWO_BASE, degree_one):
         for m in range(1, 6):
             for alphas in ((1,), (m,), (2, 1), (1, 1, 1, 1), (3, 2, 2)):
                 keys[(base, m, alphas)] = None
@@ -258,7 +261,7 @@ def geometry_universe():
 
 def exact_fields(geometry) -> tuple:
     return tuple(pickle.dumps(getattr(geometry, name))
-                 for name in ("volume_gap", "levels", "chi", "hilbert"))
+                 for name in ("volume_gap", "chi", "hilbert"))
 
 
 class TestIntegerColumns:
@@ -282,12 +285,11 @@ class TestIntegerColumns:
 
     def test_universe_reaches_every_branch(self):
         geometries = [blowup._Geometry(*key) for key in geometry_universe()]
-        assert len(geometries) == 348
+        assert len(geometries) == 372
         assert any(g.volume_gap == 0 for g in geometries)
         assert sum(g.volume_gap < 0 for g in geometries) > 20
-        assert any(base is NON_INTEGRAL_BASE and g.volume_gap > 0
+        assert any(base is DEGREE_TWO_BASE and g.volume_gap > 0
                    for (base, _, _), g in zip(geometry_universe(), geometries))
-        assert any(math.factorial(2) * c % 1 for c in NON_INTEGRAL_BASE.a)
 
     def test_integer_geometry_matches_fraction_geometry(self):
         for base, m, alphas in geometry_universe():
@@ -304,15 +306,17 @@ class TestIntegerColumns:
                     assert blowup_reference.point_sum_futaki(got, action) \
                         == list(want.point_sum_futaki(phis, lams))
 
-    def test_int_columns_over_one_denominator(self):
-        # Int columns over an int scale are returned as they are, den = scale:
-        # what the Fraction route gives on the same values.
-        int_columns = blowup._w_tilde_columns(2, 131, (75, 14, 14, 14))
-        as_fractions = [tuple(tuple(map(Fraction, column)) for column in pair)
-                        for pair in int_columns]
-        got = blowup._over_one_denominator(int_columns, 6)
-        assert got[1] == 6
-        assert pickle.dumps(got) == pickle.dumps(blowup._over_one_denominator(as_fractions, 6))
+    def test_columns_hold_only_ints(self):
+        # An integer-valued base makes every column entry and denominator an
+        # int: no geometry carries a Fraction into the dot products.
+        for key in geometry_universe():
+            geometry = blowup._Geometry(*key)
+            for columns in (geometry._w_columns, geometry._futaki_columns):
+                if columns is None:         # D <= 0: no point sums
+                    continue
+                pairs, den = columns
+                assert type(den) is int and den > 0, key
+                assert all(type(v) is int for pair in pairs for column in pair for v in column), key
 
     def test_action_over_the_least_common_denominator(self):
         phis = (Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6), Fraction(4))
@@ -616,7 +620,7 @@ class TestBase:
             projective_space_base(n)
 
     @pytest.mark.parametrize("base", [
-        P2, NON_INTEGRAL_BASE, BaseSummary(n=3, a=(1, 2, 3, 4), polystable_certified=False)])
+        P2, DEGREE_TWO_BASE, BaseSummary(n=3, a=(1, 2, 3, 4), polystable_certified=False)])
     def test_hash_equality_repr_and_pickle_are_the_dataclass_ones(self, base):
         """The hash is taken once, at construction, as the dataclass's
         hash((n, a, polystable_certified)); equality, repr and the pickled
@@ -652,6 +656,81 @@ class TestBase:
         shaky = BaseSummary(n=2, a=P2.a, polystable_certified=False)
         with pytest.raises(ValueError):
             BlowupSpec(base=shaky, points=(BlownPoint(1, Fraction(0), 0),), m=2)
+
+
+# (coefficients, the first chi(j) that is no integer) of bases that are
+# refused: chi(k) = sum_l a_l k^{n-l} is no Hilbert polynomial.
+NOT_INTEGER_VALUED = [
+    ((Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)), "chi(0) = 2/7"),   # 2! a_l = 2/3, 2/5, 4/7
+    ((1, Fraction(1, 2), 3), "chi(1) = 9/2"),
+]
+
+
+def binomial_basis_chi(c) -> Poly:
+    """sum_i c_i binom(k, i) as a polynomial in k."""
+    chi, falling = Poly.zero(), Poly.one()
+    for i, coeff in enumerate(c):
+        chi = chi + falling * Fraction(coeff, math.factorial(i))
+        falling = falling * Poly((-i, 1))
+    return chi
+
+
+def base_of(chi: Poly, n: int) -> BaseSummary:
+    return BaseSummary(n=n, a=tuple(chi.coefficient(n - ell) for ell in range(n + 1)))
+
+
+class TestIntegerValuedBase:
+    """A base is taken only with an integer-valued chi, so that every n! a_l
+    is an integer and the blowup geometry runs on integers alone."""
+
+    @pytest.mark.parametrize("a, first", NOT_INTEGER_VALUED, ids=["two-sevenths", "nine-halves"])
+    def test_refused(self, a, first):
+        message = f"the Hilbert polynomial must be integer-valued: {first}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BaseSummary(n=2, a=a)
+
+    @pytest.mark.parametrize("a, first", NOT_INTEGER_VALUED, ids=["two-sevenths", "nine-halves"])
+    def test_unpickling_refused_state_raises(self, a, first):
+        # A pickle written with the refused state, bypassing the constructor:
+        # loading it runs __setstate__, which reruns every check.
+        forged = object.__new__(BaseSummary)
+        forged.__dict__.update(n=2, a=tuple(map(Fraction, a)), polystable_certified=True)
+        blob = pickle.dumps(forged)
+        with pytest.raises(ValueError, match=re.escape(first)):
+            pickle.loads(blob)
+
+    def test_earlier_checks_come_first(self):
+        with pytest.raises(ValueError, match="^expected 3 Hilbert coefficients$"):
+            BaseSummary(n=2, a=(Fraction(1, 3), Fraction(1, 5)))
+        with pytest.raises(ValueError, match="^leading Hilbert coefficient must be positive$"):
+            BaseSummary(n=2, a=(Fraction(-1, 3), Fraction(1, 5), Fraction(2, 7)))
+
+    def test_accepted(self):
+        bases = [projective_space_base(n) for n in range(2, 7)]
+        bases += [BaseSummary(n=2, a=(1, 1, 1)), BaseSummary(n=3, a=(1, 2, 3, 4))]
+        for base in bases:
+            assert all((math.factorial(base.n) * c).denominator == 1 for c in base.a), base
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-50, 50), min_size=n, max_size=n), st.integers(1, 50))),
+        st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_binomial_basis(self, coefficients, data):
+        """sum_i c_i binom(k, i) with integer c_i (c_n > 0) is accepted;
+        adding r binom(k, i) with r no integer makes chi(i) the first value
+        that is no integer, and the base is refused naming it."""
+        lower, top = coefficients
+        c = lower + [top]
+        n = len(lower)
+        chi = binomial_basis_chi(c)
+        base = base_of(chi, n)
+        assert all((math.factorial(n) * a).denominator == 1 for a in base.a)
+        i = data.draw(st.integers(0, n), label="i")
+        d = data.draw(st.integers(2, 12), label="d")
+        r = Fraction(data.draw(st.integers(1, d - 1), label="p"), d) * data.draw(st.sampled_from((1, -1)))
+        bumped = chi + binomial_basis_chi([0] * i + [r])     # a_0 stays positive: top >= 1 > |r|
+        with pytest.raises(ValueError, match=re.escape(f": chi({i}) = {bumped.evaluate(i)}") + "$"):
+            base_of(bumped, n)
 
 
 class TestChiTilde:
@@ -865,17 +944,15 @@ class TestFractionReferences:
     """adiabatic and chowcore.chow_weight_fn, now on integer numerators,
     against the Fraction forms they replaced, bit for bit: the
     criterion-5 universe, the seeded blowups of P^3, phi over mixed
-    denominators, the spec of configs/blowup_rational_phi.json, and bases
-    of degree 2 and 2/3."""
+    denominators, the spec of configs/blowup_rational_phi.json, and a base
+    of degree 2."""
 
     SPECS = (REFERENCE_SPECS + rational_phi_specs() + [rational_phi_config_spec()]
-             + two_bases_one_geometry()
-             + [BlowupSpec(base=NON_INTEGRAL_BASE, points=spec.points[:1], m=spec.m)
-                for spec in rational_phi_specs() if spec.base.n == 2])
+             + two_bases_one_geometry())
 
     def test_universe(self):
-        assert len(self.SPECS) == 3552 + 60 + 24 + 1 + 2 + 12
-        assert {spec.base.degree for spec in self.SPECS} == {1, 2, Fraction(2, 3)}
+        assert len(self.SPECS) == 3552 + 60 + 24 + 1 + 2
+        assert {spec.base.degree for spec in self.SPECS} == {1, 2}
         assert sum(len({p.phi.denominator for p in spec.points}) > 1 for spec in self.SPECS) > 20
 
     def test_adiabatic(self):

@@ -270,6 +270,15 @@ class TestBlowup:
         code, _, err = run_cli(capsys, "blowup", "--config", str(bad))
         assert code == 1 and "exceptional volume" in err
 
+    def test_base_that_is_no_hilbert_polynomial_is_input_error(self, tmp_path, capsys):
+        config = json.loads((CONFIGS / "blowup_p2_four_aligned.json").read_text())
+        config["base"]["a"] = ["1/3", "1/5", "2/7"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "blowup", "--config", str(bad))
+        assert (code, out) == (1, "")
+        assert err == "error: the Hilbert polynomial must be integer-valued: chi(0) = 2/7\n"
+
     @pytest.mark.parametrize("value", ["no", "true", 0, 1, None])
     def test_polystable_flag_must_be_json_bool(self, tmp_path, capsys, value):
         config = json.loads((CONFIGS / "blowup_p2_four_aligned.json").read_text())

@@ -217,13 +217,14 @@ class TestPsiReconstruct:
         config = PointConfig.four_points_three_aligned()
         action = DiagAction((2, -1, -1))
         data = [fixed_point_data(action, b) for b in config.blocks]
+        assert all(phi.denominator == 1 for phi, _ in data)        # so q = 1
         m, *alphas = MPoly.generators(PSI_VARIABLES)
         columns = blowup._f_g_levels(blowup.projective_space_base(2), m, alphas)[2]
 
         def build(phi_sign, lam_sign):
-            phis = [phi_sign * phi for phi, _ in data]
+            phi_nums = [phi_sign * phi.numerator for phi, _ in data]
             lams = [lam_sign * lam for _, lam in data]
-            return Fraction(1, 3) * blowup._apply_columns(columns, phis, lams)[0]
+            return Fraction(1, 3) * blowup._integer_dot(columns[0], phi_nums, 1, lams)
 
         outcomes = {(sp, sl): build(sp, sl) == ref1
                     for sp in (1, -1) for sl in (1, -1)}
