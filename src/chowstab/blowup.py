@@ -257,12 +257,14 @@ def _require_spec(spec) -> None:
         raise TypeError(f"spec must be a BlowupSpec, got {spec!r}")
 
 
-def _integer_dot(pair, phi_nums, q, lams):
-    """q * (c . phi + d . lam) for a column pair (c, d) and phi = phi_nums / q:
-    over q * den, the value of the pair (c, d) / den.  Integer columns give
-    an int; p2lab's psi runs it on polynomial columns at q = 1."""
-    phi_col, lam_col = pair
-    return sum(map(operator.mul, phi_col, phi_nums)) + q * sum(map(operator.mul, lam_col, lams))
+def _integer_dot(pairs, action) -> list:
+    """q * (c . phi + d . lam) for each column pair (c, d) of ``pairs``,
+    in order, under an action (P, q, lams) with phi = P / q: over q * den,
+    the values of the pairs (c, d) / den.  Integer columns give ints;
+    p2lab's psi runs it on polynomial columns at q = 1."""
+    phi_nums, q, lams = action
+    return [sum(map(operator.mul, phi_col, phi_nums)) + q * sum(map(operator.mul, lam_col, lams))
+            for phi_col, lam_col in pairs]
 
 
 class _Geometry:
@@ -309,9 +311,8 @@ class _Geometry:
         """The integer numerators of w~ by ascending power under an action
         (P, q, lams) of _integer_action, and their one denominator;
         b_{n+1} = 0: smooth."""
-        phi_nums, q, lams = action
         pairs, den = self._w_columns
-        return [0] + [_integer_dot(pair, phi_nums, q, lams) for pair in reversed(pairs)], q * den
+        return [0] + _integer_dot(reversed(pairs), action), action[1] * den
 
     def w_poly(self, action) -> Poly:
         """w~ under an action (P, q, lams) of _integer_action."""
@@ -321,9 +322,8 @@ class _Geometry:
     def _point_sums(self, action) -> tuple[list[int], int]:
         """The integer numerators of the point-sum [F_1..F_n] under an
         action (P, q, lams) of _integer_action, and their one denominator."""
-        phi_nums, q, lams = action
         pairs, den = self._futaki_columns
-        return [_integer_dot(pair, phi_nums, q, lams) for pair in pairs], q * den
+        return _integer_dot(pairs, action), action[1] * den
 
     def _check_point_sums(self, action, pipeline, pipeline_den) -> tuple[list[int], int]:
         """The integer point sums of _point_sums under an action (P, q, lams)

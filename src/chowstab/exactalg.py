@@ -473,9 +473,11 @@ class RatFn:
         return hash((self._num, self._den))
 
     def evaluate(self, point) -> Fraction:
-        """Value at a point; at an int, two integer Horner runs and one Fraction.
+        """Value at an int or a Fraction point; at an int, two integer
+        Horner runs and one Fraction.
 
-        Refuses what Poly.evaluate refuses.
+        Any other point, a Poly, an MPoly, a float or a bool included, is
+        refused with TypeError before either polynomial is evaluated.
         """
         if type(point) is int:
             den = _horner(self._den._num, point)
@@ -483,6 +485,9 @@ class RatFn:
                 raise ZeroDivisionError(f"denominator vanishes at {point}")
             # The canonical denominator polynomial is integral (_den._den == 1).
             return Fraction(_horner(self._num._num, point), den * self._num._den)
+        if isinstance(point, bool) or not isinstance(point, (int, Fraction)):
+            raise TypeError(f"evaluation point must be an int, a Fraction (a RatFn takes "
+                            f"no Poly, MPoly or other point), got {point!r}")
         d = self._den.evaluate(point)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at {point}")

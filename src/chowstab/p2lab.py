@@ -27,14 +27,15 @@ cache holds each (config, action)'s polynomials with their compiled
 integer evaluators, and another the quartic and cubic parts of
 psi_1(B + y) at the triple point B, restricted to a1 = 0 and compiled
 into one evaluator.  Every compiled evaluator is in nested Horner form.  The
-search evaluates those of the four-point family once per orbit of the
-classes of lines through B under permuting the aligned points'
-multiplicities, a symmetry proved where the evaluators are built, and
-verifies each primitive point it keeps once, through its cached blowup
-geometry (blowup._Geometry.checked_futaki_parts: F_1 and F_2 from chi~
-and w~ and from the point sums, on integers, compared), with no
-BlowupSpec built; three_point_loci evaluates those of the two three-point
-generators.
+search walks the orbits of the classes of lines through B under permuting
+the aligned points' multiplicities, a symmetry proved where the
+evaluators are built, at their descending tails, and evaluates those of
+the four-point family once per orbit.  It expands only the orbits it
+keeps into their classes, merged into class order, and verifies each
+primitive point once, through its cached blowup geometry
+(blowup._Geometry.checked_futaki_parts: F_1 and F_2 from chi~ and w~ and
+from the point sums, on integers, compared), with no BlowupSpec built;
+three_point_loci evaluates those of the two three-point generators.
 
 At a fixed point whose nonzero coordinates form a block on which the
 diagonal action has a single weight, the normalized moment-map value is
@@ -83,14 +84,15 @@ PSI_VARIABLES = ("m", "a1", "a2", "a3", "a4")
 _BASE_POINT = (1, 1, 0, 0, 0)
 
 # Largest accepted grid_bound and scale_bound.  At b = 8 the search
-# walks 4 561 line classes, those of the box's 678 721 lines through the
-# origin whose point can be ample, and evaluates their 1 060 orbits.
-# Each primitive point is verified once and its scaled copies follow by
-# homogeneity, so the scale bound limits output size:
-# search_unstable(8, 1) gives 1 385 candidates in about 0.14 s and
-# search_unstable(8, 8) 11 080 in about 0.17 s (medians of seven fresh
-# processes, spreads 0.137-0.199 s and 0.168-0.185 s, on one core of a
-# 2-vCPU Intel Xeon host under CPython 3.11).
+# walks the 1 060 orbits of the 4 561 line classes, those of the box's
+# 678 721 lines through the origin whose point can be ample, and expands
+# the orbits it keeps into their classes.  Each primitive point is
+# verified once and its scaled copies follow by homogeneity, so the
+# scale bound limits output size: search_unstable(8, 1) gives 1 385
+# candidates in about 0.12 s and search_unstable(8, 8) 11 080 in about
+# 0.14 s (medians of seven fresh processes, spreads 0.114-0.195 s and
+# 0.133-0.185 s, on one core of a 2-vCPU Intel Xeon host under
+# CPython 3.11).
 SEARCH_MAX_GRID_BOUND = 8
 SEARCH_MAX_SCALE_BOUND = 8
 
@@ -161,7 +163,10 @@ class Candidate:
     is verified, also where the search took its psi_2 value and ampleness
     from the point of another class in its orbit under permuting
     (alpha_2, alpha_3, alpha_4): symmetries proved once per process where
-    the search's (c4, c3) evaluator is built (_line_coefficients)."""
+    the search's (c4, c3) evaluator is built (_line_coefficients).  The
+    search builds each candidate by setting its instance dict, the fields
+    in field order, so that it equals, hashes, prints and pickles as
+    Candidate(**fields) does."""
 
     m: int
     alphas: tuple[int, int, int, int]
@@ -210,7 +215,7 @@ def _psi(config: PointConfig, action: DiagAction):
     2n + 1 - l and equal to F_l * deg^2 as a polynomial, and their compiled
     integer evaluators."""
     # fixed_point_data gives integer phi, so q = 1.
-    phi_nums, q, lams = blowup._Geometry._integer_action(
+    integer_action = blowup._Geometry._integer_action(
         *zip(*(fixed_point_data(action, block) for block in config.blocks)))
     base = _PLANE
     n = base.n
@@ -220,12 +225,10 @@ def _psi(config: PointConfig, action: DiagAction):
     # polynomial by the weighted homogeneity of their transcription.  So
     # does the pipeline on the integer transcriptions A = n! chi~ and
     # B = (n+1)! w~: deg = A_0, so A_0 B_l - B_0 A_l = (n+1) F_l deg^2.
-    sums = [blowup._integer_dot(pair, phi_nums, q, lams)
-            for pair in blowup._f_g_levels(base, m, alphas)[2]]
+    sums = blowup._integer_dot(blowup._f_g_levels(base, m, alphas)[2], integer_action)
     pipeline = chowcore._futaki_numerators(
         blowup._scaled_chi_tilde(n, base.a, m, alphas),
-        [blowup._integer_dot(pair, phi_nums, q, lams)
-         for pair in blowup._w_tilde_columns(n, m, alphas)])
+        blowup._integer_dot(blowup._w_tilde_columns(n, m, alphas), integer_action))
     unit = Fraction(1, n + 1)
     polys = []
     for ell, (total, expected) in enumerate(zip(sums, pipeline), start=1):
@@ -530,18 +533,31 @@ def _require_tail_symmetric(name: str, poly: MPoly) -> None:
                 f"not {poly.pretty()}")
 
 
-def _classes(bound: int):
-    """Each primitive u = (u0, u2, u3, u4) with 1 <= u2, u3, u4 <= bound and
-    max(u2, u3, u4) < u0 <= 2 * bound, in class order: u0 ascending, then
-    u2, u3 and u4 descending."""
+def _orbits(bound: int):
+    """The descending tail of each orbit of the search's classes under
+    permuting (u2, u3, u4): each primitive u = (u0, u2, u3, u4) with
+    bound >= u2 >= u3 >= u4 >= 1 and u2 < u0 <= 2 * bound, u0 ascending,
+    then the tail in descending lexicographic order, which is the order in
+    which class order meets them."""
     for u0 in range(2, 2 * bound + 1):
-        tails = range(min(u0 - 1, bound), 0, -1)
-        for u2 in tails:
-            for u3 in tails:
+        for u2 in range(min(u0 - 1, bound), 0, -1):
+            for u3 in range(u2, 0, -1):
                 g3 = gcd(u0, u2, u3)
-                for u4 in tails:
+                for u4 in range(u3, 0, -1):
                     if g3 == 1 or gcd(g3, u4) == 1:
                         yield u0, u2, u3, u4
+
+
+def _class_order(orbits):
+    """The classes of ``orbits``, pairs (u, datum) with u an orbit's
+    descending tail, each class paired with its orbit's datum, in class
+    order: u0 ascending, then the tail in descending lexicographic order.
+    An orbit's classes are the distinct permutations of its tail."""
+    classes = [((u0, *order), datum) for (u0, *tail), datum in orbits
+               for order in set(itertools.permutations(tail))]
+    # Reversing the order of (-u0, tail) leaves u0 ascending, the tail descending.
+    classes.sort(key=lambda item: (-item[0][0], item[0][1:]), reverse=True)
+    return classes
 
 
 def _class_point(u, line_coefficients, psi2):
@@ -555,7 +571,9 @@ def _class_point(u, line_coefficients, psi2):
     the signed gcd g that makes m > 0.  With (c4, c3) and psi_2 proved
     invariant under permuting (a2, a3, a4), and ampleness a test symmetric
     in them, every class of u's orbit under permuting (u2, u3, u4) gets the
-    same (m, a1, f, psi_2(P)), or None."""
+    same (m, a1, f, psi_2(P)), or None.  The search calls it once per
+    orbit, at the descending tail, in the order of _orbits, and expands
+    only the orbits it keeps (_class_order)."""
     u0, u2, u3, u4 = u
     c4, c3 = line_coefficients(u0, u2, u3, u4)
     # c4(v)*B - c3(v)*v, divided by g^4 > 0.
@@ -603,6 +621,17 @@ def _verify_candidate(m: int, alphas: tuple[int, ...], action) -> tuple[int, int
 _ZERO = Fraction(0)
 
 
+def _verified(m: int, alphas: tuple[int, int, int, int], psi2_value: Fraction) -> Candidate:
+    """Candidate(m, alphas, _ZERO, psi2_value, True, True) of a verified
+    point, its instance dict set directly, the fields in field order, as
+    the frozen dataclass's __init__ leaves it, so that equality, hash, repr
+    and pickle are the dataclass's own and assigning a field still raises."""
+    candidate = object.__new__(Candidate)
+    candidate.__dict__.update(m=m, alphas=alphas, psi1_value=_ZERO, psi2_value=psi2_value,
+                              ample=True, verified=True)
+    return candidate
+
+
 def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     """Hunt integer polarizations of the aligned four-point blowup that are
     cscK-compatible yet asymptotically Chow unstable (F_1 = 0, F_2 != 0).
@@ -618,27 +647,31 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     A kept point has -c3 > 0 and m - a1 - a_j = -c3 (u0 - u_j), so it can
     be ample only if u2, u3, u4 > 0 and u0 > max(u2, u3, u4).  For the
     directions of the box [-b, b]^5 (b = grid_bound), where |g*u_j| <= b
-    and |g*u0| = |v0 - v1| <= 2b, those are the classes of _classes, and
-    candidates come in class order: u0 ascending, then u2, u3 and u4
-    descending, each point once, since a point other than B fixes its line
-    through B.  For every accepted bound this is the order of a scan of
-    every direction of the box: a class's least direction in
-    lexicographic order is (-b, u0 - b, -u2, -u3, -u4) (v0 = g*u0 + v1 = -b
-    needs g < 0, and v1 = -b - g*u0 is then least at g = -1), and no class
+    and |g*u0| = |v0 - v1| <= 2b, those are the primitive u with
+    1 <= u2, u3, u4 <= b and max(u2, u3, u4) < u0 <= 2b, and candidates
+    come in class order: u0 ascending, then u2, u3 and u4 descending (the
+    tail in descending lexicographic order), each point once, since a
+    point other than B fixes its line through B.  For every accepted bound
+    this is the order of a scan of every direction of the box: a class's
+    least direction in lexicographic order is (-b, u0 - b, -u2, -u3, -u4)
+    (v0 = g*u0 + v1 = -b needs g < 0, and v1 = -b - g*u0 is then least at
+    g = -1), and no class
     up to SEARCH_MAX_GRID_BOUND has c4 = 0 there, c4(u) = (u0 - b) c3(u),
     which the tests check class by class.  The ampleness bound is
     necessary, not sufficient: every kept point is still tested.
 
-    The class work is done once per orbit of the tail (u2, u3, u4) under
-    permutation, at its descending tail u2 >= u3 >= u4, which class order
-    reaches first: (c4, c3), the sign test, the gcd, ampleness and psi_2
-    (_class_point).  A table that lives for one query serves the orbit's
-    later classes, each of which builds its point from its own u.  This
-    rests on symmetries proved once per process, where the cached (c4, c3)
-    evaluator is built (_line_coefficients): the (c4, c3) parts and psi_2
-    are invariant under permuting (a2, a3, a4), and the integer action
-    gives the three aligned points one fixed-point datum; ampleness is a
-    test symmetric in (a2, a3, a4).
+    The search walks the orbits of the tail (u2, u3, u4) under
+    permutation directly, at their descending tails u2 >= u3 >= u4
+    (_orbits), and does the class work once per orbit: (c4, c3), the sign
+    test, the gcd, ampleness and psi_2 (_class_point).  Only the orbits it
+    keeps are expanded into their classes, the distinct permutations of
+    the tail, each of which builds its point from its own u; merged, they
+    come in class order (_class_order).  This rests on symmetries proved
+    once per process, where the cached (c4, c3) evaluator is built
+    (_line_coefficients): the (c4, c3) parts and psi_2 are invariant under
+    permuting (a2, a3, a4), and the integer action gives the three aligned
+    points one fixed-point datum; ampleness is a test symmetric in (a2,
+    a3, a4).
 
     A kept primitive point P that is ample and has psi_2(P) != 0 is
     verified once through the invariant pipeline on the blown points'
@@ -663,25 +696,22 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
             f"search guard exceeded: scale_bound = {scale_bound} > {SEARCH_MAX_SCALE_BOUND}")
     line_coefficients = _line_coefficients(_FOUR_POINTS, _FOUR_POINT_ACTION)
     psi2 = _psi(_FOUR_POINTS, _FOUR_POINT_ACTION)[1][1]
-    orbits = {}     # descending tail (u0, u2, u3, u4) -> its _class_point
+    kept = []
+    for u in _orbits(grid_bound):
+        point = _class_point(u, line_coefficients, psi2)
+        if point is not None:
+            kept.append((u, point))
     candidates: list[Candidate] = []
-    for u0, u2, u3, u4 in _classes(grid_bound):
-        orbit = (u0, *sorted((u2, u3, u4), reverse=True))
-        if orbit not in orbits:
-            orbits[orbit] = _class_point(orbit, line_coefficients, psi2)
-        kept = orbits[orbit]
-        if kept is None:
-            continue
-        m, a1, f, psi2_value = kept
-        alphas = (a1, f * u2, f * u3, f * u4)
+    for (_, u2, u3, u4), (m, a1, f, psi2_value) in _class_order(kept):
+        a2, a3, a4 = f * u2, f * u3, f * u4
+        alphas = (a1, a2, a3, a4)
         f2_scaled, den = _verify_candidate(m, alphas, _FOUR_POINT_INTEGER_ACTION)
         if f2_scaled != psi2_value * den:
             raise CrossCheckError(
                 f"psi_2 disagrees with F_2 * deg^2 recomputed through the blowup "
                 f"pipeline at m = {m}, alphas = {alphas}: psi_2 = {psi2_value}, "
                 f"F_2 * deg^2 = {Fraction(f2_scaled, den)}")
-        for scale in range(1, scale_bound + 1):
-            candidates.append(Candidate(
-                m=scale * m, alphas=tuple(scale * c for c in alphas), psi1_value=_ZERO,
-                psi2_value=Fraction(scale**3 * psi2_value), ample=True, verified=True))
+        for s in range(1, scale_bound + 1):
+            candidates.append(_verified(s * m, (s * a1, s * a2, s * a3, s * a4),
+                                        Fraction(s**3 * psi2_value)))
     return candidates

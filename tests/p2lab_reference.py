@@ -13,6 +13,11 @@ search enumerated its line classes directly: the first box member of
 every line whose point can be ample.  test_p2lab requires the search's
 classes to come in the order in which this walk first reaches them.
 
+``classes(bound)`` is the walk of the search's line classes as it stood
+before the search walked only the descending tails of their orbits: every
+class, in class order.  test_p2lab requires the search's orbit walk,
+expanded and merged, to reproduce it, and reads the classes from it.
+
 ``recheck_every_scale(candidates)`` is the verification as it stood before
 the search verified each primitive point once: every candidate, at its own
 scale, recomputed through futaki_blowup.
@@ -121,6 +126,20 @@ def walk_directions(bound):
             top = max(head_top, tail_top)
             if top + top // g > bound:
                 yield head + tail
+
+
+def classes(bound):
+    """Each primitive u = (u0, u2, u3, u4) with 1 <= u2, u3, u4 <= bound and
+    max(u2, u3, u4) < u0 <= 2 * bound, in class order: u0 ascending, then
+    u2, u3 and u4 descending."""
+    for u0 in range(2, 2 * bound + 1):
+        tails = range(min(u0 - 1, bound), 0, -1)
+        for u2 in tails:
+            for u3 in tails:
+                g3 = gcd(u0, u2, u3)
+                for u4 in tails:
+                    if g3 == 1 or gcd(g3, u4) == 1:
+                        yield u0, u2, u3, u4
 
 
 def recheck_every_scale(candidates):

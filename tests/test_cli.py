@@ -50,6 +50,8 @@ JSON_GOLDENS = [
     ("search_unstable_grid4_scale3", "search-unstable", None, ("--grid", "4", "--scale", "3")),
     ("search_unstable_grid3_scale8", "search-unstable", None, ("--grid", "3", "--scale", "8")),
     ("projbundle_three_summands_r2", "projbundle", "projbundle_three_summands_r2", ()),
+    # The empty search: one orbit, none kept.
+    ("search_unstable_grid1_scale1", "search-unstable", None, ("--grid", "1", "--scale", "1")),
 ]
 
 # The searches pinned by the sha256 of their output, as (grid, scale).

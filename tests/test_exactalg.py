@@ -322,10 +322,22 @@ class TestInexactPointsRefused:
         lambda: RatFn(Poly((1, 2)), Poly((1, 1))).evaluate(0.5),   # once 0.6
         lambda: RatFn(Poly((1, 2)), Poly((1, 1))).evaluate(True),
         lambda: Poly().evaluate(0.0),
+        lambda: RatFn(Poly((1, 2)), Poly((1, 1))).evaluate(Poly((3, 1))),
+        lambda: RatFn(Poly((1, 2)), Poly((1, 1))).evaluate(MPoly.generators(("x",))[0]),
+        lambda: RatFn(Poly((1, 2)), Poly((1, 1))).evaluate("2"),
     ])
     def test_evaluation_refuses_floats_and_bools(self, call):
         with pytest.raises(TypeError, match="^evaluation point must be an int, a Fraction"):
             call()
+
+    @pytest.mark.parametrize("point", [Poly((3, 1)), MPoly.generators(("x",))[0], "2"])
+    def test_ratfn_refusal_names_the_point(self, point):
+        # At Poly(k + 3) the refusal once came from Poly.__truediv__ and named
+        # the denominator's value there, Poly(k + 4); at an MPoly it was a
+        # bare "unsupported operand type(s) for /".
+        with pytest.raises(TypeError) as info:
+            RatFn(Poly((1, 2)), Poly((1, 1))).evaluate(point)
+        assert str(info.value).endswith(f", got {point!r}")
 
     @pytest.mark.parametrize("value", [0.5, True, False, "1/2", None])
     def test_format_rational_refuses_what_is_not_exact(self, value):

@@ -1,6 +1,8 @@
 """Plane blowups: fixed-point data, vanishing loci, ampleness, search."""
+import dataclasses
 import functools
 import itertools
+import pickle
 import re
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
@@ -224,7 +226,7 @@ class TestPsiReconstruct:
         def build(phi_sign, lam_sign):
             phi_nums = [phi_sign * phi.numerator for phi, _ in data]
             lams = [lam_sign * lam for _, lam in data]
-            return Fraction(1, 3) * blowup._integer_dot(columns[0], phi_nums, 1, lams)
+            return Fraction(1, 3) * blowup._integer_dot(columns, (phi_nums, 1, lams))[0]
 
         outcomes = {(sp, sl): build(sp, sl) == ref1
                     for sp in (1, -1) for sl in (1, -1)}
@@ -615,6 +617,30 @@ class TestSearch:
     def test_every_scaled_copy_passes_the_per_scale_recheck(self, bound, scale):
         p2lab_reference.recheck_every_scale(search_unstable(bound, scale))
 
+    @pytest.mark.parametrize("bounds", [(4, 3), (3, 8)])
+    def test_candidates_are_the_dataclass_s_own(self, bounds):
+        """The search sets each candidate's instance dict directly; every
+        candidate is indistinguishable from Candidate(**fields)."""
+        found = search_unstable(*bounds)
+        built = [Candidate(**vars(c)) for c in found]
+        fields = [field.name for field in dataclasses.fields(Candidate)]
+        for c, b in zip(found, built):
+            assert type(c) is Candidate
+            assert list(vars(c)) == fields
+            assert list(vars(c).items()) == list(vars(b).items())
+            assert c == b and hash(c) == hash(b) and repr(c) == repr(b)
+            assert pickle.dumps(c) == pickle.dumps(b)
+            assert c.psi1_value is p2lab._ZERO
+        assert pickle.dumps(found) == pickle.dumps(built)
+        assert pickle.loads(pickle.dumps(found)) == found
+        c = found[-1]
+        assert dataclasses.replace(c, m=c.m + 1) == Candidate(**{**vars(c), "m": c.m + 1})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.m = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del c.alphas
+        assert vars(c) == vars(built[-1])
+
     def test_two_searches_share_the_geometry_cache(self):
         # Only primitive points build geometries, 66 at (4, 3), fewer than
         # GEOMETRY_CACHE_SIZE, so the second search finds every one cached.
@@ -864,7 +890,7 @@ def test_one_evaluation_per_orbit(monkeypatch, bound, evaluations):
     descending tail, in class order."""
     calls = recorded_evaluator(monkeypatch)
     search_unstable(bound, 1)
-    assert calls == [u for u in p2lab._classes(bound) if descending(u)]
+    assert calls == [u for u in p2lab_reference.classes(bound) if descending(u)]
     assert len(calls) == evaluations
     assert set(calls) == {orbit_of(line_class(v)) for v in p2lab_reference.walk_directions(bound)}
 
@@ -880,22 +906,38 @@ def test_classes_are_the_walks_at_first_appearance(bound, classes):
     assert len(first) == classes
     for (u0, u2, u3, u4), v in first.items():
         assert v == (-bound, u0 - bound, -u2, -u3, -u4)
-    assert list(p2lab._classes(bound)) == list(first)
+    assert list(p2lab_reference.classes(bound)) == list(first)
 
 
 def test_class_order_meets_each_orbit_first_at_its_descending_tail():
     # The classes of every accepted bound are among those of the largest.
     seen = set()
-    for u in p2lab._classes(SEARCH_MAX_GRID_BOUND):
+    for u in p2lab_reference.classes(SEARCH_MAX_GRID_BOUND):
         assert (orbit_of(u) not in seen) == descending(u), u
         seen.add(orbit_of(u))
+
+
+@pytest.mark.parametrize("bound, orbits, classes", zip(
+    range(1, SEARCH_MAX_GRID_BOUND + 1), (1, 8, 32, 85, 194, 362, 659, 1060),
+    (1, 16, 87, 274, 697, 1414, 2707, 4561)))
+def test_orbit_walk_expands_to_the_reference_walk(bound, orbits, classes):
+    """The search's orbit walk gives exactly the descending-tail classes of
+    the reference walk, in its order; expanded into their tails'
+    permutations and merged, every orbit gives the reference walk itself."""
+    walk = list(p2lab_reference.classes(bound))
+    tails = list(p2lab._orbits(bound))
+    assert tails == [u for u in walk if descending(u)]
+    assert (len(tails), len(walk)) == (orbits, classes)
+    merged = p2lab._class_order((u, u) for u in tails)
+    assert [u for u, _ in merged] == walk
+    assert all(orbit == orbit_of(u) for u, orbit in merged)
 
 
 def test_line_coefficients_are_invariant_on_every_orbit():
     """(c4, c3) is the same at every permutation of the tail, for every class
     of every accepted bound (the classes of the largest)."""
     evaluate = line_evaluator()
-    classes = list(p2lab._classes(SEARCH_MAX_GRID_BOUND))
+    classes = list(p2lab_reference.classes(SEARCH_MAX_GRID_BOUND))
     assert len(classes) == 4561
     for u0, *tail in classes:
         values = {evaluate(u0, *order) for order in itertools.permutations(tail)}
@@ -987,7 +1029,7 @@ def test_no_class_has_c4_zero_on_its_first_direction(bound):
     test_classes_are_the_walks_at_first_appearance, class order is the
     order of a scan of the box."""
     evaluate = line_evaluator()
-    for u in p2lab._classes(bound):
+    for u in p2lab_reference.classes(bound):
         c4, c3 = evaluate(*u)
         assert c4 != (u[0] - bound) * c3, u
 
@@ -1003,7 +1045,7 @@ def test_forced_open_class_is_evaluated_once_in_class_order(monkeypatch):
     alone, once, in class order, and tries no later direction: its point there is -c3*v, whose
     signs are mixed, so it is dropped, and every other candidate keeps its
     place."""
-    classes = list(p2lab._classes(3))
+    classes = list(p2lab_reference.classes(3))
     expected = search_unstable(3, 1)
     order = [classes.index(candidate_class(c)) for c in expected]
     assert order == sorted(order)
