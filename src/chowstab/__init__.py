@@ -15,10 +15,7 @@ special points that have F_1 = 0 but F_2 != 0.
 from .exactalg import (
     MPoly,
     Poly,
-    Rat,
     RatFn,
-    binom_poly_in_k,
-    choose,
     cm_constants,
     format_rational,
     parse_rational,
@@ -55,7 +52,6 @@ from .blowup import (
     futaki_blowup,
     oracle_p2,
     projective_space_base,
-    quotient_weight,
     w_tilde,
 )
 from .p2lab import (

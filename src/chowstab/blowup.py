@@ -79,7 +79,6 @@ from .exactalg import (
     _as_rat,
     _require_int_seq,
     _require_ints,
-    choose,
     stirling_coeffs,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "BlowupSpec",
     "projective_space_base",
     "chi_tilde",
-    "quotient_weight",
     "w_tilde",
     "d_f_g",
     "futaki_blowup",
@@ -387,26 +385,6 @@ def chi_tilde(spec: BlowupSpec) -> Poly:
     """Hilbert polynomial of the blown-up polarization; degree n in k."""
     _require_spec(spec)
     return spec.chi
-
-
-def quotient_weight(spec: BlowupSpec, k: int) -> Fraction:
-    """Weight of the skyscraper quotient (sections modulo those vanishing at Z).
-
-    Equals -sum_j [ binom(n+ak-1, ak-1) mk phi_j + binom(n+ak-1, ak-2) lam_j ]
-    with a = alpha_j; the blowup weight polynomial satisfies
-    w~(k) == -quotient_weight(k) for every k >= 1.
-    """
-    _require_spec(spec)
-    _require_ints(k=k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n, m = spec.base.n, spec.m
-    total = Fraction(0)
-    for p in spec.points:
-        ak = p.alpha * k
-        total += choose(n + ak - 1, ak - 1) * m * k * p.phi
-        total += choose(n + ak - 1, ak - 2) * p.lam
-    return -total
 
 
 def _w_tilde_columns(n: int, m, alphas) -> tuple[tuple[tuple, tuple], ...]:

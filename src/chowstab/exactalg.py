@@ -3,9 +3,8 @@
 Everything downstream is computed over arbitrary-precision rationals: the
 invariants produced by this package are exact values that get compared for
 equality across independently derived pipelines, so no floating point is
-allowed anywhere.  Rational scalars are ``fractions.Fraction`` (re-exported
-as ``Rat``), which already guarantees lowest terms and a positive
-denominator.
+allowed anywhere.  Rational scalars are ``fractions.Fraction``, which
+already guarantees lowest terms and a positive denominator.
 
 Three polynomial flavours cover all the formulas that appear:
 
@@ -24,10 +23,10 @@ Three polynomial flavours cover all the formulas that appear:
 * ``MPoly`` -- sparse multivariate polynomials, used for the symbolic
   reconstruction of vanishing loci in the twist and blowup multiplicities.
 
-The module also provides the small combinatorial generators shared by the
-closed forms: the rising-factorial coefficients of prod_{i<n} (x+i), the
-expansion of binom(n + a*k - 1, a*k - 1) as a polynomial in k, and the
-positive constants generated by prod_{i<n} (k+i) / (n(n+1)).
+The module also provides two coefficient generators: the rising-factorial
+coefficients of prod_{i<n} (x+i), which the blowup transcriptions read, and
+the positive constants C_l generated by prod_{i<n} (k+i) / (n(n+1)), which
+state the paper's expansion of the Chow weight.
 """
 from __future__ import annotations
 
@@ -37,7 +36,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-Rat = Fraction
+__all__ = [
+    "Poly",
+    "RatFn",
+    "MPoly",
+    "parse_rational",
+    "format_rational",
+    "stirling_coeffs",
+    "cm_constants",
+]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -90,20 +97,6 @@ def _require_int_seq(name: str, values) -> None:
     for i, value in enumerate(values):
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"{name}[{i}] must be an int, got {value!r}")
-
-
-def choose(n: int, k: int) -> int:
-    """Binomial coefficient with the usual convention C(n, k) = 0 for k < 0 or k > n."""
-    _require_ints(n=n, k=k)
-    return math.comb(n, k) if 0 <= k <= n else 0
-
-
-def _exact_point(point) -> None:
-    """Raise TypeError unless point is an exact ring element: an int (not a
-    bool), a Fraction, a Poly or an MPoly."""
-    if isinstance(point, bool) or not isinstance(point, (int, Fraction, Poly, MPoly)):
-        raise TypeError(f"evaluation point must be an int, a Fraction, a Poly or an MPoly, "
-                        f"got {point!r}")
 
 
 def _int_product(a, b) -> list[int]:
@@ -207,6 +200,8 @@ class Poly:
         return not self._num
 
     def coefficient(self, power: int) -> Fraction:
+        if type(power) is not int:      # bools and floats refused by name
+            _require_ints(power=power)
         if 0 <= power < len(self._num):
             return Fraction(self._num[power], self._den)
         return Fraction(0)
@@ -216,6 +211,8 @@ class Poly:
         n = len(self._num)
         if length is None:
             length = n
+        elif type(length) is not int:   # bools and floats refused by name
+            _require_ints(length=length)
         if length < n:
             raise ValueError("requested length shorter than the polynomial")
         return (Fraction(0),) * (length - n) + self.coeffs[::-1]
@@ -318,17 +315,19 @@ class Poly:
             n >>= 1
         return result
 
-    def evaluate(self, point):
-        """Horner evaluation; exact for int/Fraction points.
+    def evaluate(self, point) -> Fraction:
+        """Value at an int or a Fraction point, by Horner's rule.
 
         At an int the Horner runs on the integer numerators and one
-        Fraction is built at the end; any other ring element (Fraction,
-        Poly, MPoly) goes through the coefficients.  A float, a bool or any
-        other type raises TypeError.
+        Fraction is built at the end; a Fraction goes through the
+        coefficients.  Any other point, a Poly, an MPoly, a float or a bool
+        included, raises TypeError.
         """
         if type(point) is int:
             return Fraction(_horner(self._num, point), self._den)
-        _exact_point(point)
+        if isinstance(point, bool) or not isinstance(point, (int, Fraction)):
+            raise TypeError(f"evaluation point must be an int, a Fraction (not a Poly, "
+                            f"an MPoly or any other value), got {point!r}")
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * point + c
@@ -485,10 +484,7 @@ class RatFn:
                 raise ZeroDivisionError(f"denominator vanishes at {point}")
             # The canonical denominator polynomial is integral (_den._den == 1).
             return Fraction(_horner(self._num._num, point), den * self._num._den)
-        if isinstance(point, bool) or not isinstance(point, (int, Fraction)):
-            raise TypeError(f"evaluation point must be an int, a Fraction (a RatFn takes "
-                            f"no Poly, MPoly or other point), got {point!r}")
-        d = self._den.evaluate(point)
+        d = self._den.evaluate(point)       # refuses any other point first
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at {point}")
         return self._num.evaluate(point) / d
@@ -514,12 +510,17 @@ class MPoly:
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         vs = tuple(variables)
+        for name in vs:
+            if type(name) is not str:
+                raise TypeError(f"indeterminate names must be strs, got {name!r}")
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate indeterminate names")
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in (terms or {}).items():
             e = tuple(exps)
-            if len(e) != len(vs) or any(x < 0 for x in e):
+            if len(e) != len(vs) or not all(type(x) is int and x >= 0 for x in e):
+                if not all(type(x) is int for x in e):
+                    raise TypeError(f"exponents must be ints, got the exponent vector {e!r}")
                 raise ValueError(f"bad exponent vector {e} for {len(vs)} indeterminates")
             c = _as_rat(coeff)
             if c:
@@ -668,10 +669,11 @@ class MPoly:
         return f"MPoly({self.pretty()})"
 
 
-# Distinct n kept by each generator cache (and by blowup._projective_space_base),
-# and distinct summand ranks kept by projbundle's oracle tables.  The
-# verified universes use n <= 6; larger n stay correct, and a caller
-# cycling through more distinct n than this recomputes O(n^2) small tables.
+# Distinct n kept by the rising-factorial cache (and by
+# blowup._projective_space_base), and distinct summand ranks kept by
+# projbundle's oracle tables.  The verified universes use n <= 6; larger n
+# stay correct, and a caller cycling through more distinct n than this
+# recomputes O(n^2) small tables.
 GENERATOR_CACHE_SIZE = 64
 
 
@@ -697,29 +699,11 @@ def stirling_coeffs(n: int) -> list[int]:
     return list(_stirling_tuple(n))
 
 
-def binom_poly_in_k(a: int, n: int) -> Poly:
-    """binom(n + a*k - 1, a*k - 1) expanded as a degree-n polynomial in k.
-
-    Agrees with the integer binomial coefficient at every integer k >= 1.
-    """
-    _require_ints(a=a, n=n)
-    if a < 1 or n < 1:
-        raise ValueError("a and n must be positive integers")
-    s = _stirling_tuple(n)
-    return _canonical([s[h] * a**h for h in range(n + 1)], math.factorial(n))
-
-
-@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def _cm_tuple(n: int) -> tuple[Fraction, ...]:
-    s = _stirling_tuple(n)
-    scale = Fraction(1, n * (n + 1))
-    # prod_{i<n}(k+i) = sum_h s_h k^h, and the k^{n+1-l} coefficient is s_{n+1-l}.
-    return tuple(scale * s[n + 1 - ell] for ell in range(1, n + 1))
-
-
 def cm_constants(n: int) -> list[Fraction]:
     """Positive constants [C_1..C_n] with sum_l C_l k^{n+1-l} = prod_{i<n}(k+i) / (n(n+1))."""
     _require_ints(n=n)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return list(_cm_tuple(n))
+    s = _stirling_tuple(n)
+    # prod_{i<n}(k+i) = sum_h s_h k^h, and the k^{n+1-l} coefficient is s_{n+1-l}.
+    return [Fraction(s[n + 1 - ell], n * (n + 1)) for ell in range(1, n + 1)]

@@ -24,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from . import blowup, p2lab, projbundle
-from .exactalg import Poly, _require_ints
+from .exactalg import Poly
 
 __all__ = [
     "Mismatch",
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 PROJBUNDLE_KMAX = 6
+PROJBUNDLE_SAMPLE_SIZE = 2000
 BLOWUP_KMAX = 8
 
 _FULL_POOL = tuple(
@@ -51,7 +52,6 @@ _CORE_POOL = tuple(
 _GENERA = (2, 3)
 _TWISTS = (1, 2)
 _B_DEGREES = tuple(range(-2, 4))
-DEFAULT_SAMPLE_SIZE = 2000
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,9 @@ def _specs_from_pool(pool) -> list[tuple[projbundle.Summand, ...]]:
     return [ms for ms in multisets if sum(x.rank for x in ms) >= 2]
 
 
-def projbundle_specs(seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE):
-    """Yield the covering design: core box exhaustively, then a seeded sample."""
+def projbundle_specs(seed: int = 0):
+    """Yield the covering design: the core box exhaustively (31 680 specs),
+    then PROJBUNDLE_SAMPLE_SIZE seeded samples of the remaining universe."""
     for summands in _specs_from_pool(_CORE_POOL):
         for genus in _GENERA:
             for r in _TWISTS:
@@ -82,7 +83,7 @@ def projbundle_specs(seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE):
                         genus=genus, summands=summands, b_deg=b_deg, b_weight=0, r=r)
     rng = random.Random(seed)
     emitted = 0
-    while emitted < sample_size:
+    while emitted < PROJBUNDLE_SAMPLE_SIZE:
         size = rng.choice((1, 2, 3))
         summands = tuple(sorted(
             (rng.choice(_FULL_POOL) for _ in range(size)),
@@ -126,16 +127,9 @@ def check_projbundle_spec(spec) -> Mismatch | None:
                     lambda k: projbundle.oracle(spec, k), PROJBUNDLE_KMAX)
 
 
-def run_projbundle_suite(seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE):
-    """Run the bundle sweep; returns (spec count, mismatches).
-
-    sample_size must be an int (TypeError) and >= 0 (ValueError).
-    """
-    _require_ints(sample_size=sample_size)
-    if sample_size < 0:
-        raise ValueError(f"sample_size must be >= 0, got {sample_size}")
-    return _run_suite(projbundle_specs(seed=seed, sample_size=sample_size),
-                      check_projbundle_spec)
+def run_projbundle_suite(seed: int = 0):
+    """Run the bundle sweep; returns (spec count, mismatches)."""
+    return _run_suite(projbundle_specs(seed=seed), check_projbundle_spec)
 
 
 def blowup_cases():

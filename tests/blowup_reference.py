@@ -18,6 +18,10 @@ its check on integers in the geometry: the spec's point-sum F_l, compared
 with chowcore.futaki_invariants on the spec's HilbertData and WeightData.
 test_blowup and test_p2lab require the geometry's checked F_l to equal it.
 
+``quotient_weight(spec, k)`` is the weight of the skyscraper quotient,
+the sections modulo those vanishing to order alpha_j k at the points,
+summed block by block: test_blowup requires w~(k) = -quotient_weight(k).
+
 ``adiabatic(spec)`` and ``chow_weight_fn(h, w)`` are the library's
 functions as they were computed on Fractions, before the one moved to
 integer numerators over the phi's common denominator and the other to
@@ -31,6 +35,7 @@ from fractions import Fraction
 
 from chowstab import chowcore
 from chowstab.exactalg import Poly, RatFn, stirling_coeffs
+from exact_reference import choose
 
 
 def chi_tilde_coeffs(n, a, m, alphas):
@@ -140,6 +145,17 @@ def futaki_by_pipeline(spec):
     direct = point_sum_futaki(spec._geometry, spec._action)
     assert direct == chowcore.futaki_invariants(*spec.hilbert_weight_data), spec
     return direct
+
+
+def quotient_weight(spec, k):
+    """-sum_j [ binom(n+ak-1, ak-1) mk phi_j + binom(n+ak-1, ak-2) lam_j ] with a = alpha_j."""
+    n, m = spec.base.n, spec.m
+    total = Fraction(0)
+    for p in spec.points:
+        ak = p.alpha * k
+        total += choose(n + ak - 1, ak - 1) * m * k * p.phi
+        total += choose(n + ak - 1, ak - 2) * p.lam
+    return -total
 
 
 def adiabatic(spec):

@@ -8,8 +8,10 @@ on both kernels and requires equal coefficients.
 
 The helpers at the end (``compose_linear``, ``hilbert_poly``,
 ``total_degree``, ``is_homogeneous``, ``partial``, ``monomial``,
-``evaluate``) have no caller in the library; the tests use them as
-independent references.
+``evaluate``, ``choose``, ``binom_poly_in_k``) have no caller in the
+library; the tests use them as independent references: ``choose`` for the
+bundle oracle's composition walk, ``binom_poly_in_k`` for the skyscraper
+blocks of chi~(k) = chi(mk) - sum_j binom(n + alpha_j k - 1, alpha_j k - 1).
 """
 from __future__ import annotations
 
@@ -263,6 +265,18 @@ def monomial(power: int, coeff=1) -> exactalg.Poly:
     if power < 0:
         raise ValueError("power must be non-negative")
     return exactalg.Poly((0,) * power + (coeff,))
+
+
+def choose(n: int, k: int) -> int:
+    """Binomial coefficient with the usual convention C(n, k) = 0 for k < 0 or k > n."""
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
+def binom_poly_in_k(a: int, n: int) -> exactalg.Poly:
+    """binom(n + a*k - 1, a*k - 1) expanded as a degree-n polynomial in k:
+    sum_h s_h (a k)^h / n! with s_h the rising-factorial coefficients."""
+    s = exactalg.stirling_coeffs(n)
+    return exactalg.Poly(Fraction(s[h] * a**h, math.factorial(n)) for h in range(n + 1))
 
 
 def evaluate(p: exactalg.MPoly, values):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from chowstab.exactalg import choose
+from exact_reference import choose
 
 
 def twisted_slope(spec) -> Fraction:

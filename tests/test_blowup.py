@@ -27,13 +27,12 @@ from chowstab.blowup import (
     futaki_blowup,
     oracle_p2,
     projective_space_base,
-    quotient_weight,
     w_tilde,
 )
 from chowstab.errors import CrossCheckError, DegenerateInputError, ResourceLimitError
-from chowstab.exactalg import GENERATOR_CACHE_SIZE, Poly, RatFn, binom_poly_in_k, stirling_coeffs
+from chowstab.exactalg import GENERATOR_CACHE_SIZE, Poly, RatFn, stirling_coeffs
 import blowup_reference
-from exact_reference import compose_linear, hilbert_poly, monomial
+from exact_reference import binom_poly_in_k, compose_linear, hilbert_poly, monomial
 
 
 P2 = projective_space_base(2)
@@ -532,21 +531,15 @@ class TestInexactInputRefused:
         with pytest.raises(TypeError, match=field):
             BlowupSpec(base=base, points=points, m=3)
 
-    @pytest.mark.parametrize("k", [True, 1.0, Fraction(1)])
-    def test_quotient_weight_k_typed(self, k):
-        with pytest.raises(TypeError, match="^k must"):
-            quotient_weight(aligned_four_point_spec(3), k)
-
     @pytest.mark.parametrize("ell", [True, 1.0, Fraction(1)])
     def test_d_f_g_level_typed(self, ell):
         with pytest.raises(TypeError, match="^ell must"):
             d_f_g(aligned_four_point_spec(3), ell)
 
     @pytest.mark.parametrize("fn", [chi_tilde, w_tilde, futaki_blowup, chow_blowup, adiabatic,
-                                    lambda spec: d_f_g(spec, 1),
-                                    lambda spec: quotient_weight(spec, 1)],
+                                    lambda spec: d_f_g(spec, 1)],
                              ids=["chi_tilde", "w_tilde", "futaki_blowup", "chow_blowup",
-                                  "adiabatic", "d_f_g", "quotient_weight"])
+                                  "adiabatic", "d_f_g"])
     @pytest.mark.parametrize("bad", [None, "x", (P2, (BlownPoint(1, 0, 0),), 2)],
                              ids=["None", "str", "tuple"])
     def test_public_functions_refuse_a_non_spec(self, fn, bad):
@@ -555,8 +548,6 @@ class TestInexactInputRefused:
             fn(bad)
 
     def test_spec_is_checked_before_the_level(self):
-        with pytest.raises(TypeError, match="^spec must"):
-            quotient_weight(None, 0.5)
         with pytest.raises(TypeError, match="^spec must"):
             d_f_g(None, 0.5)
 
@@ -768,17 +759,17 @@ class TestChiTilde:
 class TestQuotientWeight:
     def test_zero_data(self):
         spec = BlowupSpec(base=P2, points=(BlownPoint(1, Fraction(0), 0),), m=2)
-        assert quotient_weight(spec, 3) == 0
+        assert blowup_reference.quotient_weight(spec, 3) == 0
 
     def test_phi_block(self):
         spec = BlowupSpec(base=P2, points=(BlownPoint(1, Fraction(1), 0),), m=2)
         # alpha*k = 2: -binom(3,1) * mk * phi = -3 * 4 = -12
-        assert quotient_weight(spec, 2) == -12
+        assert blowup_reference.quotient_weight(spec, 2) == -12
 
     def test_lambda_block(self):
         spec = BlowupSpec(base=P2, points=(BlownPoint(1, Fraction(0), 1),), m=2)
         # -binom(3, 0) * lambda = -1
-        assert quotient_weight(spec, 2) == -1
+        assert blowup_reference.quotient_weight(spec, 2) == -1
 
     def test_w_tilde_is_minus_quotient(self):
         rng = random.Random(11)
@@ -795,7 +786,7 @@ class TestQuotientWeight:
             spec = BlowupSpec(base=base, points=points, m=m)
             w = w_tilde(spec)
             for k in range(1, 11):
-                assert w.evaluate(k) == -quotient_weight(spec, k)
+                assert w.evaluate(k) == -blowup_reference.quotient_weight(spec, k)
 
 
 class TestWTilde:

@@ -1,4 +1,7 @@
-"""The oracle-equivalence sweeps refuse mistyped and negative arguments."""
+"""The oracle-equivalence sweeps: their fixed designs, and the refusal of
+mistyped arguments."""
+import hashlib
+
 import pytest
 
 from chowstab import blowup, verification
@@ -55,25 +58,47 @@ class TestCheckBlowupCase:
         assert verification.check_blowup_case(weights, iter([[1, 1], [0, 1]]), 3) is None
 
 
-class TestRunProjbundleSuite:
-    def test_empty_sample_runs_the_core_box(self, monkeypatch):
+# The bundle design is fixed: the core box, then PROJBUNDLE_SAMPLE_SIZE
+# seeded samples; the sample size is no longer an argument.
+class TestProjbundleDesign:
+    CORE = 31_680
+    # sha256 over the reprs of the whole stream, one per line, as the stream
+    # stood when its sample size was an argument defaulting to 2000.
+    DIGESTS = {
+        0: "c0c232e58f45c27d35b59affa9bd3af781771fdc412b68cc38cb07ce469b163e",
+        5755: "fb4e2e99ca64d6ffe994875258028d987757e9e68f6fa7b63cb3e665ed30ab4e",
+    }
+
+    @pytest.mark.parametrize("seed", [0, 5755])
+    def test_stream_is_pinned(self, seed):
+        digest = hashlib.sha256()
+        for spec in verification.projbundle_specs(seed=seed):
+            digest.update(repr(spec).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGESTS[seed]
+
+    def test_core_box_then_the_seeded_samples(self):
+        first, held_out = (list(verification.projbundle_specs(seed=seed)) for seed in (0, 5755))
+        assert verification.PROJBUNDLE_SAMPLE_SIZE == 2000
+        assert len(first) == len(held_out) == self.CORE + 2000
+        core = first[:self.CORE]
+        assert held_out[:self.CORE] == core and len(set(core)) == self.CORE
+        assert all(spec.b_weight == 0 and all(abs(s.degree) <= 1 and abs(s.weight) <= 1
+                                              for s in spec.summands) for spec in core)
+        assert first[self.CORE:] != held_out[self.CORE:]
+
+    def test_suite_checks_the_whole_design(self, monkeypatch):
         checked = []
-        monkeypatch.setattr(verification, "check_projbundle_spec",
-                            checked.append)
-        core = list(verification.projbundle_specs(seed=0, sample_size=0))
-        assert verification.run_projbundle_suite(seed=0, sample_size=0) == (len(core), [])
-        assert checked == core
+        monkeypatch.setattr(verification, "check_projbundle_spec", checked.append)
+        assert verification.run_projbundle_suite(seed=5755) == (self.CORE + 2000, [])
+        assert checked == list(verification.projbundle_specs(seed=5755))
 
-    # A negative sample size once ran, as if it were zero.
-    @pytest.mark.parametrize("size", [-1, -2000])
-    def test_sample_size_must_not_be_negative(self, size):
-        with pytest.raises(ValueError, match=f"^sample_size must be >= 0, got {size}$"):
-            verification.run_projbundle_suite(sample_size=size)
-
-    @pytest.mark.parametrize("size", [10.0, True, "10", None])
-    def test_sample_size_must_be_int(self, size):
-        with pytest.raises(TypeError, match=f"^sample_size must be an int, got {size!r}$"):
-            verification.run_projbundle_suite(sample_size=size)
+    @pytest.mark.parametrize("call", [
+        lambda: verification.projbundle_specs(seed=0, sample_size=500),
+        lambda: verification.run_projbundle_suite(sample_size=500),
+    ], ids=["projbundle_specs", "run_projbundle_suite"])
+    def test_sample_size_is_not_an_argument(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'sample_size'"):
+            call()
 
 
 
@@ -90,7 +115,7 @@ class TestFixedKRange:
         ks, oracle = [], verification.projbundle.oracle
         monkeypatch.setattr(verification.projbundle, "oracle",
                             lambda spec, k: ks.append(k) or oracle(spec, k))
-        spec = next(verification.projbundle_specs(seed=0, sample_size=0))
+        spec = next(verification.projbundle_specs(seed=0))
         assert verification.check_projbundle_spec(spec) is None
         assert ks == list(range(1, verification.PROJBUNDLE_KMAX + 1))
 
@@ -98,8 +123,8 @@ class TestFixedKRange:
         lambda: verification.check_blowup_case(*TestCheckBlowupCase.CASE, kmax=3),
         lambda: verification.run_blowup_suite(kmax=3),
         lambda: verification.check_projbundle_spec(
-            next(verification.projbundle_specs(seed=0, sample_size=0)), kmax=3),
-        lambda: verification.run_projbundle_suite(sample_size=0, kmax=3),
+            next(verification.projbundle_specs(seed=0)), kmax=3),
+        lambda: verification.run_projbundle_suite(kmax=3),
     ], ids=["check_blowup_case", "run_blowup_suite",
             "check_projbundle_spec", "run_projbundle_suite"])
     def test_kmax_is_not_an_argument(self, call):
