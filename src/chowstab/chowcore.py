@@ -162,19 +162,10 @@ class WeightData(_PolyData):
             raise ValueError("weight polynomial degree exceeds n + 1")
         return cls._of(n, w)
 
-    @classmethod
-    def zero(cls, n: int) -> "WeightData":
-        return cls(n, (0,) * (n + 2))
-
     @property
     def b(self) -> tuple[Fraction, ...]:
         """The coefficients [b_0..b_{n+1}], read from the Poly."""
         return self._coefficients()
-
-    @property
-    def b_top(self) -> Fraction:
-        """The constant coefficient b_{n+1}; zero whenever the family is smooth."""
-        return self._poly.coefficient(0)
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,11 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
+def _values(values) -> str:
+    """A Mismatch's value tuple: labels as they are, numbers as "p/q"."""
+    return "(" + ", ".join(v if isinstance(v, str) else format_rational(v) for v in values) + ")"
+
+
 def _cmd_oracle_check(args) -> int:
     if args.suite == "projbundle":
         seed = 0 if args.seed is None else args.seed
@@ -306,7 +311,8 @@ def _cmd_oracle_check(args) -> int:
     payload = {"suite": args.suite, "specs": count, "mismatches": len(mismatches)}
     lines = [f"suite={args.suite}: {count} specs checked, {len(mismatches)} mismatch(es)"]
     for bad in mismatches[:10]:
-        lines.append(f"  mismatch at k={bad.k}: {bad.spec}")
+        lines.append(f"  mismatch at k={bad.k}: {bad.spec}: closed {_values(bad.closed)}, "
+                     f"brute {_values(bad.brute)}")
     _emit(payload, args.json, lines)
     if mismatches:
         raise CrossCheckError(f"{len(mismatches)} oracle mismatches in suite {args.suite}")

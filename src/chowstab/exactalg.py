@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "Poly",
@@ -173,17 +173,8 @@ class Poly:
         self._den = den if nums else 1
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "Poly":
         return cls((1,))
-
-    @classmethod
-    def from_descending(cls, coeffs: Iterable[Fraction | int]) -> "Poly":
-        """Build from coefficients listed by descending power."""
-        return cls(tuple(coeffs)[::-1])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -224,11 +215,6 @@ class Poly:
         if length < n:
             raise ValueError("requested length shorter than the polynomial")
         return self._num + (0,) * (length - n), self._den
-
-    def leading_coefficient(self) -> Fraction:
-        if not self._num:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return Fraction(self._num[-1], self._den)
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -502,8 +488,9 @@ class MPoly:
     """Sparse multivariate polynomial over the rationals.
 
     Terms map exponent tuples (one entry per indeterminate, in the order
-    fixed at construction) to nonzero rational coefficients.  Operations
-    between polynomials over different indeterminate sets are rejected.
+    fixed at construction) to nonzero rational coefficients; terms that
+    are not a mapping raise TypeError.  Operations between polynomials over
+    different indeterminate sets are rejected.
     """
 
     __slots__ = ("_vars", "_terms")
@@ -515,8 +502,13 @@ class MPoly:
                 raise TypeError(f"indeterminate names must be strs, got {name!r}")
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate indeterminate names")
+        if terms is None:
+            terms = {}
+        elif type(terms) is not dict and not isinstance(terms, Mapping):
+            raise TypeError(f"terms must be a mapping of exponent vectors to "
+                            f"coefficients, got {terms!r}")
         cleaned: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in (terms or {}).items():
+        for exps, coeff in terms.items():
             e = tuple(exps)
             if len(e) != len(vs) or not all(type(x) is int and x >= 0 for x in e):
                 if not all(type(x) is int for x in e):
@@ -563,9 +555,6 @@ class MPoly:
     def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """Iterate (exponents, coefficient) pairs in a deterministic order."""
         return iter(sorted(self._terms.items()))
-
-    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
 
     def _check_same_ring(self, other: "MPoly") -> None:
         if self._vars != other._vars:
@@ -670,10 +659,9 @@ class MPoly:
 
 
 # Distinct n kept by the rising-factorial cache (and by
-# blowup._projective_space_base), and distinct summand ranks kept by
-# projbundle's oracle tables.  The verified universes use n <= 6; larger n
-# stay correct, and a caller cycling through more distinct n than this
-# recomputes O(n^2) small tables.
+# blowup._projective_space_base).  The verified universes use n <= 6;
+# larger n stay correct, and a caller cycling through more distinct n than
+# this recomputes O(n^2) small tables.
 GENERATOR_CACHE_SIZE = 64
 
 

@@ -214,9 +214,7 @@ def _psi(config: PointConfig, action: DiagAction):
     """(psi_1, psi_2) of (config, action), each proved homogeneous of degree
     2n + 1 - l and equal to F_l * deg^2 as a polynomial, and their compiled
     integer evaluators."""
-    # fixed_point_data gives integer phi, so q = 1.
-    integer_action = blowup._Geometry._integer_action(
-        *zip(*(fixed_point_data(action, block) for block in config.blocks)))
+    integer_action = _integer_action(config, action)     # integer phi, so q = 1
     base = _PLANE
     n = base.n
     variables = ("m",) + tuple(f"a{j}" for j in range(1, len(config.blocks) + 1))

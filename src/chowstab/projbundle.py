@@ -48,7 +48,7 @@ from functools import lru_cache
 
 from . import chowcore
 from .errors import AmplenessWarning, CrossCheckError, DegenerateInputError, ResourceLimitError
-from .exactalg import GENERATOR_CACHE_SIZE, Poly, RatFn, _require_ints, _stirling_tuple
+from .exactalg import Poly, RatFn, _require_ints, _stirling_tuple
 
 __all__ = [
     "Summand",
@@ -120,10 +120,9 @@ class CurveBundleSpec:
     from the curve; b_weight is the fiberwise weight on B.
 
     n, the dimension of P(E) and rank of E, is set at construction.  The
-    derived numbers (deg_e; trace_weight, sum lambda_j rank(E_j); the
-    slope_gaps mu(E_j) - mu(E); weighted_slope_sum, the S of the module
-    docstring; chi; w) are set together by _derive at the first read of
-    any of them.  Equality, hash and repr are those of the fields.
+    derived numbers (deg_e; the slope_gaps mu(E_j) - mu(E); chi; w) are
+    set together by _derive at the first read of any of them.  Equality,
+    hash and repr are those of the fields.
     """
 
     genus: int
@@ -149,9 +148,7 @@ class CurveBundleSpec:
             raise ValueError("total rank must be >= 2")
 
     deg_e = _Derived()
-    trace_weight = _Derived()
     slope_gaps = _Derived()
-    weighted_slope_sum = _Derived()
     chi = _Derived()
     w = _Derived()
     _curve = _Derived()
@@ -225,10 +222,8 @@ def _derive(spec: CurveBundleSpec) -> None:
     fact = math.factorial(n)
     store = object.__setattr__
     store(spec, "deg_e", deg_e)
-    store(spec, "trace_weight", trace)
     store(spec, "slope_gaps", tuple(Fraction(n * s.degree - s.rank * deg_e, n * s.rank)
                                     for s in summands))
-    store(spec, "weighted_slope_sum", Fraction(p, n))
     store(spec, "chi", Poly(chi) / fact)
     store(spec, "w", Poly(w) / (n * fact * (n + 1)))
     store(spec, "_curve", Poly((curve0, curve1)))
@@ -332,24 +327,24 @@ def slope_classify(spec: CurveBundleSpec) -> SlopeVerdict:
     return SlopeVerdict(classification=cls, per_summand=gaps)
 
 
-@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def _symmetric_power_table(rank: int) -> tuple[tuple[int, int], ...]:
-    """(C(rank-1+mu, mu), C(rank-1+mu, mu-1)) for mu = 0..ORACLE_MAX_KR: the
-    rank of S^mu F, and its degree over deg F, for F of rank `rank`."""
-    return tuple((math.comb(rank - 1 + mu, mu), math.comb(rank - 1 + mu, mu - 1) if mu else 0)
-                 for mu in range(ORACLE_MAX_KR + 1))
+def _symmetric_power_rows(rank: int, kr: int) -> list[tuple[int, int]]:
+    """(C(rank-1+mu, mu), C(rank-1+mu, mu-1)) for mu = 0..kr: the rank of
+    S^mu F, and its degree over deg F, for F of rank `rank`."""
+    return [(math.comb(rank - 1 + mu, mu), math.comb(rank - 1 + mu, mu - 1) if mu else 0)
+            for mu in range(kr + 1)]
 
 
-def _summand_series(rank: int, degree: int, weight: int, kr: int) -> list[tuple[int, int, int, int]]:
+def _summand_series(rows, degree: int, weight: int) -> list[tuple[int, int, int, int]]:
     """sum_mu [S^mu F*] t^mu for mu = 0..kr, over Z[eps, delta]/(eps^2, delta^2),
-    for a summand F of the given rank, degree and fiberwise weight.
+    for a summand F of the given degree and fiberwise weight, from the rows
+    of _symmetric_power_rows for its rank and kr.
 
     The coefficient of t^mu is (rank + deg*eps)(1 + mu*weight*delta) for
     the rank and degree of S^mu F*, stored by the basis 1, eps, delta,
     eps*delta.
     """
     series = []
-    for mu, (sym_rank, unit) in enumerate(_symmetric_power_table(rank)[:kr + 1]):
+    for mu, (sym_rank, unit) in enumerate(rows):
         deg = -unit * degree
         lam = mu * weight
         series.append((sym_rank, deg, lam * sym_rank, lam * deg))
@@ -390,11 +385,12 @@ def _block_sums(ranks: tuple[int, ...], kr: int):
     and X_ij at once, over the s^2 pairs (i, j).
     """
     s = len(ranks)
+    rows = {rank: _symmetric_power_rows(rank, kr) for rank in set(ranks)}
     degree_part, weight_part = [0] * s, [0] * s
     cross = [[0] * s for _ in range(s)]
     for i in range(s):
         for j in range(s):
-            series = [_summand_series(rank, int(h == i), int(h == j), kr)
+            series = [_summand_series(rows[rank], int(h == i), int(h == j))
                       for h, rank in enumerate(ranks)]
             rank, degree_part[i], weight_part[j], cross[i][j] = _top_coefficient(series, kr)
     return rank, tuple(degree_part), tuple(weight_part), tuple(map(tuple, cross))

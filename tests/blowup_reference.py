@@ -103,11 +103,11 @@ class FractionGeometry:
         self.ratios = tuple(Fraction(alpha, m) for alpha in alphas)
         self.volume_gap = levels(n, base.a, self.ratios)[0]
         chi = chi_tilde_coeffs(n, base.a, m, alphas)
-        self.chi = Poly.from_descending(chi)
+        self.chi = Poly(tuple(reversed(chi)))
         self.hilbert = chowcore.HilbertData(n, chi) if self.volume_gap > 0 else None
 
     def w_poly(self, phis, lams):
-        return Poly.from_descending(w_tilde_coeffs(self.n, self.m, self.alphas, phis, lams))
+        return Poly(tuple(reversed(w_tilde_coeffs(self.n, self.m, self.alphas, phis, lams))))
 
     def point_sum_futaki(self, phis, lams):
         sums = futaki_point_sums(self.n, self.a, self.ratios, phis, lams)
@@ -169,5 +169,5 @@ def adiabatic(spec):
 def chow_weight_fn(h, w):
     """w(k)/chi(k) - (b_0/a_0) k with the shift b_0/a_0 a Fraction and a Poly product."""
     chi, w_poly = h.poly(), w.poly()
-    shift = w_poly.coefficient(w.n + 1) / chi.leading_coefficient()
+    shift = w_poly.coefficient(w.n + 1) / chi.coeffs[-1]
     return RatFn(w_poly - Poly((0, shift)) * chi, chi)

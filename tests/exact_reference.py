@@ -232,7 +232,7 @@ def compose_linear(p, a, b=0):
 
 def hilbert_poly(base) -> exactalg.Poly:
     """The Hilbert polynomial sum_l a_l k^{n-l} of a blowup.BaseSummary."""
-    return exactalg.Poly.from_descending(base.a)
+    return exactalg.Poly(tuple(reversed(base.a)))
 
 
 def total_degree(p: exactalg.MPoly) -> int | None:

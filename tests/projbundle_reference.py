@@ -7,9 +7,10 @@ its rank and degree from binomial identities, its Euler characteristic by
 Riemann-Roch on the curve and its weight k*lambda_0 - sum mu_j lambda_j.
 test_projbundle_reference requires the two to agree.
 
-``twisted_slope`` and ``twisted_det_chi`` give mu~ and chi(det twist) of the
-closed forms from the raw fields of a spec, so the references that use them
-share no derived number with the library they check.
+``twisted_slope``, ``twisted_det_chi`` and ``weighted_slope_sum`` give mu~,
+chi(det twist) and S of the closed forms from the raw fields of a spec, so
+the references that use them share no derived number with the library they
+check.
 """
 from __future__ import annotations
 
@@ -29,6 +30,13 @@ def twisted_det_chi(spec) -> Fraction:
     n = sum(sm.rank for sm in spec.summands)
     deg_e = sum(sm.degree for sm in spec.summands)
     return deg_e - Fraction(n * spec.b_deg, spec.r) + 1 - spec.genus
+
+
+def weighted_slope_sum(spec) -> Fraction:
+    """S = sum_j lambda_j rank(E_j) (mu(E_j) - mu(E))."""
+    n = sum(sm.rank for sm in spec.summands)
+    mu = Fraction(sum(sm.degree for sm in spec.summands), n)
+    return sum(sm.weight * (sm.degree - sm.rank * mu) for sm in spec.summands)
 
 
 def compositions(total: int, parts: int):

@@ -659,7 +659,7 @@ NOT_INTEGER_VALUED = [
 
 def binomial_basis_chi(c) -> Poly:
     """sum_i c_i binom(k, i) as a polynomial in k."""
-    chi, falling = Poly.zero(), Poly.one()
+    chi, falling = Poly(), Poly.one()
     for i, coeff in enumerate(c):
         chi = chi + falling * Fraction(coeff, math.factorial(i))
         falling = falling * Poly((-i, 1))

@@ -1,5 +1,6 @@
 """Command-line interface: configs, output stability, exit codes."""
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -384,6 +385,29 @@ class TestOracleCheck:
         assert code == 0
         payload = json.loads(out)
         assert payload["mismatches"] == 0 and payload["specs"] == 40
+
+    def test_mismatch_lines_show_both_values(self, capsys, monkeypatch):
+        from chowstab import verification
+
+        specs = list(itertools.islice(verification.projbundle_specs(), 2))
+        real = projbundle.oracle
+
+        def skewed(spec, k):
+            dim, weight = real(spec, k)
+            return (dim, weight + 1) if (spec, k) == (specs[1], 2) else (dim, weight)
+
+        monkeypatch.setattr(verification, "projbundle_specs", lambda seed: iter(specs))
+        monkeypatch.setattr(projbundle, "oracle", skewed)
+        dim, weight = real(specs[1], 2)
+        code, out, err = run_cli(capsys, "oracle-check", "--suite", "projbundle")
+        assert code == 2 and "1 oracle mismatches" in err
+        assert out.splitlines() == [
+            "suite=projbundle: 2 specs checked, 1 mismatch(es)",
+            f"  mismatch at k=2: {specs[1]}: closed ({dim}, {weight}), brute ({dim}, {weight + 1})"]
+        code, out, _ = run_cli(capsys, "oracle-check", "--suite", "projbundle", "--json")
+        assert code == 2
+        assert out == json.dumps({"mismatches": 1, "specs": 2, "suite": "projbundle"},
+                                 indent=2) + "\n"
 
     def test_seed_refused_for_the_exhaustive_blowup_suite(self, capsys, monkeypatch):
         from chowstab import verification

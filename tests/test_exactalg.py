@@ -142,7 +142,7 @@ class TestRatFn:
 
     def test_denominator_normalization(self):
         f = RatFn(Poly((1,)), Poly((0, Fraction(-1, 2))))
-        assert f.den.leading_coefficient() > 0
+        assert f.den.coeffs[-1] > 0
         assert all(c.denominator == 1 for c in f.den.coeffs)
 
     def test_cross_multiplication_equality(self):
@@ -237,6 +237,15 @@ class TestMPoly:
             MPoly(("x", "y"), {(0.5,): 1})
         with pytest.raises(ValueError, match="^bad exponent vector"):
             MPoly(("x", "y"), {(1,): 1})
+
+    # These once raised a bare AttributeError ("'float' object has no
+    # attribute 'items'").
+    @pytest.mark.parametrize("terms", [1.0, True, "1"])
+    def test_terms_must_be_a_mapping(self, terms):
+        with pytest.raises(TypeError) as info:
+            MPoly(("x",), terms)
+        assert str(info.value) == ("terms must be a mapping of exponent vectors to "
+                                   f"coefficients, got {terms!r}")
 
     # MPoly((1, 2), {(1, 0): 1}) was once built and failed only inside repr,
     # with "sequence item 0: expected str instance".

@@ -1012,6 +1012,9 @@ class TestOrbitProofs:
         assert p2lab._integer_action(PointConfig.four_points_three_aligned(),
                                      DiagAction((2, -1, -1))) == (phi_nums, q, lams)
         skewed = (phi_nums, q, lams[:3] + (lams[3] + 1,))
+        # _psi reads _integer_action too: warm it first, so that the skewed
+        # action reaches only _line_coefficients.
+        p2lab._psi(p2lab._FOUR_POINTS, p2lab._FOUR_POINT_ACTION)
         monkeypatch.setattr(p2lab, "_integer_action", lambda config, action: skewed)
         with pytest.raises(CrossCheckError) as info:
             search_unstable(1, 1)

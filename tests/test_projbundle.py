@@ -15,7 +15,7 @@ from chowstab.errors import (
     DegenerateInputError,
     ResourceLimitError,
 )
-from chowstab.exactalg import GENERATOR_CACHE_SIZE, Poly, RatFn, cm_constants
+from chowstab.exactalg import Poly, RatFn, cm_constants
 from chowstab.projbundle import (
     POLYSTABLE,
     SEMISTABLE_NOT_POLYSTABLE,
@@ -30,14 +30,14 @@ from chowstab.projbundle import (
     weight_poly,
 )
 from exact_reference import choose
-from projbundle_reference import twisted_det_chi, twisted_slope
+from projbundle_reference import twisted_det_chi, twisted_slope, weighted_slope_sum
 
 
 def reference_chow_weight(spec):
     """The separate Chow transcription chow_weight used before it was built
     from F_1: [kr/(n(n+1))] chi(det twist) S / (mu~ (1 - g - kr mu + k deg B))."""
     n, r = spec.n, spec.r
-    num = Poly((0, Fraction(r, n * (n + 1)))) * (twisted_det_chi(spec) * spec.weighted_slope_sum)
+    num = Poly((0, Fraction(r, n * (n + 1)))) * (twisted_det_chi(spec) * weighted_slope_sum(spec))
     mu = Fraction(sum(sm.degree for sm in spec.summands), n)
     den = Poly((1 - spec.genus, spec.b_deg - r * mu)) * twisted_slope(spec)
     return RatFn(num, den)
@@ -45,7 +45,7 @@ def reference_chow_weight(spec):
 
 def reference_r1_futaki(spec):
     """The r = 1 closed form higher_futaki used before it covered every r."""
-    factor = -twisted_det_chi(spec) / twisted_slope(spec)**2 * spec.weighted_slope_sum
+    factor = -twisted_det_chi(spec) / twisted_slope(spec)**2 * weighted_slope_sum(spec)
     return [c * factor for c in cm_constants(spec.n)]
 
 
@@ -57,7 +57,7 @@ def generator_futaki(spec, generators):
         for i in range(n):
             gen = gen * Poly((Fraction(i, r), 1))
         generators[n, r] = gen / (n * (n + 1))
-    factor = -twisted_det_chi(spec) / twisted_slope(spec)**2 * spec.weighted_slope_sum
+    factor = -twisted_det_chi(spec) / twisted_slope(spec)**2 * weighted_slope_sum(spec)
     return [generators[n, r].coefficient(n + 1 - ell) * factor for ell in range(1, n + 1)]
 
 
@@ -150,13 +150,6 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle(trivial_rank2(), 0)
 
-    def test_table_cache_is_bounded(self):
-        size = projbundle._symmetric_power_table.cache_info().maxsize
-        assert size == GENERATOR_CACHE_SIZE
-        for rank in range(2, size + 10):
-            oracle(CurveBundleSpec(genus=2, summands=(Summand(rank, 1, 1),), b_deg=1), 1)
-        assert projbundle._symmetric_power_table.cache_info().currsize == size
-
     def test_block_sum_cache_is_bounded(self):
         size = projbundle._block_sums.cache_info().maxsize
         assert size == projbundle.ORACLE_TABLE_CACHE_SIZE
@@ -176,12 +169,10 @@ class TestOracle:
             CurveBundleSpec(genus=2, summands=(Summand(1, 0, 0),) * 5, b_deg=1), 1)),
     ], ids=["non-spec", "k=0", "k=1.0", "kr>60", "5 summands"])
     def test_refusals_leave_the_table_caches_unchanged(self, error, call):
-        before = (projbundle._block_sums.cache_info(),
-                  projbundle._symmetric_power_table.cache_info())
+        before = projbundle._block_sums.cache_info()
         with pytest.raises(error):
             call()
-        assert (projbundle._block_sums.cache_info(),
-                projbundle._symmetric_power_table.cache_info()) == before
+        assert projbundle._block_sums.cache_info() == before
 
 
 class TestChowWeight:
@@ -239,7 +230,7 @@ class TestHigherFutaki:
         assert got == [Fraction(4, 27), Fraction(4, 27)]
         # closed form re-derived literally
         chi_det, mu_twist = twisted_det_chi(spec), twisted_slope(spec)
-        s_sum = spec.weighted_slope_sum
+        s_sum = weighted_slope_sum(spec)
         assert chi_det == -4 and mu_twist == Fraction(-3, 2) and s_sum == Fraction(1, 2)
         expect = [-c * chi_det / mu_twist**2 * s_sum for c in cm_constants(2)]
         assert got == expect
@@ -503,7 +494,6 @@ class TestValidation:
 
     def test_derived_numbers_cached(self):
         spec = unstable_pair()
-        assert spec.weighted_slope_sum is spec.weighted_slope_sum
         assert spec.slope_gaps is slope_classify(spec).per_summand
         assert spec == unstable_pair() and hash(spec) == hash(unstable_pair())
         assert euler_char_poly(spec) is euler_char_poly(spec)
