@@ -77,8 +77,10 @@ from .exactalg import (
     Poly,
     RatFn,
     _as_rat,
+    _require_dimension,
     _require_int_seq,
     _require_ints,
+    _stirling_tuple,
     stirling_coeffs,
 )
 
@@ -114,6 +116,7 @@ class BaseSummary:
     that the base is asymptotically Chow polystable (which this module
     cannot verify and does not try to).  Its hash, the dataclass's, is taken
     once, at construction, for the _geometry_for lookups, and not pickled.
+    n above exactalg.MAX_DIMENSION raises ResourceLimitError.
     chi(k) = sum_l a_l k^{n-l} must be integer-valued, as a Hilbert
     polynomial is, so that every n! a_l is an integer: after the other
     checks, ValueError names the first j in 0..n with chi(j) no integer."""
@@ -129,6 +132,7 @@ class BaseSummary:
                 f"polystable_certified must be a bool, got {self.polystable_certified!r}")
         if self.n < 2:
             raise ValueError("base dimension must be >= 2")
+        _require_dimension(self.n)
         object.__setattr__(self, "a", tuple(_as_rat(c) for c in self.a))
         if len(self.a) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} Hilbert coefficients")
@@ -162,19 +166,21 @@ def projective_space_base(n: int) -> BaseSummary:
     """Projective n-space with the hyperplane polarization: chi(k) = binom(k+n, n).
 
     prod_{i=1}^{n} (k+i) = sum_{h>=1} s_h(n+1) k^{h-1}, so a_l = s_{n+1-l}(n+1) / n!.
-    n must be an int (TypeError; bools are refused) and >= 2 (ValueError),
-    checked before the bounded cache is consulted.
+    n must be an int (TypeError; bools are refused), >= 2 (ValueError) and
+    at most MAX_DIMENSION (ResourceLimitError), checked before the bounded
+    cache is consulted.
     """
     if type(n) is not int:      # the named check runs only on a miss
         _require_ints(n=n)
     if n < 2:
         raise ValueError("base dimension must be >= 2")
+    _require_dimension(n)
     return _projective_space_base(n)
 
 
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _projective_space_base(n: int) -> BaseSummary:
-    s = stirling_coeffs(n + 1)
+    s = _stirling_tuple(n + 1)      # stirling_coeffs refuses n + 1 = MAX_DIMENSION + 1
     fact = math.factorial(n)
     return BaseSummary(n=n, a=tuple(Fraction(s[n + 1 - ell], fact) for ell in range(n + 1)),
                        polystable_certified=True)

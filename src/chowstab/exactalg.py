@@ -36,6 +36,8 @@ from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import ResourceLimitError
+
 __all__ = [
     "Poly",
     "RatFn",
@@ -97,6 +99,37 @@ def _require_int_seq(name: str, values) -> None:
     for i, value in enumerate(values):
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"{name}[{i}] must be an int, got {value!r}")
+
+
+def _power(base, n, one):
+    """base ** n by repeated squaring from the unit ``one``, for an int n >= 0."""
+    if type(n) is not int:      # bools and floats refused by name
+        _require_ints(exponent=n)
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def _pretty(names: tuple[str, ...], terms) -> str:
+    """sum_e c_e prod_i names[i]^e[i] over (e, c_e) pairs with c_e != 0, in
+    their order, as "-x^2 + 3/2*x*y - 1"; "0" when there is no term."""
+    text = ""
+    for exps, c in terms:
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, format_rational(abs(c)))
+        if text:
+            text += " - " if c < 0 else " + "
+        elif c < 0:
+            text = "-"
+        text += "*".join(factors)
+    return text or "0"
 
 
 def _int_product(a, b) -> list[int]:
@@ -230,8 +263,12 @@ class Poly:
     def __neg__(self) -> "Poly":
         return _canonical([-c for c in self._num], self._den)
 
-    def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other over the least common denominator."""
+    def _combine(self, other, sign: int) -> "Poly":
+        """self + sign * other over the least common denominator; a scalar is a constant."""
+        if isinstance(other, (int, Fraction)):
+            other = Poly((other,))
+        elif not isinstance(other, Poly):
+            return NotImplemented
         a, da, b, db = self._num, self._den, other._num, other._den
         if da != db:
             g = math.gcd(da, db)
@@ -249,19 +286,11 @@ class Poly:
         return _canonical(out, da)
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self._combine(other, -1)
 
     def __rsub__(self, other) -> "Poly":
@@ -288,18 +317,7 @@ class Poly:
         return _canonical([den * a for a in self._num], num * self._den)
 
     def __pow__(self, n: int) -> "Poly":
-        if type(n) is not int:      # bools and floats refused by name
-            _require_ints(exponent=n)
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Poly.one())
 
     def evaluate(self, point) -> Fraction:
         """Value at an int or a Fraction point, by Horner's rule.
@@ -320,26 +338,7 @@ class Poly:
         return acc
 
     def pretty(self) -> str:
-        if self.is_zero:
-            return "0"
-        coeffs = self.coeffs
-        parts = []
-        for power in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[power]
-            if not c:
-                continue
-            if power == 0:
-                body = format_rational(abs(c))
-            else:
-                xs = "k" if power == 1 else f"k^{power}"
-                body = xs if abs(c) == 1 else f"{format_rational(abs(c))}*{xs}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _pretty(("k",), [((power,), c) for power, c in enumerate(self.coeffs) if c][::-1])
 
     def __repr__(self) -> str:
         return f"Poly({self.pretty()})"
@@ -561,12 +560,17 @@ class MPoly:
             raise ValueError(
                 f"indeterminate-set mismatch: {self._vars} vs {other._vars}")
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MPoly):
-            return self._vars == other._vars and self._terms == other._terms
+    def _lift(self, other) -> "MPoly | None":
+        """other in this ring: a scalar as a constant, an MPoly as itself, else None."""
         if isinstance(other, (int, Fraction)):
-            return self == MPoly.constant(self._vars, other)
-        return NotImplemented
+            return MPoly.constant(self._vars, other)
+        return other if isinstance(other, MPoly) else None
+
+    def __eq__(self, other) -> bool:
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self._vars == other._vars and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self._vars, frozenset(self._terms.items())))
@@ -575,9 +579,8 @@ class MPoly:
         return MPoly(self._vars, {e: -c for e, c in self._terms.items()})
 
     def __add__(self, other) -> "MPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(self._vars, other)
-        if not isinstance(other, MPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         self._check_same_ring(other)
         out = dict(self._terms)
@@ -588,11 +591,9 @@ class MPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "MPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(self._vars, other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self + (-other)
+        # Lifted before it is negated: -True is the int -1, which would pass.
+        other = self._lift(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other) -> "MPoly":
         return (-self) + other
@@ -616,53 +617,29 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
-        if type(n) is not int:      # bools and floats refused by name
-            _require_ints(exponent=n)
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MPoly.constant(self._vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, MPoly.constant(self._vars, 1))
 
     def pretty(self) -> str:
-        if not self._terms:
-            return "0"
-        def fmt(e, c):
-            factors = []
-            for name, power in zip(self._vars, e):
-                if power == 1:
-                    factors.append(name)
-                elif power > 1:
-                    factors.append(f"{name}^{power}")
-            body = "*".join(factors)
-            if not body:
-                return format_rational(c)
-            if c == 1:
-                return body
-            if c == -1:
-                return f"-{body}"
-            return f"{format_rational(c)}*{body}"
-        ordered = sorted(self._terms.items(), key=lambda t: (-sum(t[0]), tuple(-x for x in t[0])))
-        text = fmt(*ordered[0])
-        for e, c in ordered[1:]:
-            piece = fmt(e, c)
-            text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return text
+        terms = sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return _pretty(self._vars, terms)
 
     def __repr__(self) -> str:
         return f"MPoly({self.pretty()})"
 
 
+# The largest n of stirling_coeffs, cm_constants, projective_space_base and
+# BaseSummary, and total rank of a CurveBundleSpec; above it each raises
+# ResourceLimitError before any work.  It is far above every documented use
+# (n <= 8 in the tests, n <= 6 in the oracle suites and the benchmark), and
+# at it each of them returns within 50 ms (2 vCPU, CPython 3.11), though
+# their cost grows as n^3 to n^4.
+MAX_DIMENSION = 64
+
 # Distinct n kept by the rising-factorial cache (and by
-# blowup._projective_space_base).  The verified universes use n <= 6;
-# larger n stay correct, and a caller cycling through more distinct n than
-# this recomputes O(n^2) small tables.
-GENERATOR_CACHE_SIZE = 64
+# blowup._projective_space_base).  The verified universes use n <= 6; a
+# caller cycling through more distinct n than this, up to the
+# MAX_DIMENSION + 1 that the guard admits, recomputes O(n^2) small tables.
+GENERATOR_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
@@ -675,23 +652,33 @@ def _stirling_tuple(n: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _require_dimension(n: int) -> None:
+    if n > MAX_DIMENSION:
+        raise ResourceLimitError(f"dimension guard exceeded: n = {n} > {MAX_DIMENSION}")
+
+
+def _check_order(n) -> None:
+    """The n of the generators: an int (TypeError), >= 1 (ValueError) and
+    at most MAX_DIMENSION (ResourceLimitError)."""
+    _require_ints(n=n)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    _require_dimension(n)
+
+
 def stirling_coeffs(n: int) -> list[int]:
     """Coefficients [s_0..s_n] of the rising factorial prod_{i=0}^{n-1} (x + i).
 
     These are the non-negative integers generated by
     binom(n + x - 1, x - 1) = sum_h s_h x^h / n!; always s_0 = 0 and s_n = 1.
     """
-    _require_ints(n=n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_order(n)
     return list(_stirling_tuple(n))
 
 
 def cm_constants(n: int) -> list[Fraction]:
     """Positive constants [C_1..C_n] with sum_l C_l k^{n+1-l} = prod_{i<n}(k+i) / (n(n+1))."""
-    _require_ints(n=n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_order(n)
     s = _stirling_tuple(n)
     # prod_{i<n}(k+i) = sum_h s_h k^h, and the k^{n+1-l} coefficient is s_{n+1-l}.
     return [Fraction(s[n + 1 - ell], n * (n + 1)) for ell in range(1, n + 1)]

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 from . import chowcore
 from .errors import AmplenessWarning, CrossCheckError, DegenerateInputError, ResourceLimitError
-from .exactalg import Poly, RatFn, _require_ints, _stirling_tuple
+from .exactalg import Poly, RatFn, _require_dimension, _require_ints, _stirling_tuple
 
 __all__ = [
     "Summand",
@@ -119,7 +119,8 @@ class CurveBundleSpec:
     The polarization is O_{P(E)}(r) twisted by a degree-b_deg line bundle B
     from the curve; b_weight is the fiberwise weight on B.
 
-    n, the dimension of P(E) and rank of E, is set at construction.  The
+    n, the dimension of P(E) and rank of E, is set at construction, and
+    above exactalg.MAX_DIMENSION refused with ResourceLimitError.  The
     derived numbers (deg_e; the slope_gaps mu(E_j) - mu(E); chi; w) are
     set together by _derive at the first read of any of them.  Equality,
     hash and repr are those of the fields.
@@ -146,6 +147,7 @@ class CurveBundleSpec:
         object.__setattr__(self, "n", sum(s.rank for s in self.summands))
         if self.n < 2:
             raise ValueError("total rank must be >= 2")
+        _require_dimension(self.n)
 
     deg_e = _Derived()
     slope_gaps = _Derived()

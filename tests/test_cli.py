@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import chowstab
 from chowstab import blowup, projbundle
 from chowstab.cli import main
-from chowstab.exactalg import parse_rational
+from chowstab.exactalg import MAX_DIMENSION, parse_rational
 from chowstab.p2lab import SEARCH_MAX_GRID_BOUND, SEARCH_MAX_SCALE_BOUND
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -55,6 +56,19 @@ JSON_GOLDENS = [
     ("search_unstable_grid1_scale1", "search-unstable", None, ("--grid", "1", "--scale", "1")),
 ]
 
+# (golden, command, config, extra) of each table golden, the output without
+# --json, the only output printed through the polynomial printers.
+TABLE_GOLDENS = [
+    ("projbundle_split_degree_one", "projbundle", "projbundle_split_degree_one", ()),
+    ("projbundle_three_summands_r2_k1-6_approx", "projbundle", "projbundle_three_summands_r2",
+     ("--k-range", "1:6", "--approx")),
+    ("blowup_p2_four_aligned", "blowup", "blowup_p2_four_aligned", ()),
+    ("blowup_p2_three_points_approx", "blowup", "blowup_p2_three_points", ("--approx",)),
+    ("blowup_rational_phi", "blowup", "blowup_rational_phi", ()),
+    ("loci_3pt_m5_alphas_2-1-1", "loci-3pt", None, ("--m", "5", "--alphas", "2,1,1")),
+    ("search_unstable_grid2_scale3", "search-unstable", None, ("--grid", "2", "--scale", "3")),
+]
+
 # The searches pinned by the sha256 of their output, as (grid, scale).
 # Grids 5 and 7 pin the search's reuse of its work across each orbit of
 # line classes on bounds that no other golden covers.
@@ -74,21 +88,31 @@ def demo_golden(demo):
 def test_every_golden_file_is_read():
     """Each file in tests/golden is compared by one of the tests below."""
     read = ({GOLDEN / f"{row[0]}.json" for row in JSON_GOLDENS}
+            | {GOLDEN / f"{row[0]}.txt" for row in TABLE_GOLDENS}
             | {digest_path(grid, scale) for grid, scale in DIGEST_SEARCHES}
             | {demo_golden(demo) for demo in DEMO_NAMES})
     assert set(GOLDEN.iterdir()) == read
 
 
 class TestGoldenOutput:
-    """JSON output of the shipped configs, byte for byte as recorded in tests/golden."""
+    """JSON and table output of the shipped configs, byte for byte as
+    recorded in tests/golden."""
+
+    def output_matches(self, capsys, path, command, config, extra):
+        config_args = ("--config", str(CONFIGS / f"{config}.json")) if config else ()
+        code, out, err = run_cli(capsys, command, *config_args, *extra)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == path.read_bytes()
 
     @pytest.mark.parametrize("golden,command,config,extra", JSON_GOLDENS,
                              ids=[row[0] for row in JSON_GOLDENS])
     def test_matches_golden(self, capsys, golden, command, config, extra):
-        config_args = ("--config", str(CONFIGS / f"{config}.json")) if config else ()
-        code, out, err = run_cli(capsys, command, *config_args, *extra, "--json")
-        assert (code, err) == (0, "")
-        assert out.encode("utf-8") == (GOLDEN / f"{golden}.json").read_bytes()
+        self.output_matches(capsys, GOLDEN / f"{golden}.json", command, config, (*extra, "--json"))
+
+    @pytest.mark.parametrize("golden,command,config,extra", TABLE_GOLDENS,
+                             ids=[row[0] for row in TABLE_GOLDENS])
+    def test_table_matches_golden(self, capsys, golden, command, config, extra):
+        self.output_matches(capsys, GOLDEN / f"{golden}.txt", command, config, extra)
 
     def search_matches_its_digest(self, capsys, grid, scale):
         """search-unstable's output, pinned by its sha256 rather than itself."""
@@ -428,6 +452,23 @@ class TestProcessEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["F1_zero"] is True
+
+
+    def test_rank_above_the_dimension_guard_exits_1_at_once(self, tmp_path):
+        # Unguarded, this config ran for 24 s and then exited 1 with CPython's
+        # "Exceeds the limit (4300 digits) for integer string conversion".
+        config = tmp_path / "rank_3000.json"
+        config.write_text(json.dumps(_edited("projbundle_three_summands_r2",
+                                             lambda c: c["summands"][0].update(rank=2998))))
+        src = str(Path(chowstab.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "chowstab.cli", "projbundle",
+                               "--config", str(config)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: dimension guard exceeded: n = 3000 > {MAX_DIMENSION}\n"
 
 
 class TestDemos:

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowstab import exactalg
+from chowstab import blowup, exactalg
+from chowstab.blowup import BaseSummary, projective_space_base
+from chowstab.errors import ResourceLimitError
 from chowstab.exactalg import (
     GENERATOR_CACHE_SIZE,
+    MAX_DIMENSION,
     MPoly,
     Poly,
     RatFn,
@@ -19,6 +22,7 @@ from chowstab.exactalg import (
     parse_rational,
     stirling_coeffs,
 )
+from chowstab.projbundle import CurveBundleSpec, Summand
 from exact_reference import (
     binom_poly_in_k,
     choose,
@@ -429,3 +433,106 @@ class TestInexactPointsRefused:
         assert (got._num, got._den) == (want._num, want._den)
         with pytest.raises(ZeroDivisionError):
             p / 0
+
+
+class TestSharedPrinterPowerAndCoercion:
+    """Poly and MPoly print through one term joiner, raise to a power
+    through one repeated squaring, and coerce scalars once per class."""
+
+    # The texts the two separate printers gave before they were merged.
+    @pytest.mark.parametrize("p, text", [
+        (Poly((-1, 0, Fraction(3, 2), -1)), "-k^3 + 3/2*k^2 - 1"),
+        (Poly((0, 1)), "k"),
+        (Poly((Fraction(-7, 3),)), "-7/3"),
+        (Poly(), "0"),
+        (MPoly(("x", "y"), {(0, 0): -1, (1, 1): Fraction(3, 2), (2, 0): -1}),
+         "-x^2 + 3/2*x*y - 1"),
+        (MPoly(("x", "y"), {(1, 0): 1, (0, 2): Fraction(2, 5), (0, 0): 3}), "2/5*y^2 + x + 3"),
+        (MPoly(("x", "y")), "0"),
+    ])
+    def test_pretty_examples(self, p, text):
+        assert p.pretty() == text
+
+    @given(st.lists(st.one_of(st.sampled_from([0, 1, -1, -3, Fraction(-1, 2)]), rationals),
+                    max_size=7))
+    @settings(max_examples=200)
+    def test_poly_prints_as_the_mpoly_in_k(self, coeffs):
+        as_mpoly = MPoly(("k",), {(power,): c for power, c in enumerate(coeffs)})
+        assert Poly(coeffs).pretty() == as_mpoly.pretty()
+
+    @pytest.mark.parametrize("base", [
+        Poly((Fraction(-1, 2), 0, 3)),
+        MPoly(("x", "y"), {(1, 0): Fraction(2, 3), (0, 1): -1, (0, 0): 1}),
+    ], ids=["Poly", "MPoly"])
+    def test_power_is_repeated_multiplication(self, base):
+        product = base ** 0
+        assert product == (Poly.one() if isinstance(base, Poly) else MPoly.constant(("x", "y"), 1))
+        for n in range(1, 7):
+            product = product * base
+            assert base ** n == product
+
+    @pytest.mark.parametrize("base", [Poly((1, 2)), MPoly.generators(("x",))[0]],
+                             ids=["Poly", "MPoly"])
+    def test_negative_power_refused(self, base):
+        with pytest.raises(ValueError, match="^negative power of a polynomial$"):
+            base ** -1
+
+    # Negating before coercing would turn True into the int -1 and accept it.
+    @pytest.mark.parametrize("call", [
+        lambda: MPoly.generators(("x",))[0] - True,
+        lambda: MPoly.generators(("x",))[0] + True,
+        lambda: True - MPoly.generators(("x",))[0],
+        lambda: Poly((1, 2)) - True,
+        lambda: Poly((1, 2)) + True,
+        lambda: True - Poly((1, 2)),
+    ])
+    def test_bool_operands_refused(self, call):
+        with pytest.raises(TypeError, match="^expected an int or a Fraction, got True$"):
+            call()
+
+    def test_other_operands_are_not_implemented(self):
+        assert Poly((1,)).__add__("x") is NotImplemented
+        assert Poly((1,)).__sub__("x") is NotImplemented
+        x = MPoly.generators(("x",))[0]
+        assert x.__add__("x") is NotImplemented and x.__sub__("x") is NotImplemented
+        with pytest.raises(TypeError, match="unsupported operand"):
+            Poly((1,)) + "x"
+        with pytest.raises(TypeError, match="unsupported operand"):
+            x - "x"
+
+
+# Each entry point that one dimension n sizes, called at n: a bundle of
+# total rank n, the plane's Hilbert coefficients padded to a base of
+# dimension n.
+DIMENSION_ENTRY_POINTS = {
+    "stirling_coeffs": stirling_coeffs,
+    "cm_constants": cm_constants,
+    "projective_space_base": projective_space_base,
+    "BaseSummary": lambda n: BaseSummary(n, (Fraction(1, 2), Fraction(3, 2), 1) + (0,) * (n - 2)),
+    "CurveBundleSpec": lambda n: CurveBundleSpec(2, (Summand(n - 1, 1, 0), Summand(1, 0, 0))),
+}
+
+
+class TestDimensionGuard:
+    """One limit, MAX_DIMENSION, on every entry point whose cost grows with
+    n, checked before any work; unguarded, stirling_coeffs(2000) took 2.5 s
+    and a rank-3000 bundle ran 24 s into an integer too long to print."""
+
+    @pytest.mark.parametrize("name", DIMENSION_ENTRY_POINTS)
+    def test_refuses_one_above_the_limit(self, name):
+        with pytest.raises(ResourceLimitError) as info:
+            DIMENSION_ENTRY_POINTS[name](MAX_DIMENSION + 1)
+        assert str(info.value) == (
+            f"dimension guard exceeded: n = {MAX_DIMENSION + 1} > {MAX_DIMENSION}")
+
+    @pytest.mark.parametrize("name", DIMENSION_ENTRY_POINTS)
+    def test_accepts_the_limit(self, name):
+        DIMENSION_ENTRY_POINTS[name](MAX_DIMENSION)
+
+    def test_refused_before_the_caches_are_consulted(self):
+        caches = (exactalg._stirling_tuple, blowup._projective_space_base)
+        before = [cache.cache_info() for cache in caches]
+        for call in DIMENSION_ENTRY_POINTS.values():
+            with pytest.raises(ResourceLimitError):
+                call(10 * MAX_DIMENSION)
+        assert [cache.cache_info() for cache in caches] == before
