@@ -34,28 +34,25 @@ The base's chi is integer-valued (BaseSummary refuses any other), so its
 n! a_l are integers and every geometry is derived on integers alone.
 
 Everything but the action data (phi, lambda) is fixed by the geometry
-(base, m, alphas): chi~ and its HilbertData, D, and, since w~ and the
-point sums are linear in (phi, lambda), the coefficient of every phi_j
-and lambda_j in each coefficient of w~ and in each F_l.  These are
+(base, m, alphas): chi~, D, and, since w~ and the point sums are linear
+in (phi, lambda), the coefficient of every phi_j and lambda_j in each
+coefficient of w~ and in each F_l.  These are
 derived once per geometry, on integers (chi~ as n! chi~ over n!), and
 held in a bounded cache (GEOMETRY_CACHE_SIZE entries), the coefficients
 as integer numerators over one denominator for w~ and one for the F_l.
 An action, its phi brought to their least common denominator once, then
 costs one integer dot product per coefficient of w~ and per F_l, and one
 normalisation for each.  A BlowupSpec derives its data at construction,
-once: the geometry, the action over one denominator, w~ and its
-WeightData, held as plain attributes that every consumer reads.  The
-point sums are derived per call, where they are checked: every call of
-futaki_blowup derives the invariants twice and insists on exact
-agreement, the geometry's checked_futaki running the generic pipeline
-(chowcore._futaki_parts) on the integer numerators of chi~ and w~ and
-the point-sum columns on the same action; p2lab's search verifies its
-candidates through the same derivation, without a BlowupSpec, and reads
-its integer numerators (checked_futaki_parts) instead of Fractions.
-chow_blowup goes through chowcore.report on (chi~, w~), which asserts
-the Chow function's expansion in the F_l.  Both compare their pipeline F_l with
-the point sums in one place (_check_point_sums), by integer
-cross-multiplication, and raise the same CrossCheckError message.
+once: the geometry, the action over one denominator and w~, held as plain
+attributes that every consumer reads; no HilbertData or WeightData is
+built.  The point sums are derived per call, where they are checked:
+futaki_blowup (the geometry's checked_futaki_parts, which p2lab's search
+also runs, without a BlowupSpec) takes the generic F_l from
+chowcore._futaki_parts, and chow_blowup takes them with the Chow function
+from chowcore._chow_parts, which asserts the Chow function's expansion in
+them.  Both compare them with the point sums in one place
+(_check_point_sums, through chowcore._check_agreement), on integers, and
+raise the same CrossCheckError message.
 
 For blowups of the projective plane at coordinate points the space of
 sections is a span of monomials, and oracle_p2 checks both polynomials by
@@ -71,7 +68,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import chowcore
-from .errors import CrossCheckError, DegenerateInputError, ResourceLimitError
+from .errors import DegenerateInputError, ResourceLimitError
 from .exactalg import (
     GENERATOR_CACHE_SIZE,
     Poly,
@@ -210,11 +207,10 @@ class BlowupSpec:
     Requires D = deg - sum (alpha_j/m)^n > 0; inputs with D <= 0 are not
     polarizations of the blowup and are rejected outright.  The rest is
     derived at construction, once, and read as attributes: ``alphas``, the
-    volume gap D (``volume_gap``), chi~ (``chi``, the geometry's), w~
-    (``w``) and ``hilbert_weight_data``, the generic pipeline's input (the
-    geometry's HilbertData, the WeightData of w~).  The phi are brought to
-    their least common denominator once, for w~, the point sums that
-    futaki_blowup and chow_blowup derive per call, and adiabatic.
+    volume gap D (``volume_gap``), chi~ (``chi``, the geometry's) and w~
+    (``w``).  The phi are brought to their least common denominator once,
+    for w~, the point sums that futaki_blowup and chow_blowup derive per
+    call, and adiabatic.
     """
 
     base: BaseSummary
@@ -242,13 +238,10 @@ class BlowupSpec:
                 f"exceptional volume exhausts the base: D = {geometry.volume_gap}")
         action = geometry._integer_action([p.phi for p in self.points],
                                           [p.lam for p in self.points])
-        w = geometry.w_poly(action)
         # Plain attributes beside the fields: equality, hash and repr stay the dataclass's.
         self.__dict__.update(
             _geometry=geometry, alphas=alphas, volume_gap=geometry.volume_gap,
-            chi=geometry.chi, w=w,
-            hilbert_weight_data=(geometry.hilbert, chowcore.WeightData.from_poly(w, self.base.n)),
-            _action=action)
+            chi=geometry.chi, w=geometry.w_poly(action), _action=action)
 
     def __reduce__(self):
         # Pickle the fields alone: loading rebuilds through the constructor,
@@ -274,8 +267,7 @@ def _integer_dot(pairs, action) -> list:
 class _Geometry:
     """What a blowup's action does not change, derived once per (base, m, alphas).
 
-    Holds the key (base, m, alphas), D, chi~ and, for a polarization
-    (D > 0), its HilbertData, whose Poly is chi~, formed as integer
+    Holds the key (base, m, alphas), D and chi~, formed as integer
     numerators n! chi~ over n! (_scaled_chi_tilde).  w~ and the point sums
     F_l are linear in the action data (phi, lambda).  Their coefficient
     columns are kept as integer numerators: one pair per coefficient of w~,
@@ -287,8 +279,7 @@ class _Geometry:
     way and compares them (_check_point_sums, which chow_blowup also uses).
     """
 
-    __slots__ = ("base", "m", "alphas", "volume_gap", "chi", "hilbert",
-                 "_w_columns", "_futaki_columns")
+    __slots__ = ("base", "m", "alphas", "volume_gap", "chi", "_w_columns", "_futaki_columns")
 
     def __init__(self, base: BaseSummary, m: int, alphas: tuple[int, ...]):
         n = base.n
@@ -299,11 +290,7 @@ class _Geometry:
         self._w_columns = _w_tilde_columns(n, m, alphas), math.factorial(n + 1)
         # D <= 0 is no polarization (BlowupSpec refuses it); only the
         # counting identity, chi~ and w~, is defined there.
-        if self.volume_gap <= 0:
-            self.hilbert = self._futaki_columns = None
-        else:
-            self.hilbert = chowcore.HilbertData.from_poly(self.chi, n)
-            self._futaki_columns = columns, (n + 1) * d_int**2
+        self._futaki_columns = (columns, (n + 1) * d_int**2) if self.volume_gap > 0 else None
 
     @staticmethod
     def _integer_action(phis, lams) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
@@ -329,23 +316,22 @@ class _Geometry:
         pairs, den = self._futaki_columns
         return _integer_dot(pairs, action), action[1] * den
 
-    def _check_point_sums(self, action, pipeline, pipeline_den) -> tuple[list[int], int]:
+    def _check_point_sums(self, action, pipeline) -> tuple[list[int], int]:
         """The integer point sums of _point_sums under an action (P, q, lams)
         of _integer_action, compared with the pipeline's [F_1..F_n], given
-        as integer numerators over pipeline_den, by cross-multiplication; a
-        disagreement raises CrossCheckError naming the input and both sets
-        of values."""
-        sums, den = self._point_sums(action)
-        if any(num * den != total * pipeline_den for num, total in zip(pipeline, sums)):
+        as (integer numerators, one denominator), by
+        chowcore._check_agreement; a disagreement raises CrossCheckError
+        naming the base, m, the points and both sets of values."""
+        sums = self._point_sums(action)
+
+        def where():
             phi_nums, q, lams = action
             points = [(alpha, str(Fraction(num, q)), lam)
                       for alpha, num, lam in zip(self.alphas, phi_nums, lams)]
-            raise CrossCheckError(
-                f"point-sum invariants disagree with the chi/w pipeline at "
-                f"a = {[str(c) for c in self.base.a]}, m = {self.m}, (alpha, phi, lambda) = "
-                f"{points}: point sums {[str(Fraction(total, den)) for total in sums]}, "
-                f"pipeline {[str(Fraction(num, pipeline_den)) for num in pipeline]}")
-        return sums, den
+            return (f"a = {[str(c) for c in self.base.a]}, m = {self.m}, "
+                    f"(alpha, phi, lambda) = {points}")
+        chowcore._check_agreement(sums, pipeline, "point-sum", "point sums", where)
+        return sums
 
     def checked_futaki_parts(self, action) -> tuple[list[int], int]:
         """The integer numerators of [F_1..F_n] of a polarization (D > 0)
@@ -353,15 +339,8 @@ class _Geometry:
         denominator, derived twice on integers and compared: by the generic
         pipeline (chowcore._futaki_parts) on chi~ and the integer numerators
         of w~, and by the point sums (_check_point_sums)."""
-        b, d_b = self._w_numerators(action)
-        pipeline, pipeline_den = chowcore._futaki_parts(self.chi, b, d_b)
-        return self._check_point_sums(action, pipeline, pipeline_den)
-
-    def checked_futaki(self, action) -> list[Fraction]:
-        """[F_1..F_n] of checked_futaki_parts, as Fractions built once the
-        two derivations agree."""
-        sums, den = self.checked_futaki_parts(action)
-        return [Fraction(total, den) for total in sums]
+        return self._check_point_sums(
+            action, chowcore._futaki_parts(self.chi, *self._w_numerators(action)))
 
 
 @lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
@@ -477,27 +456,28 @@ def futaki_blowup(spec: BlowupSpec) -> list[Fraction]:
 
     Computed from the explicit point-sum formula and re-derived through the
     generic pipeline on the integer numerators of chi~ and w~ on every call
-    (the geometry's checked_futaki, on the spec's action); disagreement
-    raises a cross-check error.
+    (the geometry's checked_futaki_parts, on the spec's action);
+    disagreement raises a cross-check error, and Fractions are built only
+    once the two agree.
     """
     _require_spec(spec)
-    return spec._geometry.checked_futaki(spec._action)
+    sums, den = spec._geometry.checked_futaki_parts(spec._action)
+    return [Fraction(total, den) for total in sums]
 
 
 def chow_blowup(spec: BlowupSpec) -> RatFn:
     """Chow weight of the blown-up polarization as a rational function of k.
 
-    Taken from chowcore.report on (chi~, w~), which asserts that it equals
+    Taken from chowcore's integer core (_chow_parts, as chowcore.report) on
+    chi~ and the integer numerators of w~, which asserts that it equals
     (leading chi~ coefficient / chi~(k)) * sum_l F_l k^{n+1-l} (b_{n+1} = 0
-    here); the F_l of that report must equal the point-sum formula, compared
-    on integers as in futaki_blowup.
+    here); the integer F_l of that core must equal the point-sum formula,
+    compared as in futaki_blowup.
     """
     _require_spec(spec)
-    rep = chowcore.report(*spec.hilbert_weight_data)
-    den = math.lcm(*(f.denominator for f in rep.futaki))
-    spec._geometry._check_point_sums(
-        spec._action, [f.numerator * (den // f.denominator) for f in rep.futaki], den)
-    return rep.chow
+    chow, nums, den = chowcore._chow_parts(spec.chi, *spec.w.numerators(spec.base.n + 2))
+    spec._geometry._check_point_sums(spec._action, (nums, den))
+    return chow
 
 
 def adiabatic(spec: BlowupSpec) -> tuple[Fraction, Fraction]:

@@ -22,10 +22,11 @@ package.  This module works purely with the two polynomials; geometric
 families enter through the modules that produce their chi and w.
 HilbertData and WeightData each hold n and one Poly, so the pipeline reads
 integer numerators and the leading and constant coefficients from it, and
-builds the coefficient tuples a and b only when they are asked for.  One
-function, _futaki_parts, turns those numerators into the F_l over one
-denominator: futaki_invariants, report and each family's cross-check
-(projbundle.higher_futaki, blowup's checked_futaki) read it.
+builds the coefficient tuples a and b only when they are asked for.  The
+pipeline runs on chi and the integer numerators of w, so the families call
+it without either class: _futaki_parts gives the F_l over one denominator,
+_chow_parts the Chow function with them, its expansion asserted, and
+_check_agreement compares a family's own F_l with the pipeline's.
 """
 from __future__ import annotations
 
@@ -96,7 +97,8 @@ class _PolyData:
         return type(self), (self.n, self._coefficients())
 
 
-def _require_dimension(n) -> None:
+def _require_natural_n(n) -> None:
+    """An int n >= 0 (TypeError, ValueError), with no MAX_DIMENSION bound."""
     _require_ints(n=n)
     if n < 0:
         raise ValueError("dimension must be non-negative")
@@ -109,7 +111,7 @@ class HilbertData(_PolyData):
     _field, _extra = "a", 1
 
     def __init__(self, n: int, a):
-        _require_dimension(n)
+        _require_natural_n(n)
         a = tuple(a)
         chi = Poly(a[::-1])             # refuses an entry that is no int or Fraction
         if len(a) != n + 1:
@@ -125,7 +127,7 @@ class HilbertData(_PolyData):
             raise TypeError(f"chi must be a Poly, got {chi!r}")
         if chi.is_zero:
             raise ValueError("the Hilbert polynomial cannot be zero")
-        _require_dimension(n)
+        _require_natural_n(n)
         if chi.degree > n:
             raise ValueError(f"expected {n + 1} coefficients, got {chi.degree + 1}")
         if chi.degree < n:
@@ -145,7 +147,7 @@ class WeightData(_PolyData):
     _field, _extra = "b", 2
 
     def __init__(self, n: int, b):
-        _require_dimension(n)
+        _require_natural_n(n)
         b = tuple(b)
         w = Poly(b[::-1])               # refuses an entry that is no int or Fraction
         if len(b) != n + 2:
@@ -157,7 +159,7 @@ class WeightData(_PolyData):
         """w, of degree at most n + 1, held as it is."""
         if not isinstance(w, Poly):
             raise TypeError(f"w must be a Poly, got {w!r}")
-        _require_dimension(n)
+        _require_natural_n(n)
         if not w.is_zero and w.degree > n + 1:
             raise ValueError("weight polynomial degree exceeds n + 1")
         return cls._of(n, w)
@@ -189,19 +191,9 @@ def _check_pair(h: HilbertData, w: WeightData) -> None:
 
 
 def chow_weight_fn(h: HilbertData, w: WeightData) -> RatFn:
-    """Normalized Chow weight w(k)/chi(k) - (b_0/a_0) k as a reduced rational function.
-
-    Computed on the integer numerators of chi = sum_i A_i k^i / d_A and
-    w = sum_i B_i k^i / d_B: b_0/a_0 = B_{n+1} d_A / (d_B A_n), so
-    w - (b_0/a_0) k chi = (A_n B - B_{n+1} k A) / (d_B A_n).
-    """
+    """Normalized Chow weight w(k)/chi(k) - (b_0/a_0) k, reduced (_chow_parts)."""
     _check_pair(h, w)
-    chi = h.poly()
-    a, _ = chi.numerators(h.n + 1)
-    b, d_b = w.poly().numerators(h.n + 2)
-    lead, top = a[-1], b[-1]
-    num = Poly([lead * b[0]] + [lead * b_i - top * a_i for b_i, a_i in zip(b[1:], a)])
-    return RatFn(num / (d_b * lead), chi)
+    return _chow_parts(h.poly(), *w.poly().numerators(h.n + 2))[0]
 
 
 def _futaki_numerators(a, b) -> list:
@@ -215,8 +207,8 @@ def _futaki_parts(chi: Poly, b, d_b: int) -> tuple[list[int], int]:
     """The integer numerators of [F_1..F_n] and their one denominator, from
     chi (of degree n) and the integer numerators b of w by ascending power
     over d_b: with chi = sum_i A_i k^i / d_A,
-    F_l = (A_n B_{n+1-l} - B_{n+1} A_{n-l}) d_A / (d_B A_n^2).  Every reader
-    of the generic pipeline takes its F_l from here."""
+    F_l = (A_n B_{n+1-l} - B_{n+1} A_{n-l}) d_A / (d_B A_n^2).  _chow_parts
+    forms the same on the numerators of chi it has already read."""
     a, d_a = chi.numerators(chi.degree + 1)
     lead = a[-1]                        # the numerator of a_0
     return ([num * d_a for num in _futaki_numerators(a[::-1], b[::-1])],
@@ -246,26 +238,23 @@ def _numerators(p) -> tuple[tuple[int, ...], int]:
     return p.numerators(0 if p.is_zero else p.degree + 1)
 
 
-def report(h: HilbertData, w: WeightData) -> InvariantReport:
-    """Bundle the Chow function, the F_l and b_{n+1}, verifying their relation.
-
-    The expansion identity chow == b_{n+1}/chi + (a_0/chi) sum_l F_l k^{n+1-l}
-    is asserted before returning, on integers: chow comes from
-    chow_weight_fn, the F_l from _futaki_parts.  A failure means the two
-    computation paths disagree and is raised as a cross-check error.
-    """
-    _check_pair(h, w)
-    chow = chow_weight_fn(h, w)
-    chi = h.poly()
-    a, d_a = chi.numerators(h.n + 1)
-    b, d_b = w.poly().numerators(h.n + 2)
-    futaki, den = _futaki_parts(chi, b, d_b)
+def _chow_parts(chi: Poly, b, d_b: int) -> tuple[RatFn, list[int], int]:
+    """(chow, F_l numerators, their denominator) from chi (of degree n) and
+    the n + 2 integer numerators b of w by ascending power over d_b, once
+    chow == b_{n+1}/chi + (a_0/chi) sum_l F_l k^{n+1-l} (CrossCheckError if
+    not).  With chi = sum_i A_i k^i / d_A, read once,
+    w - (b_0/a_0) k chi = (A_n B - B_{n+1} k A) / (d_B A_n); F_l as in _futaki_parts."""
+    a, d_a = chi.numerators(chi.degree + 1)
+    lead, top = a[-1], b[-1]
+    num = Poly([lead * b[0]] + [lead * b_i - top * a_i for b_i, a_i in zip(b[1:], a)])
+    chow = RatFn(num / (d_b * lead), chi)
+    futaki, den = [x * d_a for x in _futaki_numerators(a[::-1], b[::-1])], d_b * lead * lead
     # With F_l = futaki_l / den, the expansion b_{n+1} + a_0 sum_l F_l k^{n+1-l}
     # has the integer numerators [B_0 d_A den, A_n d_B futaki_l from l = n
     # down to 1] by ascending power, over d_B d_A den.  With chow = N / D,
     # N over d_N and D over d_D, the identity N chi == expansion D holds iff
     # N A d_B den d_D == expansion D d_N (d_A cancels).
-    lead_b = a[-1] * d_b
+    lead_b = lead * d_b
     expansion = [b[0] * d_a * den, *(lead_b * x for x in reversed(futaki))]
     while expansion and not expansion[-1]:
         expansion.pop()
@@ -277,7 +266,35 @@ def report(h: HilbertData, w: WeightData) -> InvariantReport:
         rhs = Poly(expansion) / (d_b * d_a * den) * chow.den
         raise CrossCheckError(
             f"Chow expansion does not match the invariants F_l at chi = {chi.pretty()}, "
-            f"w = {w.poly().pretty()}: chow.num * chi = {(chow.num * chi).pretty()}, "
+            f"w = {(Poly(b) / d_b).pretty()}: chow.num * chi = {(chow.num * chi).pretty()}, "
             f"expansion * chow.den = {rhs.pretty()}")
+    return chow, futaki, den
+
+
+def _check_agreement(derived, pipeline, kind: str, label: str, where) -> None:
+    """Raise CrossCheckError unless a family's [F_1..F_n] (derived) and the
+    pipeline's, each (integer numerators, one denominator), agree by
+    cross-multiplication; the message, built only on failure, names the
+    identity (kind), the input (where(), a callable) and both values."""
+    nums, den = derived
+    generic, generic_den = pipeline
+    for x, y in zip(nums, generic):
+        if x * generic_den != y * den:
+            raise CrossCheckError(
+                f"{kind} invariants disagree with the chi/w pipeline at {where()}: "
+                f"{label} {[str(Fraction(x, den)) for x in nums]}, "
+                f"pipeline {[str(Fraction(x, generic_den)) for x in generic]}")
+
+
+def report(h: HilbertData, w: WeightData) -> InvariantReport:
+    """Bundle the Chow function, the F_l and b_{n+1}, verifying their relation.
+
+    The expansion identity chow == b_{n+1}/chi + (a_0/chi) sum_l F_l k^{n+1-l}
+    is asserted on integers by _chow_parts; Fractions are built only for the
+    output.
+    """
+    _check_pair(h, w)
+    b, d_b = w.poly().numerators(h.n + 2)
+    chow, futaki, den = _chow_parts(h.poly(), b, d_b)
     return InvariantReport(chow=chow, futaki=tuple(Fraction(x, den) for x in futaki),
                            b_top=Fraction(b[0], d_b))

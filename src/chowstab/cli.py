@@ -13,7 +13,8 @@ table output.  Exit status: 0 on success, 1 on parse or precondition
 errors, 2 when an internal cross-check between two computation paths
 fails.  A ``search-unstable`` grid bound above
 p2lab.SEARCH_MAX_GRID_BOUND, or scale bound above
-p2lab.SEARCH_MAX_SCALE_BOUND, is refused with status 1.  The search runs
+p2lab.SEARCH_MAX_SCALE_BOUND, is refused with status 1, and so is a
+``projbundle --k-range`` wider than K_RANGE_MAX_WIDTH.  The search runs
 serially in the calling process.
 """
 from __future__ import annotations
@@ -30,6 +31,12 @@ from .exactalg import Poly, RatFn, format_rational, parse_rational
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CROSSCHECK = 2
+
+# Rows of a projbundle --k-range table, which is built in memory before it
+# is printed: 10 000 rows take about 0.1 s and 1.25 MB of JSON (2 vCPU,
+# CPython 3.11), and the cost is linear.  Far above every documented range
+# (1:6), and it keeps a mistyped bound from asking for minutes and gigabytes.
+K_RANGE_MAX_WIDTH = 10_000
 
 
 def _poly_strings(p: Poly) -> list[str]:
@@ -91,6 +98,9 @@ def _parse_k_range(text: str) -> tuple[int, int]:
         raise ValueError(f"--k-range expects A:B with integers, got {text!r}") from exc
     if lo < 1 or hi < lo:
         raise ValueError(f"--k-range endpoints must satisfy 1 <= A <= B, got {text!r}")
+    if hi - lo >= K_RANGE_MAX_WIDTH:
+        raise ResourceLimitError(f"k-range guard exceeded: {text!r} spans {hi - lo + 1} "
+                                 f"values of k > {K_RANGE_MAX_WIDTH}")
     return lo, hi
 
 

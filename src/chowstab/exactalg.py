@@ -172,6 +172,18 @@ def _canonical(num: list[int], den: int) -> "Poly":
     return p
 
 
+def _parts_eq(self, other) -> bool:
+    """== of Poly and of RatFn, each held in canonical form as (_num, _den):
+    structural, and True only between two values of one class."""
+    if other.__class__ is self.__class__:
+        return self._num == other._num and self._den == other._den
+    return NotImplemented
+
+
+def _parts_hash(self) -> int:
+    return hash((self._num, self._den))
+
+
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -252,13 +264,7 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._num)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self._num == other._num and self._den == other._den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._num, self._den))
+    __eq__, __hash__ = _parts_eq, _parts_hash
 
     def __neg__(self) -> "Poly":
         return _canonical([-c for c in self._num], self._den)
@@ -405,9 +411,9 @@ class RatFn:
 
     The fraction is reduced by the gcd of the primitive integer parts of
     numerator and denominator, and the denominator is the primitive
-    integer polynomial with a positive leading coefficient.  Equality is
-    decided by cross-multiplication of the reduced forms (never by
-    sampling evaluation points).
+    integer polynomial with a positive leading coefficient.  That form is
+    canonical, so equality is structural on it (never by sampling
+    evaluation points), as the hash is.
     """
 
     __slots__ = ("_num", "_den")
@@ -444,17 +450,7 @@ class RatFn:
     def is_zero(self) -> bool:
         return self._num.is_zero
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RatFn):
-            return self._num * other._den == other._num * self._den
-        if isinstance(other, Poly):
-            return self == RatFn(other)
-        if isinstance(other, (int, Fraction)):
-            return self == RatFn(Poly((other,)))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._num, self._den))
+    __eq__, __hash__ = _parts_eq, _parts_hash
 
     def evaluate(self, point) -> Fraction:
         """Value at an int or a Fraction point; at an int, two integer
@@ -561,16 +557,16 @@ class MPoly:
                 f"indeterminate-set mismatch: {self._vars} vs {other._vars}")
 
     def _lift(self, other) -> "MPoly | None":
-        """other in this ring: a scalar as a constant, an MPoly as itself, else None."""
+        """other in this ring, for + and -: a scalar as a constant, an MPoly
+        as itself, else None."""
         if isinstance(other, (int, Fraction)):
             return MPoly.constant(self._vars, other)
         return other if isinstance(other, MPoly) else None
 
     def __eq__(self, other) -> bool:
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self._vars == other._vars and self._terms == other._terms
+        if other.__class__ is self.__class__:
+            return self._vars == other._vars and self._terms == other._terms
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self._vars, frozenset(self._terms.items())))

@@ -324,38 +324,38 @@ def ample_check(config: PointConfig, m: int, alphas) -> bool:
     aligned four-point family the negative classes are the exceptional
     curves, the strict transform of the line through the three aligned
     points, the lines joining p1 to each aligned point, and the check of
-    positive self-intersection.
+    positive self-intersection.  An unknown kind, or a number of
+    multiplicities other than the kind's, raises ValueError before any
+    sign is tested.
     """
     if not isinstance(config, PointConfig):
         raise TypeError(f"config must be a PointConfig, got {config!r}")
     alphas = tuple(alphas)
     _require_ints(m=m)
     _require_int_seq("alphas", alphas)
+    count = {THREE_GENERAL: "three", FOUR_POINTS_THREE_ALIGNED: "four"}.get(config.kind)
+    if count is None:
+        raise ValueError(f"unknown configuration kind: {config.kind}")
+    if len(alphas) != len(config.blocks):     # a named kind has its classmethod's blocks
+        raise ValueError(f"{count} multiplicities expected")
     return _is_ample(config.kind, m, alphas)
 
 
 def _is_ample(kind: str, m: int, alphas: tuple[int, ...]) -> bool:
-    """ample_check on checked ints.  Every inequality is homogeneous, so
+    """ample_check on checked ints, of a known kind and as many
+    multiplicities as it has points.  Every inequality is homogeneous, so
     the answer at (s*m, s*alphas) is the one at (m, alphas) for every s >= 1.
 
     The four-point family, which the search asks about for every point it
     keeps, is tested by plain comparisons."""
-    if kind == FOUR_POINTS_THREE_ALIGNED and len(alphas) == 4:
+    if kind == FOUR_POINTS_THREE_ALIGNED:
         a1, a2, a3, a4 = alphas
         return (m > 0 and a1 > 0 and a2 > 0 and a3 > 0 and a4 > 0
                 and m - a2 - a3 - a4 > 0
                 and m - a1 - a2 > 0 and m - a1 - a3 > 0 and m - a1 - a4 > 0
                 and m * m - a1 * a1 - a2 * a2 - a3 * a3 - a4 * a4 > 0)
-    if m <= 0 or any(a <= 0 for a in alphas):
-        return False
-    if kind == THREE_GENERAL:
-        if len(alphas) != 3:
-            raise ValueError("three multiplicities expected")
-        total = sum(alphas)
-        return all(m + a > total for a in alphas)
-    if kind == FOUR_POINTS_THREE_ALIGNED:
-        raise ValueError("four multiplicities expected")
-    raise ValueError(f"unknown configuration kind: {kind}")
+    total = sum(alphas)
+    return m > 0 and all(a > 0 and m + a > total for a in alphas)
 
 
 _THREE_POINTS = PointConfig.three_general()

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import chowcore
-from .errors import AmplenessWarning, CrossCheckError, DegenerateInputError, ResourceLimitError
+from .errors import AmplenessWarning, DegenerateInputError, ResourceLimitError
 from .exactalg import Poly, RatFn, _require_dimension, _require_ints, _stirling_tuple
 
 __all__ = [
@@ -297,17 +297,13 @@ def higher_futaki(spec: CurveBundleSpec) -> list[Fraction]:
 
     The closed form of the module docstring, checked on every call against
     the generic pipeline on the integer numerators of (chi, w)
-    (chowcore._futaki_parts).  The two are compared by cross-multiplication,
-    and Fractions are built only once they agree.
+    (chowcore._futaki_parts) by chowcore._check_agreement, which compares
+    them by cross-multiplication; Fractions are built only once they agree.
     """
     nums, den = _closed_futaki(spec)
-    generic, generic_den = chowcore._futaki_parts(spec.chi, *spec.w.numerators(spec.n + 2))
-    for closed_num, generic_num in zip(nums, generic):
-        if generic_num * den != closed_num * generic_den:
-            raise CrossCheckError(
-                f"closed-form invariants disagree with the chi/w pipeline at {spec}: "
-                f"closed form {[str(Fraction(x, den)) for x in nums]}, "
-                f"pipeline {[str(Fraction(x, generic_den)) for x in generic]}")
+    chowcore._check_agreement(
+        (nums, den), chowcore._futaki_parts(spec.chi, *spec.w.numerators(spec.n + 2)),
+        "closed-form", "closed form", lambda: spec)
     return [Fraction(x, den) for x in nums]
 
 

@@ -9,13 +9,16 @@ library's values to pickle to the same bytes.
 
 ``FractionGeometry(base, m, alphas)`` derives what blowup._Geometry
 holds, on Fractions, as the library did before it ran its transcription
-on integers: the ratios alpha_j/m, D, the per-level terms, chi~ and its
-HilbertData, and under an action w~ and the point-sum F_l.  test_blowup
-requires the library's geometry to hold equal values, D <= 0 included.
+on integers: the ratios alpha_j/m, D, the per-level terms, chi~, and
+under an action w~ and the point-sum F_l.  test_blowup requires the
+library's geometry to hold equal values, D <= 0 included.
+
+``pipeline_data(spec)`` is the spec's (chi~, w~) as the generic
+pipeline's HilbertData and WeightData, which the library no longer builds.
 
 ``futaki_by_pipeline(spec)`` is futaki_blowup as it stood before it ran
 its check on integers in the geometry: the spec's point-sum F_l, compared
-with chowcore.futaki_invariants on the spec's HilbertData and WeightData.
+with chowcore.futaki_invariants on pipeline_data(spec).
 test_blowup and test_p2lab require the geometry's checked F_l to equal it.
 
 ``quotient_weight(spec, k)`` is the weight of the skyscraper quotient,
@@ -104,7 +107,6 @@ class FractionGeometry:
         self.volume_gap = levels(n, base.a, self.ratios)[0]
         chi = chi_tilde_coeffs(n, base.a, m, alphas)
         self.chi = Poly(tuple(reversed(chi)))
-        self.hilbert = chowcore.HilbertData(n, chi) if self.volume_gap > 0 else None
 
     def w_poly(self, phis, lams):
         return Poly(tuple(reversed(w_tilde_coeffs(self.n, self.m, self.alphas, phis, lams))))
@@ -139,11 +141,17 @@ def point_sum_futaki(geometry, action):
     return [Fraction(total, den) for total in sums]
 
 
+def pipeline_data(spec):
+    """(HilbertData, WeightData) of the spec's chi~ and w~."""
+    n = spec.base.n
+    return chowcore.HilbertData.from_poly(spec.chi, n), chowcore.WeightData.from_poly(spec.w, n)
+
+
 def futaki_by_pipeline(spec):
     """The spec's point-sum [F_1..F_n], asserted equal to the generic
     pipeline's F_l on (chi~, w~) as Poly-backed HilbertData and WeightData."""
     direct = point_sum_futaki(spec._geometry, spec._action)
-    assert direct == chowcore.futaki_invariants(*spec.hilbert_weight_data), spec
+    assert direct == chowcore.futaki_invariants(*pipeline_data(spec)), spec
     return direct
 
 

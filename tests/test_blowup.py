@@ -218,7 +218,7 @@ class TestGeometryCache:
     def test_actions_share_the_geometry(self, cold_geometry_cache):
         one, other = aligned_four_point_spec(3), aligned_four_point_spec(3)
         assert chi_tilde(one) is chi_tilde(other)
-        assert one.hilbert_weight_data[0] is other.hilbert_weight_data[0]
+        assert one._geometry is other._geometry
         info = cold_geometry_cache.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
@@ -260,7 +260,7 @@ def geometry_universe():
 
 def exact_fields(geometry) -> tuple:
     return tuple(pickle.dumps(getattr(geometry, name))
-                 for name in ("volume_gap", "chi", "hilbert"))
+                 for name in ("volume_gap", "chi"))
 
 
 class TestIntegerColumns:
@@ -295,6 +295,7 @@ class TestIntegerColumns:
             got = blowup._Geometry(base, m, alphas)
             want = blowup_reference.FractionGeometry(base, m, alphas)
             assert exact_fields(got) == exact_fields(want), (base, m, alphas)
+            assert (got._futaki_columns is None) == (want.volume_gap <= 0), (base, m, alphas)
             k = len(alphas)
             for phis, lams in (([Fraction(2)] + [Fraction(-1)] * (k - 1), [-6] + [3] * (k - 1)),
                                ([Fraction((-1) ** j * (j + 1), j + 2) for j in range(k)],
@@ -349,16 +350,22 @@ class TestForcedCrossCheckFailures:
             "(1, '-1', 3), (1, '-1', 3), (1, '-1', 3)]: point sums ['76/25', '-1/25'], "
             "pipeline ['-1/5', '-1/25']"] * 2
 
-    def test_chow_identity_enforced_through_report(self, monkeypatch):
-        original = chowcore.chow_weight_fn
+    def test_chow_identity_enforced_through_the_integer_core(self, monkeypatch):
+        # chow_blowup and chowcore.report reach the expansion check through
+        # the same chowcore._chow_parts: a Chow function skewed there fails
+        # both, with one message.
+        def skewed(num, den):         # chow + 1
+            return RatFn(num + den, den)
 
-        def skewed(h, w):            # chow + 1
-            chow = original(h, w)
-            return RatFn(chow.num + chow.den, chow.den)
-
-        monkeypatch.setattr(chowcore, "chow_weight_fn", skewed)
-        with pytest.raises(CrossCheckError, match="Chow expansion"):
-            chow_blowup(aligned_four_point_spec(3))
+        spec = aligned_four_point_spec(3)
+        h, w = blowup_reference.pipeline_data(spec)
+        monkeypatch.setattr(chowcore, "RatFn", skewed)
+        messages = []
+        for call in (lambda: chow_blowup(spec), lambda: chowcore.report(h, w)):
+            with pytest.raises(CrossCheckError, match="^Chow expansion") as info:
+                call()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 @pytest.fixture
@@ -386,10 +393,10 @@ def geometry_calls(monkeypatch):
 
 # Two calls of futaki_blowup each re-run the geometry's checked derivation
 # of the F_l: the pipeline on w~'s numerators against the point sums.
-FUTAKI_CHECKS_OF_TWO_CALLS = {"checked_futaki": 2, "checked_futaki_parts": 2,
-                              "_w_numerators": 2, "_check_point_sums": 2, "_point_sums": 2}
-# Reading everything twice adds chow_blowup's comparison of its report's
-# F_l with the point sums: nothing else is derived.
+FUTAKI_CHECKS_OF_TWO_CALLS = {"checked_futaki_parts": 2, "_w_numerators": 2,
+                              "_check_point_sums": 2, "_point_sums": 2}
+# Reading everything twice adds chow_blowup's comparison of its integer
+# core's F_l with the point sums: nothing else is derived.
 CHECKS_OF_TWO_READS = {**FUTAKI_CHECKS_OF_TWO_CALLS, "_check_point_sums": 4, "_point_sums": 4}
 
 
@@ -849,7 +856,8 @@ class TestFutakiBlowup:
         assert len(specs) == 3552
         for spec in specs:
             want = blowup_reference.futaki_by_pipeline(spec)
-            assert spec._geometry.checked_futaki(spec._action) == want, spec
+            sums, den = spec._geometry.checked_futaki_parts(spec._action)
+            assert [Fraction(total, den) for total in sums] == want, spec
             assert futaki_blowup(spec) == want, spec
         for spec in REFERENCE_SPECS + rational_phi_specs():
             assert futaki_blowup(spec) == blowup_reference.futaki_by_pipeline(spec), spec
@@ -953,8 +961,9 @@ class TestFractionReferences:
 
     def test_chow_weight_fn(self):
         for spec in self.SPECS:
-            got = chowcore.chow_weight_fn(*spec.hilbert_weight_data)
-            want = blowup_reference.chow_weight_fn(*spec.hilbert_weight_data)
+            data = blowup_reference.pipeline_data(spec)
+            got = chowcore.chow_weight_fn(*data)
+            want = blowup_reference.chow_weight_fn(*data)
             assert pickle.dumps((got.num, got.den)) == pickle.dumps((want.num, want.den)), spec
 
 

@@ -166,13 +166,10 @@ class TestReport:
 
 
     def test_forced_expansion_mismatch(self, monkeypatch):
-        original = chowcore.chow_weight_fn
+        def skewed(num, chi):        # chow + 1/chi, as the integer core builds it
+            return RatFn(num + Poly.one(), chi)
 
-        def skewed(h, w):            # chow + 1/chi
-            chow, chi = original(h, w), h.poly()
-            return RatFn(chow.num * chi + chow.den, chow.den * chi)
-
-        monkeypatch.setattr(chowcore, "chow_weight_fn", skewed)
+        monkeypatch.setattr(chowcore, "RatFn", skewed)
         h, w = hyperplane_curve()
         with pytest.raises(CrossCheckError, match="Chow expansion") as info:
             report(h, w)
@@ -180,6 +177,25 @@ class TestReport:
         assert str(info.value).endswith(
             "at chi = k + 1, w = k^2: chow.num * chi = -k^2 + 1, "
             "expansion * chow.den = -k^2 - k")
+
+
+class TestAgreementCheck:
+    """chowcore._check_agreement, the one comparison of a family's F_l with
+    the pipeline's: integer cross-multiplication, the message built only
+    on failure."""
+
+    def test_agreement_describes_nothing(self):
+        def where():
+            raise AssertionError("the input was described though the values agree")
+
+        chowcore._check_agreement(([1, -2], 3), ([2, -4], 6), "closed-form", "closed form", where)
+
+    def test_disagreement_names_identity_input_and_both_values(self):
+        with pytest.raises(CrossCheckError) as info:
+            chowcore._check_agreement(([1, -2], 3), ([2, -5], 6), "point-sum", "point sums",
+                                      lambda: "a = ['1']")
+        assert str(info.value) == ("point-sum invariants disagree with the chi/w pipeline at "
+                                   "a = ['1']: point sums ['1/3', '-2/3'], pipeline ['1/3', '-5/6']")
 
 
 class TestInexactInputRefused:
@@ -378,21 +394,27 @@ class TestEntryPointsRefuseMistypedData:
 
 @pytest.fixture
 def futaki_parts_calls(monkeypatch):
-    """The chi passed to chowcore._futaki_parts, one entry per call."""
+    """The chi passed to chowcore._futaki_parts, one entry per call, and to
+    chowcore._chow_parts, one ("chow", chi) entry per call."""
     calls = []
-    real = chowcore._futaki_parts
 
-    def counted(chi, b, d_b):
-        calls.append(chi)
-        return real(chi, b, d_b)
+    def counted(name, tag):
+        real = getattr(chowcore, name)
 
-    monkeypatch.setattr(chowcore, "_futaki_parts", counted)
+        def wrapper(chi, b, d_b):
+            calls.append(chi if tag is None else (tag, chi))
+            return real(chi, b, d_b)
+        monkeypatch.setattr(chowcore, name, wrapper)
+
+    counted("_futaki_parts", None)
+    counted("_chow_parts", "chow")
     return calls
 
 
 class TestOneFutakiPath:
     """Every reader of the generic pipeline takes its F_l from
-    chowcore._futaki_parts, once per call."""
+    chowcore._futaki_parts or, with the Chow function, from
+    chowcore._chow_parts, once per call."""
 
     def test_one_call_per_reader(self, futaki_parts_calls):
         h, w = hyperplane_curve()
@@ -402,14 +424,15 @@ class TestOneFutakiPath:
         blown = blowup.BlowupSpec(base=blowup.projective_space_base(2), m=3, points=tuple(
             blowup.BlownPoint(1, phi, lam)
             for phi, lam in ((2, -6), (-1, 3), (-1, 3), (-1, 3))))
-        for fn, arg, chi in [(futaki_invariants, (h, w), h.poly()),
-                             (report, (h, w), h.poly()),
-                             (projbundle.higher_futaki, (bundle,), bundle.chi),
-                             (blowup.futaki_blowup, (blown,), blown.chi),
-                             (blowup.chow_blowup, (blown,), blown.chi)]:
+        for fn, arg, call in [(futaki_invariants, (h, w), h.poly()),
+                              (report, (h, w), ("chow", h.poly())),
+                              (chow_weight_fn, (h, w), ("chow", h.poly())),
+                              (projbundle.higher_futaki, (bundle,), bundle.chi),
+                              (blowup.futaki_blowup, (blown,), blown.chi),
+                              (blowup.chow_blowup, (blown,), ("chow", blown.chi))]:
             futaki_parts_calls.clear()
             fn(*arg)
-            assert futaki_parts_calls == [chi], fn.__name__
+            assert futaki_parts_calls == [call], fn.__name__
 
     def test_one_call_per_verified_point(self, futaki_parts_calls):
         candidates = p2lab.search_unstable(2, 1)

@@ -12,8 +12,8 @@ import pytest
 
 import chowstab
 from chowstab import blowup, projbundle
-from chowstab.cli import main
-from chowstab.exactalg import MAX_DIMENSION, parse_rational
+from chowstab.cli import K_RANGE_MAX_WIDTH, main
+from chowstab.exactalg import MAX_DIMENSION, Poly, RatFn, parse_rational
 from chowstab.p2lab import SEARCH_MAX_GRID_BOUND, SEARCH_MAX_SCALE_BOUND
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -180,6 +180,32 @@ class TestProjbundle:
                                "--k-range", "1:3")
         assert code == 0
         assert "k=2:" in out and "F_1 = 4/27" in out
+
+    # 1:100000000 once asked for about 25 minutes and 14 GB of JSON.
+    @pytest.mark.parametrize("k_range", ["1:10001", "5:10005", "1:100000000"])
+    def test_k_range_wider_than_the_guard_is_refused_before_any_k(
+            self, monkeypatch, capsys, k_range):
+        def evaluated(*args):
+            raise AssertionError("a k was evaluated")
+
+        monkeypatch.setattr(Poly, "evaluate", evaluated)
+        monkeypatch.setattr(RatFn, "evaluate", evaluated)
+        code, out, err = run_cli(capsys, "projbundle", "--config",
+                                 str(CONFIGS / "projbundle_three_summands_r2.json"),
+                                 "--k-range", k_range, "--json")
+        lo, hi = map(int, k_range.split(":"))
+        assert (code, out) == (1, "")
+        assert err == (f"error: k-range guard exceeded: {k_range!r} spans {hi - lo + 1} "
+                       f"values of k > {K_RANGE_MAX_WIDTH}\n")
+
+    def test_k_range_at_the_guard_is_tabulated(self, capsys):
+        assert K_RANGE_MAX_WIDTH == 10_000
+        code, out, _ = run_cli(capsys, "projbundle", "--config",
+                               str(CONFIGS / "projbundle_three_summands_r2.json"),
+                               "--k-range", f"6:{5 + K_RANGE_MAX_WIDTH}", "--json")
+        table = json.loads(out)["table"]
+        assert code == 0 and len(table) == K_RANGE_MAX_WIDTH
+        assert (table[0]["k"], table[-1]["k"]) == (6, 5 + K_RANGE_MAX_WIDTH)
 
     def test_json_byte_stability(self, capsys):
         args = ("projbundle", "--config",

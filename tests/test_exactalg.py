@@ -177,6 +177,43 @@ class TestRatFn:
         assert f.evaluate(Fraction(3)) == Fraction(-7, 27)
 
 
+# Each scalar, and the value of the constant it once compared equal to (or
+# raised on): RatFn and MPoly coerced an int or Fraction, Poly did not.
+SCALARS = [(3, 3), (Fraction(3), 3), (True, 1), (3.0, 3), ("3", 3)]
+CONSTANTS = {"Poly": lambda c: Poly((c,)), "RatFn": lambda c: RatFn(Poly((c,))),
+             "MPoly": lambda c: MPoly.constant(("x",), c)}
+
+
+class TestOneEqualityRule:
+    """== holds only between two values of the same class and never raises,
+    so that equal values hash equal."""
+
+    @pytest.mark.parametrize("scalar, value", SCALARS, ids=[repr(s) for s, _ in SCALARS])
+    @pytest.mark.parametrize("cls", sorted(CONSTANTS))
+    def test_no_scalar_equals_a_constant(self, cls, scalar, value):
+        constant = CONSTANTS[cls](value)
+        assert not constant == scalar and not scalar == constant
+        assert constant != scalar and scalar != constant
+        assert constant == CONSTANTS[cls](value) and hash(constant) == hash(CONSTANTS[cls](value))
+
+    def test_no_two_classes_are_equal(self):
+        constants = [make(3) for make in CONSTANTS.values()]
+        assert all((a == b) == (a is b) for a in constants for b in constants)
+        assert RatFn(Poly((1, 2))) != Poly((1, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(poly_lists, poly_lists.filter(any), poly_lists.filter(any), poly_lists.filter(any))
+    def test_ratfn_equality_is_the_value_s(self, num, den, other, factor):
+        # Structural equality of the reduced forms against cross-multiplication.
+        a = RatFn(Poly(num), Poly(den))
+        for b in (RatFn(Poly(num) * Poly(factor), Poly(den) * Poly(factor)),
+                  RatFn(Poly(other), Poly(den)), RatFn(Poly(num), Poly(other))):
+            same = a.num * b.den == b.num * a.den
+            assert (a == b) == same and (a != b) == (not same)
+            if same:
+                assert hash(a) == hash(b)
+
+
 class TestMPoly:
     def test_power_rule_partial(self):
         m, alpha = MPoly.generators(("m", "alpha"))

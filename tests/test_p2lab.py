@@ -376,12 +376,22 @@ class TestAmpleCheck:
                 verdicts.append(want)
         assert 0 < sum(verdicts) < len(verdicts)
 
-    def test_four_point_length_checked_after_positivity(self):
-        config = PointConfig.four_points_three_aligned()
-        assert not ample_check(config, 0, (1, 1, 1))
-        assert not ample_check(config, 5, (1, 0, 1, 1, 1))
-        with pytest.raises(ValueError, match="four multiplicities expected"):
-            ample_check(config, 5, (1, 1, 1))
+    # All but the rows with positive entries once answered False: the sign
+    # test ran before the kind and length tests.
+    @pytest.mark.parametrize("config,m,alphas,message", [
+        (PointConfig.four_points_three_aligned(), 0, (1, 1, 1), "^four multiplicities expected$"),
+        (PointConfig.four_points_three_aligned(), 5, (1, 0, 1, 1, 1),
+         "^four multiplicities expected$"),
+        (PointConfig.four_points_three_aligned(), 5, (1, 0), "^four multiplicities expected$"),
+        (PointConfig.four_points_three_aligned(), 5, (1, 1), "^four multiplicities expected$"),
+        (PointConfig.three_general(), 5, (1, 0), "^three multiplicities expected$"),
+        (PointConfig.three_general(), -1, (1, 1), "^three multiplicities expected$"),
+        (PointConfig("other", (frozenset({0}),)), 5, (1,), "^unknown configuration kind: other$"),
+        (PointConfig("other", (frozenset({0}),)), 0, (0,), "^unknown configuration kind: other$"),
+    ])
+    def test_kind_and_length_checked_before_positivity(self, config, m, alphas, message):
+        with pytest.raises(ValueError, match=message):
+            ample_check(config, m, alphas)
 
     @pytest.mark.parametrize("config,m,alphas,field", [
         (PointConfig.three_general(), 5.0, (1, 1, 1), "^m must"),
@@ -690,7 +700,8 @@ class TestSearch:
                              for alpha, (phi, lam) in zip(c.alphas, data)))
             want = blowup_reference.futaki_by_pipeline(spec)
             geometry = blowup._geometry_for(blowup.projective_space_base(2), c.m, c.alphas)
-            assert geometry.checked_futaki(integer_action) == want, (c.m, c.alphas)
+            sums, den = geometry.checked_futaki_parts(integer_action)
+            assert [Fraction(total, den) for total in sums] == want, (c.m, c.alphas)
             deg = c.m**2 - sum(a * a for a in c.alphas)
             assert Fraction(*p2lab._verify_candidate(c.m, c.alphas, integer_action)) \
                 == want[1] * deg**2 == c.psi2_value

@@ -53,13 +53,13 @@ PUBLIC = {
     "stirling_coeffs": "src/chowstab/blowup.py",
     "cm_constants": "perfbench/workloads.py",
     # chowcore
-    "HilbertData": "src/chowstab/blowup.py",
-    "WeightData": "src/chowstab/blowup.py",
+    "HilbertData": "perfbench/workloads.py",
+    "WeightData": "perfbench/workloads.py",
     "InvariantReport": "src/chowstab/chowcore.py",
-    "chow_weight_fn": "src/chowstab/chowcore.py",
+    "chow_weight_fn": "states the paper's Chow weight of a raw Hilbert and weight polynomial",
     "futaki_invariants": "states the paper's F_l of a raw Hilbert and weight polynomial",
     "shift_linearization": "demos/01_invariants_from_polynomials.py",
-    "report": "src/chowstab/blowup.py",
+    "report": "perfbench/workloads.py",
     # projbundle
     "Summand": "src/chowstab/cli.py",
     "CurveBundleSpec": "src/chowstab/cli.py",
@@ -149,11 +149,11 @@ MEMBERS = {
     # chowcore
     "HilbertData.n": "src/chowstab/chowcore.py",
     "HilbertData.poly": "src/chowstab/chowcore.py",
-    "HilbertData.from_poly": "src/chowstab/blowup.py",
+    "HilbertData.from_poly": "perfbench/workloads.py",
     "HilbertData.a": "is the constructor field [a_0..a_n] that repr and pickle show",
     "WeightData.n": "src/chowstab/chowcore.py",
     "WeightData.poly": "src/chowstab/chowcore.py",
-    "WeightData.from_poly": "src/chowstab/blowup.py",
+    "WeightData.from_poly": "perfbench/workloads.py",
     "WeightData.b": "demos/01_invariants_from_polynomials.py",
     # projbundle
     "CurveBundleSpec.n": "src/chowstab/projbundle.py",
@@ -168,7 +168,6 @@ MEMBERS = {
     "BlowupSpec.volume_gap": "src/chowstab/cli.py",
     "BlowupSpec.chi": "src/chowstab/blowup.py",
     "BlowupSpec.w": "src/chowstab/blowup.py",
-    "BlowupSpec.hilbert_weight_data": "src/chowstab/blowup.py",
     # p2lab
     "PointConfig.four_points_three_aligned": "src/chowstab/p2lab.py",
     "PointConfig.three_general": "src/chowstab/p2lab.py",
