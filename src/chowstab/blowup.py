@@ -46,13 +46,14 @@ normalisation for each.  A BlowupSpec derives its data at construction,
 once: the geometry, the action over one denominator and w~, held as plain
 attributes that every consumer reads; no HilbertData or WeightData is
 built.  The point sums are derived per call, where they are checked:
-futaki_blowup (the geometry's checked_futaki_parts, which p2lab's search
-also runs, without a BlowupSpec) takes the generic F_l from
-chowcore._futaki_parts, and chow_blowup takes them with the Chow function
-from chowcore._chow_parts, which asserts the Chow function's expansion in
-them.  Both compare them with the point sums in one place
-(_check_point_sums, through chowcore._check_agreement), on integers, and
-raise the same CrossCheckError message.
+futaki_blowup takes the generic F_l from chowcore._futaki_parts on the
+integer numerators of the spec's w~, and chow_blowup takes them with the
+Chow function from chowcore._chow_parts, which asserts the Chow
+function's expansion in them.  Both compare them with the point sums in
+one place (_check_point_sums, through chowcore._check_agreement), on
+integers, and raise the same CrossCheckError message.  p2lab's search,
+which builds no BlowupSpec, runs the same comparison on w~'s numerators
+derived from the action (the geometry's checked_futaki_parts).
 
 For blowups of the projective plane at coordinate points the space of
 sections is a span of monomials, and oracle_p2 checks both polynomials by
@@ -275,8 +276,9 @@ class _Geometry:
     of (n+1) F_l (m^n D)^2 from _f_g_levels, over (n+1) (m^n D)^2.  An
     action (phi, lambda), its phi brought to their least common denominator
     once (_integer_action), then costs one integer dot product per
-    coefficient; checked_futaki_parts runs both derivations of the F_l that
-    way and compares them (_check_point_sums, which chow_blowup also uses).
+    coefficient; checked_futaki_parts, for p2lab's search, runs both
+    derivations of the F_l that way and compares them (_check_point_sums,
+    which futaki_blowup and chow_blowup also use on a spec's w~).
     """
 
     __slots__ = ("base", "m", "alphas", "volume_gap", "chi", "_w_columns", "_futaki_columns")
@@ -455,13 +457,14 @@ def futaki_blowup(spec: BlowupSpec) -> list[Fraction]:
     """The invariants [F_1..F_n] of the blown-up polarization.
 
     Computed from the explicit point-sum formula and re-derived through the
-    generic pipeline on the integer numerators of chi~ and w~ on every call
-    (the geometry's checked_futaki_parts, on the spec's action);
-    disagreement raises a cross-check error, and Fractions are built only
-    once the two agree.
+    generic pipeline (chowcore._futaki_parts) on chi~ and the integer
+    numerators of the spec's w~ on every call, compared as in chow_blowup
+    (_check_point_sums); disagreement raises a cross-check error, and
+    Fractions are built only once the two agree.
     """
     _require_spec(spec)
-    sums, den = spec._geometry.checked_futaki_parts(spec._action)
+    sums, den = spec._geometry._check_point_sums(
+        spec._action, chowcore._futaki_parts(spec.chi, *spec.w.numerators(spec.base.n + 2)))
     return [Fraction(total, den) for total in sums]
 
 

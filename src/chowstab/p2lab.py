@@ -30,12 +30,13 @@ into one evaluator.  Every compiled evaluator is in nested Horner form.  The
 search walks the orbits of the classes of lines through B under permuting
 the aligned points' multiplicities, a symmetry proved where the
 evaluators are built, at their descending tails, and evaluates those of
-the four-point family once per orbit.  It expands only the orbits it
-keeps into their classes, merged into class order, and verifies each
-primitive point once, through its cached blowup geometry
+the four-point family once per orbit.  It verifies each orbit it keeps
+once, at its descending tail, through the point's cached blowup geometry
 (blowup._Geometry.checked_futaki_parts: F_1 and F_2 from chi~ and w~ and
-from the point sums, on integers, compared), with no BlowupSpec built;
-three_point_loci evaluates those of the two three-point generators.
+from the point sums, on integers, compared), with no BlowupSpec built,
+and expands only those orbits into their classes, merged into class
+order, each class's point compared on integers with its orbit's verified
+one; three_point_loci evaluates those of the two three-point generators.
 
 At a fixed point whose nonzero coordinates form a block on which the
 diagonal action has a single weight, the normalized moment-map value is
@@ -85,13 +86,13 @@ _BASE_POINT = (1, 1, 0, 0, 0)
 
 # Largest accepted grid_bound and scale_bound.  At b = 8 the search
 # walks the 1 060 orbits of the 4 561 line classes, those of the box's
-# 678 721 lines through the origin whose point can be ample, and expands
-# the orbits it keeps into their classes.  Each primitive point is
-# verified once and its scaled copies follow by homogeneity, so the
-# scale bound limits output size: search_unstable(8, 1) gives 1 385
-# candidates in about 0.12 s and search_unstable(8, 8) 11 080 in about
-# 0.14 s (medians of seven fresh processes, spreads 0.114-0.195 s and
-# 0.133-0.185 s, on one core of a 2-vCPU Intel Xeon host under
+# 678 721 lines through the origin whose point can be ample, verifies
+# each of the 332 orbits it keeps once and expands them into their 1 385
+# classes.  Scaled copies follow by homogeneity, so the scale bound
+# limits output size: search_unstable(8, 1) gives 1 385 candidates in
+# about 0.08 s and search_unstable(8, 8) 11 080 in about 0.08 s too
+# (medians of seven fresh processes, spreads 0.049-0.090 s and
+# 0.071-0.123 s, on one core of a 2-vCPU Intel Xeon host under
 # CPython 3.11).
 SEARCH_MAX_GRID_BOUND = 8
 SEARCH_MAX_SCALE_BOUND = 8
@@ -157,13 +158,13 @@ class Candidate:
     chi~ and w~ and from the point sums of the point's cached blowup
     geometry, on integers, and found equal, with F_1 = 0, F_2 != 0 and
     F_2 * deg^2 = psi_2 compared on integers.  It is run once, on the
-    primitive point; a scaled copy s*P is verified through P, since F_1 = 0
-    and ampleness are invariant under scaling and psi_2, proved homogeneous
-    of degree 3, gives psi_2(s*P) = s^3 * psi_2(P).  Every primitive point
-    is verified, also where the search took its psi_2 value and ampleness
-    from the point of another class in its orbit under permuting
-    (alpha_2, alpha_3, alpha_4): symmetries proved once per process where
-    the search's (c4, c3) evaluator is built (_line_coefficients).  The
+    primitive point of each orbit under permuting (alpha_2, alpha_3,
+    alpha_4), at its descending tail.  Every other point of the orbit is a
+    permutation of it, compared on integers, and has its F_l, by symmetries
+    proved once per process where the search's (c4, c3) evaluator is built
+    (_line_coefficients); a scaled copy s*P is verified through P, since
+    F_1 = 0 and ampleness are invariant under scaling and psi_2, proved
+    homogeneous of degree 3, gives psi_2(s*P) = s^3 * psi_2(P).  The
     search builds each candidate by setting its instance dict, the fields
     in field order, so that it equals, hashes, prints and pickles as
     Candidate(**fields) does."""
@@ -570,8 +571,9 @@ def _class_point(u, line_coefficients, psi2):
     invariant under permuting (a2, a3, a4), and ampleness a test symmetric
     in them, every class of u's orbit under permuting (u2, u3, u4) gets the
     same (m, a1, f, psi_2(P)), or None.  The search calls it once per
-    orbit, at the descending tail, in the order of _orbits, and expands
-    only the orbits it keeps (_class_order)."""
+    orbit, at the descending tail, in the order of _orbits, verifies the
+    point of each orbit it keeps there, and expands only those orbits
+    (_class_order)."""
     u0, u2, u3, u4 = u
     c4, c3 = line_coefficients(u0, u2, u3, u4)
     # c4(v)*B - c3(v)*v, divided by g^4 > 0.
@@ -593,7 +595,8 @@ def _class_point(u, line_coefficients, psi2):
 
 def _verify_candidate(m: int, alphas: tuple[int, ...], action) -> tuple[int, int]:
     """Recompute F_1 and F_2 through the blowup pipeline; returns F_2 * deg^2
-    as an integer numerator over one denominator.
+    as an integer numerator over one denominator.  The search calls it once
+    per kept orbit, on the orbit's point at its descending tail.
 
     ``action`` is the blown points' fixed-point data as the integer action
     (P, q, lams) of blowup._Geometry._integer_action.  The cached geometry
@@ -671,11 +674,18 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     points one fixed-point datum; ampleness is a test symmetric in (a2,
     a3, a4).
 
-    A kept primitive point P that is ample and has psi_2(P) != 0 is
-    verified once through the invariant pipeline on the blown points'
-    fixed-point data as one integer action: F_1 = 0, F_2 != 0 and
-    F_2 * deg^2 = psi_2(P), compared on integers by cross-multiplication.
-    It gives its multiples by 1..scale_bound, scales increasing, with
+    Each kept orbit's primitive point P, ample with psi_2(P) != 0, is
+    verified once, at the orbit's descending tail, through the invariant
+    pipeline on the blown points' fixed-point data as one integer action
+    (_verify_candidate): F_1 = 0, F_2 != 0 and F_2 * deg^2 = psi_2(P),
+    compared on integers by cross-multiplication.  By the same symmetries,
+    with chi~ depending on the multiplicities only through their power
+    sums and w~ and the point sums being sums over the points, every class
+    of the orbit has P's F_l; so each class's point, built from its own u,
+    is compared on integers with P instead, (m, a1) and the tail sorted
+    descending (CrossCheckError naming the class, its point and P, before
+    any candidate of the class is built).  Each class's point gives its
+    multiples by 1..scale_bound, scales increasing, with
     psi_2(s*P) = s^3 * psi_2(P): ampleness and F_1 = 0 are invariant under
     scaling, and psi_2 is proved homogeneous of degree 3 where it is built.
 
@@ -697,18 +707,26 @@ def search_unstable(grid_bound: int, scale_bound: int) -> list[Candidate]:
     kept = []
     for u in _orbits(grid_bound):
         point = _class_point(u, line_coefficients, psi2)
-        if point is not None:
-            kept.append((u, point))
-    candidates: list[Candidate] = []
-    for (_, u2, u3, u4), (m, a1, f, psi2_value) in _class_order(kept):
-        a2, a3, a4 = f * u2, f * u3, f * u4
-        alphas = (a1, a2, a3, a4)
+        if point is None:
+            continue
+        m, a1, f, psi2_value = point
+        alphas = (a1, f * u[1], f * u[2], f * u[3])
         f2_scaled, den = _verify_candidate(m, alphas, _FOUR_POINT_INTEGER_ACTION)
         if f2_scaled != psi2_value * den:
             raise CrossCheckError(
                 f"psi_2 disagrees with F_2 * deg^2 recomputed through the blowup "
                 f"pipeline at m = {m}, alphas = {alphas}: psi_2 = {psi2_value}, "
                 f"F_2 * deg^2 = {Fraction(f2_scaled, den)}")
+        kept.append((u, (point, (m, *alphas))))
+    candidates: list[Candidate] = []
+    for u, ((m, a1, f, psi2_value), verified) in _class_order(kept):
+        _, u2, u3, u4 = u
+        a2, a3, a4 = f * u2, f * u3, f * u4
+        if (m, a1, *sorted((a2, a3, a4), reverse=True)) != verified:
+            raise CrossCheckError(
+                f"class u = {u} gives the point m = {m}, alphas = {(a1, a2, a3, a4)}, but "
+                f"its orbit's verified point, at the descending tail, is m = {verified[0]}, "
+                f"alphas = {verified[1:]}")
         for s in range(1, scale_bound + 1):
             candidates.append(_verified(s * m, (s * a1, s * a2, s * a3, s * a4),
                                         Fraction(s**3 * psi2_value)))

@@ -391,13 +391,12 @@ def geometry_calls(monkeypatch):
     return calls
 
 
-# Two calls of futaki_blowup each re-run the geometry's checked derivation
-# of the F_l: the pipeline on w~'s numerators against the point sums.
-FUTAKI_CHECKS_OF_TWO_CALLS = {"checked_futaki_parts": 2, "_w_numerators": 2,
-                              "_check_point_sums": 2, "_point_sums": 2}
+# Two calls of futaki_blowup each compare the pipeline's F_l, on the spec's
+# w~, with the point sums; w~'s numerators are not derived again.
+FUTAKI_CHECKS_OF_TWO_CALLS = {"_check_point_sums": 2, "_point_sums": 2}
 # Reading everything twice adds chow_blowup's comparison of its integer
 # core's F_l with the point sums: nothing else is derived.
-CHECKS_OF_TWO_READS = {**FUTAKI_CHECKS_OF_TWO_CALLS, "_check_point_sums": 4, "_point_sums": 4}
+CHECKS_OF_TWO_READS = {"_check_point_sums": 4, "_point_sums": 4}
 
 
 def calls_made(geometry_calls) -> dict:
@@ -863,15 +862,15 @@ class TestFutakiBlowup:
             assert futaki_blowup(spec) == blowup_reference.futaki_by_pipeline(spec), spec
 
     def test_pipeline_side_disagreement_is_named(self, monkeypatch):
-        real = chowcore._futaki_numerators
+        real = chowcore._futaki_parts
 
-        def skewed(a, b):
-            # chi~ = (5k^2 + 5k + 2)/2 (A_0 = 5, d_A = 2) and w~ over d_B = 6,
-            # so one more unit in A_0 B_1 - B_0 A_1 moves F_1 by 2/(6*25) = 1/75.
-            first, *rest = real(a, b)
-            return [first + 1, *rest]
+        def skewed(chi, b, d_b):
+            # The pipeline's F_1 moved by 1/75, whatever denominator w~'s
+            # numerators come over.
+            (first, *rest), den = real(chi, b, d_b)
+            return [75 * first + den, *(75 * x for x in rest)], 75 * den
 
-        monkeypatch.setattr(chowcore, "_futaki_numerators", skewed)
+        monkeypatch.setattr(chowcore, "_futaki_parts", skewed)
         with pytest.raises(CrossCheckError) as info:
             futaki_blowup(aligned_four_point_spec(3))
         assert str(info.value) == (

@@ -127,10 +127,12 @@ class TestGoldenOutput:
         assert (SEARCH_MAX_GRID_BOUND, SEARCH_MAX_SCALE_BOUND) == DIGEST_SEARCHES[0]
         self.search_matches_its_digest(capsys, *DIGEST_SEARCHES[0])
 
-    def test_search_past_the_geometry_cache_matches_its_digest(self, capsys):
-        # 782 candidates: grid 6 is the first whose primitive points, 391,
-        # outnumber the geometry cache, so verification misses it.
-        assert blowup.GEOMETRY_CACHE_SIZE < 391
+    def test_search_at_the_geometry_cache_edge_matches_its_digest(self, capsys):
+        # 782 candidates: grid 6 is the last grid whose kept orbits, 106, each
+        # verified once, fit the geometry cache; grid 7, pinned below, is the
+        # first whose kept orbits, 194, outnumber it, so verification misses it.
+        assert DIGEST_SEARCHES[1][0] == 6 and (7, 1) in DIGEST_SEARCHES
+        assert 106 <= blowup.GEOMETRY_CACHE_SIZE < 194
         self.search_matches_its_digest(capsys, *DIGEST_SEARCHES[1])
 
     @pytest.mark.parametrize("grid, scale", DIGEST_SEARCHES[2:],

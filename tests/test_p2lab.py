@@ -559,6 +559,17 @@ class TestThreePointProof:
         assert blowup._geometry_for.cache_info().currsize == 0
 
 
+# Kept orbits, so verifications, of search_unstable(grid, scale) for grid = 1..8.
+VERIFICATIONS_PER_GRID = {1: 0, 2: 1, 3: 7, 4: 23, 5: 54, 6: 106, 7: 194, 8: 332}
+
+
+def orbit_points(primitive):
+    """The orbits of primitive points (m, alphas) under permuting (a2, a3, a4),
+    each as its point with the tail descending, in order of first appearance."""
+    return list(dict.fromkeys((m, (a1, *sorted(tail, reverse=True)))
+                              for m, (a1, *tail) in primitive))
+
+
 class TestSearch:
     def test_axis_line_candidate_rejected(self):
         # direction (0,0,1,0,0): the quartic restricts to t^3(t-2), the
@@ -593,10 +604,11 @@ class TestSearch:
         assert scaled <= {(c.m, c.alphas) for c in doubled}
 
     @pytest.mark.parametrize("bounds", [(3, 3), (4, 3)])
-    def test_each_primitive_point_is_verified_once(self, monkeypatch, bounds):
-        """Every primitive point, those of an orbit's later classes included,
-        goes once through each step of the pipeline: w~'s numerators, the
-        generic F_l and their comparison with the point sums."""
+    def test_each_kept_orbit_is_verified_once(self, monkeypatch, bounds):
+        """Every kept orbit's point, at its descending tail, goes once through
+        each step of the pipeline: w~'s numerators, the generic F_l and their
+        comparison with the point sums.  The orbit's other classes are not
+        verified again."""
         steps = {}
 
         def recorded(owner, name, key):
@@ -612,15 +624,32 @@ class TestSearch:
         # The generic F_l run on the verified point's chi~.
         recorded(chowcore, "_futaki_parts", lambda chi, *_: chi)
         candidates = search_unstable(*bounds)
-        # Each verified primitive point heads its scale_bound copies.
         scale = bounds[1]
-        primitive = [(c.m, c.alphas) for c in candidates[::scale]]
-        assert steps["_w_numerators"] == steps["_check_point_sums"] == primitive
+        orbits = orbit_points((c.m, c.alphas) for c in candidates[::scale])
+        assert steps["_w_numerators"] == steps["_check_point_sums"] == orbits
         assert steps["_futaki_parts"] == [
             blowup._geometry_for(blowup.projective_space_base(2), m, alphas).chi
-            for m, alphas in primitive]
-        assert len(primitive) == {(3, 3): 15, (4, 3): 66}[bounds]
-        assert len(candidates) == scale * len(primitive)
+            for m, alphas in orbits]
+        assert len(orbits) == {(3, 3): 7, (4, 3): 23}[bounds]
+        assert len(candidates) == scale * {(3, 3): 15, (4, 3): 66}[bounds]
+
+    @pytest.mark.parametrize("grid", range(1, SEARCH_MAX_GRID_BOUND + 1))
+    def test_one_verification_per_kept_orbit(self, monkeypatch, grid):
+        """_verify_candidate runs once per kept orbit, on its point at the
+        descending tail, in orbit order: the first class of each orbit in
+        class order."""
+        calls = []
+        real = p2lab._verify_candidate
+
+        def recorded(m, alphas, action):
+            calls.append((m, alphas))
+            return real(m, alphas, action)
+
+        monkeypatch.setattr(p2lab, "_verify_candidate", recorded)
+        primitive = [(c.m, c.alphas) for c in search_unstable(grid, 1)]
+        assert calls == orbit_points(primitive)
+        assert calls == [point for point in primitive if point in calls]
+        assert len(calls) == VERIFICATIONS_PER_GRID[grid]
 
     @pytest.mark.parametrize("bound", [1, 2, 3])
     @pytest.mark.parametrize("scale", [1, 2, 3])
@@ -652,14 +681,15 @@ class TestSearch:
         assert vars(c) == vars(built[-1])
 
     def test_two_searches_share_the_geometry_cache(self):
-        # Only primitive points build geometries, 66 at (4, 3), fewer than
-        # GEOMETRY_CACHE_SIZE, so the second search finds every one cached.
-        assert blowup.GEOMETRY_CACHE_SIZE >= 66
+        # Only the points of kept orbits build geometries, 23 at (4, 3),
+        # fewer than GEOMETRY_CACHE_SIZE, so the second search finds every
+        # one cached.
+        assert blowup.GEOMETRY_CACHE_SIZE >= 23
         blowup._geometry_for.cache_clear()
         for _ in range(2):
             search_unstable(4, 3)
         info = blowup._geometry_for.cache_info()
-        assert (info.misses, info.hits) == (66, 66)
+        assert (info.misses, info.hits) == (23, 23)
 
     @pytest.mark.parametrize("skew, shown", [
         (lambda f1, f2, den: [f1 + den, f2], "F1=1, F2={f2}"),
@@ -762,6 +792,92 @@ class TestSearch:
             search_unstable(1, SEARCH_MAX_SCALE_BOUND + 1)
         with pytest.raises(ResourceLimitError, match="scale_bound"):
             search_unstable(2, 10**9)
+
+
+def _skew_psi2(skew):
+    """Mutation: the search's psi_2 evaluator replaced by skew(psi_2)."""
+    def apply(monkeypatch):
+        real = p2lab._psi
+
+        def skewed(config, action):
+            polys, (psi1, psi2) = real(config, action)
+            return polys, (psi1, skew(psi2))
+        monkeypatch.setattr(p2lab, "_psi", skewed)
+    return apply
+
+
+def _skew_class_point(skew):
+    """Mutation: every kept orbit's (m, a1, f, psi_2) replaced by skew of it."""
+    def apply(monkeypatch):
+        real = p2lab._class_point
+
+        def skewed(u, line_coefficients, psi2):
+            point = real(u, line_coefficients, psi2)
+            return point and skew(*point)
+        monkeypatch.setattr(p2lab, "_class_point", skewed)
+    return apply
+
+
+def _doubled_gcd(monkeypatch):
+    """Mutation: the gcd that makes a line's point primitive doubled."""
+    def doubled(*args):
+        return 2 * gcd(*args) if len(args) == 5 else gcd(*args)
+    monkeypatch.setattr(p2lab, "gcd", doubled)
+
+
+def _ascending_orbits(monkeypatch):
+    """Mutation: each orbit walked at its ascending tail, not its descending one."""
+    real = p2lab._orbits
+    monkeypatch.setattr(p2lab, "_orbits",
+                        lambda bound: ((u0, u4, u3, u2) for u0, u2, u3, u4 in real(bound)))
+
+
+def _expansion_u2_u2_u4(monkeypatch):
+    """Mutation: each class's tail expanded as (u2, u2, u4)."""
+    real = p2lab._class_order
+    monkeypatch.setattr(p2lab, "_class_order", lambda orbits: [
+        ((u0, u2, u2, u4), datum) for (u0, u2, u3, u4), datum in real(orbits)])
+
+
+def _failed(m, alphas):
+    return re.escape(f"candidate (m={m}, alphas={alphas}) failed recomputation: F1=")
+
+
+def _psi2_disagrees(m, alphas, psi2, f2):
+    return re.escape("psi_2 disagrees with F_2 * deg^2 recomputed through the blowup pipeline "
+                     f"at m = {m}, alphas = {alphas}: psi_2 = {psi2}, F_2 * deg^2 = {f2}") + "$"
+
+
+def _class_mismatch(u, alphas, verified):
+    return re.escape(f"class u = {u} gives the point m = 13, alphas = {alphas}, but its "
+                     f"orbit's verified point, at the descending tail, is m = 13, "
+                     f"alphas = {verified}") + "$"
+
+
+class TestSearchCatchesMutations:
+    """Verifying each kept orbit once, and comparing each of its classes
+    with it on integers, still catches every fault that verifying each
+    class caught: on a mutated search, search_unstable(4, 1) raises
+    CrossCheckError, naming the first point where it shows."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (_skew_psi2(lambda psi2: lambda *point: psi2(*point) + 1),
+         _psi2_disagrees(131, (75, 14, 14, 14), 59977, 59976)),
+        (_skew_psi2(lambda psi2: lambda m, a1, a2, a3, a4: psi2(m, a1, a2, a2, a4)),
+         _psi2_disagrees(13, (8, 2, 1, 1), -24, 44)),
+        (_skew_class_point(lambda m, a1, f, psi2: (m, a1, f + 1, psi2)),
+         _failed(131, (75, 15, 15, 15))),
+        (_doubled_gcd, _failed(65, (37, 7, 7, 7))),
+        (_skew_class_point(lambda m, a1, f, psi2: (m + 1, a1, f, psi2)),
+         _failed(132, (75, 14, 14, 14))),
+        (_ascending_orbits, _class_mismatch((5, 2, 1, 1), (8, 2, 1, 1), (8, 1, 1, 2))),
+        (_expansion_u2_u2_u4, _class_mismatch((5, 2, 2, 1), (8, 2, 2, 1), (8, 2, 1, 1))),
+    ], ids=["psi2_plus_one", "psi2_reads_a2_for_a3", "f_plus_one", "gcd_doubled",
+            "orbit_point_m_plus_one", "orbit_point_at_ascending_tail", "expansion_u2_u2_u4"])
+    def test_mutation_is_caught(self, monkeypatch, mutate, message):
+        mutate(monkeypatch)
+        with pytest.raises(CrossCheckError, match="^" + message):
+            search_unstable(4, 1)
 
 
 # ---------------------------------------------------------------------------
